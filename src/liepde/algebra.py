@@ -545,16 +545,13 @@ def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
                 row[q * m + t] -= a_coords[q]
             rows.append(row)
             rhs.append(-defect_stage[t])
-    try:
-        rref, pivots = linalg.q_rref([r + [b] for r, b in zip(rows, rhs)])
-    except Exception:
-        return None
+    rref, pivots = linalg.q_rref([r + [b] for r, b in zip(rows, rhs)])
     ncols = s * m
     if ncols in pivots:
         return None  # inconsistent
     sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rref[r][-1]
+    for row, pc in zip(rref, pivots):
+        sol[pc] = row.get(ncols, Fraction(0))
     corrected = []
     for i in range(s):
         vec = list(lifts[i])

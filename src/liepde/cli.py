@@ -20,7 +20,8 @@ from .parser import parse, render
 from .prolong import VectorField, residual
 from .reduction import compare_with_printed, invariants_for, reduce_pde, reduce_time
 from .solver import (Binding, BindingError, DEFAULT_TRIAL_DEGREE,
-                     profile_basis, solve_determining, verify_basis)
+                     SymmetryBasis, profile_basis, solve_determining,
+                     verify_basis)
 
 __all__ = ["main"]
 
@@ -118,9 +119,13 @@ def cmd_verify(args) -> int:
     return 0 if doc["all_ok"] else MATH_FAILURE
 
 
-def _find_document(equation_name: str, binding: Binding, degree: int) -> dict:
+def _find_document(equation_name: str, binding: Binding, degree: int,
+                   basis: SymmetryBasis | None = None) -> dict:
+    """The ``find`` document; ``basis`` is this equation's already-solved
+    basis at ``binding`` and ``degree``, or None to solve it here."""
     equation = _require_evolution(get_equation(equation_name))
-    basis = solve_determining(equation, binding, trial_degree=degree)
+    if basis is None:
+        basis = solve_determining(equation, binding, trial_degree=degree)
     checks = [residual(vf, basis.pde).is_zero for vf in basis.fields]
     doc = {
         "command": "find",
@@ -270,9 +275,9 @@ def cmd_report(args) -> int:
     verification = {
         "equation": "hpz",
         "generators": [
-            {"name": name, "residual": render(residual(vf, hpz)),
-             "ok": residual(vf, hpz).is_zero}
-            for name, vf in zip(fixtures.generator_names(), fixtures.known_basis())],
+            {"name": row.name, "residual": render(row.residual), "ok": row.ok}
+            for row in verify_basis(
+                zip(fixtures.generator_names(), fixtures.known_basis()), hpz)],
     }
     verification["all_ok"] = all(g["ok"] for g in verification["generators"])
 
@@ -291,8 +296,11 @@ def cmd_report(args) -> int:
     reductions = {name: _reduce_document(name)
                   for name in ("delta3", "delta4", "delta5", "delta6", "time")}
 
-    reduced_discovery = {}
-    for reg_name in ("reduced-3.2", "reduced-3.5", "reduced-3.7", "reduced-3.9"):
+    red32 = solve_determining(_require_evolution(get_equation("reduced-3.2")),
+                              binding, trial_degree=args.degree_cap)
+    reduced_discovery = {"reduced-3.2": _find_document(
+        "reduced-3.2", binding, args.degree_cap, red32)}
+    for reg_name in ("reduced-3.5", "reduced-3.7", "reduced-3.9"):
         reduced_discovery[reg_name] = _find_document(reg_name, binding,
                                                      args.degree_cap)
 
@@ -301,10 +309,8 @@ def cmd_report(args) -> int:
         "w5": _classify_document(basis[1:], "delta2..delta6"),
         "full": _classify_document(basis, "delta1..delta6"),
     }
-    red32 = _require_evolution(get_equation("reduced-3.2"))
-    solved = solve_determining(red32, binding, trial_degree=args.degree_cap)
     classification["reduced-3.2"] = _classify_document(
-        list(solved.fields), "reduced-3.2 discovered basis")
+        list(red32.fields), "reduced-3.2 discovered basis")
     classification["excluded"] = (
         "the infinite-dimensional family of solution symmetries phi d/du is "
         "excluded from all dimension counts")

@@ -326,9 +326,6 @@ class Expr:
             raise ExprError(f"{self} is not a rational constant")
         return self.terms[0][0]
 
-    def sort_key(self) -> tuple:
-        return _expr_key(self)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Expr":

@@ -55,10 +55,6 @@ class EvolutionPDE:
     def spatial(self) -> tuple[str, ...]:
         return self.variables[1:]
 
-    @property
-    def lhs_jet(self) -> Jet:
-        return Jet(self.dependent, ("t",))
-
     def spatial_order(self) -> int:
         return max((j.order for j in ex.jets_of(self.rhs)), default=0)
 

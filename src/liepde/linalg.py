@@ -2,12 +2,17 @@
 
 Three layers, all division-safe and floating-point free:
 
-* matrices over ``Fraction`` (row reduction, rank, nullspace, solve);
+* matrices over ``Fraction``: one sparse Gauss-Jordan elimination over
+  ``{column: value}`` rows (dense lists are accepted and converted) gives
+  the reduced echelon form behind rank, nullspace and solve, and
+  determinants are fraction-free (Bareiss) eliminations over the integers
+  after clearing one common denominator;
 * univariate polynomials over ``Fraction`` used for matrix pencils --
   fraction-free Bareiss elimination collects the pivot polynomials whose
-  roots are the only places the pencil can lose rank, and rational roots
-  are extracted exactly with a Sturm-chain guard against silently missed
-  irrational eigenvalues;
+  roots are the only places the pencil can lose rank, the Gram determinant
+  of the pencil is interpolated from integer-Bareiss determinants at
+  integer nodes, and rational roots are extracted exactly with a
+  Sturm-chain guard against silently missed irrational eigenvalues;
 * the fraction field over kernel expressions (pairs num/den compared by
   cross-multiplication, no gcd needed at these sizes), for solving and
   nullspaces with symbolic parameters.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import expr as ex
 from .expr import Expr, ExprError
@@ -34,71 +39,115 @@ __all__ = [
 # rational matrices
 # ---------------------------------------------------------------------------
 
-def q_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form (copy) and the pivot column list."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
+Row = dict[int, Fraction]
+
+
+def _sparse(row) -> Row:
+    """A dense list or a ``{column: value}`` dict as a dict of its nonzeros."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: Fraction(v) for c, v in items if v}
+
+
+def _width(rows, ncols: int | None) -> int:
+    if ncols is not None:
+        return ncols
+    if rows and isinstance(rows[0], dict):
+        raise ValueError("sparse rows need an explicit column count")
+    return len(rows[0]) if rows else 0
+
+
+def q_rref(rows) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form as sparse rows, and the pivot column list.
+
+    ``rows`` are dense lists or sparse ``{column: value}`` dicts.  Rows are
+    reduced one at a time against the pivot rows found so far; a surviving
+    row is scaled to a unit pivot at its leftmost nonzero column, which is
+    then cleared from the earlier pivot rows.  The result is the unique
+    reduced echelon basis of the row space, one row per pivot in column
+    order, each holding only its nonzero entries.
+    """
+    basis: dict[int, Row] = {}   # pivot column -> its reduced row
+    for raw in rows:
+        row = _sparse(raw)
+        # pivot rows are zero in every other pivot column, so one pass over
+        # the pivot columns the row starts with clears them all
+        for c in [c for c in row if c in basis]:
+            f = row.pop(c)
+            for j, v in basis[c].items():
+                if j != c:
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        row.pop(j, None)
+        if not row:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+        pc = min(row)
+        inv = 1 / row[pc]
+        row = {j: v * inv for j, v in row.items()}
+        for other in basis.values():
+            f = other.pop(pc, None)
+            if f is not None:
+                for j, v in row.items():
+                    if j != pc:
+                        w = other.get(j, 0) - f * v
+                        if w:
+                            other[j] = w
+                        else:
+                            other.pop(j, None)
+        basis[pc] = row
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
-def q_rank(rows: list[list[Fraction]]) -> int:
+def q_rank(rows) -> int:
     return len(q_rref(rows)[1])
 
 
-def q_nullspace(rows: list[list[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column."""
-    if not rows:
-        return [[Fraction(i == j) for i in range(ncols or 0)] for j in range(ncols or 0)]
-    ncols = ncols or len(rows[0])
+def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
+    """Basis of the right nullspace, one vector per free column.
+
+    ``rows`` are dense lists or sparse dicts; sparse rows need ``ncols``.
+    The vectors are dense and come in free-column order.
+    """
+    ncols = _width(rows, ncols)
     rref, pivots = q_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    is_pivot = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in is_pivot:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+        for row, pc in zip(rref, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
         basis.append(v)
     return basis
 
 
-def q_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+def q_solve(rows, rhs: list[Fraction],
+            ncols: int | None = None) -> list[Fraction] | None:
     """Unique solution of rows * x = rhs, or None when inconsistent.
 
+    ``rows`` are dense lists or sparse dicts; sparse rows need ``ncols``.
     Raises on an underdetermined consistent system.
     """
     if not rows:
         return []
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
+    ncols = _width(rows, ncols)
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = _sparse(row)
+        if b:
+            row[ncols] = Fraction(b)
+        aug.append(row)
     rref, pivots = q_rref(aug)
     if ncols in pivots:
         return None
     if len(pivots) < ncols:
         raise ExprError("underdetermined linear system")
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][-1]
-    return x
+    return [row.get(ncols, Fraction(0)) for row in rref]
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +398,33 @@ def pencil_pivots(a_rows: list[list[Fraction]],
 
 
 def q_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by Gaussian elimination."""
+    """Exact determinant by fraction-free (Bareiss) integer elimination.
+
+    The entries are first scaled by their common denominator ``d``, so every
+    Bareiss division is an exact integer division; the determinant is the
+    integer one divided by ``d**n``.
+    """
     n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+    rows = [[Fraction(v) for v in row] for row in rows]
+    den = lcm(1, *(v.denominator for row in rows for v in row))
+    m = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
+    sign, prev = 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if m[i][k]), None)
         if pr is None:
             return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+        if pr != k:
+            m[k], m[pr] = m[pr], m[k]
+            sign = -sign
+        top = m[k]
+        piv = top[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j] = (piv * row[j] - head * top[j]) // prev
+        prev = piv
+    return Fraction(sign * prev, den ** n)
 
 
 def pencil_gram_poly(a_rows: list[list[Fraction]],
@@ -374,42 +432,67 @@ def pencil_gram_poly(a_rows: list[list[Fraction]],
     """det((A + t*B)^T (A + t*B)) as an exact polynomial, by interpolation.
 
     Its real roots are exactly the real values where the pencil loses column
-    rank, so it certifies that a candidate exponent set is complete.
+    rank, so it certifies that a candidate exponent set is complete.  One
+    common denominator ``d`` makes ``A`` and ``B`` integer; the Gram matrix
+    is then ``G0 + t*G1 + t^2*G2`` with ``G0 = A^T A``,
+    ``G1 = A^T B + B^T A`` and ``G2 = B^T B`` formed once, and each of the
+    ``2n + 1`` integer nodes takes an integer determinant, divided by
+    ``d^(2n)``.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
+    d = lcm(1, *(Fraction(v).denominator
+                 for rows in (a_rows, b_rows) for row in rows for v in row))
+    a = [[int(v * d) for v in row] for row in a_rows]
+    b = [[int(v * d) for v in row] for row in b_rows]
+
+    def cross(x, y):
+        return [[sum(x[i][p] * y[i][q] for i in range(nrows))
+                 for q in range(ncols)] for p in range(ncols)]
+
+    g0 = cross(a, a)
+    ab = cross(a, b)
+    g1 = [[ab[p][q] + ab[q][p] for q in range(ncols)] for p in range(ncols)]
+    g2 = cross(b, b)
     degree = 2 * ncols
     samples = []
     k = 0
     while len(samples) < degree + 1:
-        samples.append(Fraction(k))
+        samples.append(k)
         if k > 0:
-            samples.append(Fraction(-k))
+            samples.append(-k)
         k += 1
     samples = samples[:degree + 1]
+    scale = d ** degree
     values = []
     for lam in samples:
-        m = [[a_rows[i][j] + lam * b_rows[i][j] for j in range(ncols)]
-             for i in range(nrows)]
-        gram = [[sum(m[i][p] * m[i][q] for i in range(nrows))
-                 for q in range(ncols)] for p in range(ncols)]
-        values.append(q_det(gram))
-    return _lagrange(samples, values)
+        gram = [[c0 + lam * (c1 + lam * c2) for c0, c1, c2 in zip(r0, r1, r2)]
+                for r0, r1, r2 in zip(g0, g1, g2)]
+        values.append(q_det(gram) / scale)
+    return _lagrange([Fraction(lam) for lam in samples], values)
 
 
 def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> Poly:
-    out: Poly = ()
+    """The interpolating polynomial through distinct nodes ``xs``.
+
+    Each Lagrange basis numerator is the node polynomial prod (x - x_j),
+    formed once, divided exactly by its own factor (x - x_i).
+    """
+    nodes: Poly = (Fraction(1),)
+    for xj in xs:
+        nodes = p_mul(nodes, (-xj, Fraction(1)))
+    out = [Fraction(0)] * len(xs)
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         if yi == 0:
             continue
-        num: Poly = (Fraction(1),)
         den = Fraction(1)
         for j, xj in enumerate(xs):
             if j != i:
-                num = p_mul(num, (-xj, Fraction(1)))
                 den *= xi - xj
-        out = p_add(out, p_scale(num, yi / den))
-    return out
+        scale = yi / den
+        for k, c in enumerate(p_div_exact(nodes, (-xi, Fraction(1)))):
+            out[k] += c * scale
+    return p_trim(out)
 
 
 # ---------------------------------------------------------------------------

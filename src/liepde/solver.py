@@ -12,10 +12,14 @@ exponent are rational and the whole computation stays in exact arithmetic:
    exponential-polynomial solutions can only be roots of the pivot
    polynomials of the pencil ``A + lambda*B`` (at any other lambda the
    pencil has full column rank, forcing the top polynomial coefficient of a
-   would-be solution to vanish);
+   would-be solution to vanish); the pencil's Gram determinant, sampled by
+   integer Bareiss at integer nodes and interpolated, certifies that no
+   real exponent is missed;
 3. for each candidate exponent, polynomial-times-exponential trial
    solutions up to a degree cap turn the system into an exact rational
-   nullspace problem;
+   nullspace problem, posed as sparse ``{column: value}`` rows (each row
+   touches one or two trial coefficients per unknown) for the sparse
+   elimination in :mod:`linalg`;
 4. every returned generator is re-verified through the residual, and the
    basis is kept linearly independent via an exact rank computation.
 """
@@ -276,16 +280,19 @@ def _trial_nullspace(a_rows, b_rows, lam: Fraction, degree: int):
     def col(i: int, k: int) -> int:
         return i * (degree + 1) + k
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for arow, brow in zip(a_rows, b_rows):
         for k in range(degree + 1):
-            row = [Fraction(0)] * width
+            # t^k coefficient of a*g + b*g' with g = sum c_k t^k e^(lam t),
+            # kept as a sparse row of its nonzero entries
+            row = {}
             for i in range(n):
-                # t^k coefficient of a*g + b*g' with g = sum c_k t^k e^(lam t)
-                row[col(i, k)] += arow[i] + brow[i] * lam
-                if k + 1 <= degree:
-                    row[col(i, k + 1)] += brow[i] * (k + 1)
-            if any(row):
+                value = arow[i] + brow[i] * lam
+                if value:
+                    row[col(i, k)] = value
+                if k + 1 <= degree and brow[i]:
+                    row[col(i, k + 1)] = brow[i] * (k + 1)
+            if row:
                 rows.append(row)
     if not rows:
         return [], width
@@ -295,34 +302,30 @@ def _trial_nullspace(a_rows, b_rows, lam: Fraction, degree: int):
 def coefficient_vector(vf: VectorField, keys: list | None = None):
     """Stacked rational coordinates of a bound field in its term basis.
 
-    Returns (keys, vector); pass ``keys`` to reuse a shared basis.
+    Returns (keys, row) with ``row`` a sparse ``{key index: coefficient}``
+    dict; pass ``keys`` to reuse a shared basis.
     """
-    comp_maps = []
     all_keys = [] if keys is None else list(keys)
     seen = {k: i for i, k in enumerate(all_keys)}
+    row: dict[int, Fraction] = {}
     for slot, c in enumerate(vf.coefficients()):
         for factors, coeff in ex.rational_coefficients(c).items():
             key = (slot, factors)
             if key not in seen:
                 seen[key] = len(all_keys)
                 all_keys.append(key)
-            comp_maps.append((key, coeff))
-    vec = [Fraction(0)] * len(all_keys)
-    for key, coeff in comp_maps:
-        vec[seen[key]] += coeff
-    return all_keys, vec
+            row[seen[key]] = coeff
+    return all_keys, row
 
 
 def span_rank(fields) -> int:
     """Exact rank of the stacked coefficient matrix of bound fields."""
     keys: list = []
-    vectors = []
+    rows = []
     for vf in fields:
-        keys, vec = coefficient_vector(vf, keys)
-        vectors.append(vec)
-    width = len(keys)
-    matrix = [vec + [Fraction(0)] * (width - len(vec)) for vec in vectors]
-    return linalg.q_rank(matrix)
+        keys, row = coefficient_vector(vf, keys)
+        rows.append(row)
+    return linalg.q_rank(rows)
 
 
 def _normalize_field(vf: VectorField) -> VectorField:
@@ -362,7 +365,7 @@ def solve_determining(pde: EvolutionPDE,
 
     fields: list[VectorField] = []
     exponents: list[Fraction] = []
-    vectors: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     keys: list = []
     for lam in lams:
         nullspace, _ = _trial_nullspace(a_rows, b_rows, lam, trial_degree)
@@ -386,14 +389,11 @@ def solve_determining(pde: EvolutionPDE,
                 raise ExprError(
                     f"internal error: candidate at exponent {lam} failed "
                     f"re-verification with residual {ex.to_text(res)}")
-            keys, cand_vec = coefficient_vector(candidate, keys)
-            width = len(keys)
-            stacked = [v + [Fraction(0)] * (width - len(v)) for v in vectors]
-            stacked.append(cand_vec + [Fraction(0)] * (width - len(cand_vec)))
-            if linalg.q_rank(stacked) == len(vectors) + 1:
+            keys, cand_row = coefficient_vector(candidate, keys)
+            if linalg.q_rank(rows + [cand_row]) == len(rows) + 1:
                 fields.append(_normalize_field(candidate))
                 exponents.append(lam)
-                vectors = stacked
+                rows.append(cand_row)
     return SymmetryBasis(bound_pde, binding, tuple(fields), tuple(exponents))
 
 
@@ -489,17 +489,9 @@ def profile_basis(basis: SymmetryBasis) -> SymmetryProfile:
 
 
 def _expr_rank(exprs) -> int:
-    keys: list = []
     seen: dict = {}
     rows = []
     for e in exprs:
         coords = ex.rational_coefficients(e)
-        row = {}
-        for fs, c in coords.items():
-            if fs not in seen:
-                seen[fs] = len(keys)
-                keys.append(fs)
-            row[seen[fs]] = c
-        rows.append(row)
-    matrix = [[row.get(j, Fraction(0)) for j in range(len(keys))] for row in rows]
-    return linalg.q_rank(matrix) if keys else 0
+        rows.append({seen.setdefault(fs, len(seen)): c for fs, c in coords.items()})
+    return linalg.q_rank(rows)

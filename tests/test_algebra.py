@@ -165,6 +165,20 @@ class TestClassification:
         assert sub.name == "sl(2,R)"
         assert sub.mubarakzyanov_label == "A3,8"
 
+    def test_levi_correction_fault_propagates(self, reduced_basis,
+                                              monkeypatch):
+        # a fault in the rational solve of the Levi correction must surface,
+        # not silently skip the correction and change the verdict
+        from liepde import linalg
+
+        def broken(rows):
+            raise RuntimeError("rref fault")
+
+        pres = structure_constants(reduced_basis.fields)
+        monkeypatch.setattr(linalg, "q_rref", broken)
+        with pytest.raises(RuntimeError, match="rref fault"):
+            classify(pres)
+
     def test_abelian(self):
         vars2 = ("t", "x")
         e1 = VectorField(vars2, "u", (ZERO, ONE), ZERO)

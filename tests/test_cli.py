@@ -10,6 +10,7 @@ import liepde
 from liepde.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "report.json"
+GOLDEN_FIND = Path(__file__).parent / "golden" / "find_hpz_nondefault.json"
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
@@ -151,3 +152,11 @@ class TestGoldenReport:
         assert code == 0
         assert GOLDEN.exists(), "golden report missing from the repository"
         assert target.read_bytes() == GOLDEN.read_bytes()
+
+    def test_find_hpz_matches_golden_copy(self, tmp_path):
+        target = tmp_path / "find.json"
+        code = main(["find", "--equation", "hpz",
+                     "--params", "R=-4,S=63/16,V=2,W=-1",
+                     "--format", "json", "--out", str(target)])
+        assert code == 0
+        assert target.read_bytes() == GOLDEN_FIND.read_bytes()
