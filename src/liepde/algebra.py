@@ -1,10 +1,12 @@
 """Commutators, structure constants and classification of symmetry algebras.
 
-Structure constants are found by exact linear solves against a monomial
-coordinatisation of the coefficient functions (over the symbolic parameter
-field when the basis is symbolic, over the rationals at a binding); every
-expansion is re-verified against the directly computed commutator before it
-is trusted, and non-closure is an error naming the offending pair.
+Structure constants are found by one exact elimination against a monomial
+coordinatisation of the coefficient functions, solving for every bracket at
+once over the symbolic parameter field (rational entries are constants of
+that field); every expansion is re-verified against the directly computed
+commutator before it is trusted, and non-closure is an error naming the
+offending pair.  Spans, ranks and projections of subspaces go through the
+same sparse elimination in ``linalg``.
 
 Classification detects the structures this engine meets: abelian nA1,
 Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form,
@@ -112,25 +114,19 @@ def structure_constants(basis) -> AlgebraPresentation:
     keys: list = []
     index: dict = {}
     columns = [_field_coords(vf, keys, index) for vf in basis]
-    bracket_fields: dict[tuple[int, int], VectorField] = {}
-    bracket_coords: dict[tuple[int, int], dict[int, Expr]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = commutator(basis[i], basis[j])
-            bracket_fields[(i, j)] = br
-            bracket_coords[(i, j)] = _field_coords(br, keys, index)
+    pairs = list(combinations(range(n), 2))
+    bracket_fields = [commutator(basis[i], basis[j]) for i, j in pairs]
+    bracket_coords = [_field_coords(br, keys, index) for br in bracket_fields]
 
     nrows = len(keys)
-    matrix = [[columns[j].get(r, ex.ZERO) for j in range(n)]
-              for r in range(nrows)]
-    if linalg.f_rank(matrix) != n:
-        raise ExprError("basis is not linearly independent")
+    matrix = [[col.get(r, ex.ZERO) for col in columns] for r in range(nrows)]
+    sols = linalg.f_solve_unique(
+        matrix, [[coords.get(r, ex.ZERO) for r in range(nrows)]
+                 for coords in bracket_coords], n)
 
     zero_row = tuple(ex.ZERO for _ in range(n))
     constants = [[zero_row for _ in range(n)] for _ in range(n)]
-    for (i, j), coords in bracket_coords.items():
-        rhs = [coords.get(r, ex.ZERO) for r in range(nrows)]
-        sol = linalg.f_solve_unique(matrix, rhs)
+    for (i, j), sol, check in zip(pairs, sols, bracket_fields):
         if sol is None:
             raise ClosureError(
                 f"commutator of basis elements {i + 1} and {j + 1} is not in "
@@ -142,7 +138,6 @@ def structure_constants(basis) -> AlgebraPresentation:
                 f"structure constant for pair ({i + 1}, {j + 1}) is not "
                 f"representable: {err}") from err
         # decisive re-check against the directly computed commutator
-        check = bracket_fields[(i, j)]
         for k, c in enumerate(cs):
             check = check.plus(basis[k].scaled(-c))
         if not check.is_zero():
@@ -190,25 +185,19 @@ def _ad_bracket(p: AlgebraPresentation, v: list[Expr], w: list[Expr]) -> list[Ex
     return out
 
 
-def _span_basis(vectors: list[list[Expr]]) -> list[list[Expr]]:
-    """Row-reduce without division; returns independent spanning rows."""
-    rows = [list(v) for v in vectors if any(not c.is_zero for c in v)]
-    out: list[list[Expr]] = []
-    for row in rows:
-        work = list(row)
-        for prev in out:
-            lead = next(i for i, c in enumerate(prev) if not c.is_zero)
-            if not work[lead].is_zero:
-                f = work[lead]
-                piv = prev[lead]
-                work = [piv * a - f * b for a, b in zip(work, prev)]
-        if any(not c.is_zero for c in work):
-            out.append(work)
-    return out
+def _spans(span: list[list[Expr]], vectors: list[list[Expr]]) -> bool:
+    """Every vector lies in the span of ``span``: adding them keeps the rank."""
+    return linalg.f_rank(span + vectors) == linalg.f_rank(span)
 
 
-def _in_span(span: list[list[Expr]], v: list[Expr]) -> bool:
-    return len(_span_basis(span + [v])) == len(_span_basis(span))
+def _independent(prefix: list[list[Expr]],
+                 vectors: list[list[Expr]]) -> list[list[Expr]]:
+    """The vectors independent of ``prefix`` and of the vectors before them.
+
+    With all of them as columns, these are the pivot columns past ``prefix``.
+    """
+    pivots = linalg.f_rref([list(row) for row in zip(*prefix, *vectors)])[1]
+    return [vectors[c - len(prefix)] for c in pivots if c >= len(prefix)]
 
 
 def _derived_space(p: AlgebraPresentation) -> list[list[Expr]]:
@@ -295,7 +284,7 @@ def _is_nilpotent(p: AlgebraPresentation, space: list[list[Expr]]) -> bool:
 
 def _derived_space_sub(p, left, right):
     brackets = [_ad_bracket(p, v, w) for v in left for w in right]
-    return _span_basis(brackets)
+    return linalg.f_row_basis(brackets)
 
 
 def _fields_from_coords(p: AlgebraPresentation, coords: list[Expr]) -> VectorField:
@@ -345,23 +334,18 @@ def _heisenberg_check(p: AlgebraPresentation, center, derived) -> bool:
         return False
     if len(center) != 1 or len(derived) != 1:
         return False
-    if not _in_span(center, derived[0]):
-        return False
-    # every bracket central
+    # the derived algebra and every bracket central
     unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = _ad_bracket(p, unit[i], unit[j])
-            if any(not c.is_zero for c in br) and not _in_span(center, br):
-                return False
-    return True
+    return _spans(center, derived + [_ad_bracket(p, unit[i], unit[j])
+                                     for i, j in combinations(range(n), 2)])
 
 
 def classify(p: AlgebraPresentation) -> Verdict:
     """Classification verdict with witnesses; see the module docstring."""
     n = p.dimension
     if n > 6:
-        return _unclassified(p, "dimension above 6 is out of scope")
+        return _unclassified(p, "dimension above 6 is out of scope",
+                             _center(p), _derived_space(p))
     center = _center(p)
     derived = _derived_space(p)
     cd, dd = len(center), len(derived)
@@ -391,18 +375,19 @@ def classify(p: AlgebraPresentation) -> Verdict:
                                   "signature (2,1)",))
         if zero == 0:
             return _unclassified(
-                p, f"semisimple with Killing signature ({pos},{neg})")
+                p, f"semisimple with Killing signature ({pos},{neg})",
+                center, derived)
 
     semidirect = _try_semidirect(p, center, derived)
     if semidirect is not None:
         return semidirect
-    return _unclassified(p, "no recognised structure")
+    return _unclassified(p, "no recognised structure", center, derived)
 
 
-def _unclassified(p: AlgebraPresentation, why: str) -> Verdict:
+def _unclassified(p: AlgebraPresentation, why: str, center,
+                  derived) -> Verdict:
     return Verdict("unclassified", None, p.dimension,
-                   len(_center(p)), len(_derived_space(p)),
-                   notes=(why,))
+                   len(center), len(derived), notes=(why,))
 
 
 def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
@@ -417,10 +402,8 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
         return None
     # radical must be an ideal
     unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    for v in unit:
-        for w in radical:
-            if not _in_span(radical, _ad_bracket(p, v, w)):
-                return None
+    if not _spans(radical, [_ad_bracket(p, v, w) for v in unit for w in radical]):
+        return None
     complement = _levi_complement(p, radical)
     if complement is None:
         return None
@@ -456,14 +439,8 @@ def _levi_complement(p: AlgebraPresentation,
     """
     n = p.dimension
     unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    lifts: list[list[Expr]] = []
-    span = list(radical)
-    for v in unit:
-        if not _in_span(span, v):
-            lifts.append(v)
-            span = span + [v]
-    s = len(lifts)
-    if s + len(radical) != n:
+    lifts = _independent(radical, unit)
+    if len(lifts) + len(radical) != n:
         return None
     if _closes(p, lifts):
         return lifts
@@ -471,7 +448,7 @@ def _levi_complement(p: AlgebraPresentation,
         return None  # symbolic correction not attempted
 
     rad_z = _derived_space_sub(p, radical, radical)
-    stage_one = _quotient_basis(radical, rad_z)
+    stage_one = _independent(rad_z, radical)
     # the filtration matters: corrections are solved first modulo [N, N]
     # (whose stage coordinates the quadratic term cannot touch), then inside
     # [N, N] itself
@@ -484,23 +461,9 @@ def _levi_complement(p: AlgebraPresentation,
     return lifts if _closes(p, lifts) else None
 
 
-def _quotient_basis(radical, sub):
-    """Vectors of the radical independent of ``sub``."""
-    out = []
-    span = list(sub)
-    for v in radical:
-        if not _in_span(span, v):
-            out.append(v)
-            span = span + [v]
-    return out
-
-
 def _closes(p: AlgebraPresentation, lifts: list[list[Expr]]) -> bool:
-    for i in range(len(lifts)):
-        for j in range(i + 1, len(lifts)):
-            if not _in_span(lifts, _ad_bracket(p, lifts[i], lifts[j])):
-                return False
-    return True
+    return _spans(lifts, [_ad_bracket(p, lifts[i], lifts[j])
+                          for i, j in combinations(range(len(lifts)), 2)])
 
 
 def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
@@ -521,26 +484,24 @@ def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
         return lifts
 
     pairs = list(combinations(range(s), 2))
+    # a bracket [l_i, l_j] per pair, then ad(l_i) stage_k at index i*m + k
+    coords = _project(
+        [_ad_bracket(p, lifts[i], lifts[j]) for i, j in pairs]
+        + [_ad_bracket(p, l, st) for l in lifts for st in stage],
+        lifts, stage, lower)
+    if coords is None:
+        return None
+    ad = [d for _, d in coords[len(pairs):]]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for (i, j) in pairs:
-        br = _ad_bracket(p, lifts[i], lifts[j])
-        a_coords, defect_stage = _project(br, lifts, stage, lower)
-        if a_coords is None:
-            return None
+    for (i, j), (a_coords, defect_stage) in zip(pairs, coords):
         # unknowns: c[i][k] coefficients; equation per stage coordinate:
         # defect + ad(l_i) c_j - ad(l_j) c_i - sum_k a^k c_k  = 0 (mod below)
         for t in range(m):
             row = [Fraction(0)] * (s * m)
             for k in range(m):
-                _, adi = _project(_ad_bracket(p, lifts[i], stage[k]),
-                                  lifts, stage, lower)
-                _, adj = _project(_ad_bracket(p, lifts[j], stage[k]),
-                                  lifts, stage, lower)
-                if adi is None or adj is None:
-                    return None
-                row[j * m + k] += adi[t]
-                row[i * m + k] -= adj[t]
+                row[j * m + k] += ad[i * m + k][t]
+                row[i * m + k] -= ad[j * m + k][t]
             for q in range(s):
                 row[q * m + t] -= a_coords[q]
             rows.append(row)
@@ -563,23 +524,23 @@ def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
     return corrected
 
 
-def _project(vec, lifts, stage, lower):
-    """Write vec = sum a_q lift_q + sum d_t stage_t + (lower part).
+def _project(vectors, lifts, stage, lower):
+    """Write each vec = sum a_q lift_q + sum d_t stage_t + (lower part).
 
     ``lifts + stage + lower`` must be a basis of the whole space.  Returns
-    (a coefficients, stage coefficients) as rationals, or (None, None) when
-    the decomposition is not rational.
+    one (a coefficients, stage coefficients) pair of rationals per vector,
+    from one elimination, or None when some decomposition is not rational.
     """
     cols_all = lifts + stage + lower
-    n = len(vec)
-    matrix = [[cols_all[c][r] for c in range(len(cols_all))] for r in range(n)]
-    sol = linalg.f_solve_unique(matrix, list(vec))
-    if sol is None:
-        return None, None
-    try:
-        values = [s.to_expr().as_fraction() for s in sol]
-    except ExprError:
-        return None, None
-    a = values[:len(lifts)]
-    d = values[len(lifts):len(lifts) + len(stage)]
-    return a, d
+    matrix = [[col[r] for col in cols_all] for r in range(len(cols_all[0]))]
+    out = []
+    for sol in linalg.f_solve_unique(matrix, vectors):
+        if sol is None:
+            return None
+        try:
+            values = [s.to_expr().as_fraction() for s in sol]
+        except ExprError:
+            return None
+        out.append((values[:len(lifts)],
+                    values[len(lifts):len(lifts) + len(stage)]))
+    return out

@@ -1,28 +1,29 @@
 """Exact linear algebra: rationals, univariate polynomials, symbolic fields.
 
-Three layers, all division-safe and floating-point free:
+One sparse Gauss-Jordan elimination over ``{column: value}`` rows is
+generic over its field: it gives the reduced echelon form behind rank,
+nullspace and solve both over ``Fraction`` (the ``q_*`` functions) and over
+the fraction field of kernel expressions (``FieldFrac``, the ``f_*``
+functions).  Dense lists are accepted and converted.  Around it:
 
-* matrices over ``Fraction``: one sparse Gauss-Jordan elimination over
-  ``{column: value}`` rows (dense lists are accepted and converted) gives
-  the reduced echelon form behind rank, nullspace and solve, and
-  determinants are fraction-free (Bareiss) eliminations over the integers
-  after clearing one common denominator;
-* univariate polynomials over ``Fraction`` used for matrix pencils --
+* determinants over ``Fraction`` are fraction-free (Bareiss) eliminations
+  over the integers after clearing one common denominator;
+* univariate polynomials over ``Fraction`` are used for matrix pencils --
   fraction-free Bareiss elimination collects the pivot polynomials whose
   roots are the only places the pencil can lose rank, the Gram determinant
   of the pencil is interpolated from integer-Bareiss determinants at
   integer nodes, and rational roots are extracted exactly with a
   Sturm-chain guard against silently missed irrational eigenvalues;
-* the fraction field over kernel expressions (pairs num/den compared by
-  cross-multiplication, no gcd needed at these sizes), for solving and
-  nullspaces with symbolic parameters.
+* field elements over kernel expressions are num/den pairs with a
+  canonical zero test on the numerator (no gcd needed at these sizes);
+  nullspace and row-space vectors come back with denominators cleared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from . import expr as ex
 from .expr import Expr, ExprError
@@ -31,21 +32,23 @@ __all__ = [
     "q_rref", "q_rank", "q_nullspace", "q_solve",
     "Poly", "p_trim", "p_add", "p_mul", "p_eval", "p_div_exact",
     "p_derivative", "sturm_root_count", "rational_roots", "RootExtractionError",
-    "pencil_pivots", "FieldFrac", "f_solve_unique", "f_rank", "f_nullspace",
+    "pencil_pivots", "FieldFrac", "f_rref", "f_solve_unique", "f_rank",
+    "f_nullspace", "f_row_basis",
 ]
 
 
 # ---------------------------------------------------------------------------
-# rational matrices
+# sparse exact elimination over a field, and rational matrices
 # ---------------------------------------------------------------------------
 
 Row = dict[int, Fraction]
 
 
-def _sparse(row) -> Row:
-    """A dense list or a ``{column: value}`` dict as a dict of its nonzeros."""
+def _sparse(row, of=Fraction) -> dict:
+    """A dense list or a ``{column: value}`` dict as a dict of its nonzeros,
+    each converted by ``of``."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: Fraction(v) for c, v in items if v}
+    return {c: w for c, v in items if (w := of(v))}
 
 
 def _width(rows, ncols: int | None) -> int:
@@ -56,48 +59,69 @@ def _width(rows, ncols: int | None) -> int:
     return len(rows[0]) if rows else 0
 
 
-def q_rref(rows) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form as sparse rows, and the pivot column list.
+def _rref(rows, one) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows over an exact field.
 
-    ``rows`` are dense lists or sparse ``{column: value}`` dicts.  Rows are
-    reduced one at a time against the pivot rows found so far; a surviving
-    row is scaled to a unit pivot at its leftmost nonzero column, which is
-    then cleared from the earlier pivot rows.  The result is the unique
-    reduced echelon basis of the row space, one row per pivot in column
-    order, each holding only its nonzero entries.
+    ``rows`` yields fresh ``{column: value}`` dicts of nonzero entries, which
+    are consumed.  The entries need ``-``, ``*``, ``1/x``, negation and a
+    truth value that is false exactly at zero; ``one`` is the field's unit.
+    Rows are reduced one at a time against the pivot rows found so far; a
+    surviving row is scaled to a unit pivot at its leftmost nonzero column,
+    which is then cleared from the earlier pivot rows.  The result is the
+    unique reduced echelon basis of the row space, one row per pivot in
+    column order, each holding only its nonzero entries.
     """
-    basis: dict[int, Row] = {}   # pivot column -> its reduced row
-    for raw in rows:
-        row = _sparse(raw)
+    basis: dict = {}   # pivot column -> its reduced row, pivot entry left out
+    for row in rows:
         # pivot rows are zero in every other pivot column, so one pass over
         # the pivot columns the row starts with clears them all
         for c in [c for c in row if c in basis]:
-            f = row.pop(c)
-            for j, v in basis[c].items():
-                if j != c:
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        row.pop(j, None)
+            _subtract(row, row.pop(c), basis[c])
         if not row:
             continue
         pc = min(row)
-        inv = 1 / row[pc]
+        inv = 1 / row.pop(pc)
         row = {j: v * inv for j, v in row.items()}
         for other in basis.values():
             f = other.pop(pc, None)
             if f is not None:
-                for j, v in row.items():
-                    if j != pc:
-                        w = other.get(j, 0) - f * v
-                        if w:
-                            other[j] = w
-                        else:
-                            other.pop(j, None)
+                _subtract(other, f, row)
         basis[pc] = row
     pivots = sorted(basis)
-    return [basis[c] for c in pivots], pivots
+    return [{pc: one, **basis[pc]} for pc in pivots], pivots
+
+
+def _subtract(row: dict, f, pivot_row: dict):
+    """row -= f * pivot_row, in place, keeping only nonzero entries."""
+    for j, v in pivot_row.items():
+        w = row[j] - f * v if j in row else -(f * v)
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+
+
+def _nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
+    """Right-nullspace basis from a reduced echelon form, one dense vector
+    per free column, in column order."""
+    is_pivot = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in is_pivot:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(rref, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+def q_rref(rows) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form over the rationals, as sparse rows, and the
+    pivot column list; ``rows`` are dense lists or sparse dicts."""
+    return _rref((_sparse(row) for row in rows), Fraction(1))
 
 
 def q_rank(rows) -> int:
@@ -111,19 +135,7 @@ def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
     The vectors are dense and come in free-column order.
     """
     ncols = _width(rows, ncols)
-    rref, pivots = q_rref(rows)
-    is_pivot = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in is_pivot:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rref, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    return _nullspace(*q_rref(rows), ncols, Fraction(0), Fraction(1))
 
 
 def q_solve(rows, rhs: list[Fraction],
@@ -304,13 +316,9 @@ def rational_roots(p: Poly, strict: bool = True) -> list[Fraction]:
     if len(cur) <= 1:
         return roots
     # integer primitive form
-    denlcm = 1
-    for c in cur:
-        denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
+    denlcm = lcm(*(c.denominator for c in cur))
     ints = [int(c * denlcm) for c in cur]
-    g = 0
-    for c in ints:
-        g = _gcd(g, c)
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     a0, an = ints[0], ints[-1]
     ds0, dsn = _divisors(a0), _divisors(an)
@@ -330,13 +338,6 @@ def rational_roots(p: Poly, strict: bool = True) -> list[Fraction]:
             "square" if not incomplete else
             "integer factorisation budget exceeded while extracting exponents")
     return sorted(set(roots))
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_perfect_square(q: Fraction) -> bool:
@@ -501,7 +502,7 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> Poly:
 
 @dataclass(frozen=True)
 class FieldFrac:
-    """num/den with kernel-expression parts; equality by cross-multiplication.
+    """num/den with kernel-expression parts; zero when the numerator is.
 
     No gcd reduction is attempted; the systems solved here are tiny and the
     canonical zero test on numerators is all correctness needs.
@@ -524,120 +525,99 @@ class FieldFrac:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    def add(self, o: "FieldFrac") -> "FieldFrac":
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
+    def __add__(self, o: "FieldFrac") -> "FieldFrac":
         return FieldFrac(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    def sub(self, o: "FieldFrac") -> "FieldFrac":
+    def __sub__(self, o: "FieldFrac") -> "FieldFrac":
         return FieldFrac(self.num * o.den - o.num * self.den, self.den * o.den)
 
-    def mul(self, o: "FieldFrac") -> "FieldFrac":
+    def __mul__(self, o: "FieldFrac") -> "FieldFrac":
         return FieldFrac(self.num * o.num, self.den * o.den)
 
-    def div(self, o: "FieldFrac") -> "FieldFrac":
-        if o.is_zero:
+    def __neg__(self) -> "FieldFrac":
+        return FieldFrac(-self.num, self.den)
+
+    def __rtruediv__(self, o) -> "FieldFrac":
+        """``o / self`` for a rational ``o``; ``1 / x`` is the inverse."""
+        if self.is_zero:
             raise ex.DivisionByZero("division by zero field element")
-        return FieldFrac(self.num * o.den, self.den * o.num)
+        return FieldFrac(self.den * o, self.num)
 
     def to_expr(self) -> Expr:
         return ex.divide_exact(self.num, self.den)
 
 
-def f_solve_unique(matrix: list[list[Expr]], rhs: list[Expr]) -> list[FieldFrac] | None:
-    """Unique solution of an (over)determined system over the expression field.
+_F_ZERO = FieldFrac.of(0)
+_F_ONE = FieldFrac.of(1)
 
-    Returns None when inconsistent; raises when the columns are dependent.
+
+def f_rref(matrix) -> tuple[list[dict[int, FieldFrac]], list[int]]:
+    """Reduced row echelon form over the expression field; ``matrix`` rows
+    are dense lists or sparse dicts of expressions."""
+    return _rref((_sparse(row, FieldFrac.of) for row in matrix), _F_ONE)
+
+
+def f_rank(matrix) -> int:
+    """Rank over the expression field."""
+    return len(f_rref(matrix)[1])
+
+
+def f_solve_unique(matrix, rhss: list[list[Expr]],
+                   ncols: int | None = None) -> list[list[FieldFrac] | None]:
+    """Unique solution of matrix * x = rhs over the expression field, for
+    each rhs in ``rhss``, from one elimination.
+
+    The matrix is augmented by every right-hand side.  Row operations keep
+    the linear relations among columns, so the column of a consistent rhs
+    reduces to its solution on the pivot rows of the matrix and is zero
+    below them; an inconsistent one keeps an entry below them.  Returns one
+    solution per rhs, None for an inconsistent one; raises when the columns
+    of the matrix are dependent.  Sparse rows need ``ncols``.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [[FieldFrac.of(matrix[i][j]) for j in range(ncols)] + [FieldFrac.of(rhs[i])]
-           for i in range(nrows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not aug[i][c].is_zero), None)
-        if pr is None:
-            raise ExprError("dependent columns: basis is not linearly independent")
-        aug[r], aug[pr] = aug[pr], aug[r]
-        piv = aug[r][c]
-        aug[r] = [v.div(piv) for v in aug[r]]
-        for i in range(nrows):
-            if i != r and not aug[i][c].is_zero:
-                f = aug[i][c]
-                aug[i] = [a.sub(f.mul(b)) for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if len(pivots) < ncols:
-        raise ExprError("dependent columns: basis is not linearly independent")
-    for i in range(len(pivots), nrows):
-        if not aug[i][ncols].is_zero:
-            return None
-    return [aug[r][ncols] for r in range(ncols)]
+    ncols = _width(matrix, ncols)
+    aug = []
+    for i, row in enumerate(matrix):
+        row = _sparse(row, FieldFrac.of)
+        for k, rhs in enumerate(rhss):
+            if b := FieldFrac.of(rhs[i]):
+                row[ncols + k] = b
+        aug.append(row)
+    rref, pivots = _rref(aug, _F_ONE)
+    if pivots[:ncols] != list(range(ncols)):
+        raise ExprError("basis is not linearly independent")
+    top, below = rref[:ncols], rref[ncols:]
+    return [None if any(c in row for row in below)
+            else [row.get(c, _F_ZERO) for row in top]
+            for c in range(ncols, ncols + len(rhss))]
 
 
-def f_rank(matrix: list[list[Expr]]) -> int:
-    """Rank over the expression field via division-free cross-multiplication."""
-    m = [[ex.as_expr(v) for v in row] for row in matrix]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not m[i][c].is_zero), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, nrows):
-            if not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [piv * a - f * b for a, b in zip(m[i], m[r])]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
+def f_nullspace(matrix) -> list[list[Expr]]:
+    """Right-nullspace basis with denominator-cleared expression entries,
+    one vector per free column."""
+    ncols = _width(matrix, None)
+    return [_cleared(v)
+            for v in _nullspace(*f_rref(matrix), ncols, _F_ZERO, _F_ONE)]
 
 
-def f_nullspace(matrix: list[list[Expr]]) -> list[list[Expr]]:
-    """Right-nullspace basis with denominator-cleared expression entries."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    m = [[FieldFrac.of(v) for v in row] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if not m[i][c].is_zero), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [v.div(piv) for v in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero:
-                f = m[i][c]
-                m[i] = [a.sub(f.mul(b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[list[Expr]] = []
-    for fc in free:
-        vec = [FieldFrac.of(0)] * ncols
-        vec[fc] = FieldFrac.of(1)
-        for row, pc in enumerate(pivots):
-            vec[pc] = FieldFrac(ex.ZERO, ex.ONE).sub(m[row][fc])
-        # clear denominators: multiply through by the distinct denominators
-        dens: list[Expr] = []
-        for v in vec:
-            if not v.is_zero and not v.den.is_rational and v.den not in dens:
-                dens.append(v.den)
-        mult = ex.ONE
-        for d in dens:
-            mult = mult * d
-        cleared = []
-        for v in vec:
-            cleared.append(ex.divide_exact(v.num * mult, v.den))
-        basis.append(cleared)
-    return basis
+def f_row_basis(matrix) -> list[list[Expr]]:
+    """Reduced echelon basis of the row space with denominator-cleared
+    expression entries, one dense row per pivot."""
+    ncols = _width(matrix, None)
+    return [_cleared([row.get(c, _F_ZERO) for c in range(ncols)])
+            for row in f_rref(matrix)[0]]
+
+
+def _cleared(vec: list[FieldFrac]) -> list[Expr]:
+    """The vector times the product of its distinct non-rational
+    denominators, as expressions."""
+    dens: list[Expr] = []
+    for v in vec:
+        if v and not v.den.is_rational and v.den not in dens:
+            dens.append(v.den)
+    mult = ex.ONE
+    for d in dens:
+        mult = mult * d
+    return [ex.divide_exact(v.num * mult, v.den) for v in vec]

@@ -7,11 +7,12 @@ from itertools import combinations
 import pytest
 
 from liepde import expr as ex
-from liepde.algebra import (ClosureError, classify, commutator,
-                            structure_constants)
+from liepde.algebra import (ClosureError, _killing_signature, classify,
+                            commutator, structure_constants)
 from liepde.expr import DELTA, OMEGA, R, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation
+from liepde.linalg import q_det
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
 
@@ -217,3 +218,94 @@ class TestClassification:
                 new_fields.append(acc)
             verdict = classify(structure_constants(new_fields))
             assert verdict.name == "sl(2,R) (+)s W3", f"trial {trial}"
+
+
+def _signature(m):
+    return _killing_signature([[ex.rational(v) for v in row] for row in m])
+
+
+def _symmetric(rng, n, zero_diagonal):
+    k = [[Fr(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            if rng.random() < 0.7:
+                k[i][j] = k[j][i] = Fr(rng.randint(-4, 4), rng.randint(1, 3))
+    return k
+
+
+def _invertible(rng, n):
+    while True:
+        p = [[Fr(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(n)]
+        if q_det(p) != 0:
+            return p
+
+
+def _congruent(k, p):
+    """P^T K P."""
+    n = len(k)
+    kp = [[sum(k[i][l] * p[l][j] for l in range(n)) for j in range(n)]
+          for i in range(n)]
+    return [[sum(p[l][i] * kp[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _inertia_by_descartes(k):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    The characteristic polynomial comes from the Faddeev-LeVerrier
+    recurrence; its roots are all real, so Descartes' rule of signs counts
+    the positive roots (and, on p(-x), the negative ones) exactly.
+    """
+    n = len(k)
+    coeffs = [Fr(1)]                     # x^n, x^(n-1), ..., x^0
+    m = [[Fr(0)] * n for _ in range(n)]
+    for step in range(1, n + 1):
+        m = [[sum(k[i][l] * m[l][j] for l in range(n))
+              + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        trace = sum(sum(k[i][l] * m[l][i] for l in range(n)) for i in range(n))
+        coeffs.append(-trace / step)
+    zero = 0
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+
+    def changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    degree = len(coeffs) - 1
+    mirrored = [c if (degree - i) % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    return changes(coeffs), changes(mirrored), zero
+
+
+class TestKillingSignature:
+    """Sylvester's law of inertia: congruence keeps the signature."""
+
+    def test_zero_diagonal_branches(self):
+        assert _signature([[0, 1], [1, 0]]) == (1, 1, 0)   # add-row branch
+        assert _signature([[0, 1], [1, 2]]) == (1, 1, 0)   # swap branch
+        assert _signature([[0, 0], [0, 0]]) == (0, 0, 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_diagonal_read_off_and_kept_by_congruence(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        d = [Fr(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        expected = (sum(v > 0 for v in d), sum(v < 0 for v in d),
+                    sum(v == 0 for v in d))
+        diag = [[d[i] if i == j else Fr(0) for j in range(n)]
+                for i in range(n)]
+        assert _signature(diag) == expected
+        assert _signature(_congruent(diag, _invertible(rng, n))) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("zero_diagonal", [False, True])
+    def test_congruence_invariance(self, seed, zero_diagonal):
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        k = _symmetric(rng, n, zero_diagonal)
+        p = _invertible(rng, n)
+        assert _signature(k) == _inertia_by_descartes(k)
+        assert _signature(_congruent(k, p)) == _signature(k)

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from liepde import expr as ex
 from liepde.expr import ExprError, R, S, V, W
 from liepde.linalg import (FieldFrac, RootExtractionError, f_nullspace,
                            f_rank, f_solve_unique, fraction_sqrt,
@@ -12,6 +13,7 @@ from liepde.linalg import (FieldFrac, RootExtractionError, f_nullspace,
                            pencil_gram_poly, pencil_pivots, q_det,
                            q_nullspace, q_rank, q_rref, q_solve,
                            rational_roots, sturm_root_count)
+from liepde.solver import Binding
 
 
 class TestRationalMatrices:
@@ -224,12 +226,12 @@ class TestExpressionField:
     def test_solve_and_verify(self):
         m = [[R, S], [V, W]]
         rhs = [R * R + S * S, V * R + W * S]
-        sol = f_solve_unique(m, rhs)
+        [sol] = f_solve_unique(m, [rhs])
         assert (sol[0].num - R * sol[0].den).is_zero
         assert (sol[1].num - S * sol[1].den).is_zero
 
     def test_inconsistent_returns_none(self):
-        assert f_solve_unique([[R], [S]], [R, R]) is None
+        assert f_solve_unique([[R], [S]], [[R, R]]) == [None]
 
     def test_rank_and_nullspace(self):
         assert f_rank([[R, S], [2 * R, 2 * S]]) == 1
@@ -240,6 +242,115 @@ class TestExpressionField:
     def test_fieldfrac_arithmetic(self):
         a = FieldFrac(R, S)
         b = FieldFrac(V, W)
-        s = a.add(b)
+        s = a + b
         assert (s.num - (R * W + V * S)).is_zero and (s.den - S * W).is_zero
-        assert a.sub(a).is_zero
+        assert (a - a).is_zero
+
+
+PARAMS = (R, S, V, W)
+
+
+def _poly(rng, density=0.7):
+    """Zero, or a random polynomial of degree <= 1 in one of R, S, V, W."""
+    if rng.random() > density:
+        return ex.ZERO
+    return rng.randint(-3, 3) + rng.choice((-2, -1, 1, 2)) * rng.choice(PARAMS)
+
+
+def _point(rng):
+    return Binding({name: Fr(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                    for name in "RSVW"})
+
+
+def _at(point, rows):
+    """The expression matrix evaluated at a rational point."""
+    return [[point.apply(v).as_fraction() for v in row] for row in rows]
+
+
+def _dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec)), ex.ZERO)
+
+
+def _ranked(rng, point, nrows, ncols, k):
+    """An nrows x ncols expression matrix of rank k, by construction: k rows
+    independent at ``point`` (so symbolically independent), the others
+    symbolic combinations of them, in shuffled order."""
+    while True:
+        base = [[_poly(rng) for _ in range(ncols)] for _ in range(k)]
+        if q_rank(_at(point, base)) == k:
+            break
+    rows = list(base)
+    for _ in range(nrows - k):
+        coeffs = [rng.choice((-1, 1, 2)) * rng.choice(PARAMS) for _ in range(k)]
+        rows.append([_dot(coeffs, [row[j] for row in base])
+                     for j in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+class TestSeededExpressionField:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rank_known_by_construction(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 3)
+        k = rng.randint(1, ncols)
+        rows = _ranked(rng, _point(rng), k + rng.randint(1, 2), ncols, k)
+        assert f_rank(rows) == k
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_nullspace_annihilates_and_counts(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 3)
+        k = rng.randint(1, ncols)
+        point = _point(rng)
+        rows = _ranked(rng, point, k + rng.randint(1, 2), ncols, k)
+        ns = f_nullspace(rows)
+        assert k + len(ns) == ncols
+        for vec in ns:
+            assert all(_dot(row, vec).is_zero for row in rows)
+        assert q_rank(_at(point, ns)) == len(ns)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_multi_rhs_solve_recovers_known_solutions(self, seed):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 3)
+        nrows = ncols + 1
+        point = _point(rng)
+        while True:
+            m = [[_poly(rng) for _ in range(ncols)] for _ in range(nrows)]
+            if q_rank(_at(point, m)) == ncols:
+                break
+        xs = [[_poly(rng) for _ in range(ncols)]
+              for _ in range(rng.randint(1, 3))]
+        rhss = [[_dot(row, x) for row in m] for x in xs]
+        # an rhs independent of the columns at the point is inconsistent
+        while True:
+            bad = [_poly(rng) for _ in range(nrows)]
+            aug = [row + [b] for row, b in zip(m, bad)]
+            if q_rank(_at(point, aug)) == ncols + 1:
+                break
+        at = rng.randint(0, len(xs))
+        xs.insert(at, None)
+        rhss.insert(at, bad)
+        for given in (m, [{c: v for c, v in enumerate(row) if not v.is_zero}
+                          for row in m]):
+            sols = f_solve_unique(given, rhss, ncols)
+            assert len(sols) == len(xs)
+            for sol, x in zip(sols, xs):
+                if x is None:
+                    assert sol is None
+                else:
+                    assert all((f.num - v * f.den).is_zero
+                               for f, v in zip(sol, x))
+
+    def test_nullspace_clears_every_denominator(self):
+        # the reduced rows are (1, 0, 1/R) and (0, 1, 1/S)
+        assert f_nullspace([[R, ex.ZERO, ex.ONE], [ex.ZERO, S, ex.ONE]]) == \
+            [[-S, -R, R * S]]
+
+    def test_dependent_columns_raise(self):
+        cols = [[R, S, ex.ONE], [V, ex.ZERO, W]]
+        cols.append([R * a + S * b for a, b in zip(*cols)])
+        m = [list(row) for row in zip(*cols)]
+        with pytest.raises(ExprError, match="independent"):
+            f_solve_unique(m, [[ex.ONE, ex.ZERO, ex.ZERO]])
