@@ -9,7 +9,7 @@ algebras.
 """
 
 from .expr import (  # noqa: F401
-    Expr, ExprError, DivisionByZero, UnsupportedDivision,
+    Expr, ExprError, InternalError, DivisionByZero, UnsupportedDivision,
     rational, sym, jet, tfun, exp_of, simplify, substitute, differentiate,
     divide_exact, evaluate, evaluate_rational,
 )
@@ -28,7 +28,8 @@ from .solver import (  # noqa: F401
 )
 from .reduction import (  # noqa: F401
     ReductionError, ReductionMap, ReducedEquation,
-    invariants_for, reduce_pde, reduce_time, compare_with_printed,
+    invariants_for, reduce_pde, paper_reduction, reduce_time,
+    compare_with_printed,
 )
 from .algebra import (  # noqa: F401
     ClosureError, commutator, AlgebraPresentation, structure_constants,

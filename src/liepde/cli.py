@@ -1,7 +1,8 @@
 """Command-line front end: verify, find, reduce, classify, report.
 
 Exit codes: 0 success, 1 mathematical failure (e.g. a nonzero residual in
-``verify``), 2 usage errors (bad syntax, bad binding, unknown names).
+``verify``), 2 usage errors (bad syntax, bad binding, unknown names), 3
+internal errors (an invariant of the engine itself was violated).
 Output is plain text, or a single JSON document with ``--format json``;
 identical inputs produce byte-identical JSON.
 """
@@ -14,19 +15,20 @@ import sys
 
 from . import fixtures
 from .algebra import classify, structure_constants
-from .expr import ExprError
+from .expr import ExprError, InternalError
 from .jet import EvolutionPDE, StationaryEquation, get_equation, make_heat, make_hpz
 from .parser import parse, render
 from .prolong import VectorField, residual
-from .reduction import compare_with_printed, invariants_for, reduce_pde, reduce_time
+from .reduction import compare_with_printed, paper_reduction, reduce_time
 from .solver import (Binding, BindingError, DEFAULT_TRIAL_DEGREE,
                      SymmetryBasis, profile_basis, solve_determining,
                      verify_basis)
 
 __all__ = ["main"]
 
-USAGE_ERROR = 2
 MATH_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _parse_generator(spec_text: str, variables: tuple[str, ...],
@@ -169,9 +171,8 @@ def cmd_find(args) -> int:
 
 
 def _reduce_document(generator: str) -> dict:
-    hpz = make_hpz()
     if generator == "time":
-        stationary = reduce_time(hpz)
+        stationary = reduce_time(make_hpz())
         printed = fixtures.printed_stationary_equation()
         return {
             "command": "reduce",
@@ -180,9 +181,8 @@ def _reduce_document(generator: str) -> dict:
             "stationary_equation": stationary.render(),
             "matches_printed_form": (stationary.lhs - printed).is_zero,
         }
-    vf = fixtures.paper_generator(generator)
-    rmap = invariants_for(vf)
-    red = reduce_pde(hpz, rmap)
+    red = paper_reduction(generator)
+    rmap = red.map
     printed, factor = fixtures.printed_reduced_equation(generator)
     rows, agree = compare_with_printed(red, printed, factor)
     return {
@@ -430,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BindingError,) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except InternalError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return INTERNAL_ERROR
     except ExprError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

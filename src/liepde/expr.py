@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
     "Atom", "TFun", "Jet", "ExpFactor", "Expr",
-    "ExprError", "DivisionByZero", "UnsupportedDivision",
+    "ExprError", "InternalError", "DivisionByZero", "UnsupportedDivision",
     "rational", "sym", "jet", "tfun", "exp_of", "as_expr",
     "partial", "differentiate", "substitute", "subst_many",
     "evaluate", "evaluate_rational", "divide_exact", "split_terms",
@@ -63,6 +63,11 @@ Rational = Union[int, Fraction]
 
 class ExprError(Exception):
     """Base class for kernel errors."""
+
+
+class InternalError(ExprError):
+    """An invariant the engine maintains itself was violated (a bug, not a
+    usage error or a mathematical refusal)."""
 
 
 class DivisionByZero(ExprError):

@@ -11,6 +11,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Jet
@@ -169,18 +170,20 @@ def equation_names() -> tuple[str, ...]:
     return ("hpz", "heat") + tuple(_REDUCED) + ("stationary-2.6",)
 
 
+@lru_cache(maxsize=len(equation_names()))
 def get_equation(name: str) -> EvolutionPDE | StationaryEquation:
-    """Look up a named equation; reduced ones are derived on the fly."""
+    """Look up a named equation; reduced ones are derived on first use.
+
+    Equations are frozen values, so each is built once per process; an
+    unknown name raises and is not cached.
+    """
     if name == "hpz":
         return make_hpz()
     if name == "heat":
         return make_heat()
     if name in _REDUCED:
         from . import reduction
-        from . import fixtures
-        vf = fixtures.paper_generator(_REDUCED[name])
-        rmap = reduction.invariants_for(vf)
-        return reduction.reduce_pde(make_hpz(), rmap).equation
+        return reduction.paper_reduction(_REDUCED[name]).equation
     if name == "stationary-2.6":
         from . import reduction
         return reduction.reduce_time(make_hpz())

@@ -12,13 +12,17 @@ the characteristic formula
 
 and ``residual`` applies the extended field to ``u_t - F`` and restricts to
 the solution manifold: the result vanishes identically exactly when the
-field is a Lie point symmetry of the evolution equation.
+field is a Lie point symmetry of the evolution equation.  ``residual``
+builds only the eta^J of jets u_J present in ``u_t - F`` (the others are
+multiplied by a zero partial), and both functions compute each total
+derivative D_J(eta - sum_i xi^i u_i) once, extending it from its prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Iterable
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Jet
@@ -93,17 +97,27 @@ def _multi_indices(variables: tuple[str, ...]) -> list[tuple[str, ...]]:
     return first + second
 
 
-def prolong2(vf: VectorField) -> dict[tuple[str, ...], Expr]:
-    """Extended coefficients eta^J for 1 <= |J| <= 2 over the field's variables."""
+def _extended(vf: VectorField,
+              indices: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], Expr]:
+    """eta^J for each multi-index J in ``indices``.
+
+    D_J Q of the characteristic Q is computed once per prefix of J and
+    extended by one total derivative, so D_x Q serves both D_xx Q and D_xy Q.
+    """
     dep = vf.dependent
     characteristic = vf.eta
     for v, c in zip(vf.variables, vf.xi):
         characteristic = characteristic - c * ex.jet(dep, (v,))
+    derived: dict[tuple[str, ...], Expr] = {(): characteristic}
+
+    def d(J: tuple[str, ...]) -> Expr:
+        if J not in derived:
+            derived[J] = total_derivative(d(J[:-1]), J[-1])
+        return derived[J]
+
     out: dict[tuple[str, ...], Expr] = {}
-    for J in _multi_indices(vf.variables):
-        value = characteristic
-        for v in J:
-            value = total_derivative(value, v)
+    for J in indices:
+        value = d(J)
         for v, c in zip(vf.variables, vf.xi):
             lifted = tuple(sorted(J + (v,), key=ex.VARIABLE_NAMES.index))
             value = value + c * ex.jet(dep, lifted)
@@ -111,23 +125,32 @@ def prolong2(vf: VectorField) -> dict[tuple[str, ...], Expr]:
     return out
 
 
+def prolong2(vf: VectorField) -> dict[tuple[str, ...], Expr]:
+    """Extended coefficients eta^J for 1 <= |J| <= 2 over the field's variables."""
+    return _extended(vf, _multi_indices(vf.variables))
+
+
 def residual(vf: VectorField, pde: EvolutionPDE) -> Expr:
     """Prolonged action on u_t - F, restricted to the solution manifold.
 
-    Zero iff the field is a Lie point symmetry of the equation.
+    Only the eta^J of jets u_J present in u_t - F are built, each total
+    derivative of the characteristic once.  Zero iff the field is a Lie
+    point symmetry of the equation.
     """
     if (vf.variables, vf.dependent) != (pde.variables, pde.dependent):
         raise ExprError("vector field and equation live on different spaces")
     theta = pde.rhs - ex.jet(pde.dependent, ("t",))
-    extended = prolong2(vf)
     out = ex.ZERO
     for v, c in zip(vf.variables, vf.xi):
         out = out + c * ex.partial(theta, Atom(v))
     out = out + vf.eta * ex.partial(theta, Jet(vf.dependent, ()))
-    for J, etaJ in extended.items():
+    used: dict[tuple[str, ...], Expr] = {}
+    for J in _multi_indices(vf.variables):
         d = ex.partial(theta, Jet(vf.dependent, J))
         if not d.is_zero:
-            out = out + etaJ * d
+            used[J] = d
+    for J, etaJ in _extended(vf, used).items():
+        out = out + etaJ * used[J]
     return eliminate_time_jets(out, pde)
 
 

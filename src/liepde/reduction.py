@@ -17,16 +17,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import expr as ex
 from . import fixtures
-from .expr import Atom, Expr, ExprError, Jet
-from .jet import EvolutionPDE, StationaryEquation
+from .expr import Atom, Expr, ExprError, InternalError, Jet
+from .jet import EvolutionPDE, StationaryEquation, make_hpz
 from .prolong import VectorField, residual
 
 __all__ = [
     "ReductionError", "ReductionMap", "ReducedEquation",
-    "invariants_for", "reduce_pde", "reduce_time", "compare_with_printed",
+    "invariants_for", "reduce_pde", "paper_reduction", "reduce_time",
+    "compare_with_printed",
 ]
 
 _PARAM_ATOMS = {"R", "S", "V", "W", "omega", "delta"}
@@ -142,11 +144,11 @@ def invariants_for(vf: VectorField) -> ReductionMap:
 
     # internal consistency: the generator annihilates r and matches Q
     if not vf.apply_to(r).is_zero:
-        raise ReductionError("internal error: generator does not annihilate r")
+        raise InternalError("internal error: generator does not annihilate r")
     cond = vf.component("x") * ex.partial(q_exp, Atom("x")) \
         + vf.component("y") * ex.partial(q_exp, Atom("y")) - h
     if not cond.is_zero:
-        raise ReductionError("internal error: multiplier condition violated")
+        raise InternalError("internal error: multiplier condition violated")
 
     return ReductionMap(
         generator=vf, r=r,
@@ -195,6 +197,17 @@ def reduce_pde(pde: EvolutionPDE, rmap: ReductionMap) -> ReducedEquation:
             f"{', '.join(sorted(leftover))} dependence survives")
     equation = EvolutionPDE(("t", "r"), "z", rhs)
     return ReducedEquation(equation, rmap)
+
+
+@lru_cache(maxsize=4)
+def paper_reduction(generator: str) -> ReducedEquation:
+    """hpz reduced by the published generator ``generator`` (delta3..delta6).
+
+    Derived once per process: the registry's reduced equations and the
+    ``reduce`` documents share it.
+    """
+    vf = fixtures.paper_generator(generator)
+    return reduce_pde(make_hpz(), invariants_for(vf))
 
 
 def reduce_time(pde: EvolutionPDE, kappa: Expr | None = None) -> StationaryEquation:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, Jet, TFun
+from .expr import Atom, Expr, ExprError, InternalError, Jet, TFun
 from .jet import EvolutionPDE
 from .prolong import VectorField, determining_equations, residual
 from . import linalg
@@ -386,7 +386,7 @@ def solve_determining(pde: EvolutionPDE,
                 continue
             res = residual(candidate, bound_pde)
             if not res.is_zero:
-                raise ExprError(
+                raise InternalError(
                     f"internal error: candidate at exponent {lam} failed "
                     f"re-verification with residual {ex.to_text(res)}")
             keys, cand_row = coefficient_vector(candidate, keys)

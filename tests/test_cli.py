@@ -7,6 +7,8 @@ from pathlib import Path
 
 
 import liepde
+from liepde import expr as ex
+from liepde import solver
 from liepde.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "report.json"
@@ -68,6 +70,13 @@ class TestExitCodes:
     def test_unknown_equation_exits_two(self, capsys):
         code, _, _ = run_cli(["find", "--equation", "bogus"], capsys)
         assert code == 2
+
+    def test_failed_reverification_exits_three(self, capsys, monkeypatch):
+        # a wrong residual is an internal error, not a usage error
+        monkeypatch.setattr(solver, "residual", lambda vf, pde: ex.ONE)
+        code, _, err = run_cli(["find", "--equation", "heat"], capsys)
+        assert code == 3
+        assert err.startswith("error: internal error")
 
 
 class TestCommands:

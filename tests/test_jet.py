@@ -118,3 +118,16 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ex.ExprError):
             get_equation("bogus")
+
+    def test_repeated_lookups_are_equal(self):
+        for name in equation_names():
+            assert get_equation(name) == get_equation(name)
+
+    def test_unknown_name_is_not_cached(self):
+        get_equation("hpz")
+        before = get_equation.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ex.ExprError):
+                get_equation("bogus")
+        assert get_equation.cache_info().currsize == before
+        assert before <= len(equation_names())

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from liepde import expr as ex
-from liepde.expr import ONE, R, T, U, W, X, ZERO, exp_of, jet, tfun
+from liepde.expr import ONE, R, T, U, W, X, ZERO, Atom, Jet, exp_of, jet, tfun
 from liepde.fixtures import coefficient_functions, known_basis
+from liepde.jet import eliminate_time_jets, get_equation
 from liepde.prolong import (VectorField, determining_equations, prolong2,
                             residual)
+from liepde.solver import Ansatz
 
 from conftest import random_fraction
 
@@ -92,6 +94,69 @@ class TestResidual:
         # phi = exp(R t) solves u_t = R u (the x,y-independent restriction)
         vf = field3(0, 0, 0, exp_of(R * T))
         assert residual(vf, hpz).is_zero
+
+
+def full_formula(vf, pde):
+    """The criterion with every eta^J of ``prolong2``, zero partials included:
+    sum_i xi^i dtheta/dx_i + eta dtheta/du + sum_J eta^J dtheta/du_J on the
+    solution manifold, theta = F - u_t."""
+    theta = pde.rhs - jet(pde.dependent, ("t",))
+    out = ZERO
+    for v, c in zip(vf.variables, vf.xi):
+        out = out + c * ex.partial(theta, Atom(v))
+    out = out + vf.eta * ex.partial(theta, Jet(vf.dependent, ()))
+    for J, etaJ in prolong2(vf).items():
+        out = out + etaJ * ex.partial(theta, Jet(vf.dependent, J))
+    return eliminate_time_jets(out, pde)
+
+
+def random_coefficient(rng, names, exp_names):
+    """A rational combination of monomials of degree <= 2 in ``names``,
+    sometimes times exp of a rational multiple of one of ``exp_names``."""
+    out = ZERO
+    for _ in range(rng.randint(1, 3)):
+        mono = ex.rational(random_fraction(rng))
+        for _ in range(rng.randint(0, 2)):
+            mono = mono * ex.sym(rng.choice(names))
+        out = out + mono
+    if rng.random() < 0.4:
+        out = out * exp_of(random_fraction(rng) * ex.sym(rng.choice(exp_names)))
+    return out
+
+
+def random_field(rng, pde):
+    names = pde.variables + (pde.dependent,)
+    xi = tuple(random_coefficient(rng, names, pde.variables)
+               for _ in pde.variables)
+    eta = random_coefficient(rng, names, pde.variables)
+    return VectorField(pde.variables, pde.dependent, xi, eta)
+
+
+REGISTERED = ("hpz", "heat", "reduced-3.2", "reduced-3.5", "reduced-3.7",
+              "reduced-3.9")
+
+
+class TestRestrictedResidual:
+    """``residual`` builds only the eta^J its equation uses; it must equal
+    the criterion summed over every eta^J that ``prolong2`` returns."""
+
+    @pytest.mark.parametrize("name", REGISTERED)
+    def test_random_fields(self, name):
+        pde = get_equation(name)
+        rng = random.Random(REGISTERED.index(name) + 11)
+        for _ in range(3):
+            vf = random_field(rng, pde)
+            assert residual(vf, pde) == full_formula(vf, pde)
+
+    def test_published_generators(self, hpz):
+        for vf in known_basis():
+            assert residual(vf, hpz) == full_formula(vf, hpz)
+
+    @pytest.mark.parametrize("name", ["hpz", "heat", "reduced-3.7"])
+    def test_solver_ansatz_field(self, name):
+        pde = get_equation(name)
+        vf = Ansatz(pde).build()
+        assert residual(vf, pde) == full_formula(vf, pde)
 
 
 class TestDeterminingSystem:

@@ -12,7 +12,8 @@ from liepde.fixtures import (characteristic_r, multiplier_exponent,
                              printed_stationary_equation)
 from liepde.prolong import VectorField
 from liepde.reduction import (ReductionError, compare_with_printed,
-                              invariants_for, reduce_pde, reduce_time)
+                              invariants_for, paper_reduction, reduce_pde,
+                              reduce_time)
 from liepde.solver import Binding
 
 from conftest import random_fraction
@@ -100,6 +101,12 @@ class TestReduce:
                          (ex.ZERO, ex.ONE, ex.ZERO), X * Y * ex.U)
         with pytest.raises(ReductionError):
             invariants_for(vf)
+
+    @pytest.mark.parametrize("name", ["delta3", "delta4", "delta5", "delta6"])
+    def test_paper_reduction_is_shared(self, hpz, name):
+        red = paper_reduction(name)
+        assert red == reduce_pde(hpz, invariants_for(paper_generator(name)))
+        assert paper_reduction(name) is red
 
     def test_single_spatial_variable_does_not_reduce(self, heat):
         rmap = invariants_for(paper_generator("delta3"))
