@@ -44,7 +44,7 @@ __all__ = [
     "Atom", "TFun", "Jet", "ExpFactor", "Expr",
     "ExprError", "InternalError", "DivisionByZero", "UnsupportedDivision",
     "rational", "sym", "jet", "tfun", "exp_of", "as_expr",
-    "partial", "differentiate", "substitute", "subst_many",
+    "sum_of", "partial", "differentiate", "substitute", "subst_many",
     "evaluate", "evaluate_rational", "divide_exact", "split_terms",
     "rational_coefficients", "atoms_of", "jets_of", "max_jet_order",
     "factors_text", "simplify",
@@ -407,6 +407,15 @@ def as_expr(v) -> Expr:
     raise TypeError(f"cannot coerce {v!r} to Expr")
 
 
+def sum_of(pieces: Iterable[Expr]) -> Expr:
+    """Sum of expressions, merged by one collection.
+
+    Folding with ``+`` re-merges the growing sum once per piece, which is
+    quadratic in the number of pieces; this merges all terms once.
+    """
+    return Expr(_collect(t for e in pieces for t in e.terms))
+
+
 def _expr_of_base(b: Base, p: int = 1) -> Expr:
     return Expr(_collect(_normalize_product(Fraction(1), ((b, p),))))
 
@@ -638,19 +647,21 @@ def partial(e: Expr, v: Base | str) -> Expr:
     """Formal partial derivative; jets are independent coordinates."""
     if isinstance(v, str):
         v = _resolve_base(v)
-    pieces: list[Expr] = []
+    pieces: list[Term] = []
     for c, fs in e.terms:
         for i, (b, p) in enumerate(fs):
             db = _dbase(b, v)
             if db is None:
                 continue
             rest = fs[:i] + ((b, p - 1),) + fs[i + 1:]
-            head = Expr(_collect(_normalize_product(c * p, rest)))
-            pieces.append(head * db)
-    out = ZERO
-    for p in pieces:
-        out = out + p
-    return out
+            head = _normalize_product(c * p, rest)
+            if db is ONE:
+                pieces.extend(head)
+                continue
+            for c1, f1 in head:
+                for c2, f2 in db.terms:
+                    pieces.extend(_normalize_product(c1 * c2, f1 + f2))
+    return Expr(_collect(pieces))
 
 
 def _resolve_base(name: str) -> Base:
@@ -683,7 +694,7 @@ def subst_many(e: Expr, mapping: Mapping[Base, Expr]) -> Expr:
     """Simultaneous capture-free substitution followed by canonicalisation."""
     if not mapping:
         return e
-    out = ZERO
+    pieces: list[Expr] = []
     for c, fs in e.terms:
         piece = rational(c)
         for b, p in fs:
@@ -693,8 +704,8 @@ def subst_many(e: Expr, mapping: Mapping[Base, Expr]) -> Expr:
                 piece = piece * as_expr(mapping[b]) ** p
             else:
                 piece = piece * _expr_of_base(b, p)
-        out = out + piece
-    return out
+        pieces.append(piece)
+    return sum_of(pieces)
 
 
 def substitute(e: Expr, target: str | Base | Expr, replacement) -> Expr:

@@ -5,7 +5,8 @@ derivative, ``u_t = F(t, spatial variables, u, spatial jets)``, with F at
 most second order.  Total derivatives act on jet expressions; when a PDE is
 supplied, time-derivative jets are eliminated through the equation and its
 total derivatives, which is what restricting to the solution manifold means
-here.
+here.  That elimination is the reference path; ``prolong.residual`` works
+on the manifold from the start and never builds a time jet.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def total_derivative(e: Expr, v: str, pde: EvolutionPDE | None = None) -> Expr:
         raise ExprError(f"total derivative direction must be one of {ex.VARIABLE_NAMES}")
     if pde is not None:
         e = eliminate_time_jets(e, pde)
-    out = ex.partial(e, Atom(v))
+    pieces = [ex.partial(e, Atom(v))]
     for j in sorted(ex.jets_of(e), key=lambda j: (j.order, j.idx)):
         de = ex.partial(e, j)
         if de.is_zero:
@@ -115,7 +116,8 @@ def total_derivative(e: Expr, v: str, pde: EvolutionPDE | None = None) -> Expr:
             raise JetOrderError(
                 f"D_{v} of {ex.base_label(j)} exceeds jet order {MAX_JET_ORDER}")
         lifted = tuple(sorted(j.idx + (v,), key=ex.VARIABLE_NAMES.index))
-        out = out + ex.jet(j.dep, lifted) * de
+        pieces.append(ex.jet(j.dep, lifted) * de)
+    out = ex.sum_of(pieces)
     if pde is not None:
         out = eliminate_time_jets(out, pde)
     return out
@@ -141,6 +143,9 @@ def eliminate_time_jets(e: Expr, pde: EvolutionPDE) -> Expr:
 
     Fixed elimination order: u_t first, then mixed second-order time jets,
     then u_tt (whose replacement is cleaned recursively), then third order.
+    This is the reference restriction to the solution manifold, used by
+    ``total_derivative(..., pde)`` and by tests that check the residual
+    against the classical criterion; ``prolong.residual`` does not call it.
     """
     for _ in range(8):
         time_jets = sorted(

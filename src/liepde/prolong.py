@@ -10,23 +10,37 @@ the characteristic formula
 
     eta^J = D_J(eta - sum_i xi^i u_i) + sum_i xi^i u_{J,i}
 
-and ``residual`` applies the extended field to ``u_t - F`` and restricts to
-the solution manifold: the result vanishes identically exactly when the
-field is a Lie point symmetry of the evolution equation.  ``residual``
-builds only the eta^J of jets u_J present in ``u_t - F`` (the others are
-multiplied by a zero partial), and both functions compute each total
-derivative D_J(eta - sum_i xi^i u_i) once, extending it from its prefix.
+computing each total derivative of the characteristic once, extended from
+its prefix.
+
+``residual`` applies the prolonged field to ``u_t - F`` on the solution
+manifold and vanishes identically exactly when the field is a Lie point
+symmetry.  It uses pr v = pr v_Q + xi^i D_i (Olver, *Applications of Lie
+Groups to Differential Equations*, GTM 107, Section 5.1): D_i(u_t - F)
+vanishes on the equation, so with the spatial characteristic
+Q' = eta - sum_a xi^a u_a (a, b spatial) the residual is
+
+    -( D_t^E Q' - sum_J F_{u_J} D_J Q' - (D_t^E xi^t) F - xi^t dF/dt
+       + sum_J F_{u_J} L_J ),
+
+    D_t^E = d/dt + sum_K (D_K F) d/du_K    (K spatial, D_() F = F),
+    L_() = 0,   L_a = (D_a xi^t) F,
+    L_ab = (D_ab xi^t) F + (D_a xi^t)(D_b F) + (D_b xi^t)(D_a F),
+
+where J runs over () and the spatial multi-indices with F_{u_J} nonzero.
+L_J is the Leibniz remainder D_J(xi^t u_t) - xi^t u_{J,t} with the time
+jets replaced through the equation, so no time jet is ever built; the
+value equals the classical criterion with every time jet eliminated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterable
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Jet
-from .jet import EvolutionPDE, eliminate_time_jets, total_derivative
+from .jet import EvolutionPDE, total_derivative
 
 __all__ = [
     "VectorField", "DeterminingSystem", "prolong2", "residual",
@@ -97,26 +111,27 @@ def _multi_indices(variables: tuple[str, ...]) -> list[tuple[str, ...]]:
     return first + second
 
 
-def _extended(vf: VectorField,
-              indices: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], Expr]:
-    """eta^J for each multi-index J in ``indices``.
-
-    D_J Q of the characteristic Q is computed once per prefix of J and
-    extended by one total derivative, so D_x Q serves both D_xx Q and D_xy Q.
-    """
-    dep = vf.dependent
-    characteristic = vf.eta
-    for v, c in zip(vf.variables, vf.xi):
-        characteristic = characteristic - c * ex.jet(dep, (v,))
-    derived: dict[tuple[str, ...], Expr] = {(): characteristic}
+def _total_derivatives(e: Expr):
+    """J -> D_J e, each computed once and extended from its prefix, so
+    D_x e serves both D_xx e and D_xy e."""
+    derived: dict[tuple[str, ...], Expr] = {(): e}
 
     def d(J: tuple[str, ...]) -> Expr:
         if J not in derived:
             derived[J] = total_derivative(d(J[:-1]), J[-1])
         return derived[J]
+    return d
 
+
+def prolong2(vf: VectorField) -> dict[tuple[str, ...], Expr]:
+    """Extended coefficients eta^J for 1 <= |J| <= 2 over the field's variables."""
+    dep = vf.dependent
+    characteristic = vf.eta
+    for v, c in zip(vf.variables, vf.xi):
+        characteristic = characteristic - c * ex.jet(dep, (v,))
+    d = _total_derivatives(characteristic)
     out: dict[tuple[str, ...], Expr] = {}
-    for J in indices:
+    for J in _multi_indices(vf.variables):
         value = d(J)
         for v, c in zip(vf.variables, vf.xi):
             lifted = tuple(sorted(J + (v,), key=ex.VARIABLE_NAMES.index))
@@ -125,33 +140,41 @@ def _extended(vf: VectorField,
     return out
 
 
-def prolong2(vf: VectorField) -> dict[tuple[str, ...], Expr]:
-    """Extended coefficients eta^J for 1 <= |J| <= 2 over the field's variables."""
-    return _extended(vf, _multi_indices(vf.variables))
-
-
 def residual(vf: VectorField, pde: EvolutionPDE) -> Expr:
-    """Prolonged action on u_t - F, restricted to the solution manifold.
+    """Prolonged action on u_t - F, on the solution manifold.
 
-    Only the eta^J of jets u_J present in u_t - F are built, each total
-    derivative of the characteristic once.  Zero iff the field is a Lie
-    point symmetry of the equation.
+    Evolutionary form of the module docstring: only spatial jets appear,
+    and each total derivative of Q', F and xi^t is taken once.  Zero iff
+    the field is a Lie point symmetry of the equation.
     """
     if (vf.variables, vf.dependent) != (pde.variables, pde.dependent):
         raise ExprError("vector field and equation live on different spaces")
-    theta = pde.rhs - ex.jet(pde.dependent, ("t",))
-    out = ex.ZERO
-    for v, c in zip(vf.variables, vf.xi):
-        out = out + c * ex.partial(theta, Atom(v))
-    out = out + vf.eta * ex.partial(theta, Jet(vf.dependent, ()))
-    used: dict[tuple[str, ...], Expr] = {}
-    for J in _multi_indices(vf.variables):
-        d = ex.partial(theta, Jet(vf.dependent, J))
-        if not d.is_zero:
-            used[J] = d
-    for J, etaJ in _extended(vf, used).items():
-        out = out + etaJ * used[J]
-    return eliminate_time_jets(out, pde)
+    dep, F, xi_t = vf.dependent, pde.rhs, vf.xi[0]
+    spatial = pde.spatial
+    q = ex.sum_of([vf.eta] + [-c * ex.jet(dep, (a,))
+                              for a, c in zip(spatial, vf.xi[1:])])
+    DQ, DF, Dxi = (_total_derivatives(q), _total_derivatives(F),
+                   _total_derivatives(xi_t))
+
+    def dt_on_manifold(e: Expr) -> Expr:
+        # D_t e with u_{K,t} -> D_K F; e has spatial jets only
+        return ex.sum_of([ex.partial(e, Atom("t"))] + [
+            DF(j.idx) * ex.partial(e, j) for j in ex.jets_of(e)])
+
+    pieces = [dt_on_manifold(xi_t) * F, xi_t * ex.partial(F, Atom("t")),
+              -dt_on_manifold(q)]
+    for J in ((),) + tuple(_multi_indices(spatial)):
+        FJ = ex.partial(F, Jet(dep, J))
+        if FJ.is_zero:
+            continue
+        pieces.append(FJ * DQ(J))
+        if len(J) == 1:
+            pieces.append(-FJ * (Dxi(J) * F))
+        elif len(J) == 2:
+            a, b = J
+            pieces.append(-FJ * ex.sum_of([
+                Dxi(J) * F, Dxi((a,)) * DF((b,)), Dxi((b,)) * DF((a,))]))
+    return ex.sum_of(pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from liepde import expr as ex
+from liepde import jet as jet_module
+from liepde import prolong as prolong_module
 from liepde.expr import ONE, R, T, U, W, X, ZERO, Atom, Jet, exp_of, jet, tfun
 from liepde.fixtures import coefficient_functions, known_basis
-from liepde.jet import eliminate_time_jets, get_equation
+from liepde.jet import EvolutionPDE, eliminate_time_jets, get_equation
+from liepde.parser import parse
 from liepde.prolong import (VectorField, determining_equations, prolong2,
                             residual)
 from liepde.solver import Ansatz
@@ -135,15 +138,32 @@ def random_field(rng, pde):
 REGISTERED = ("hpz", "heat", "reduced-3.2", "reduced-3.5", "reduced-3.7",
               "reduced-3.9")
 
+# every registered equation is autonomous, so dF/dt = 0 there; these make
+# the xi^t dF/dt term and the t-dependence of D_t xi^t matter
+NON_AUTONOMOUS = {
+    "t-potential": "u_xx + t*x*u",
+    "t-diffusion": "exp(t)*u_xx + t^2*u_x",
+}
+
+
+RANDOM_FIELD_EQUATIONS = REGISTERED + tuple(NON_AUTONOMOUS)
+
+
+def equation(name):
+    if name in NON_AUTONOMOUS:
+        return EvolutionPDE(("t", "x"), "u", parse(NON_AUTONOMOUS[name]))
+    return get_equation(name)
+
 
 class TestRestrictedResidual:
-    """``residual`` builds only the eta^J its equation uses; it must equal
-    the criterion summed over every eta^J that ``prolong2`` returns."""
+    """``residual`` works on the solution manifold from the start; it must
+    equal the criterion summed over every eta^J that ``prolong2`` returns,
+    with the time jets eliminated afterwards."""
 
-    @pytest.mark.parametrize("name", REGISTERED)
+    @pytest.mark.parametrize("name", RANDOM_FIELD_EQUATIONS)
     def test_random_fields(self, name):
-        pde = get_equation(name)
-        rng = random.Random(REGISTERED.index(name) + 11)
+        pde = equation(name)
+        rng = random.Random(RANDOM_FIELD_EQUATIONS.index(name) + 11)
         for _ in range(3):
             vf = random_field(rng, pde)
             assert residual(vf, pde) == full_formula(vf, pde)
@@ -157,6 +177,48 @@ class TestRestrictedResidual:
         pde = get_equation(name)
         vf = Ansatz(pde).build()
         assert residual(vf, pde) == full_formula(vf, pde)
+
+
+def _no_time_jets(e, where):
+    for j in ex.jets_of(e):
+        assert "t" not in j.idx, f"time jet {ex.base_label(j)} in {where}"
+
+
+class TestNoTimeJets:
+    """The residual is built on the solution manifold: no total derivative
+    it takes sees or makes a time jet, and no substitution pass runs."""
+
+    def fields(self):
+        hpz = get_equation("hpz")
+        yield from ((vf, hpz) for vf in known_basis())
+        for name in ("hpz", "heat", "reduced-3.7"):
+            pde = get_equation(name)
+            yield Ansatz(pde).build(), pde
+
+    def test_total_derivatives_stay_spatial(self, monkeypatch):
+        original = prolong_module.total_derivative
+        calls = []
+
+        def spatial_only(e, v, *args, **kwargs):
+            _no_time_jets(e, f"the input of D_{v}")
+            out = original(e, v, *args, **kwargs)
+            _no_time_jets(out, f"the output of D_{v}")
+            calls.append(v)
+            return out
+
+        monkeypatch.setattr(prolong_module, "total_derivative", spatial_only)
+        for vf, pde in self.fields():
+            _no_time_jets(residual(vf, pde), "the residual")
+        assert calls and "t" not in calls
+
+    def test_no_elimination_pass(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("residual ran a substitution pass")
+
+        monkeypatch.setattr(ex, "subst_many", refuse)
+        monkeypatch.setattr(jet_module, "eliminate_time_jets", refuse)
+        for vf, pde in self.fields():
+            residual(vf, pde)
 
 
 class TestDeterminingSystem:

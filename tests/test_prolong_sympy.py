@@ -16,6 +16,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from liepde import expr as ex  # noqa: E402
+from liepde.jet import EvolutionPDE  # noqa: E402
+from liepde.parser import parse  # noqa: E402
 from liepde.prolong import VectorField, prolong2, residual  # noqa: E402
 
 from conftest import random_fraction  # noqa: E402
@@ -51,15 +53,15 @@ def oracle_eta(xi, eta, J):
                                 for v, c in zip(VARS, xi)))
 
 
-def random_polynomial(rng):
-    """(liepde, sympy) pair of one random polynomial in t, x, y, u."""
+def random_polynomial(rng, variables=VARS):
+    """(liepde, sympy) pair of one random polynomial in ``variables`` and u."""
     ours, theirs = ex.ZERO, sympy.Integer(0)
     for _ in range(rng.randint(1, 3)):
         c = random_fraction(rng)
         mono_ours, mono_theirs = ex.rational(c), sympy.Rational(c.numerator,
                                                                 c.denominator)
         for _ in range(rng.randint(0, 2)):
-            name = rng.choice(VARS + ("u",))
+            name = rng.choice(variables + ("u",))
             mono_ours = mono_ours * ex.sym(name)
             mono_theirs = mono_theirs * (JET_SYMBOLS["u"] if name == "u"
                                          else BASE_SYMBOLS[name])
@@ -67,10 +69,11 @@ def random_polynomial(rng):
     return ours, theirs
 
 
-def random_generator(rng):
-    pairs = [random_polynomial(rng) for _ in range(4)]
-    vf = VectorField(VARS, "u", tuple(p[0] for p in pairs[:3]), pairs[3][0])
-    return vf, [p[1] for p in pairs[:3]], pairs[3][1]
+def random_generator(rng, variables=VARS):
+    n = len(variables)
+    pairs = [random_polynomial(rng, variables) for _ in range(n + 1)]
+    vf = VectorField(variables, "u", tuple(p[0] for p in pairs[:n]), pairs[n][0])
+    return vf, [p[1] for p in pairs[:n]], pairs[n][1]
 
 
 def random_point(rng):
@@ -99,31 +102,52 @@ def test_prolong2_matches_oracle(seed):
             assert ex.evaluate_rational(ours, point) == oracle_value(theirs, point)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_residual_matches_oracle(seed, hpz, binding):
-    # hpz at R=5, S=4, V=1, W=1; the time jets u_t, u_tx, u_ty are replaced
-    # through the equation, theta = F - u_t
+def hpz_case(hpz, binding):
+    # hpz at R=5, S=4, V=1, W=1
     pde = binding.apply_pde(hpz)
     u = JET_SYMBOLS
     x, y = BASE_SYMBOLS["x"], BASE_SYMBOLS["y"]
     rhs = (5 * u["u"] - x * u["u_y"] + 5 * x * u["u_x"] + 4 * y * u["u_x"]
            + u["u_xy"] + u["u_xx"])
+    return pde, rhs
+
+
+def t_dependent_case():
+    # non-autonomous (1+1): dF/dt != 0, and a t-dependent xi^t changes
+    # D_t xi^t, so both of those residual terms are exercised
+    pde = EvolutionPDE(("t", "x"), "u", parse("t*u_xx + t^2*x*u_x + t*x*u"))
+    u = JET_SYMBOLS
+    t, x = BASE_SYMBOLS["t"], BASE_SYMBOLS["x"]
+    rhs = t * u["u_xx"] + t ** 2 * x * u["u_x"] + t * x * u["u"]
+    return pde, rhs
+
+
+@pytest.mark.parametrize("case, seed", [
+    *(pytest.param("hpz", seed, id=str(seed)) for seed in range(3)),
+    pytest.param("t-dependent", 3, id="t-dependent"),
+])
+def test_residual_matches_oracle(case, seed, hpz, binding):
+    # theta = F - u_t; the time jets u_t and u_ta (a spatial) are replaced
+    # through the equation after prolonging
+    pde, rhs = hpz_case(hpz, binding) if case == "hpz" else t_dependent_case()
+    variables = pde.variables
+    u = JET_SYMBOLS
     assert sympy.expand(sympy.sympify(ex.to_text(pde.rhs).replace("^", "**"),
                                       locals=JET_SYMBOLS)) == sympy.expand(rhs)
     theta = rhs - u["u_t"]
     rng = random.Random(100 + seed)
-    vf, xi, eta = random_generator(rng)
-    theirs = sum(c * sympy.diff(theta, BASE_SYMBOLS[v]) for v, c in zip(VARS, xi))
+    vf, xi, eta = random_generator(rng, variables)
+    theirs = sum(c * sympy.diff(theta, BASE_SYMBOLS[v])
+                 for v, c in zip(variables, xi))
     theirs += eta * sympy.diff(theta, u["u"])
     for order in (1, 2):
-        for J in combinations_with_replacement(VARS, order):
+        for J in combinations_with_replacement(variables, order):
             d = sympy.diff(theta, u[label(J)])
             if d != 0:
                 theirs += oracle_eta(xi, eta, J) * d
-    theirs = sympy.expand(theirs).subs({
-        u["u_t"]: rhs,
-        u["u_tx"]: total_derivative(rhs, "x"),
-        u["u_ty"]: total_derivative(rhs, "y")})
+    theirs = sympy.expand(theirs).subs(
+        {u["u_t"]: rhs} | {u[label(("t", v))]: total_derivative(rhs, v)
+                           for v in variables[1:]})
     theirs = sympy.expand(theirs)
     assert not {s.name for s in theirs.free_symbols if "t" in s.name[2:]}
     ours = residual(vf, pde)

@@ -82,6 +82,35 @@ class TestDiscovery:
         assert solve_determining(heat, trial_degree=4).dimension == 6
         assert solve_determining(hpz, binding, trial_degree=3).dimension == 6
 
+    def test_hpz_v0_dimension_six(self, hpz):
+        """V=0 drops u_xy, and the dimension then depends on R and S.
+
+        At R=5, S=4, V=0, W=1 the truncated-power-series upper bound
+        recorded in ROADMAP (direction 4: xi^t, xi^a and f, eta = f*u,
+        general functions of t, x, y; computed outside this suite) gave
+        16, 11, 8, 7, 6, 6 at truncation orders N = 5..11.  It meets this
+        dimension, so the 6 is not an artefact of the discovery ansatz.
+        """
+        basis = solve_determining(hpz, Binding.parse("R=5,S=4,V=0,W=1"))
+        assert basis.dimension == 6
+        assert span_rank(basis.fields) == 6
+
+    def test_hpz_v0_dimension_eight(self, hpz):
+        """At R=-4, S=3, V=0, W=1 the roots satisfy lambda2 = 3*lambda1.
+
+        Those are the scaling weights of the Kolmogorov equation
+        u_t + x u_y = u_xx, whose essential Lie invariance algebra is
+        8-dimensional (Koval & Popovych, "Extended symmetry analysis of
+        remarkable (1+2)-dimensional Fokker-Planck equation", Eur. J. Appl.
+        Math., 2023).  The truncated-power-series bound (ROADMAP) gave 8 at
+        N = 8 and 9.  That this binding is point-equivalent to the
+        Kolmogorov equation is a hypothesis nobody has checked; the test
+        pins the dimension, which the bound supports on its own.
+        """
+        basis = solve_determining(hpz, Binding.parse("R=-4,S=3,V=0,W=1"))
+        assert basis.dimension == 8
+        assert span_rank(basis.fields) == 8
+
     @pytest.mark.xfail(strict=True, reason=(
         "known completeness bug: u_t = u_xx + x^2*u is point-equivalent to "
         "the heat equation (dimension 6), but its exponents +-2i and +-4i "
