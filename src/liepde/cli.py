@@ -20,9 +20,8 @@ from .jet import EvolutionPDE, StationaryEquation, get_equation, make_heat, make
 from .parser import parse, render
 from .prolong import VectorField, residual
 from .reduction import compare_with_printed, paper_reduction, reduce_time
-from .solver import (Binding, BindingError, DEFAULT_TRIAL_DEGREE,
-                     SymmetryBasis, profile_basis, solve_determining,
-                     verify_basis)
+from .solver import (Binding, BindingError, SymmetryBasis, profile_basis,
+                     solve_determining, verify_basis)
 
 __all__ = ["main"]
 
@@ -121,13 +120,13 @@ def cmd_verify(args) -> int:
     return 0 if doc["all_ok"] else MATH_FAILURE
 
 
-def _find_document(equation_name: str, binding: Binding, degree: int,
+def _find_document(equation_name: str, binding: Binding,
                    basis: SymmetryBasis | None = None) -> dict:
     """The ``find`` document; ``basis`` is this equation's already-solved
-    basis at ``binding`` and ``degree``, or None to solve it here."""
+    basis at ``binding``, or None to solve it here."""
     equation = _require_evolution(get_equation(equation_name))
     if basis is None:
-        basis = solve_determining(equation, binding, trial_degree=degree)
+        basis = solve_determining(equation, binding)
     checks = [residual(vf, basis.pde).is_zero for vf in basis.fields]
     doc = {
         "command": "find",
@@ -155,7 +154,7 @@ def _find_document(equation_name: str, binding: Binding, degree: int,
 
 def cmd_find(args) -> int:
     binding = Binding.parse(args.params or "")
-    doc = _find_document(args.equation, binding, args.degree_cap)
+    doc = _find_document(args.equation, binding)
     lines = [f"find {args.equation}  binding {doc['binding'] or '(none)'}",
              f"dimension: {doc['dimension']}"]
     for gen, lam in zip(doc["generators"], doc["exponents"]):
@@ -250,8 +249,7 @@ def cmd_classify(args) -> int:
     elif args.equation:
         equation = _require_evolution(get_equation(args.equation))
         binding = Binding.parse(args.params or "")
-        basis = solve_determining(equation, binding,
-                                  trial_degree=args.degree_cap)
+        basis = solve_determining(equation, binding)
         fields = list(basis.fields)
         label = f"{args.equation} discovered basis"
     else:
@@ -297,20 +295,19 @@ def cmd_report(args) -> int:
         }
 
     discovery = {
-        "hpz": _find_document("hpz", binding, args.degree_cap),
-        "heat": _find_document("heat", Binding(), args.degree_cap),
+        "hpz": _find_document("hpz", binding),
+        "heat": _find_document("heat", Binding()),
     }
 
     reductions = {name: _reduce_document(name)
                   for name in ("delta3", "delta4", "delta5", "delta6", "time")}
 
     red32 = solve_determining(_require_evolution(get_equation("reduced-3.2")),
-                              binding, trial_degree=args.degree_cap)
+                              binding)
     reduced_discovery = {"reduced-3.2": _find_document(
-        "reduced-3.2", binding, args.degree_cap, red32)}
+        "reduced-3.2", binding, red32)}
     for reg_name in ("reduced-3.5", "reduced-3.7", "reduced-3.9"):
-        reduced_discovery[reg_name] = _find_document(reg_name, binding,
-                                                     args.degree_cap)
+        reduced_discovery[reg_name] = _find_document(reg_name, binding)
 
     classification = {
         "w5": _classify_document(known[1:], "delta2..delta6"),
@@ -388,8 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find", help="discover the finite symmetry basis")
     p.add_argument("--equation", required=True)
     p.add_argument("--params", help="comma-separated name=rational binding")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_TRIAL_DEGREE,
-                   help="polynomial degree cap of trial solutions")
     common(p)
     p.set_defaults(func=cmd_find)
 
@@ -406,14 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", help="JSON basis file")
     p.add_argument("--equation", help="classify this equation's basis")
     p.add_argument("--params", help="binding for --equation")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_TRIAL_DEGREE)
     common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("report", help="full verification/discovery/reduction/"
                                       "classification document")
     p.add_argument("--params", help="binding (default R=5,S=4,V=1,W=1)")
-    p.add_argument("--degree-cap", type=int, default=DEFAULT_TRIAL_DEGREE)
     common(p)
     p.set_defaults(func=cmd_report)
     return ap

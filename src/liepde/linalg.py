@@ -8,12 +8,15 @@ functions).  Dense lists are accepted and converted.  Around it:
 
 * determinants over ``Fraction`` are fraction-free (Bareiss) eliminations
   over the integers after clearing one common denominator;
-* univariate polynomials over ``Fraction`` are used for matrix pencils --
-  fraction-free Bareiss elimination collects the pivot polynomials whose
-  roots are the only places the pencil can lose rank, the Gram determinant
-  of the pencil is interpolated from integer-Bareiss determinants at
-  integer nodes, and rational roots are extracted exactly with a
-  Sturm-chain guard against silently missed irrational eigenvalues;
+* univariate polynomials over ``Fraction`` serve matrix pencils:
+  fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
+  polynomials (of ``lambda*I - M`` the last one is the characteristic
+  polynomial of ``M``), and rational roots are found exactly from the
+  divisors of the end coefficients, within a trial-division budget that
+  refuses loudly; roots that are not rational are left to the caller.
+  ``pencil_gram_poly`` (the pencil's Gram determinant, interpolated from
+  integer-Bareiss determinants at integer nodes) is no longer used by
+  discovery;
 * field elements over kernel expressions are num/den pairs with a
   canonical zero test on the numerator (no gcd needed at these sizes);
   nullspace and row-space vectors come back with denominators cleared.
@@ -31,7 +34,7 @@ from .expr import Expr, ExprError
 __all__ = [
     "q_rref", "q_rank", "q_nullspace", "q_solve",
     "Poly", "p_trim", "p_add", "p_mul", "p_eval", "p_div_exact",
-    "p_derivative", "sturm_root_count", "rational_roots", "RootExtractionError",
+    "rational_roots", "RootExtractionError",
     "pencil_pivots", "FieldFrac", "f_rref", "f_solve_unique", "f_rank",
     "f_nullspace", "f_row_basis",
 ]
@@ -170,7 +173,8 @@ Poly = tuple[Fraction, ...]
 
 
 class RootExtractionError(ExprError):
-    """Eigenvalue extraction failed or found non-rational real exponents."""
+    """Exponent extraction refused: an exponent is not rational, a free
+    unknown function is left, or a factorisation budget ran out."""
 
 
 def p_trim(c: list[Fraction]) -> Poly:
@@ -233,48 +237,10 @@ def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return p_trim(q), p_trim(rem)
 
 
-def p_derivative(a: Poly) -> Poly:
-    return p_trim([a[i] * i for i in range(1, len(a))])
+_FACTOR_BUDGET = 1_000_000   # largest trial divisor tried by _divisors
 
 
-def _p_gcd(a: Poly, b: Poly) -> Poly:
-    while b:
-        a, b = b, p_divmod(a, b)[1]
-    if not a:
-        return ()
-    return p_scale(a, 1 / a[-1])
-
-
-def _sign_changes(values: list[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for i in range(len(signs) - 1)
-               if (signs[i] > 0) != (signs[i + 1] > 0))
-
-
-def sturm_root_count(p: Poly) -> int:
-    """Number of distinct real roots (Sturm chain over the whole line)."""
-    if len(p) <= 1:
-        return 0
-    p0 = p_div_exact(p, _p_gcd(p, p_derivative(p)))  # squarefree part
-    chain = [p0, p_derivative(p0)]
-    while chain[-1]:
-        rem = p_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(p_scale(rem, Fraction(-1)))
-    at_minus = []
-    at_plus = []
-    for q in chain:
-        if not q:
-            continue
-        lead = q[-1]
-        deg = len(q) - 1
-        at_plus.append(lead)
-        at_minus.append(lead if deg % 2 == 0 else -lead)
-    return _sign_changes(at_minus) - _sign_changes(at_plus)
-
-
-def _divisors(n: int, budget: int = 1_000_000) -> list[int] | None:
+def _divisors(n: int, budget: int = _FACTOR_BUDGET) -> list[int] | None:
     """All positive divisors of |n|, or None when factoring exceeds budget."""
     n = abs(n)
     if n == 0:
@@ -296,13 +262,13 @@ def _divisors(n: int, budget: int = 1_000_000) -> list[int] | None:
     return sorted(set(divs))
 
 
-def rational_roots(p: Poly, strict: bool = True) -> list[Fraction]:
-    """All rational roots, exactly.
+def rational_roots(p: Poly) -> list[Fraction]:
+    """The distinct rational roots, exactly, in increasing order.
 
-    With ``strict`` (the default), raises :class:`RootExtractionError` if
-    real non-rational roots remain (or could remain because integer
-    factorisation exceeded its budget).  Non-strict mode returns whatever
-    was found, for polynomials that are only candidate supersets.
+    Roots that are not rational are not returned: a caller that must
+    account for every root deflates the ones found and inspects what is
+    left.  Raises :class:`RootExtractionError` when factoring the leading or
+    constant coefficient exceeds the trial-division budget.
     """
     if len(p) <= 1:
         return []
@@ -320,24 +286,16 @@ def rational_roots(p: Poly, strict: bool = True) -> list[Fraction]:
     ints = [int(c * denlcm) for c in cur]
     g = gcd(*ints)
     ints = [c // g for c in ints]
-    a0, an = ints[0], ints[-1]
-    ds0, dsn = _divisors(a0), _divisors(an)
-    incomplete = ds0 is None or dsn is None
-    work = tuple(Fraction(c) for c in ints)
-    if not incomplete:
-        cands = sorted({Fraction(s * pp, qq) for pp in ds0 for qq in dsn
-                        for s in (1, -1)})
-        for cand in cands:
-            while len(work) > 1 and p_eval(work, cand) == 0:
-                roots.append(cand)
-                work = p_div_exact(work, (-cand, Fraction(1)))
-    if strict and len(work) > 1 and sturm_root_count(work) > 0:
+    ds0, dsn = _divisors(ints[0]), _divisors(ints[-1])
+    if ds0 is None or dsn is None:
         raise RootExtractionError(
-            "the exponent polynomial has real non-rational roots; choose "
-            "parameters whose discriminant R^2 - 4*S is a perfect rational "
-            "square" if not incomplete else
-            "integer factorisation budget exceeded while extracting exponents")
-    return sorted(set(roots))
+            "integer factorisation budget exceeded (trial division up to "
+            f"{_FACTOR_BUDGET}) while extracting rational roots")
+    work = tuple(Fraction(c) for c in ints)
+    roots.extend(cand for cand in {Fraction(s * pp, qq) for pp in ds0
+                                   for qq in dsn for s in (1, -1)}
+                 if p_eval(work, cand) == 0)
+    return sorted(roots)
 
 
 def is_perfect_square(q: Fraction) -> bool:

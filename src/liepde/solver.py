@@ -1,25 +1,21 @@
 """Solve determining systems: verification and exact discovery.
 
 Discovery works at rational parameter bindings whose discriminant
-``R^2 - 4*S`` is a perfect rational square, so the surd and every candidate
+``R^2 - 4*S`` is a perfect rational square, so the surd and every
 exponent are rational and the whole computation stays in exact arithmetic:
 
 1. build the structured ansatz (xi_t = a(t); spatial xi affine; eta equal
    to u times a quadratic form, excluding the infinite family of solution
    symmetries) and collect the determining system;
 2. the system is linear, homogeneous and first order in the unknown
-   t-functions with constant coefficients, ``A g + B g' = 0``; exponents of
-   exponential-polynomial solutions can only be roots of the pivot
-   polynomials of the pencil ``A + lambda*B`` (at any other lambda the
-   pencil has full column rank, forcing the top polynomial coefficient of a
-   would-be solution to vanish); the pencil's Gram determinant, sampled by
-   integer Bareiss at integer nodes and interpolated, certifies that no
-   real exponent is missed;
-3. for each candidate exponent, polynomial-times-exponential trial
-   solutions up to a degree cap turn the system into an exact rational
-   nullspace problem, posed as sparse ``{column: value}`` rows (each row
-   touches one or two trial coefficients per unknown) for the sparse
-   elimination in :mod:`linalg`;
+   t-functions with constant coefficients, ``A g + B g' = 0``, a linear
+   DAE; completing it leaves an ODE ``z' = M z`` whose size is the exact
+   dimension and whose characteristic polynomial gives every exponent with
+   its multiplicity; a free unknown function or an exponent that is not
+   rational (complex ones included) is refused;
+3. each exponent lam of multiplicity m has exactly m trial solutions
+   ``t^k exp(lam t)``, k < m: an exact rational nullspace of sparse
+   ``{column: value}`` rows for the sparse elimination in :mod:`linalg`;
 4. every returned generator is re-verified through the residual, and the
    basis is kept linearly independent via an exact rank computation.
 """
@@ -39,10 +35,8 @@ from .linalg import RootExtractionError
 __all__ = [
     "Binding", "BindingError", "Ansatz", "SymmetryBasis", "SymmetryProfile",
     "solve_determining", "verify_basis", "profile_basis",
-    "coefficient_vector", "span_rank", "DEFAULT_TRIAL_DEGREE",
+    "coefficient_vector", "span_rank",
 ]
-
-DEFAULT_TRIAL_DEGREE = 2  # covers the heat equation's t^2 generators
 
 
 class BindingError(ExprError):
@@ -243,33 +237,78 @@ def _linear_system(system_rows, unknowns: list[str]):
     return a_rows, b_rows
 
 
-def _candidate_exponents(a_rows, b_rows) -> list[Fraction]:
-    """Rational exponents at which the pencil A + lambda*B can lose rank.
+def _completion(a_rows, b_rows) -> list[list[Fraction]]:
+    """Complete the DAE ``A g + B g' = 0`` to ``z' = M z``; returns ``M``.
 
-    Candidates come from the Bareiss pivot polynomials (a superset of the
-    rank-drop locus, so spurious irrational pivot roots are tolerated); the
-    Gram determinant then certifies completeness: after deflating the found
-    candidates it must have no further real roots, else exponents would be
-    non-rational and discovery must refuse rather than return a truncated
-    basis.
+    ``[B | A]`` is eliminated with the g'-columns first; rows with their
+    pivot in the g-part are constraints ``C g = 0``, whose derivatives
+    ``C g' = 0`` are appended until the constraint rank stops growing
+    (Kunkel & Mehrmann, *Differential-Algebraic Equations*, 2006).  A
+    g'-column without a pivot is a free unknown function.  Otherwise
+    ``g' = -N g`` on ``ker C``, whose points are ``g = K z`` for the
+    nullspace basis K of C and z = g[F] on its free columns F; so
+    ``M = -N[F] K`` is d x d, d = dim ker C being the exact dimension.
     """
-    roots: set[Fraction] = set()
-    for piv in linalg.pencil_pivots(a_rows, b_rows):
-        roots.update(linalg.rational_roots(piv, strict=False))
-    gram = linalg.pencil_gram_poly(a_rows, b_rows)
-    if not gram:
+    n = len(a_rows[0])
+    rows = [{**{j: v for j, v in enumerate(brow) if v},
+             **{n + j: v for j, v in enumerate(arow) if v}}
+            for arow, brow in zip(a_rows, b_rows)]
+    rank = None
+    while True:
+        rref, pivots = linalg.q_rref(rows)
+        # C, written in the g'-columns: as rows of the system these are
+        # C g' = 0, and read over the g-columns they are C itself
+        constraints = [{j - n: v for j, v in row.items()}
+                       for row, pc in zip(rref, pivots) if pc >= n]
+        if len(constraints) == rank:
+            break
+        rank = len(constraints)
+        rows = rref + constraints
+    if pivots[:n] != list(range(n)):
         raise RootExtractionError(
             "the ansatz admits a free unknown function; the determining "
             "system does not pin it down")
-    work = gram
-    for lam in sorted(roots):
-        while len(work) > 1 and linalg.p_eval(work, lam) == 0:
-            work = linalg.p_div_exact(work, (-lam, Fraction(1)))
-    if len(work) > 1 and linalg.sturm_root_count(work) > 0:
+    # g'_i = sum_j minus_n[i][j] g_j, from the pivot row of column i
+    minus_n = [{j - n: -v for j, v in row.items() if j >= n} for row in rref[:n]]
+    free = [i for i in range(n) if n + i not in pivots]
+    kernel = linalg.q_nullspace(constraints, n)
+    return [[sum((v * vec[j] for j, v in minus_n[i].items()), Fraction(0))
+             for vec in kernel] for i in free]
+
+
+def _charpoly(m: list[list[Fraction]]) -> linalg.Poly:
+    """``det(lam*I - M)``: the last Bareiss pivot of ``lam*I - M``, whose
+    elimination never swaps rows (its leading principal minors are monic)."""
+    d = len(m)
+    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    pivots = linalg.pencil_pivots([[-v for v in row] for row in m], identity)
+    return pivots[-1] if pivots else (Fraction(1),)
+
+
+def _candidate_exponents(a_rows, b_rows) -> list[tuple[Fraction, int]]:
+    """The exponents of the solution space and their multiplicities.
+
+    They are the roots of ``charpoly(M)`` for the completed system
+    ``z' = M z``: each exponent lam with algebraic multiplicity m
+    contributes exactly the m solutions ``t^k exp(lam t)``, k < m, and the
+    multiplicities add up to the dimension d.  A root that is not
+    rational, complex ones included, is refused, never dropped.
+    """
+    m = _completion(a_rows, b_rows)
+    charpoly = _charpoly(m)
+    pairs = []
+    for lam in linalg.rational_roots(charpoly):
+        mult = 0
+        while linalg.p_eval(charpoly, lam) == 0:
+            charpoly = linalg.p_div_exact(charpoly, (-lam, Fraction(1)))
+            mult += 1
+        pairs.append((lam, mult))
+    if len(charpoly) > 1:
         raise RootExtractionError(
-            "some candidate exponents are not rational; choose parameters "
-            "whose discriminant R^2 - 4*S is a perfect rational square")
-    return sorted(roots)
+            f"{len(charpoly) - 1} of the {len(m)} exponents are not rational "
+            "(irrational or complex); exact discovery needs rational "
+            "exponents")
+    return pairs
 
 
 def _trial_nullspace(a_rows, b_rows, lam: Fraction, degree: int):
@@ -339,8 +378,7 @@ def _normalize_field(vf: VectorField) -> VectorField:
 
 def solve_determining(pde: EvolutionPDE,
                       binding: Binding | None = None,
-                      ansatz: Ansatz | None = None,
-                      trial_degree: int = DEFAULT_TRIAL_DEGREE) -> SymmetryBasis:
+                      ansatz: Ansatz | None = None) -> SymmetryBasis:
     """Discover the finite symmetry basis within the structured ansatz."""
     binding = binding or Binding()
     if not binding.is_empty():
@@ -361,20 +399,23 @@ def solve_determining(pde: EvolutionPDE,
     a_rows, b_rows = _linear_system(system.equations(), unknowns)
     if not a_rows:
         raise ExprError("empty determining system")
-    lams = _candidate_exponents(a_rows, b_rows)
-
     fields: list[VectorField] = []
     exponents: list[Fraction] = []
     rows: list[dict[int, Fraction]] = []
     keys: list = []
-    for lam in lams:
-        nullspace, _ = _trial_nullspace(a_rows, b_rows, lam, trial_degree)
+    for lam, mult in _candidate_exponents(a_rows, b_rows):
+        # every solution with exponent lam has degree below its multiplicity
+        nullspace, _ = _trial_nullspace(a_rows, b_rows, lam, mult - 1)
+        if len(nullspace) != mult:
+            raise InternalError(
+                f"internal error: exponent {lam} of multiplicity {mult} has "
+                f"{len(nullspace)} trial solutions")
         for vec in nullspace:
             mapping = {}
             for i, name in enumerate(unknowns):
                 g = ex.ZERO
-                for k in range(trial_degree + 1):
-                    ck = vec[i * (trial_degree + 1) + k]
+                for k in range(mult):
+                    ck = vec[i * mult + k]
                     if ck:
                         g = g + ex.rational(ck) * ex.T ** k
                 mapping[TFun(name, 0)] = g * ex.exp_of(ex.rational(lam) * ex.T)

@@ -4,7 +4,8 @@ import pytest
 
 from liepde import expr as ex
 from liepde.jet import make_heat, make_hpz
-from liepde.solver import Binding
+from liepde.prolong import determining_equations
+from liepde.solver import Ansatz, Binding, _linear_system
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,16 @@ def heat():
 @pytest.fixture(scope="session")
 def binding():
     return Binding.parse("R=5,S=4,V=1,W=1")
+
+
+def determining_dae(pde, binding):
+    """``(A, B)`` of the determining system ``A g + B g' = 0`` that
+    discovery builds for ``pde`` at ``binding``, over the structured
+    ansatz."""
+    bound = binding.apply_pde(pde)
+    ansatz = Ansatz(bound)
+    system = determining_equations(ansatz.build(), bound)
+    return _linear_system(system.equations(), ansatz.unknown_names())
 
 
 def random_fraction(rng, span=9, den=5):

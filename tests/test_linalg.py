@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
+from math import isqrt
 
 import pytest
 
@@ -12,7 +13,7 @@ from liepde.linalg import (FieldFrac, RootExtractionError, f_nullspace,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_det,
                            q_nullspace, q_rank, q_rref, q_solve,
-                           rational_roots, sturm_root_count)
+                           rational_roots)
 from liepde.solver import Binding
 
 
@@ -173,22 +174,23 @@ class TestPolynomials:
         p = p_mul((Fr(0), Fr(1)), p_mul((Fr(0), Fr(1)), (Fr(1), Fr(3))))
         assert rational_roots(p) == [Fr(-1, 3), Fr(0)]
 
-    def test_irrational_roots_detected(self):
-        with pytest.raises(RootExtractionError):
-            rational_roots((Fr(-2), Fr(0), Fr(1)))  # x^2 - 2
-
     def test_complex_roots_are_fine(self):
         assert rational_roots((Fr(1), Fr(0), Fr(1))) == []  # x^2 + 1
 
-    def test_non_strict_mode_tolerates(self):
-        roots = rational_roots((Fr(-2), Fr(0), Fr(1)), strict=False)
-        assert roots == []
+    def test_irrational_roots_left_to_the_caller(self):
+        assert rational_roots((Fr(-2), Fr(0), Fr(1))) == []  # x^2 - 2
+        # (x - 1/2)(x^2 - 2): the rational root only
+        assert rational_roots(p_mul((Fr(-1, 2), Fr(1)),
+                                    (Fr(-2), Fr(0), Fr(1)))) == [Fr(1, 2)]
 
-    def test_sturm(self):
-        assert sturm_root_count((Fr(-4), Fr(0), Fr(1))) == 2
-        assert sturm_root_count((Fr(1), Fr(0), Fr(1))) == 0
-        # squarefree handling: (x-1)^2
-        assert sturm_root_count((Fr(1), Fr(-2), Fr(1))) == 1
+    def test_factorisation_budget_refusal_names_the_budget(self):
+        # a prime above (10^6 + 1)^2: trial division stops at the budget,
+        # 10^6, before it reaches the square root
+        prime = 1_000_002_000_007
+        assert all(prime % d for d in range(2, isqrt(prime) + 1))
+        with pytest.raises(RootExtractionError,
+                           match="factorisation budget exceeded"):
+            rational_roots((Fr(-prime), Fr(1)))
 
     def test_exact_division(self):
         num = p_mul((Fr(-1), Fr(1)), (Fr(2), Fr(5)))
@@ -201,7 +203,7 @@ class TestPencil:
         b = [[Fr(1), Fr(0)], [Fr(0), Fr(0)], [Fr(0), Fr(0)]]
         roots = set()
         for piv in pencil_pivots(a, b):
-            roots.update(rational_roots(piv, strict=False))
+            roots.update(rational_roots(piv))
         assert Fr(-1) in roots
 
     def test_gram_poly_roots_are_rank_drops(self):

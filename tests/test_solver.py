@@ -1,15 +1,22 @@
 """Discovery, verification reports, and (1+1) profiles."""
 
+import random
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
 
-from liepde import expr as ex
+from liepde import expr as ex, solver
+from liepde.expr import InternalError
 from liepde.fixtures import generator_names, known_basis
 from liepde.jet import EvolutionPDE, get_equation
 from liepde.prolong import residual
-from liepde.solver import (Ansatz, Binding, BindingError, profile_basis,
+from liepde.linalg import RootExtractionError, q_rank
+from liepde.solver import (Ansatz, Binding, BindingError, _candidate_exponents,
+                           _completion, _trial_nullspace, profile_basis,
                            solve_determining, span_rank, verify_basis)
+
+from conftest import determining_dae
 
 
 class TestBinding:
@@ -71,25 +78,40 @@ class TestDiscovery:
         with pytest.raises(BindingError, match="perfect"):
             solve_determining(hpz, Binding.parse("R=5,S=3,V=1,W=1"))
 
-    def test_small_ansatz_returns_subspace(self, heat):
-        # degree cap 0 drops the polynomial-in-t generators, no error
-        basis = solve_determining(heat, trial_degree=0)
-        assert 0 < basis.dimension < 6
+    @pytest.mark.parametrize("name", ["heat", "hpz", "reduced-3.2",
+                                      "reduced-3.5", "reduced-3.7",
+                                      "reduced-3.9"])
+    def test_multiplicities_add_up_to_dimension(self, name, binding):
+        # each exponent of multiplicity m yields exactly m generators, so no
+        # polynomial degree of a trial solution is left out
+        pde = get_equation(name)
+        if name == "heat":
+            binding = Binding()
+        pairs = _candidate_exponents(*determining_dae(pde, binding))
+        assert sum(m for _, m in pairs) == 6
+        assert solve_determining(pde, binding).dimension == 6
 
-    def test_larger_caps_reveal_nothing_new(self, hpz, heat, binding):
-        # raising the trial degree beyond the default must not enlarge the
-        # finite symmetry space
-        assert solve_determining(heat, trial_degree=4).dimension == 6
-        assert solve_determining(hpz, binding, trial_degree=3).dimension == 6
+    def test_trial_dimension_mismatch_is_internal_error(self, heat,
+                                                         monkeypatch):
+        original = solver._trial_nullspace
+
+        def truncated(*args):
+            nullspace, width = original(*args)
+            return nullspace[:-1], width
+
+        monkeypatch.setattr(solver, "_trial_nullspace", truncated)
+        with pytest.raises(InternalError, match="trial solutions"):
+            solve_determining(heat)
 
     def test_hpz_v0_dimension_six(self, hpz):
         """V=0 drops u_xy, and the dimension then depends on R and S.
 
         At R=5, S=4, V=0, W=1 the truncated-power-series upper bound
         recorded in ROADMAP (direction 4: xi^t, xi^a and f, eta = f*u,
-        general functions of t, x, y; computed outside this suite) gave
-        16, 11, 8, 7, 6, 6 at truncation orders N = 5..11.  It meets this
-        dimension, so the 6 is not an artefact of the discovery ansatz.
+        general functions of t, x, y; computed outside this suite) fell
+        from 16 to 6 as the truncation order N grew, and it stayed at 6
+        for the two largest orders tried.  It meets this dimension, so the
+        6 is not an artefact of the discovery ansatz.
         """
         basis = solve_determining(hpz, Binding.parse("R=5,S=4,V=0,W=1"))
         assert basis.dimension == 6
@@ -112,14 +134,120 @@ class TestDiscovery:
         assert span_rank(basis.fields) == 8
 
     @pytest.mark.xfail(strict=True, reason=(
-        "known completeness bug: u_t = u_xx + x^2*u is point-equivalent to "
-        "the heat equation (dimension 6), but its exponents +-2i and +-4i "
-        "are imaginary, the Gram-determinant/Sturm certificate only sees "
-        "real rank drops, and discovery silently returns dimension 2"))
+        "u_t = u_xx + x^2*u is point-equivalent to the heat equation "
+        "(dimension 6), but its exponents +-2i and +-4i are imaginary; the "
+        "generators need cos/sin factors the kernel cannot express, so "
+        "discovery refuses with RootExtractionError"))
     def test_imaginary_exponents_not_missed(self):
         pde = EvolutionPDE(("t", "x"), "u",
                            ex.jet("u", "xx") + ex.X ** 2 * ex.jet("u", ""))
         assert solve_determining(pde).dimension == 6
+
+
+def _matmul(x, y):
+    return [[sum((a * b for a, b in zip(row, col)), Fr(0)) for col in zip(*y)]
+            for row in x]
+
+
+def _full_column_rank(rng, nrows, ncols):
+    """A random integer matrix of full column rank."""
+    while True:
+        m = [[Fr(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(nrows)]
+        if q_rank(m) == ncols:
+            return m
+
+
+def _kronecker_dae(rng, jordan, nilpotent, extra_rows):
+    """``(A, B)`` of ``A g + B g' = 0`` with a known Kronecker form.
+
+    A Jordan block ``(lam, k)`` is ``g_i' = lam g_i + g_{i+1}`` (the last
+    without ``g_{i+1}``): exponent lam with multiplicity k.  A nilpotent
+    block of size k is ``g_i + g_{i+1}' = 0``, whose only solution is zero
+    and which takes k - 1 rounds of differentiated constraints to see.
+    The pencil is then mixed as ``P (A, B) Q`` with a random invertible Q
+    and a random P of full column rank with ``extra_rows`` dependent rows.
+    """
+    n = sum(k for _, k in jordan) + sum(nilpotent)
+    a = [[Fr(0)] * n for _ in range(n)]
+    b = [[Fr(0)] * n for _ in range(n)]
+    pos = 0
+    for lam, k in jordan:
+        for i in range(pos, pos + k):
+            b[i][i], a[i][i] = Fr(1), -lam
+            if i + 1 < pos + k:
+                a[i][i + 1] = Fr(-1)
+        pos += k
+    for k in nilpotent:
+        for i in range(pos, pos + k):
+            a[i][i] = Fr(1)
+            if i + 1 < pos + k:
+                b[i][i + 1] = Fr(1)
+        pos += k
+    p = _full_column_rank(rng, n + extra_rows, n)
+    q = _full_column_rank(rng, n, n)
+    return _matmul(p, _matmul(a, q)), _matmul(p, _matmul(b, q))
+
+
+EXPONENTS = (Fr(0), Fr(1), Fr(-2), Fr(1, 3), Fr(-5, 2))
+
+
+class TestCompletion:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kronecker_form_recovered(self, seed):
+        rng = random.Random(seed)
+        jordan = [(rng.choice(EXPONENTS), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 3))]
+        nilpotent = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+        a, b = _kronecker_dae(rng, jordan, nilpotent, rng.randint(0, 3))
+        expected = Counter()
+        for lam, k in jordan:
+            expected[lam] += k
+        pairs = _candidate_exponents(a, b)
+        assert pairs == sorted(expected.items())
+        assert sum(m for _, m in pairs) == len(_completion(a, b))
+        for lam, m in pairs:
+            assert len(_trial_nullspace(a, b, lam, m - 1)[0]) == m
+
+    def test_only_algebraic_blocks_leave_nothing(self):
+        a, b = _kronecker_dae(random.Random(0), [], [3, 1], 1)
+        assert _completion(a, b) == []
+        assert _candidate_exponents(a, b) == []
+
+    def test_rotation_refused(self):
+        # g' = (g2, -g1): exponents +-i
+        a = [[Fr(0), Fr(-1)], [Fr(1), Fr(0)]]
+        b = [[Fr(1), Fr(0)], [Fr(0), Fr(1)]]
+        with pytest.raises(RootExtractionError, match="2 of the 2"):
+            _candidate_exponents(a, b)
+
+    def test_irrational_exponents_refused(self):
+        # g' = M g with charpoly lambda^2 - 2
+        a = [[Fr(0), Fr(-2)], [Fr(-1), Fr(0)]]
+        b = [[Fr(1), Fr(0)], [Fr(0), Fr(1)]]
+        assert _completion(a, b) == [[Fr(0), Fr(2)], [Fr(1), Fr(0)]]
+        with pytest.raises(RootExtractionError, match="not rational"):
+            _candidate_exponents(a, b)
+
+    def test_imaginary_exponents_refused(self):
+        # point-equivalent to heat; charpoly lambda^2 (lambda^2 + 4)
+        # (lambda^2 + 16), so four of its six exponents are imaginary
+        pde = EvolutionPDE(("t", "x"), "u",
+                           ex.jet("u", "xx") + ex.X ** 2 * ex.jet("u", ""))
+        with pytest.raises(RootExtractionError, match="4 of the 6"):
+            solve_determining(pde)
+
+    def test_budget_refusal_names_the_budget(self):
+        # g' = P g with P prime above (10^6 + 1)^2: the exponent P is
+        # rational, but trial division gives up before finding it
+        prime = 1_000_002_000_007
+        with pytest.raises(RootExtractionError,
+                           match="factorisation budget exceeded"):
+            _candidate_exponents([[Fr(-prime)]], [[Fr(1)]])
+
+    def test_free_function_refused(self):
+        # g1 = 0 and nothing constrains g2
+        with pytest.raises(RootExtractionError, match="free unknown function"):
+            _candidate_exponents([[Fr(1), Fr(0)]], [[Fr(0), Fr(0)]])
 
 
 class TestVerifyBasis:
