@@ -9,7 +9,8 @@ offending pair.  Spans, ranks and projections of subspaces go through the
 same sparse elimination in ``linalg``.
 
 Classification detects the structures this engine meets: abelian nA1,
-Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form,
+Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form
+(``linalg.inertia``, from the Killing matrix's characteristic polynomial),
 and semidirect sums complement (+)s nilradical, where the nilradical is
 recovered as the radical of the Killing form and the complement is corrected
 into a closing subalgebra (a Levi complement) by two linear solves.  When a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import expr as ex
@@ -59,19 +61,6 @@ def _geometric(b) -> bool:
                 ("R", "S", "V", "W", "omega", "delta"))
 
 
-def _field_coords(vf: VectorField, keys: list, index: dict) -> dict[int, Expr]:
-    out: dict[int, Expr] = {}
-    for slot, c in enumerate(vf.coefficients()):
-        for mono, coeff in ex.split_terms(c, _geometric).items():
-            key = (slot, mono)
-            if key not in index:
-                index[key] = len(keys)
-                keys.append(key)
-            pos = index[key]
-            out[pos] = out.get(pos, ex.ZERO) + coeff
-    return out
-
-
 @dataclass(frozen=True)
 class AlgebraPresentation:
     """Basis with the full structure-constant tensor c[i][j][k]."""
@@ -82,6 +71,13 @@ class AlgebraPresentation:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def unit(self) -> tuple[tuple[Expr, ...], ...]:
+        """Coordinates of the basis elements themselves."""
+        n = self.dimension
+        return tuple(tuple(ex.ONE if i == j else ex.ZERO for j in range(n))
+                     for i in range(n))
 
     def is_rational(self) -> bool:
         return all(c.is_rational for row in self.constants for col in row
@@ -111,14 +107,12 @@ def structure_constants(basis) -> AlgebraPresentation:
     """
     basis = tuple(basis)
     n = len(basis)
-    keys: list = []
-    index: dict = {}
-    columns = [_field_coords(vf, keys, index) for vf in basis]
     pairs = list(combinations(range(n), 2))
     bracket_fields = [commutator(basis[i], basis[j]) for i, j in pairs]
-    bracket_coords = [_field_coords(br, keys, index) for br in bracket_fields]
+    coords = linalg.coordinates(basis + tuple(bracket_fields), _geometric)
+    columns, bracket_coords = coords[:n], coords[n:]
 
-    nrows = len(keys)
+    nrows = len(set().union(*coords))
     matrix = [[col.get(r, ex.ZERO) for col in columns] for r in range(nrows)]
     sols = linalg.f_solve_unique(
         matrix, [[coords.get(r, ex.ZERO) for r in range(nrows)]
@@ -201,9 +195,7 @@ def _independent(prefix: list[list[Expr]],
 
 
 def _derived_space(p: AlgebraPresentation) -> list[list[Expr]]:
-    n = p.dimension
-    unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    return _derived_space_sub(p, unit, unit)
+    return _derived_space_sub(p, p.unit, p.unit)
 
 
 def _center(p: AlgebraPresentation) -> list[list[Expr]]:
@@ -227,46 +219,6 @@ def _killing_matrix(p: AlgebraPresentation) -> list[list[Expr]]:
             k[i][j] = tr
             k[j][i] = tr
     return k
-
-
-def _killing_signature(kmat: list[list[Expr]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia by exact congruence diagonalisation."""
-    n = len(kmat)
-    m = [[c.as_fraction() for c in row] for row in kmat]
-
-    def clear(i):
-        for r in range(i + 1, n):
-            if m[r][i]:
-                f = m[r][i] / m[i][i]
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-        for c in range(i + 1, n):
-            if m[i][c]:
-                f = m[i][c] / m[i][i]
-                for r in range(n):
-                    m[r][c] -= f * m[r][i]
-
-    for i in range(n):
-        if m[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if j is not None:
-                for c in range(n):
-                    m[i][c], m[j][c] = m[j][c], m[i][c]
-                for r in range(n):
-                    m[r][i], m[r][j] = m[r][j], m[r][i]
-            else:
-                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
-                if j is None:
-                    continue
-                for c in range(n):
-                    m[i][c] += m[j][c]
-                for r in range(n):
-                    m[r][i] += m[r][j]
-        if m[i][i] != 0:
-            clear(i)
-    pos = sum(1 for i in range(n) if m[i][i] > 0)
-    neg = sum(1 for i in range(n) if m[i][i] < 0)
-    return pos, neg, n - pos - neg
 
 
 def _is_nilpotent(p: AlgebraPresentation, space: list[list[Expr]]) -> bool:
@@ -335,8 +287,7 @@ def _heisenberg_check(p: AlgebraPresentation, center, derived) -> bool:
     if len(center) != 1 or len(derived) != 1:
         return False
     # the derived algebra and every bracket central
-    unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    return _spans(center, derived + [_ad_bracket(p, unit[i], unit[j])
+    return _spans(center, derived + [_ad_bracket(p, p.unit[i], p.unit[j])
                                      for i, j in combinations(range(n), 2)])
 
 
@@ -368,7 +319,8 @@ def classify(p: AlgebraPresentation) -> Verdict:
 
     if n == 3 and p.is_rational():
         kmat = _killing_matrix(p)
-        pos, neg, zero = _killing_signature(kmat)
+        pos, neg, zero = linalg.inertia(
+            [[c.as_fraction() for c in row] for row in kmat])
         if zero == 0 and (pos, neg) == (2, 1):
             return Verdict("sl(2,R)", "A3,8", n, cd, dd,
                            notes=("Killing form nondegenerate with "
@@ -401,8 +353,8 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     if not _is_nilpotent(p, radical):
         return None
     # radical must be an ideal
-    unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    if not _spans(radical, [_ad_bracket(p, v, w) for v in unit for w in radical]):
+    if not _spans(radical,
+                  [_ad_bracket(p, v, w) for v in p.unit for w in radical]):
         return None
     complement = _levi_complement(p, radical)
     if complement is None:
@@ -437,14 +389,12 @@ def _levi_complement(p: AlgebraPresentation,
     radical; the first correction is skipped when the raw complement already
     closes, which also covers symbolic one-dimensional complements).
     """
-    n = p.dimension
-    unit = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-    lifts = _independent(radical, unit)
-    if len(lifts) + len(radical) != n:
+    lifts = _independent(radical, p.unit)
+    if len(lifts) + len(radical) != p.dimension:
         return None
     if _closes(p, lifts):
         return lifts
-    if not all(c.is_rational for row in p.constants for col in row for c in col):
+    if not p.is_rational():
         return None  # symbolic correction not attempted
 
     rad_z = _derived_space_sub(p, radical, radical)

@@ -46,7 +46,7 @@ __all__ = [
     "rational", "sym", "jet", "tfun", "exp_of", "as_expr",
     "sum_of", "partial", "differentiate", "substitute", "subst_many",
     "evaluate", "evaluate_rational", "divide_exact", "split_terms",
-    "rational_coefficients", "atoms_of", "jets_of", "max_jet_order",
+    "atoms_of", "jets_of", "max_jet_order",
     "factors_text", "simplify",
     "ZERO", "ONE", "T", "X", "Y", "RADIAL", "U", "Z",
     "R", "S", "V", "W", "OMEGA", "DELTA",
@@ -782,11 +782,6 @@ def split_terms(e: Expr, keep: Callable[[Base], bool]) -> dict[Factors, Expr]:
         rest = tuple((b, p) for b, p in fs if not keep(b))
         groups.setdefault(key, []).append((c, rest))
     return {k: Expr(_collect(v)) for k, v in groups.items()}
-
-
-def rational_coefficients(e: Expr) -> dict[Factors, Fraction]:
-    """Terms as {factor-tuple: coefficient}; the expression is its own basis."""
-    return {fs: c for c, fs in e.terms}
 
 
 def atoms_of(e: Expr) -> set[str]:

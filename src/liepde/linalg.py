@@ -10,13 +10,17 @@ functions).  Dense lists are accepted and converted.  Around it:
   over the integers after clearing one common denominator;
 * univariate polynomials over ``Fraction`` serve matrix pencils:
   fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
-  polynomials (of ``lambda*I - M`` the last one is the characteristic
-  polynomial of ``M``), and rational roots are found exactly from the
-  divisors of the end coefficients, within a trial-division budget that
-  refuses loudly; roots that are not rational are left to the caller.
-  ``pencil_gram_poly`` (the pencil's Gram determinant, interpolated from
-  integer-Bareiss determinants at integer nodes) is no longer used by
-  discovery;
+  polynomials, and of ``lambda*I - M`` the last one is the characteristic
+  polynomial of ``M`` (``charpoly``).  Discovery reads its exponents off
+  it; ``inertia`` reads the signature of a symmetric matrix off it by
+  Descartes' rule of signs, which is exact for real-rooted polynomials.
+  Rational roots are found exactly from the divisors of the end
+  coefficients, within a trial-division budget that refuses loudly; roots
+  that are not rational are left to the caller.  ``pencil_gram_poly``
+  (the pencil's Gram determinant, interpolated from integer-Bareiss
+  determinants at integer nodes) is no longer used by discovery;
+* ``coordinates`` writes expressions or vector fields as sparse rows over
+  shared monomial columns, for the ranks and solves above;
 * field elements over kernel expressions are num/den pairs with a
   canonical zero test on the numerator (no gcd needed at these sizes);
   nullspace and row-space vectors come back with denominators cleared.
@@ -35,8 +39,9 @@ __all__ = [
     "q_rref", "q_rank", "q_nullspace", "q_solve",
     "Poly", "p_trim", "p_add", "p_mul", "p_eval", "p_div_exact",
     "rational_roots", "RootExtractionError",
-    "pencil_pivots", "FieldFrac", "f_rref", "f_solve_unique", "f_rank",
-    "f_nullspace", "f_row_basis",
+    "pencil_pivots", "charpoly", "inertia", "coordinates",
+    "FieldFrac", "f_rref", "f_solve_unique", "f_rank", "f_nullspace",
+    "f_row_basis",
 ]
 
 
@@ -356,6 +361,34 @@ def pencil_pivots(a_rows: list[list[Fraction]],
     return pivots
 
 
+def charpoly(m: list[list[Fraction]]) -> Poly:
+    """``det(lam*I - M)``: the last Bareiss pivot of ``lam*I - M``, whose
+    elimination never swaps rows (its leading principal minors are monic)."""
+    d = len(m)
+    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    pivots = pencil_pivots([[-v for v in row] for row in m], identity)
+    return pivots[-1] if pivots else (Fraction(1),)
+
+
+def inertia(k: list[list[Fraction]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of
+    signs is exact on its characteristic polynomial p: the sign changes of
+    p count the positive roots, those of p(-lam) the negative ones, and the
+    multiplicity of the root 0 is the number of vanishing low coefficients.
+    """
+    p = charpoly(k)
+    zero = next(i for i, c in enumerate(p) if c)
+    mirrored = [-c if i % 2 else c for i, c in enumerate(p)]
+    return _sign_changes(p), _sign_changes(mirrored), zero
+
+
+def _sign_changes(p) -> int:
+    signs = [c > 0 for c in p if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def q_det(rows: list[list[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free (Bareiss) integer elimination.
 
@@ -452,6 +485,35 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> Poly:
         for k, c in enumerate(p_div_exact(nodes, (-xi, Fraction(1)))):
             out[k] += c * scale
     return p_trim(out)
+
+
+# ---------------------------------------------------------------------------
+# coordinates of expressions and vector fields
+# ---------------------------------------------------------------------------
+
+def coordinates(vectors, keep=None) -> list[dict]:
+    """Sparse coordinate rows of expressions or vector fields.
+
+    A vector is an expression (one slot) or a vector field, whose slots are
+    its coefficients ``xi..., eta``.  Each term of slot ``s`` goes to the
+    column ``(s, monomial)``, where the monomial is the sub-monomial of the
+    factors selected by ``keep``; columns are shared by all vectors and
+    numbered in first-seen order.  With ``keep`` None every factor is kept
+    and the entries are the rational term coefficients; otherwise an entry
+    is the expression summing the remaining parts of its terms.
+    """
+    index: dict = {}
+    rows = []
+    for vec in vectors:
+        slots = (vec,) if isinstance(vec, Expr) else vec.coefficients()
+        row = {}
+        for slot, e in enumerate(slots):
+            parts = (((fs, c) for c, fs in e.terms) if keep is None
+                     else ex.split_terms(e, keep).items())
+            for mono, value in parts:
+                row[index.setdefault((slot, mono), len(index))] = value
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

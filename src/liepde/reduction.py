@@ -22,7 +22,7 @@ from functools import lru_cache
 from . import expr as ex
 from . import fixtures
 from .expr import Atom, Expr, ExprError, InternalError, Jet
-from .jet import EvolutionPDE, StationaryEquation, make_hpz
+from .jet import EvolutionPDE, StationaryEquation, make_hpz, total_derivative
 from .prolong import VectorField, residual
 
 __all__ = [
@@ -158,15 +158,9 @@ def invariants_for(vf: VectorField) -> ReductionMap:
 
 def _d_along(e: Expr, v: str, slope: Expr) -> Expr:
     """Derivative of an expression in (t, x, y, z(t, r)) along x or y,
-    where r = alpha x + beta y so every z-jet advances by slope * d/dr."""
-    out = ex.partial(e, Atom(v))
-    for j in sorted(ex.jets_of(e), key=lambda j: (j.order, j.idx)):
-        d = ex.partial(e, j)
-        if d.is_zero:
-            continue
-        lifted = tuple(sorted(j.idx + ("r",), key=ex.VARIABLE_NAMES.index))
-        out = out + slope * ex.jet(j.dep, lifted) * d
-    return out
+    where r = alpha x + beta y so every z-jet advances by slope * D_r; the
+    expression holds no r atom, so D_r acts on its z-jets alone."""
+    return ex.partial(e, Atom(v)) + slope * total_derivative(e, "r")
 
 
 def reduce_pde(pde: EvolutionPDE, rmap: ReductionMap) -> ReducedEquation:

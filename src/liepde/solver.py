@@ -16,8 +16,9 @@ exponent are rational and the whole computation stays in exact arithmetic:
 3. each exponent lam of multiplicity m has exactly m trial solutions
    ``t^k exp(lam t)``, k < m: an exact rational nullspace of sparse
    ``{column: value}`` rows for the sparse elimination in :mod:`linalg`;
-4. every returned generator is re-verified through the residual, and the
-   basis is kept linearly independent via an exact rank computation.
+4. every returned generator is normalised and re-verified through the
+   residual, and the basis is checked to be linearly independent by an
+   exact rank computation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .linalg import RootExtractionError
 __all__ = [
     "Binding", "BindingError", "Ansatz", "SymmetryBasis", "SymmetryProfile",
     "solve_determining", "verify_basis", "profile_basis",
-    "coefficient_vector", "span_rank",
+    "span_rank",
 ]
 
 
@@ -276,15 +277,6 @@ def _completion(a_rows, b_rows) -> list[list[Fraction]]:
              for vec in kernel] for i in free]
 
 
-def _charpoly(m: list[list[Fraction]]) -> linalg.Poly:
-    """``det(lam*I - M)``: the last Bareiss pivot of ``lam*I - M``, whose
-    elimination never swaps rows (its leading principal minors are monic)."""
-    d = len(m)
-    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    pivots = linalg.pencil_pivots([[-v for v in row] for row in m], identity)
-    return pivots[-1] if pivots else (Fraction(1),)
-
-
 def _candidate_exponents(a_rows, b_rows) -> list[tuple[Fraction, int]]:
     """The exponents of the solution space and their multiplicities.
 
@@ -295,7 +287,7 @@ def _candidate_exponents(a_rows, b_rows) -> list[tuple[Fraction, int]]:
     rational, complex ones included, is refused, never dropped.
     """
     m = _completion(a_rows, b_rows)
-    charpoly = _charpoly(m)
+    charpoly = linalg.charpoly(m)
     pairs = []
     for lam in linalg.rational_roots(charpoly):
         mult = 0
@@ -338,33 +330,10 @@ def _trial_nullspace(a_rows, b_rows, lam: Fraction, degree: int):
     return linalg.q_nullspace(rows, width), width
 
 
-def coefficient_vector(vf: VectorField, keys: list | None = None):
-    """Stacked rational coordinates of a bound field in its term basis.
-
-    Returns (keys, row) with ``row`` a sparse ``{key index: coefficient}``
-    dict; pass ``keys`` to reuse a shared basis.
-    """
-    all_keys = [] if keys is None else list(keys)
-    seen = {k: i for i, k in enumerate(all_keys)}
-    row: dict[int, Fraction] = {}
-    for slot, c in enumerate(vf.coefficients()):
-        for factors, coeff in ex.rational_coefficients(c).items():
-            key = (slot, factors)
-            if key not in seen:
-                seen[key] = len(all_keys)
-                all_keys.append(key)
-            row[seen[key]] = coeff
-    return all_keys, row
-
-
-def span_rank(fields) -> int:
-    """Exact rank of the stacked coefficient matrix of bound fields."""
-    keys: list = []
-    rows = []
-    for vf in fields:
-        keys, row = coefficient_vector(vf, keys)
-        rows.append(row)
-    return linalg.q_rank(rows)
+def span_rank(vectors) -> int:
+    """Exact rank of bound fields or bound expressions over the rationals,
+    in the basis of their terms."""
+    return linalg.q_rank(linalg.coordinates(vectors))
 
 
 def _normalize_field(vf: VectorField) -> VectorField:
@@ -401,8 +370,6 @@ def solve_determining(pde: EvolutionPDE,
         raise ExprError("empty determining system")
     fields: list[VectorField] = []
     exponents: list[Fraction] = []
-    rows: list[dict[int, Fraction]] = []
-    keys: list = []
     for lam, mult in _candidate_exponents(a_rows, b_rows):
         # every solution with exponent lam has degree below its multiplicity
         nullspace, _ = _trial_nullspace(a_rows, b_rows, lam, mult - 1)
@@ -419,22 +386,24 @@ def solve_determining(pde: EvolutionPDE,
                     if ck:
                         g = g + ex.rational(ck) * ex.T ** k
                 mapping[TFun(name, 0)] = g * ex.exp_of(ex.rational(lam) * ex.T)
-            candidate = VectorField(
+            candidate = _normalize_field(VectorField(
                 vf.variables, vf.dependent,
                 tuple(ex.subst_many(c, mapping) for c in vf.xi),
-                ex.subst_many(vf.eta, mapping))
-            if candidate.is_zero():
-                continue
+                ex.subst_many(vf.eta, mapping)))
             res = residual(candidate, bound_pde)
             if not res.is_zero:
                 raise InternalError(
                     f"internal error: candidate at exponent {lam} failed "
                     f"re-verification with residual {ex.to_text(res)}")
-            keys, cand_row = coefficient_vector(candidate, keys)
-            if linalg.q_rank(rows + [cand_row]) == len(rows) + 1:
-                fields.append(_normalize_field(candidate))
-                exponents.append(lam)
-                rows.append(cand_row)
+            fields.append(candidate)
+            exponents.append(lam)
+    # the ansatz maps unknowns to fields injectively and the exponents are
+    # distinct, so independent trial vectors give independent fields
+    rank = span_rank(fields)
+    if rank != len(fields):
+        raise InternalError(
+            f"internal error: the {len(fields)} discovered generators span "
+            f"only {rank} dimensions")
     return SymmetryBasis(bound_pde, binding, tuple(fields), tuple(exponents))
 
 
@@ -523,16 +492,7 @@ def profile_basis(basis: SymmetryBasis) -> SymmetryProfile:
             f_vecs.append(h)
     return SymmetryProfile(
         rows=tuple(rows),
-        a_rank=_expr_rank(a_vecs),
-        b_rank=_expr_rank(b_vecs),
-        f_rank=_expr_rank(f_vecs),
+        a_rank=span_rank(a_vecs),
+        b_rank=span_rank(b_vecs),
+        f_rank=span_rank(f_vecs),
     )
-
-
-def _expr_rank(exprs) -> int:
-    seen: dict = {}
-    rows = []
-    for e in exprs:
-        coords = ex.rational_coefficients(e)
-        rows.append({seen.setdefault(fs, len(seen)): c for fs, c in coords.items()})
-    return linalg.q_rank(rows)

@@ -7,12 +7,12 @@ from itertools import combinations
 import pytest
 
 from liepde import expr as ex
-from liepde.algebra import (ClosureError, _killing_signature, classify,
-                            commutator, structure_constants)
+from liepde.algebra import (ClosureError, classify, commutator,
+                            structure_constants)
 from liepde.expr import DELTA, OMEGA, R, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation
-from liepde.linalg import q_det
+from liepde.linalg import inertia, q_det
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
 
@@ -195,7 +195,8 @@ class TestClassification:
         e3 = VectorField(vars3, "u", (-X, ex.T, ZERO), ZERO)
         verdict = classify(structure_constants([e1, e2, e3]))
         assert verdict.name == "unclassified"
-        assert verdict.notes
+        # its Killing form is negative definite
+        assert verdict.notes == ("semisimple with Killing signature (0,3)",)
 
     def test_basis_change_invariance(self, reduced_basis):
         rng = random.Random(23)
@@ -221,7 +222,7 @@ class TestClassification:
 
 
 def _signature(m):
-    return _killing_signature([[ex.rational(v) for v in row] for row in m])
+    return inertia([[Fr(v) for v in row] for row in m])
 
 
 def _symmetric(rng, n, zero_diagonal):
@@ -284,9 +285,10 @@ class TestKillingSignature:
     """Sylvester's law of inertia: congruence keeps the signature."""
 
     def test_zero_diagonal_branches(self):
-        assert _signature([[0, 1], [1, 0]]) == (1, 1, 0)   # add-row branch
-        assert _signature([[0, 1], [1, 2]]) == (1, 1, 0)   # swap branch
+        assert _signature([[0, 1], [1, 0]]) == (1, 1, 0)   # all-zero diagonal
+        assert _signature([[0, 1], [1, 2]]) == (1, 1, 0)   # leading zero
         assert _signature([[0, 0], [0, 0]]) == (0, 0, 2)
+        assert _signature([]) == (0, 0, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_diagonal_read_off_and_kept_by_congruence(self, seed):

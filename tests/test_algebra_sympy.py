@@ -1,0 +1,87 @@
+"""Inertia oracle: sympy's Sturm root counts against ``linalg.inertia``.
+
+``linalg.inertia`` reads the signature of a symmetric rational matrix off
+its characteristic polynomial by Descartes' rule of signs.  sympy computes
+the characteristic polynomial independently and counts its positive and
+negative roots with Sturm sequences (``Poly.count_roots``), so the oracle
+shares neither the polynomial nor the counting rule with the code.  sympy
+is a test-time oracle only; the package does not import it.
+"""
+
+import random
+from fractions import Fraction as Fr
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from liepde.linalg import inertia  # noqa: E402
+
+
+def _symmetric(rng, n):
+    k = [[Fr(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.7:
+                k[i][j] = k[j][i] = Fr(rng.randint(-4, 4), rng.randint(1, 3))
+    return k
+
+
+def _low_rank(rng, n):
+    """B^T D B with B of r < n rows: rank at most r."""
+    r = rng.randint(0, n - 1)
+    b = [[Fr(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+         for _ in range(r)]
+    d = [Fr(rng.choice([-3, -1, 1, 2])) for _ in range(r)]
+    return [[sum((b[l][i] * d[l] * b[l][j] for l in range(r)), Fr(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _repeated_diagonal(rng, n):
+    """A diagonal with repeated entries, zero among them, so every root
+    count needs multiplicities."""
+    values = [Fr(rng.choice([-2, 0, 1, 3])) for _ in range(n)]
+    return [[values[i] if i == j else Fr(0) for j in range(n)]
+            for i in range(n)]
+
+
+def _sympy_matrix(k):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
+                          for v in row] for row in k])
+
+
+def _oracle(k):
+    """(positive, negative, zero) from sympy's charpoly and Sturm counts.
+
+    The root 0 is divided out first; each square-free factor's positive
+    and negative roots are counted and weighted by its multiplicity, since
+    a Sturm sequence counts distinct roots.
+    """
+    lam = sympy.Symbol("lambda")
+    coeffs = _sympy_matrix(k).charpoly(lam).all_coeffs()
+    zero = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zero += 1
+    pos = neg = 0
+    for factor, mult in sympy.Poly(coeffs, lam).sqf_list()[1]:
+        pos += mult * factor.count_roots(0, None)
+        neg += mult * factor.count_roots(None, 0)
+    return pos, neg, zero
+
+
+MAKERS = {"full": _symmetric, "low-rank": _low_rank,
+          "repeated": _repeated_diagonal}
+
+
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+@pytest.mark.parametrize("seed", range(10))
+def test_inertia_matches_sympy(kind, seed):
+    rng = random.Random(seed)
+    for _ in range(4):
+        n = rng.randint(1, 6)
+        k = MAKERS[kind](rng, n)
+        expected = _oracle(k)
+        assert sum(expected) == n      # symmetric: every root is real
+        assert inertia(k) == expected
+

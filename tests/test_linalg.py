@@ -8,12 +8,13 @@ import pytest
 
 from liepde import expr as ex
 from liepde.expr import ExprError, R, S, V, W
-from liepde.linalg import (FieldFrac, RootExtractionError, f_nullspace,
-                           f_rank, f_solve_unique, fraction_sqrt,
+from liepde.linalg import (FieldFrac, RootExtractionError, coordinates,
+                           f_nullspace, f_rank, f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_det,
                            q_nullspace, q_rank, q_rref, q_solve,
                            rational_roots)
+from liepde.prolong import VectorField
 from liepde.solver import Binding
 
 
@@ -214,6 +215,31 @@ class TestPencil:
         assert p_eval(gram, Fr(-1)) == 0
         assert p_eval(gram, Fr(-1, 2)) == 0
         assert p_eval(gram, Fr(1)) != 0
+
+
+class TestCoordinates:
+    def test_shared_columns_in_first_seen_order(self):
+        x, y = ex.X, ex.Y
+        rows = coordinates([2 * x + 3 * x * y, x - y, ex.ZERO])
+        assert sorted(rows[0]) == [0, 1]          # columns 0, 1 first seen
+        assert sorted(rows[0].values()) == [2, 3]
+        (shared,) = [c for c, v in rows[0].items() if v == 2]
+        assert rows[1][shared] == 1               # x shares its column
+        assert sorted(rows[1].values()) == [-1, 1] and 2 in rows[1]
+        assert rows[2] == {}
+        assert q_rank(rows) == 2
+
+    def test_field_slots_are_separate_columns(self):
+        vf = VectorField(("t", "x"), "u", (ex.X, ex.ONE), ex.X)
+        (row,) = coordinates([vf])
+        assert row == {0: 1, 1: 1, 2: 1}
+        assert coordinates([vf, ex.X]) == [row, {0: 1}]
+
+    def test_keep_sums_the_remaining_parts(self):
+        (row,) = coordinates([R * ex.X + S * ex.X + ex.Y],
+                             lambda b: b not in (ex.Atom("R"), ex.Atom("S")))
+        assert sorted(row) == [0, 1]
+        assert sorted(map(ex.to_text, row.values())) == ["1", "R + S"]
 
 
 class TestPerfectSquares:

@@ -103,6 +103,21 @@ class TestDiscovery:
         with pytest.raises(InternalError, match="trial solutions"):
             solve_determining(heat)
 
+    def test_dependent_trial_vector_is_internal_error(self, heat,
+                                                      monkeypatch):
+        # a dependent trial vector must not be dropped silently, which would
+        # return dimension 5 for heat with no error
+        original = solver._trial_nullspace
+
+        def doubled(*args):
+            nullspace, width = original(*args)
+            nullspace[-1] = [2 * c for c in nullspace[0]]
+            return nullspace, width
+
+        monkeypatch.setattr(solver, "_trial_nullspace", doubled)
+        with pytest.raises(InternalError, match="span only 5 dimensions"):
+            solve_determining(heat)
+
     def test_hpz_v0_dimension_six(self, hpz):
         """V=0 drops u_xy, and the dimension then depends on R and S.
 

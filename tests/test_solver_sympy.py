@@ -14,7 +14,8 @@ sympy = pytest.importorskip("sympy")
 
 from liepde import expr as ex  # noqa: E402
 from liepde.jet import EvolutionPDE, get_equation  # noqa: E402
-from liepde.solver import Binding, _charpoly, _completion  # noqa: E402
+from liepde.linalg import charpoly  # noqa: E402
+from liepde.solver import Binding, _completion  # noqa: E402
 
 from conftest import determining_dae  # noqa: E402
 
@@ -44,6 +45,6 @@ def test_charpoly_matches_sympy(name, params, roots):
     oracle = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator)
                             for v in row] for row in m]).charpoly(lam)
     ours = [sympy.Rational(c.numerator, c.denominator)
-            for c in reversed(_charpoly(m))]
+            for c in reversed(charpoly(m))]
     assert ours == oracle.all_coeffs()
     assert sympy.roots(oracle.as_expr(), lam) == roots
