@@ -25,6 +25,12 @@ canonical forms decides equality of values for the polynomial/exponential
 class this engine works in.  All arithmetic is exact; nothing here ever
 touches floating point.
 
+Bases are tuples that begin with their sort key (see the bases section),
+so their natural tuple order is the fixed order of factors within a term
+and of terms within a sum, and they hash and compare as tuples.  The
+kernel keeps no caches: an expression computes its hash on first use and
+keeps it, and nothing else is memoised.
+
 Division is deliberately narrow: terms whose non-rational part consists of
 independent variables, user constants, jets or exponentials can be
 inverted, as can rational multiples of ``R*V + W`` (via ``delta``).
@@ -34,10 +40,9 @@ producing an unsound form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
 __all__ = [
@@ -81,43 +86,106 @@ class UnsupportedDivision(ExprError):
 # ---------------------------------------------------------------------------
 # bases
 # ---------------------------------------------------------------------------
+#
+# Every base is a tuple that begins with its sort key, so the natural order
+# of tuples is the fixed total order on bases that keeps rendered output and
+# golden files stable: parameters (category 0, in PARAMETER_NAMES order),
+# user constants (1, by name), unknown t-functions (2, by name, then order),
+# independent variables (3, in VARIABLE_NAMES order), exponentials (4, by
+# the factors and then the (numerator, denominator) of each term of the
+# argument), jets (5, by dependent symbol, order, then index letters).
+# Equal tuples are equal bases.
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+_PARAM_INDEX = {n: i for i, n in enumerate(PARAMETER_NAMES)}
+_VAR_INDEX = {n: i for i, n in enumerate(VARIABLE_NAMES)}
+_DEP_INDEX = {n: i for i, n in enumerate(DEPENDENT_NAMES)}
 
 
-@dataclass(frozen=True)
-class TFun:
-    """Unknown function of t; ``order`` counts time derivatives."""
-    name: str
-    order: int = 0
+class Atom(tuple):
+    """Named atom, the tuple ``(category, rank, name)``."""
+    __slots__ = ()
+
+    def __new__(cls, name: str):
+        if name in _PARAM_INDEX:
+            return tuple.__new__(cls, (0, _PARAM_INDEX[name], name))
+        if name in _VAR_INDEX:
+            return tuple.__new__(cls, (3, _VAR_INDEX[name], name))
+        return tuple.__new__(cls, (1, name, name))
+
+    name = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return (self.name,)
+
+    def __repr__(self):
+        return f"Atom(name={self.name!r})"
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Jet variable: dependent symbol with a sorted derivative multi-index."""
-    dep: str
-    idx: tuple[str, ...] = ()
+class TFun(tuple):
+    """Unknown function of t, the tuple ``(2, name, order)``; ``order``
+    counts time derivatives."""
+    __slots__ = ()
+
+    def __new__(cls, name: str, order: int = 0):
+        return tuple.__new__(cls, (2, name, order))
+
+    name = property(itemgetter(1))
+    order = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return (self.name, self.order)
+
+    def __repr__(self):
+        return f"TFun(name={self.name!r}, order={self.order!r})"
+
+
+class ExpFactor(tuple):
+    """``exp(arg)``, the tuple ``(4, key, arg)``: ``key`` lists each term of
+    ``arg`` as ``(factors, (numerator, denominator))``."""
+    __slots__ = ()
+
+    def __new__(cls, arg: "Expr"):
+        key = tuple([(fs, (c.numerator, c.denominator)) for c, fs in arg.terms])
+        return tuple.__new__(cls, (4, key, arg))
+
+    arg = property(itemgetter(2))
+
+    def __getnewargs__(self):
+        return (self.arg,)
+
+    def __repr__(self):
+        return f"ExpFactor(arg={self.arg!r})"
+
+
+class Jet(tuple):
+    """Jet variable: dependent symbol with a sorted derivative multi-index,
+    the tuple ``(5, dep, (dep rank, order, index ranks...), idx)``."""
+    __slots__ = ()
+
+    def __new__(cls, dep: str, idx: tuple[str, ...] = ()):
+        idx = tuple(idx)
+        nums = (_DEP_INDEX.get(dep, 99), len(idx)) + tuple(
+            [_VAR_INDEX.get(v, 99) for v in idx])
+        return tuple.__new__(cls, (5, dep, nums, idx))
+
+    dep = property(itemgetter(1))
+    idx = property(itemgetter(3))
 
     @property
     def order(self) -> int:
-        return len(self.idx)
+        return len(self[3])
 
+    def __getnewargs__(self):
+        return (self.dep, self.idx)
 
-@dataclass(frozen=True)
-class ExpFactor:
-    arg: "Expr"
+    def __repr__(self):
+        return f"Jet(dep={self.dep!r}, idx={self.idx!r})"
 
 
 Base = Union[Atom, TFun, Jet, ExpFactor]
 Factor = tuple[Base, int]
 Factors = tuple[Factor, ...]
 Term = tuple[Fraction, Factors]
-
-_PARAM_INDEX = {n: i for i, n in enumerate(PARAMETER_NAMES)}
-_VAR_INDEX = {n: i for i, n in enumerate(VARIABLE_NAMES)}
-_DEP_INDEX = {n: i for i, n in enumerate(DEPENDENT_NAMES)}
 
 
 def base_label(b: Base) -> str:
@@ -131,39 +199,6 @@ def base_label(b: Base) -> str:
     raise TypeError("exp factors have no atomic label")
 
 
-@lru_cache(maxsize=None)
-def _base_key(b: Base) -> tuple:
-    # Total order on bases: parameters, user constants, unknown t-functions,
-    # independent variables, exponentials, jets.  The order is fixed so that
-    # rendered output and golden files are stable.
-    if isinstance(b, Atom):
-        if b.name in _PARAM_INDEX:
-            return (0, "", (_PARAM_INDEX[b.name],), ())
-        if b.name in _VAR_INDEX:
-            return (3, "", (_VAR_INDEX[b.name],), ())
-        return (1, b.name, (), ())
-    if isinstance(b, TFun):
-        return (2, b.name, (b.order,), ())
-    if isinstance(b, ExpFactor):
-        return (4, "", (), _expr_key(b.arg))
-    if isinstance(b, Jet):
-        nums = (_DEP_INDEX.get(b.dep, 99), len(b.idx)) + tuple(
-            _VAR_INDEX[v] for v in b.idx)
-        return (5, b.dep, nums, ())
-    raise TypeError(f"unknown base {b!r}")
-
-
-@lru_cache(maxsize=None)
-def _expr_key(e: "Expr") -> tuple:
-    return tuple(
-        (tuple((_base_key(b), p) for b, p in fs), (c.numerator, c.denominator))
-        for c, fs in e.terms)
-
-
-def _factors_key(fs: Factors) -> tuple:
-    return tuple((_base_key(b), p) for b, p in fs)
-
-
 # ---------------------------------------------------------------------------
 # canonicalisation
 # ---------------------------------------------------------------------------
@@ -175,6 +210,7 @@ _S_B = Atom("S")
 _V_B = Atom("V")
 _W_B = Atom("W")
 _GUARDED = (_R_B, _S_B, _V_B, _W_B)
+_T_B = Atom("t")
 
 
 def _rewrite_monomial(coeff: Fraction, fdict: dict[Base, int]) -> list[tuple[Fraction, dict]]:
@@ -245,34 +281,41 @@ def _normalize_product(coeff: Fraction, raw: Iterable[Factor]) -> list[Term]:
         return []
     merged: dict[Base, int] = {}
     exp_args: list[Expr] = []
+    exp_factor: Factor | None = None
+    inverse = False
     for b, p in raw:
         if p == 0:
             continue
-        if isinstance(b, ExpFactor):
+        if b.__class__ is ExpFactor:
             exp_args.append(b.arg if p == 1 else b.arg * p)
+            exp_factor = (b, p)
+        elif b in merged:
+            merged[b] += p
         else:
-            merged[b] = merged.get(b, 0) + p
-    merged = {b: p for b, p in merged.items() if p != 0}
-    for b in _GUARDED:
-        if merged.get(b, 0) < 0:
-            raise UnsupportedDivision(
-                f"cannot invert the parameter {b.name}; only rational "
-                f"multiples of R*V + W have exact inverses")
-    if merged.get(_OMEGA_B, 0) < 0:
-        raise UnsupportedDivision("cannot invert the surd omega")
+            merged[b] = p
+        inverse = inverse or p < 0
+    if inverse:
+        # only a negative exponent can cancel a factor or invert a parameter
+        merged = {b: p for b, p in merged.items() if p != 0}
+        for b in _GUARDED:
+            if merged.get(b, 0) < 0:
+                raise UnsupportedDivision(
+                    f"cannot invert the parameter {b.name}; only rational "
+                    f"multiples of R*V + W have exact inverses")
+        if merged.get(_OMEGA_B, 0) < 0:
+            raise UnsupportedDivision("cannot invert the surd omega")
 
-    exp_factor: Factor | None = None
-    if exp_args:
+    # one exp(arg) to the first power is canonical already; else merge
+    if len(exp_args) > 1 or (exp_args and exp_factor[1] != 1):
         total = exp_args[0]
         for a in exp_args[1:]:
             total = total + a
-        if not total.is_zero:
-            exp_factor = (ExpFactor(total), 1)
+        exp_factor = None if total.is_zero else (ExpFactor(total), 1)
 
     pieces = _rewrite_monomial(coeff, merged)
     terms: list[Term] = []
     for c, f in pieces:
-        fs = sorted(f.items(), key=lambda kv: _base_key(kv[0]))
+        fs = sorted(f.items())
         if exp_factor is not None:
             fs.append(exp_factor)
         terms.append((c, tuple(fs)))
@@ -282,10 +325,13 @@ def _normalize_product(coeff: Fraction, raw: Iterable[Factor]) -> list[Term]:
 def _collect(pieces: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict[Factors, Fraction] = {}
     for c, fs in pieces:
-        acc[fs] = acc.get(fs, Fraction(0)) + c
-    out = [(c, fs) for fs, c in acc.items() if c != 0]
-    out.sort(key=lambda t: _factors_key(t[1]))
-    return tuple(out)
+        if fs in acc:
+            acc[fs] += c
+        else:
+            acc[fs] = c
+    out = [(fs, c) for fs, c in acc.items() if c]
+    out.sort()
+    return tuple([(c, fs) for fs, c in out])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +345,6 @@ class Expr:
 
     def __init__(self, terms: tuple[Term, ...]):
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Expr is immutable")
@@ -312,7 +357,21 @@ class Expr:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return self._hash
+        # computed on first use; a rational constant hashes as its value,
+        # like the int or Fraction it compares equal to
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        terms = self.terms
+        if not terms:
+            h = 0
+        elif len(terms) == 1 and not terms[0][1]:
+            h = hash(terms[0][0])
+        else:
+            h = hash(terms)
+        object.__setattr__(self, "_hash", h)
+        return h
 
     # -- structure ---------------------------------------------------------
 
@@ -334,7 +393,12 @@ class Expr:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        other = as_expr(other)
+        if not isinstance(other, Expr):
+            other = as_expr(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return Expr(_collect(self.terms + other.terms))
 
     __radd__ = __add__
@@ -349,10 +413,21 @@ class Expr:
         return as_expr(other) + (-self)
 
     def __mul__(self, other) -> "Expr":
-        other = as_expr(other)
+        if not isinstance(other, Expr):
+            other = as_expr(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ZERO
+        # a rational factor k only scales: k*c*m is canonical when c*m is
+        if len(b) == 1 and not b[0][1]:
+            k = b[0][0]
+            return self if k == 1 else Expr(tuple([(c * k, fs) for c, fs in a]))
+        if len(a) == 1 and not a[0][1]:
+            k = a[0][0]
+            return other if k == 1 else Expr(tuple([(k * c, fs) for c, fs in b]))
         pieces: list[Term] = []
-        for c1, f1 in self.terms:
-            for c2, f2 in other.terms:
+        for c1, f1 in a:
+            for c2, f2 in b:
                 pieces.extend(_normalize_product(c1 * c2, f1 + f2))
         return Expr(_collect(pieces))
 
@@ -533,7 +608,7 @@ def _poly_div_exact(num: Expr, den: Expr, max_steps: int = 4000) -> Expr | None:
     for e in (num, den):
         for _, fs in e.terms:
             bases.update(b for b, _ in fs)
-    universe = tuple(sorted(bases, key=_base_key))
+    universe = tuple(sorted(bases))
 
     def lead(e: Expr) -> Term:
         return min(e.terms, key=lambda t: _grlex_key(t[1], universe))
@@ -633,7 +708,7 @@ def _dbase(b: Base, v: Base) -> Expr | None:
     """Formal derivative of a base with respect to a base, or None if zero."""
     if b == v:
         return ONE
-    if isinstance(b, TFun) and v == Atom("t"):
+    if isinstance(b, TFun) and v == _T_B:
         return tfun(b.name, b.order + 1)
     if isinstance(b, ExpFactor):
         da = partial(b.arg, v)

@@ -15,6 +15,13 @@ that the single-surd canonical form stays sound.
 
 ``parse(to_text(e)) == e`` for every canonical expression, and parsing
 arbitrary grammar-conformant text canonicalises it.
+
+Numbers are bounded by ``MAX_DIGITS`` decimal digits, so that every parsed
+value can be rendered again (Python refuses to convert integers of more than
+4300 digits to text).  An integer literal longer than that, a value with a
+coefficient whose numerator or denominator is longer, and a power whose base
+has a coefficient that, raised to the exponent, would already be longer (it
+is refused before it is computed) raise :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ from fractions import Fraction
 from . import expr as ex
 from .expr import Expr, ExprError
 
-__all__ = ["parse", "render", "ParseError"]
+__all__ = ["parse", "render", "ParseError", "MAX_DIGITS"]
+
+MAX_DIGITS = 1000
+_LIMIT = 10 ** MAX_DIGITS       # the smallest integer with too many digits
 
 
 class ParseError(ExprError):
@@ -36,6 +46,25 @@ class ParseError(ExprError):
 
 _OMEGA_RADICAND = ex.R ** 2 - 4 * ex.S
 _PUNCT = "+-*^()/"
+
+
+def _too_long(e: Expr) -> bool:
+    """Whether a coefficient of ``e``, inside exponentials too, has more than
+    MAX_DIGITS digits in its numerator or denominator."""
+    for c, fs in e.terms:
+        if abs(c.numerator) >= _LIMIT or c.denominator >= _LIMIT:
+            return True
+        if any(isinstance(b, ex.ExpFactor) and _too_long(b.arg) for b, _ in fs):
+            return True
+    return False
+
+
+def _power_too_long(base: Expr, n: int) -> bool:
+    """Whether some coefficient of ``base`` has a numerator or denominator k
+    with |k|^n >= 2^bits(_LIMIT) > _LIMIT, judged without computing it."""
+    bits = _LIMIT.bit_length()
+    return any(n * (abs(k).bit_length() - 1) >= bits
+               for c, _ in base.terms for k in (c.numerator, c.denominator))
 
 
 class _Token:
@@ -112,6 +141,12 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
+    def integer(self, tok: _Token) -> int:
+        if len(tok.text) > MAX_DIGITS:
+            self.fail(f"integer literal of {len(tok.text)} digits; at most "
+                      f"{MAX_DIGITS} digits are accepted", tok)
+        return int(tok.text)
+
     # grammar ---------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
@@ -140,9 +175,12 @@ class _Parser:
             if self.peek().kind == "-":
                 self.advance()
                 sign = -1
-            tok = self.expect("int")
+            n = self.integer(self.expect("int"))
+            if _power_too_long(base, n):
+                self.fail(f"power has a coefficient of more than {MAX_DIGITS} "
+                          f"digits", caret)
             try:
-                return base ** (sign * int(tok.text))
+                return base ** (sign * n)
             except ExprError as err:
                 raise ParseError(str(err), caret.line, caret.col) from err
         return base
@@ -151,11 +189,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            num = int(tok.text)
+            num = self.integer(tok)
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("int")
-                den = int(den_tok.text)
+                den = self.integer(den_tok)
                 if den == 0:
                     self.fail("zero denominator in rational literal", den_tok)
                 return ex.rational(num, den)
@@ -208,6 +246,9 @@ def parse(text: str, constants: frozenset[str] | set[str] = frozenset()) -> Expr
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"unexpected trailing input {tok.text!r}", tok)
+    if _too_long(value):
+        parser.fail(f"the value has a coefficient of more than {MAX_DIGITS} "
+                    f"digits", parser.tokens[0])
     return value
 
 

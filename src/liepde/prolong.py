@@ -183,9 +183,9 @@ def residual(vf: VectorField, pde: EvolutionPDE) -> Expr:
 
 def _jet_key(e_factors) -> tuple:
     # graded lexicographic order on jet monomials: total degree, then the
-    # fixed base order; keeps golden output stable
-    degree = sum(p for _, p in e_factors)
-    return (degree, tuple((ex._base_key(b), p) for b, p in e_factors))
+    # fixed base order (the natural order of factor tuples); keeps golden
+    # output stable
+    return (sum(p for _, p in e_factors), e_factors)
 
 
 @dataclass(frozen=True)
@@ -221,7 +221,7 @@ class DeterminingSystem:
         for jet_factors, coeff in self.by_jet:
             jet_label = ex.factors_text(jet_factors)
             split = ex.split_terms(coeff, is_point)
-            for mono in sorted(split, key=lambda fs: _jet_key(fs)):
+            for mono in sorted(split, key=_jet_key):
                 rows.append((jet_label, ex.factors_text(mono), split[mono]))
         return rows
 

@@ -243,8 +243,7 @@ def compare_with_printed(reduced: ReducedEquation, printed: Expr,
     ours_map, printed_map = by_jet(ours), by_jet(printed)
     rows = []
     agree = True
-    for key in sorted(set(ours_map) | set(printed_map),
-                      key=lambda fs: tuple(ex._base_key(b) for b, _ in fs)):
+    for key in sorted(set(ours_map) | set(printed_map)):
         a = ours_map.get(key, ex.ZERO)
         b = printed_map.get(key, ex.ZERO)
         same = (a - b).is_zero

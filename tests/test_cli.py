@@ -48,6 +48,17 @@ class TestExitCodes:
              "--generator", "xi_t=0; xi_x=((; eta=0"], capsys)
         assert code == 2
 
+    def test_oversized_numbers_exit_two(self, capsys):
+        # just above the parser's MAX_DIGITS (1000): 3^2096 has 1001 digits
+        for value in ("3^2096", "1" * 1001):
+            code, out, err = run_cli(
+                ["verify", "--equation", "hpz", "--generator", f"xi_x={value}"],
+                capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "1000 digits" in err
+
     def test_bad_binding_exits_two(self, capsys):
         code, _, err = run_cli(
             ["find", "--equation", "hpz", "--params", "R=5,S=3,V=1,W=1"],

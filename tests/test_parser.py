@@ -6,7 +6,7 @@ import pytest
 
 from liepde import fixtures
 from liepde.expr import DELTA, OMEGA, R, S, X, Y, jet, rational
-from liepde.parser import ParseError, parse, render
+from liepde.parser import MAX_DIGITS, ParseError, _power_too_long, parse, render
 
 
 class TestGrammar:
@@ -51,6 +51,26 @@ class TestErrors:
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse(text)
+
+    def test_numbers_at_the_digit_bound(self):
+        assert MAX_DIGITS == 1000
+        assert parse("9" * 1000) == 10 ** 1000 - 1
+        assert parse("1/" + "9" * 1000) == Fraction(1, 10 ** 1000 - 1)
+        assert parse("2^3321") == 2 ** 3321            # 1000 digits
+        assert parse("(2/3)^-2095*x") == Fraction(3, 2) ** 2095 * X
+        for text in ("1" * 1001, "1/" + "1" * 1001, "x^" + "1" * 1001,
+                     "2^3322", "(3*x)^2096", "(2/3)^-2096", "10^999*10",
+                     "9*10^999 + 1/3", "exp(10^999*10*t)"):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert "1000" in str(err.value)
+
+    def test_oversized_powers_refused_before_computing(self):
+        # 2^3321 < 10^1000 < 2^3322; the check itself computes no power
+        assert _power_too_long(rational(2), 3322)
+        assert not _power_too_long(rational(2), 3321)
+        assert _power_too_long(rational(1, 3) * X + 1, 10 ** 12)
+        assert not _power_too_long(X + 1, 10 ** 12)
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
