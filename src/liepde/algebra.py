@@ -1,19 +1,24 @@
 """Commutators, structure constants and classification of symmetry algebras.
 
+Commutators come from each field's Jacobian, computed once per field.
 Structure constants are found by one exact elimination against a monomial
 coordinatisation of the coefficient functions, solving for every bracket at
-once over the symbolic parameter field (rational entries are constants of
-that field); every expansion is re-verified against the directly computed
-commutator before it is trusted, and non-closure is an error naming the
-offending pair.  Spans, ranks and projections of subspaces go through the
-same sparse elimination in ``linalg``.
+once over the symbolic parameter field; every expansion is re-verified
+against the directly computed commutator before it is trusted, and
+non-closure is an error naming the offending pair.  Spans, ranks and
+projections of subspaces go through the same sparse elimination in
+``linalg``, which eliminates a matrix whose entries are all rational over
+``Fraction``.
 
 Classification detects the structures this engine meets: abelian nA1,
 Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form
 (``linalg.inertia``, from the Killing matrix's characteristic polynomial),
 and semidirect sums complement (+)s nilradical, where the nilradical is
 recovered as the radical of the Killing form and the complement is corrected
-into a closing subalgebra (a Levi complement) by two linear solves.  When a
+into a closing subalgebra (a Levi complement) by two linear solves.  Both
+are classified as subalgebras presented in coordinates over the parent:
+their constants are solved from the parent's verified tensor and each is
+re-verified there, so no vector field is formed again.  When a
 structure is outside this list the verdict is "unclassified" with the
 computed invariants, never a wrong name.
 """
@@ -41,13 +46,21 @@ class ClosureError(ExprError):
 
 
 def commutator(xf: VectorField, yf: VectorField) -> VectorField:
-    """[X, Y], computed coefficient-wise: X(Y^k) - Y(X^k) per coordinate."""
+    """[X, Y], coefficient-wise: [X, Y]^k = sum_v X^v d_v Y^k - Y^v d_v X^k,
+    with v over the base variables and the dependent symbol, from the two
+    fields' Jacobians (each computed once per field)."""
     if (xf.variables, xf.dependent) != (yf.variables, yf.dependent):
         raise ExprError("vector fields live on different spaces")
-    xi = tuple(xf.apply_to(yc) - yf.apply_to(xc)
-               for xc, yc in zip(xf.xi, yf.xi))
-    eta = xf.apply_to(yf.eta) - yf.apply_to(xf.eta)
-    return VectorField(xf.variables, xf.dependent, xi, eta)
+    xs = xf.coefficients()
+    minus_ys = [-c for c in yf.coefficients()]
+    out = [ex.sum_of(_products(xs, dy) + _products(minus_ys, dx))
+           for dx, dy in zip(xf.jacobian, yf.jacobian)]
+    return VectorField(xf.variables, xf.dependent, tuple(out[:-1]), out[-1])
+
+
+def _products(coeffs, partials) -> list[Expr]:
+    return [c * d for c, d in zip(coeffs, partials)
+            if not (c.is_zero or d.is_zero)]
 
 
 # ---------------------------------------------------------------------------
@@ -63,14 +76,18 @@ def _geometric(b) -> bool:
 
 @dataclass(frozen=True)
 class AlgebraPresentation:
-    """Basis with the full structure-constant tensor c[i][j][k]."""
+    """Basis with the full structure-constant tensor c[i][j][k].
+
+    ``basis`` is empty for a subalgebra presented by its tensor alone (see
+    ``_subalgebra``); the dimension is that of the tensor.
+    """
 
     basis: tuple[VectorField, ...]
     constants: tuple[tuple[tuple[Expr, ...], ...], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.constants)
 
     @cached_property
     def unit(self) -> tuple[tuple[Expr, ...], ...]:
@@ -107,8 +124,8 @@ def structure_constants(basis) -> AlgebraPresentation:
     """
     basis = tuple(basis)
     n = len(basis)
-    pairs = list(combinations(range(n), 2))
-    bracket_fields = [commutator(basis[i], basis[j]) for i, j in pairs]
+    bracket_fields = [commutator(basis[i], basis[j])
+                      for i, j in combinations(range(n), 2)]
     coords = linalg.coordinates(basis + tuple(bracket_fields), _geometric)
     columns, bracket_coords = coords[:n], coords[n:]
 
@@ -117,10 +134,28 @@ def structure_constants(basis) -> AlgebraPresentation:
     sols = linalg.f_solve_unique(
         matrix, [[coords.get(r, ex.ZERO) for r in range(nrows)]
                  for coords in bracket_coords], n)
+    pres = AlgebraPresentation(basis, _verified_tensor(
+        [f.coefficients() for f in basis],
+        [f.coefficients() for f in bracket_fields], sols))
+    _check_jacobi(pres)
+    return pres
 
+
+def _verified_tensor(vectors, brackets, sols) -> tuple:
+    """The structure-constant tensor from one solution per pair i < j.
+
+    ``vectors`` are the basis elements and ``brackets`` the directly
+    computed bracket of each pair, both as sequences of expressions (field
+    coefficients, or coordinates over a parent algebra); ``sols`` holds the
+    solved expansion of each bracket, None when it is outside the span.
+    Every expansion sum_k c^k v_k is re-verified against its bracket before
+    it is trusted; a pair that fails raises ``ClosureError`` naming it.
+    """
+    n = len(vectors)
     zero_row = tuple(ex.ZERO for _ in range(n))
     constants = [[zero_row for _ in range(n)] for _ in range(n)]
-    for (i, j), sol, check in zip(pairs, sols, bracket_fields):
+    for (i, j), sol, bracket in zip(combinations(range(n), 2), sols,
+                                    brackets):
         if sol is None:
             raise ClosureError(
                 f"commutator of basis elements {i + 1} and {j + 1} is not in "
@@ -131,30 +166,30 @@ def structure_constants(basis) -> AlgebraPresentation:
             raise ClosureError(
                 f"structure constant for pair ({i + 1}, {j + 1}) is not "
                 f"representable: {err}") from err
-        # decisive re-check against the directly computed commutator
-        for k, c in enumerate(cs):
-            check = check.plus(basis[k].scaled(-c))
-        if not check.is_zero():
+        # decisive re-check against the directly computed bracket
+        terms = [(c, v) for c, v in zip(cs, vectors) if not c.is_zero]
+        if any(ex.sum_of([c * v[slot] for c, v in terms]) != b
+               for slot, b in enumerate(bracket)):
             raise ClosureError(
                 f"expansion of pair ({i + 1}, {j + 1}) failed re-verification")
         constants[i][j] = cs
         constants[j][i] = tuple(-c for c in cs)
-
-    pres = AlgebraPresentation(basis, tuple(tuple(row) for row in constants))
-    _check_jacobi(pres)
-    return pres
+    return tuple(tuple(row) for row in constants)
 
 
 def _check_jacobi(p: AlgebraPresentation):
+    """sum_m c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l = 0 for every
+    triple i < j < k and every l; products with a zero factor are left
+    out."""
     n = p.dimension
     c = p.constants
     for i, j, k in combinations(range(n), 3):
+        outer = [(x, c[m][d]) for ab, d in ((c[i][j], k), (c[j][k], i),
+                                            (c[k][i], j))
+                 for m, x in enumerate(ab) if not x.is_zero]
         for l in range(n):
-            total = ex.ZERO
-            for m in range(n):
-                total = total + c[i][j][m] * c[m][k][l] \
-                    + c[j][k][m] * c[m][i][l] + c[k][i][m] * c[m][j][l]
-            if not total.is_zero:
+            if not ex.sum_of([x * row[l] for x, row in outer
+                              if not row[l].is_zero]).is_zero:
                 raise ExprError(
                     f"Jacobi identity fails on triple ({i+1}, {j+1}, {k+1})")
 
@@ -165,18 +200,20 @@ def _check_jacobi(p: AlgebraPresentation):
 
 def _ad_bracket(p: AlgebraPresentation, v: list[Expr], w: list[Expr]) -> list[Expr]:
     n = p.dimension
-    out = [ex.ZERO] * n
+    pieces: list[list[Expr]] = [[] for _ in range(n)]
     for i in range(n):
         if v[i].is_zero:
             continue
         for j in range(n):
             if w[j].is_zero:
                 continue
-            for k in range(n):
-                c = p.constants[i][j][k]
-                if not c.is_zero:
-                    out[k] = out[k] + v[i] * w[j] * c
-    return out
+            nonzero = [(k, c) for k, c in enumerate(p.constants[i][j])
+                       if not c.is_zero]
+            if nonzero:
+                vw = v[i] * w[j]
+                for k, c in nonzero:
+                    pieces[k].append(vw * c)
+    return [ex.sum_of(ps) for ps in pieces]
 
 
 def _spans(span: list[list[Expr]], vectors: list[list[Expr]]) -> bool:
@@ -209,13 +246,14 @@ def _center(p: AlgebraPresentation) -> list[list[Expr]]:
 
 def _killing_matrix(p: AlgebraPresentation) -> list[list[Expr]]:
     n = p.dimension
+    c = p.constants
     k = [[ex.ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            tr = ex.ZERO
-            for a in range(n):
-                for b in range(n):
-                    tr = tr + p.constants[i][a][b] * p.constants[j][b][a]
+            # trace of ad(e_i) ad(e_j); products with a zero factor left out
+            tr = ex.sum_of([x * c[j][b][a] for a in range(n)
+                            for b, x in enumerate(c[i][a])
+                            if not (x.is_zero or c[j][b][a].is_zero)])
             k[i][j] = tr
             k[j][i] = tr
     return k
@@ -239,11 +277,25 @@ def _derived_space_sub(p, left, right):
     return linalg.f_row_basis(brackets)
 
 
-def _fields_from_coords(p: AlgebraPresentation, coords: list[Expr]) -> VectorField:
-    out = p.basis[0].scaled(coords[0])
-    for k in range(1, p.dimension):
-        out = out.plus(p.basis[k].scaled(coords[k]))
-    return out
+def _subalgebra(p: AlgebraPresentation,
+                vectors: list[list[Expr]]) -> AlgebraPresentation:
+    """The subalgebra spanned by ``vectors`` (coordinates over ``p``),
+    presented by its own tensor and no basis fields.
+
+    ``p``'s tensor is verified against its fields and has passed Jacobi, and
+    the bracket is bilinear over the parameter field, so the brackets of the
+    vectors are read off it: one elimination expands all of them in the
+    vectors, each expansion is re-verified in coordinates, and the new
+    tensor is checked for Jacobi.
+    """
+    s = len(vectors)
+    brackets = [_ad_bracket(p, vectors[a], vectors[b])
+                for a, b in combinations(range(s), 2)]
+    sols = linalg.f_solve_unique([list(row) for row in zip(*vectors)],
+                                 brackets, s)
+    sub = AlgebraPresentation((), _verified_tensor(vectors, brackets, sols))
+    _check_jacobi(sub)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +411,9 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     complement = _levi_complement(p, radical)
     if complement is None:
         return None
-    ideal_fields = [_fields_from_coords(p, v) for v in radical]
-    comp_fields = [_fields_from_coords(p, v) for v in complement]
     try:
-        ideal_verdict = classify(structure_constants(ideal_fields))
-        comp_verdict = classify(structure_constants(comp_fields))
+        ideal_verdict = classify(_subalgebra(p, radical))
+        comp_verdict = classify(_subalgebra(p, complement))
     except ExprError:
         return None
     if "unclassified" in (ideal_verdict.name, comp_verdict.name):

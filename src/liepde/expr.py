@@ -349,6 +349,11 @@ class Expr:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Expr is immutable")
 
+    def __reduce__(self):
+        # rebuilt from its canonical terms; the default slot restore would
+        # go through __setattr__
+        return (Expr, (self.terms,))
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = rational(other)

@@ -3,8 +3,11 @@
 One sparse Gauss-Jordan elimination over ``{column: value}`` rows is
 generic over its field: it gives the reduced echelon form behind rank,
 nullspace and solve both over ``Fraction`` (the ``q_*`` functions) and over
-the fraction field of kernel expressions (``FieldFrac``, the ``f_*``
-functions).  Dense lists are accepted and converted.  Around it:
+the fraction field of kernel expressions (the ``f_*`` functions).  The
+``f_*`` functions eliminate a matrix whose entries are all rational over
+``Fraction`` and any other over ``FieldFrac``; the reduced echelon form is
+unique, so the results are the same either way.  Dense lists are accepted
+and converted.  Around it:
 
 * determinants over ``Fraction`` are fraction-free (Bareiss) eliminations
   over the integers after clearing one common denominator;
@@ -52,11 +55,15 @@ __all__ = [
 Row = dict[int, Fraction]
 
 
-def _sparse(row, of=Fraction) -> dict:
+def _items(row):
+    """The ``(column, value)`` pairs of a dense list or a sparse dict."""
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def _sparse(row) -> Row:
     """A dense list or a ``{column: value}`` dict as a dict of its nonzeros,
-    each converted by ``of``."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: w for c, v in items if (w := of(v))}
+    as ``Fraction``."""
+    return {c: w for c, v in _items(row) if (w := Fraction(v))}
 
 
 def _width(rows, ncols: int | None) -> int:
@@ -525,7 +532,10 @@ class FieldFrac:
     """num/den with kernel-expression parts; zero when the numerator is.
 
     No gcd reduction is attempted; the systems solved here are tiny and the
-    canonical zero test on numerators is all correctness needs.
+    canonical zero test on numerators is all correctness needs.  Only
+    matrices with a non-rational entry are eliminated over this field; the
+    ``f_*`` functions eliminate rational ones over ``Fraction`` and return
+    their results in the same types.
     """
 
     num: Expr
@@ -574,15 +584,37 @@ _F_ZERO = FieldFrac.of(0)
 _F_ONE = FieldFrac.of(1)
 
 
+def _field_rows(matrix) -> tuple[list[dict], object, object]:
+    """Sparse rows of a matrix of expressions or rationals, with the zero
+    and the unit of the field they are eliminated over.
+
+    The field is ``Fraction`` when every entry is rational, else
+    ``FieldFrac``.  The reduced echelon form is unique, so the choice
+    changes the cost of an elimination, never its result.  ``matrix`` rows
+    are dense lists or sparse dicts.
+    """
+    rows = [{c: e for c, v in _items(row) if not (e := ex.as_expr(v)).is_zero}
+            for row in matrix]
+    if all(e.is_rational for row in rows for e in row.values()):
+        return ([{c: e.as_fraction() for c, e in row.items()} for row in rows],
+                Fraction(0), Fraction(1))
+    return ([{c: FieldFrac(e, ex.ONE) for c, e in row.items()}
+             for row in rows], _F_ZERO, _F_ONE)
+
+
 def f_rref(matrix) -> tuple[list[dict[int, FieldFrac]], list[int]]:
     """Reduced row echelon form over the expression field; ``matrix`` rows
     are dense lists or sparse dicts of expressions."""
-    return _rref((_sparse(row, FieldFrac.of) for row in matrix), _F_ONE)
+    rows, _, one = _field_rows(matrix)
+    rref, pivots = _rref(rows, one)
+    return ([{c: FieldFrac.of(v) for c, v in row.items()} for row in rref],
+            pivots)
 
 
 def f_rank(matrix) -> int:
     """Rank over the expression field."""
-    return len(f_rref(matrix)[1])
+    rows, _, one = _field_rows(matrix)
+    return len(_rref(rows, one)[1])
 
 
 def f_solve_unique(matrix, rhss: list[list[Expr]],
@@ -600,17 +632,17 @@ def f_solve_unique(matrix, rhss: list[list[Expr]],
     ncols = _width(matrix, ncols)
     aug = []
     for i, row in enumerate(matrix):
-        row = _sparse(row, FieldFrac.of)
+        row = dict(_items(row))
         for k, rhs in enumerate(rhss):
-            if b := FieldFrac.of(rhs[i]):
-                row[ncols + k] = b
+            row[ncols + k] = rhs[i]
         aug.append(row)
-    rref, pivots = _rref(aug, _F_ONE)
+    rows, zero, one = _field_rows(aug)
+    rref, pivots = _rref(rows, one)
     if pivots[:ncols] != list(range(ncols)):
         raise ExprError("basis is not linearly independent")
     top, below = rref[:ncols], rref[ncols:]
     return [None if any(c in row for row in below)
-            else [row.get(c, _F_ZERO) for row in top]
+            else [FieldFrac.of(row.get(c, zero)) for row in top]
             for c in range(ncols, ncols + len(rhss))]
 
 
@@ -618,21 +650,25 @@ def f_nullspace(matrix) -> list[list[Expr]]:
     """Right-nullspace basis with denominator-cleared expression entries,
     one vector per free column."""
     ncols = _width(matrix, None)
+    rows, zero, one = _field_rows(matrix)
     return [_cleared(v)
-            for v in _nullspace(*f_rref(matrix), ncols, _F_ZERO, _F_ONE)]
+            for v in _nullspace(*_rref(rows, one), ncols, zero, one)]
 
 
 def f_row_basis(matrix) -> list[list[Expr]]:
     """Reduced echelon basis of the row space with denominator-cleared
     expression entries, one dense row per pivot."""
     ncols = _width(matrix, None)
-    return [_cleared([row.get(c, _F_ZERO) for c in range(ncols)])
-            for row in f_rref(matrix)[0]]
+    rows, zero, one = _field_rows(matrix)
+    return [_cleared([row.get(c, zero) for c in range(ncols)])
+            for row in _rref(rows, one)[0]]
 
 
-def _cleared(vec: list[FieldFrac]) -> list[Expr]:
-    """The vector times the product of its distinct non-rational
-    denominators, as expressions."""
+def _cleared(vec: list) -> list[Expr]:
+    """The vector as expressions: a rational one as it is, a ``FieldFrac``
+    one times the product of its distinct non-rational denominators."""
+    if all(isinstance(v, Fraction) for v in vec):
+        return [ex.rational(v) for v in vec]
     dens: list[Expr] = []
     for v in vec:
         if v and not v.den.is_rational and v.den not in dens:

@@ -36,6 +36,7 @@ value equals the classical criterion with every time jet eliminated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from . import expr as ex
@@ -81,6 +82,15 @@ class VectorField:
         for v, c in zip(self.variables, self.xi):
             out = out + c * ex.partial(f, Atom(v))
         return out + self.eta * ex.partial(f, Jet(self.dependent, ()))
+
+    @cached_property
+    def jacobian(self) -> tuple[tuple[Expr, ...], ...]:
+        """First partials of each coefficient (``xi...``, then ``eta``) in
+        each base variable, then in the dependent symbol; computed once per
+        field, on first use."""
+        wrt = [Atom(v) for v in self.variables] + [Jet(self.dependent, ())]
+        return tuple(tuple(ex.partial(c, b) for b in wrt)
+                     for c in self.coefficients())
 
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coefficients())

@@ -3,18 +3,29 @@
 import random
 from fractions import Fraction as Fr
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from liepde import expr as ex
-from liepde.algebra import (ClosureError, classify, commutator,
+from liepde import expr as ex, linalg
+from liepde.algebra import (ClosureError, _killing_matrix, _levi_complement,
+                            _subalgebra, classify, commutator,
                             structure_constants)
-from liepde.expr import DELTA, OMEGA, R, X, Y, ZERO, ONE
+from liepde.cli import _load_basis_file
+from liepde.expr import DELTA, OMEGA, R, T, U, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation
 from liepde.linalg import inertia, q_det
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
+
+
+def _fields_from_coords(basis, coords) -> VectorField:
+    """The vector field with coordinates ``coords`` over ``basis``."""
+    out = basis[0].scaled(coords[0])
+    for field, c in zip(basis[1:], coords[1:]):
+        out = out.plus(field.scaled(c))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +86,32 @@ class TestCommutator:
             split = commutator(a, basis[2]).scaled(c1).plus(
                 commutator(b, basis[2]).scaled(c2))
             assert combo.plus(split.scaled(-1)).is_zero()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cached_jacobian_matches_apply_to(self, seed):
+        # the definition: [X, Y]^k = X(Y^k) - Y(X^k), coefficient-wise
+        rng = random.Random(seed)
+        pool = [T, X, Y, U, R, OMEGA, DELTA, ex.exp_of(Fr(1, 2) * T),
+                ex.exp_of(OMEGA * T - X), ex.exp_of(R * X * DELTA)]
+
+        def coefficient():
+            e = ZERO
+            for _ in range(rng.randint(0, 3)):
+                mono = ex.rational(Fr(rng.randint(-4, 4), rng.randint(1, 3)))
+                for _ in range(rng.randint(0, 3)):
+                    mono = mono * rng.choice(pool)
+                e = e + mono
+            return e
+
+        fields = [VectorField(("t", "x", "y"), "u",
+                              tuple(coefficient() for _ in range(3)),
+                              coefficient()) for _ in range(5)]
+        for a in fields:
+            for b in fields:
+                expected = [a.apply_to(yc) - b.apply_to(xc) for xc, yc
+                            in zip(a.coefficients(), b.coefficients())]
+                assert list(commutator(a, b).coefficients()) == expected
+        assert all(f.jacobian is f.jacobian for f in fields)
 
     def test_jacobi_all_triples(self, basis):
         for i, j, k in combinations(range(6), 3):
@@ -157,10 +194,9 @@ class TestClassification:
 
     def test_sl2_killing_signature(self, reduced_basis):
         # the corrected complement alone is sl(2, R) with signature (2, 1)
-        from liepde.algebra import _fields_from_coords
         pres = structure_constants(reduced_basis.fields)
         verdict = classify(pres)
-        comp_fields = [_fields_from_coords(pres, list(v))
+        comp_fields = [_fields_from_coords(pres.basis, v)
                        for v in verdict.complement_basis]
         sub = classify(structure_constants(comp_fields))
         assert sub.name == "sl(2,R)"
@@ -311,3 +347,69 @@ class TestKillingSignature:
         p = _invertible(rng, n)
         assert _signature(k) == _inertia_by_descartes(k)
         assert _signature(_congruent(k, p)) == _signature(k)
+
+
+def _triangular_mix(rng, fields):
+    """Each field plus a rational multiple of one earlier field, scaled."""
+    out = []
+    for i, field in enumerate(fields):
+        mixed = field.scaled(Fr(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+        if i:
+            other = fields[rng.randrange(i)]
+            mixed = mixed.plus(other.scaled(Fr(rng.randint(-3, 3), 2)))
+        out.append(mixed)
+    return out
+
+
+def _subspaces(pres):
+    """The Killing radical, and the Levi complement when there is one."""
+    radical = linalg.f_nullspace(_killing_matrix(pres))
+    out = [radical]
+    if len(radical) < pres.dimension:
+        out.append(_levi_complement(pres, radical))
+    return out
+
+
+class TestSubalgebras:
+    """Subalgebras presented from the parent's tensor, in coordinates."""
+
+    def _check(self, fields):
+        pres = structure_constants(fields)
+        for vectors in _subspaces(pres):
+            direct = structure_constants(
+                [_fields_from_coords(pres.basis, v) for v in vectors])
+            assert _subalgebra(pres, vectors).constants == direct.constants
+
+    def test_hpz_basis(self, basis):
+        self._check(basis)
+
+    def test_w5_fixture(self):
+        self._check(_load_basis_file(
+            str(Path(__file__).parent.parent / "fixtures" / "w5.json")))
+
+    def test_reduced_basis(self, reduced_basis):
+        self._check(reduced_basis.fields)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_triangular_mixes(self, seed, basis, reduced_basis):
+        rng = random.Random(seed)
+        bound = Binding.parse("R=3,S=2,V=1,W=2")
+        self._check(_triangular_mix(rng, [bound.apply_field(f)
+                                          for f in basis]))
+        self._check(_triangular_mix(rng, reduced_basis.fields))
+
+    def test_corrupted_constant_fails_the_coordinate_recheck(
+            self, reduced_basis, monkeypatch):
+        pres = structure_constants(reduced_basis.fields)
+        radical, complement = _subspaces(pres)
+        solve = linalg.f_solve_unique
+
+        def corrupted(matrix, rhss, ncols=None):
+            sols = solve(matrix, rhss, ncols)
+            sols[-1] = [sols[-1][0] + linalg.FieldFrac.of(1)] + sols[-1][1:]
+            return sols
+
+        monkeypatch.setattr(linalg, "f_solve_unique", corrupted)
+        for vectors in (radical, complement):
+            with pytest.raises(ClosureError, match="re-verification"):
+                _subalgebra(pres, vectors)

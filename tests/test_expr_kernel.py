@@ -151,9 +151,26 @@ class TestBaseOrder:
         assert ExpFactor(2 * T).arg == 2 * T
         assert TFun("a") == TFun("a", 0)
         assert Jet("u") == Jet("u", ())
-        for b in (Atom("omega"), Atom("lam"), TFun("a", 2), j):
+        for b in (Atom("omega"), Atom("lam"), TFun("a", 2), j,
+                  ExpFactor(OMEGA * T - 2 * X)):
             assert pickle.loads(pickle.dumps(b)) == b
             assert copy.copy(b) == b and repr(b) == repr(copy.copy(b))
+
+    def test_expressions_round_trip(self):
+        rng = random.Random(14)
+        exprs = [ZERO, ONE, rational(-7, 3), DELTA * OMEGA,
+                 exp_of(R * T) * exp_of(-X), exp_of(exp_of(T) * X) * Y]
+        exprs += [random_expr(rng) for _ in range(40)]
+        for e in exprs:
+            copies = [pickle.loads(pickle.dumps(e, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(e), copy.deepcopy(e)]
+            for c in copies:
+                assert c.terms == e.terms and hash(c) == hash(e)
+                assert ex.to_text(c) == ex.to_text(e)
+            for b in (b for _, fs in e.terms for b, _ in fs
+                      if isinstance(b, ExpFactor)):
+                assert copy.deepcopy(b) == b and pickle.loads(pickle.dumps(b)) == b
 
 
 class TestFastPaths:

@@ -6,10 +6,11 @@ from math import isqrt
 
 import pytest
 
-from liepde import expr as ex
+from liepde import expr as ex, linalg
 from liepde.expr import ExprError, R, S, V, W
 from liepde.linalg import (FieldFrac, RootExtractionError, coordinates,
-                           f_nullspace, f_rank, f_solve_unique, fraction_sqrt,
+                           f_nullspace, f_rank, f_row_basis, f_rref,
+                           f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_det,
                            q_nullspace, q_rank, q_rref, q_solve,
@@ -382,3 +383,56 @@ class TestSeededExpressionField:
         m = [list(row) for row in zip(*cols)]
         with pytest.raises(ExprError, match="independent"):
             f_solve_unique(m, [[ex.ONE, ex.ZERO, ex.ZERO]])
+
+
+class TestRationalEntries:
+    """Matrices of rational expressions are eliminated over ``Fraction``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_f_functions_agree_with_the_rational_ones(self, seed):
+        rng = random.Random(seed)
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 4)
+        q = [[Fr(rng.randint(-3, 3), rng.randint(1, 3))
+              if rng.random() < 0.6 else Fr(0) for _ in range(ncols)]
+             for _ in range(nrows)]
+        m = [[ex.rational(v) for v in row] for row in q]
+        assert linalg._field_rows(m)[2].__class__ is Fr
+        rref, pivots = q_rref(q)
+        f_rows, f_pivots = f_rref(m)
+        assert f_pivots == pivots
+        assert all(isinstance(v, FieldFrac) for row in f_rows
+                   for v in row.values())
+        assert [{c: v.to_expr().as_fraction() for c, v in row.items()}
+                for row in f_rows] == rref
+        # the generic engine over FieldFrac, which symbolic entries take
+        generic, _ = linalg._rref(
+            ({c: FieldFrac.of(v) for c, v in enumerate(row) if v}
+             for row in q), FieldFrac.of(1))
+        assert [{c: v.to_expr() for c, v in row.items()} for row in generic] \
+            == [{c: v.to_expr() for c, v in row.items()} for row in f_rows]
+        assert f_rank(m) == len(pivots)
+        assert f_nullspace(m) == [[ex.rational(v) for v in vec]
+                                  for vec in q_nullspace(q)]
+        assert f_row_basis(m) == [[ex.rational(row.get(c, 0))
+                                   for c in range(ncols)] for row in rref]
+        if len(pivots) == ncols:
+            x = [Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+            good = [sum(a * b for a, b in zip(row, x)) for row in q]
+            bad = [Fr(rng.randint(-5, 5)) for _ in range(nrows)]
+            expected = q_solve(q, bad)
+            sols = f_solve_unique(m, [[ex.rational(v) for v in good],
+                                      [ex.rational(v) for v in bad]])
+            assert [v.to_expr().as_fraction() for v in sols[0]] == x
+            if expected is None:
+                assert sols[1] is None
+            else:
+                assert [v.to_expr().as_fraction() for v in sols[1]] == expected
+
+    def test_one_symbolic_entry_takes_the_expression_field(self):
+        # rank 2 over the field, although it drops to 1 at R = 4
+        m = [[ex.ONE, ex.rational(2)], [ex.rational(2), R]]
+        assert isinstance(linalg._field_rows(m)[2], FieldFrac)
+        assert f_rank(m) == 2
+        assert f_nullspace(m) == []
+        [sol] = f_solve_unique(m, [[ex.rational(3), R + 2]])
+        assert all((v.num - v.den).is_zero for v in sol)   # x = y = 1
