@@ -5,10 +5,20 @@ Structure constants are found by one exact elimination against a monomial
 coordinatisation of the coefficient functions, solving for every bracket at
 once over the symbolic parameter field; every expansion is re-verified
 against the directly computed commutator before it is trusted, and
-non-closure is an error naming the offending pair.  Spans, ranks and
-projections of subspaces go through the same sparse elimination in
-``linalg``, which eliminates a matrix whose entries are all rational over
-``Fraction``.
+non-closure is an error naming the offending pair.
+
+The tensor is held in the field of its constants: as ``Fraction`` when
+every constant is rational, else as kernel expressions.  Everything after
+it -- brackets, Jacobi, the Killing matrix, centre, derived series,
+subalgebras, the Levi correction -- is one body that uses only ``+``,
+``*`` and truth tests on the entries, with spans, ranks and solves from
+the ``q_*`` eliminations over ``Fraction`` or the ``f_*`` ones over the
+parameter field.  Values become expressions only where they are rendered
+(``constants_text``, ``Verdict.as_dict``).  Following de Graaf (*Lie
+Algebras: Theory and Algorithms*, 2000), brackets of basis elements are
+read straight off the tensor: the derived algebra is the row space of the
+slices c[i][j] with i < j, [e_i, w] is the tensor contracted with w, and
+Jacobi, homogeneous quadratic in c, is checked on the integer tensor D*c.
 
 Classification detects the structures this engine meets: abelian nA1,
 Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form
@@ -28,7 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError
@@ -64,6 +75,90 @@ def _products(coeffs, partials) -> list[Expr]:
 
 
 # ---------------------------------------------------------------------------
+# the field of the constants
+# ---------------------------------------------------------------------------
+
+class _Rationals:
+    """Constants in Q, held as ``Fraction``; the ``q_*`` eliminations."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    @staticmethod
+    def cleared(tensor):
+        """The tensor times the lcm D of its denominators, over the integers,
+        and the integer zero: D*c has integer products and, for a
+        homogeneous identity such as Jacobi, the same zeros."""
+        d = lcm(*(x.denominator for row in tensor for col in row for x in col))
+        return ([[[x.numerator * (d // x.denominator) for x in col]
+                  for col in row] for row in tensor], 0)
+
+    # looked up in ``linalg`` at call time, where tracing and tests patch them
+    @staticmethod
+    def rank(rows):
+        return linalg.q_rank(rows)
+
+    @staticmethod
+    def nullspace(rows):
+        return linalg.q_nullspace(rows)
+
+    @staticmethod
+    def row_basis(rows):
+        return linalg.q_row_basis(rows)
+
+    @staticmethod
+    def rref(rows):
+        return linalg.q_rref(rows)
+
+    @staticmethod
+    def solve(matrix, rhss, ncols=None):
+        return linalg.q_solve_unique(matrix, rhss, ncols)
+
+
+class _Expressions:
+    """Constants in the parameter field, held as ``Expr``; the ``f_*``
+    eliminations, whose ``rref`` and ``solve`` give ``FieldFrac``s."""
+
+    zero, one = ex.ZERO, ex.ONE
+
+    @staticmethod
+    def cleared(tensor):
+        return tensor, ex.ZERO
+
+    @staticmethod
+    def rank(rows):
+        return linalg.f_rank(rows)
+
+    @staticmethod
+    def nullspace(rows):
+        return linalg.f_nullspace(rows)
+
+    @staticmethod
+    def row_basis(rows):
+        return linalg.f_row_basis(rows)
+
+    @staticmethod
+    def rref(rows):
+        return linalg.f_rref(rows)
+
+    @staticmethod
+    def solve(matrix, rhss, ncols=None):
+        return linalg.f_solve_unique(matrix, rhss, ncols)
+
+
+def _value(x):
+    """An elimination result as a constant: a ``FieldFrac`` as its exact
+    expression (ExprError when that is not representable), a ``Fraction``
+    as it is."""
+    return x.to_expr() if isinstance(x, linalg.FieldFrac) else x
+
+
+def _sum(pieces: list, zero):
+    """The sum of ``pieces`` in the ring of ``zero``; expressions are merged
+    by one collection."""
+    return ex.sum_of(pieces) if isinstance(zero, Expr) else sum(pieces, zero)
+
+
+# ---------------------------------------------------------------------------
 # coordinatisation over the parameter field
 # ---------------------------------------------------------------------------
 
@@ -78,29 +173,47 @@ def _geometric(b) -> bool:
 class AlgebraPresentation:
     """Basis with the full structure-constant tensor c[i][j][k].
 
-    ``basis`` is empty for a subalgebra presented by its tensor alone (see
-    ``_subalgebra``); the dimension is that of the tensor.
+    The constants are all ``Fraction`` or all ``Expr``, and the presentation
+    computes in that field (``field``).  ``structure_constants`` and
+    ``_subalgebra`` hold them as ``Fraction`` exactly when every one is
+    rational.  ``basis`` is empty for a subalgebra presented by its tensor
+    alone (see ``_subalgebra``); the dimension is that of the tensor.
     """
 
     basis: tuple[VectorField, ...]
-    constants: tuple[tuple[tuple[Expr, ...], ...], ...]
+    constants: tuple[tuple[tuple[Fraction | Expr, ...], ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.constants)
 
     @cached_property
-    def unit(self) -> tuple[tuple[Expr, ...], ...]:
+    def field(self):
+        """``_Expressions`` when some constant is an ``Expr``, else
+        ``_Rationals``."""
+        if any(isinstance(x, Expr) for row in self.constants for col in row
+               for x in col):
+            return _Expressions
+        return _Rationals
+
+    @cached_property
+    def unit(self) -> tuple[tuple, ...]:
         """Coordinates of the basis elements themselves."""
-        n = self.dimension
-        return tuple(tuple(ex.ONE if i == j else ex.ZERO for j in range(n))
+        n, zero, one = self.dimension, self.field.zero, self.field.one
+        return tuple(tuple(one if i == j else zero for j in range(n))
                      for i in range(n))
 
-    def is_rational(self) -> bool:
-        return all(c.is_rational for row in self.constants for col in row
-                   for c in col)
+    @cached_property
+    def sparse(self) -> tuple:
+        """``sparse[i][j]``: the (k, c_ij^k) pairs with c_ij^k nonzero."""
+        return tuple(tuple(tuple((k, x) for k, x in enumerate(col) if x)
+                           for col in row) for row in self.constants)
 
-    def bracket_coords(self, i: int, j: int) -> tuple[Expr, ...]:
+    def is_rational(self) -> bool:
+        return all(not isinstance(x, Expr) or x.is_rational
+                   for row in self.constants for col in row for x in col)
+
+    def bracket_coords(self, i: int, j: int) -> tuple:
         return self.constants[i][j]
 
     def constants_text(self) -> list[dict]:
@@ -110,9 +223,9 @@ class AlgebraPresentation:
             for j in range(i + 1, n):
                 for k in range(n):
                     c = self.constants[i][j][k]
-                    if not c.is_zero:
+                    if c:
                         out.append({"i": i + 1, "j": j + 1, "k": k + 1,
-                                    "value": ex.to_text(c)})
+                                    "value": ex.to_text(ex.as_expr(c))})
         return out
 
 
@@ -127,33 +240,40 @@ def structure_constants(basis) -> AlgebraPresentation:
     bracket_fields = [commutator(basis[i], basis[j])
                       for i, j in combinations(range(n), 2)]
     coords = linalg.coordinates(basis + tuple(bracket_fields), _geometric)
+    # rational coordinates are solved over Q and give Fraction constants
+    field = _Rationals if all(e.is_rational for row in coords
+                              for e in row.values()) else _Expressions
+    if field is _Rationals:
+        coords = [{r: e.as_fraction() for r, e in row.items()}
+                  for row in coords]
     columns, bracket_coords = coords[:n], coords[n:]
 
     nrows = len(set().union(*coords))
-    matrix = [[col.get(r, ex.ZERO) for col in columns] for r in range(nrows)]
-    sols = linalg.f_solve_unique(
-        matrix, [[coords.get(r, ex.ZERO) for r in range(nrows)]
-                 for coords in bracket_coords], n)
+    zero = field.zero
+    matrix = [[col.get(r, zero) for col in columns] for r in range(nrows)]
+    sols = field.solve(matrix, [[bc.get(r, zero) for r in range(nrows)]
+                                for bc in bracket_coords], n)
     pres = AlgebraPresentation(basis, _verified_tensor(
         [f.coefficients() for f in basis],
-        [f.coefficients() for f in bracket_fields], sols))
+        [f.coefficients() for f in bracket_fields], sols, ex.ZERO))
     _check_jacobi(pres)
     return pres
 
 
-def _verified_tensor(vectors, brackets, sols) -> tuple:
+def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
     """The structure-constant tensor from one solution per pair i < j.
 
     ``vectors`` are the basis elements and ``brackets`` the directly
-    computed bracket of each pair, both as sequences of expressions (field
-    coefficients, or coordinates over a parent algebra); ``sols`` holds the
-    solved expansion of each bracket, None when it is outside the span.
-    Every expansion sum_k c^k v_k is re-verified against its bracket before
-    it is trusted; a pair that fails raises ``ClosureError`` naming it.
+    computed bracket of each pair, both as sequences over the ring of
+    ``zero`` (field coefficients, or coordinates over a parent algebra);
+    ``sols`` holds the solved expansion of each bracket, None when it is
+    outside the span.  Every expansion sum_k c^k v_k is re-verified against
+    its bracket before it is trusted; a pair that fails raises
+    ``ClosureError`` naming it.  The constants come back as ``Fraction``
+    when all are rational, else as ``Expr``.
     """
     n = len(vectors)
-    zero_row = tuple(ex.ZERO for _ in range(n))
-    constants = [[zero_row for _ in range(n)] for _ in range(n)]
+    expansions = {}
     for (i, j), sol, bracket in zip(combinations(range(n), 2), sols,
                                     brackets):
         if sol is None:
@@ -161,124 +281,151 @@ def _verified_tensor(vectors, brackets, sols) -> tuple:
                 f"commutator of basis elements {i + 1} and {j + 1} is not in "
                 f"the span of the basis")
         try:
-            cs = tuple(s.to_expr() for s in sol)
+            cs = tuple(_value(s) for s in sol)
         except ExprError as err:
             raise ClosureError(
                 f"structure constant for pair ({i + 1}, {j + 1}) is not "
                 f"representable: {err}") from err
         # decisive re-check against the directly computed bracket
-        terms = [(c, v) for c, v in zip(cs, vectors) if not c.is_zero]
-        if any(ex.sum_of([c * v[slot] for c, v in terms]) != b
+        terms = [(c, v) for c, v in zip(cs, vectors) if c]
+        if any(_sum([c * v[slot] for c, v in terms], zero) != b
                for slot, b in enumerate(bracket)):
             raise ClosureError(
                 f"expansion of pair ({i + 1}, {j + 1}) failed re-verification")
-        constants[i][j] = cs
-        constants[j][i] = tuple(-c for c in cs)
-    return tuple(tuple(row) for row in constants)
+        expansions[i, j] = cs
+    if all(not isinstance(c, Expr) or c.is_rational
+           for cs in expansions.values() for c in cs):
+        field = _Rationals
+        expansions = {ij: tuple(c.as_fraction() if isinstance(c, Expr) else c
+                                for c in cs) for ij, cs in expansions.items()}
+    else:
+        field = _Expressions
+    zero_row = (field.zero,) * n
+    return tuple(tuple(expansions[i, j] if i < j
+                       else tuple(-c for c in expansions[j, i]) if j < i
+                       else zero_row for j in range(n)) for i in range(n))
 
 
 def _check_jacobi(p: AlgebraPresentation):
     """sum_m c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l = 0 for every
     triple i < j < k and every l; products with a zero factor are left
-    out."""
-    n = p.dimension
-    c = p.constants
-    for i, j, k in combinations(range(n), 3):
+    out.  The identity is homogeneous quadratic in c, so it is checked on
+    ``field.cleared``, which is D*c over the integers for rationals."""
+    c, zero = p.field.cleared(p.constants)
+    for i, j, k in combinations(range(p.dimension), 3):
         outer = [(x, c[m][d]) for ab, d in ((c[i][j], k), (c[j][k], i),
                                             (c[k][i], j))
-                 for m, x in enumerate(ab) if not x.is_zero]
-        for l in range(n):
-            if not ex.sum_of([x * row[l] for x, row in outer
-                              if not row[l].is_zero]).is_zero:
+                 for m, x in enumerate(ab) if x]
+        for l in range(p.dimension):
+            if _sum([x * row[l] for x, row in outer if row[l]], zero):
                 raise ExprError(
                     f"Jacobi identity fails on triple ({i+1}, {j+1}, {k+1})")
 
 
 # ---------------------------------------------------------------------------
-# subspace machinery (coordinates are expressions over the basis)
+# subspace machinery (coordinates over the basis, in the constants' field)
 # ---------------------------------------------------------------------------
 
-def _ad_bracket(p: AlgebraPresentation, v: list[Expr], w: list[Expr]) -> list[Expr]:
-    n = p.dimension
-    pieces: list[list[Expr]] = [[] for _ in range(n)]
-    for i in range(n):
-        if v[i].is_zero:
+def _ad_bracket(p: AlgebraPresentation, v, w) -> list:
+    """[v, w] = sum_{i<j} (v_i w_j - v_j w_i) c_ij, by antisymmetry; only
+    nonzero coordinates are multiplied."""
+    sparse = p.sparse
+    ws = [(j, y) for j, y in enumerate(w) if y]
+    coeffs: dict = {}
+    for i, x in enumerate(v):
+        if not x:
             continue
-        for j in range(n):
-            if w[j].is_zero:
+        for j, y in ws:
+            if i == j or not sparse[i][j]:
                 continue
-            nonzero = [(k, c) for k, c in enumerate(p.constants[i][j])
-                       if not c.is_zero]
-            if nonzero:
-                vw = v[i] * w[j]
-                for k, c in nonzero:
-                    pieces[k].append(vw * c)
-    return [ex.sum_of(ps) for ps in pieces]
+            xy = x * y
+            key, xy = ((i, j), xy) if i < j else ((j, i), -xy)
+            coeffs[key] = coeffs[key] + xy if key in coeffs else xy
+    pieces: list[list] = [[] for _ in range(p.dimension)]
+    for (i, j), a in coeffs.items():
+        if a:
+            for k, x in sparse[i][j]:
+                pieces[k].append(a * x)
+    zero = p.field.zero
+    return [_sum(ps, zero) for ps in pieces]
 
 
-def _spans(span: list[list[Expr]], vectors: list[list[Expr]]) -> bool:
-    """Every vector lies in the span of ``span``: adding them keeps the rank."""
-    return linalg.f_rank(span + vectors) == linalg.f_rank(span)
+def _ad_unit(p: AlgebraPresentation, i: int, w) -> list:
+    """[e_i, w] = sum_j w_j c_ij: the tensor contracted with ``w``."""
+    pieces: list[list] = [[] for _ in range(p.dimension)]
+    for x, entries in zip(w, p.sparse[i]):
+        if x:
+            for k, y in entries:
+                pieces[k].append(x * y)
+    zero = p.field.zero
+    return [_sum(ps, zero) for ps in pieces]
 
 
-def _independent(prefix: list[list[Expr]],
-                 vectors: list[list[Expr]]) -> list[list[Expr]]:
+def _spans(p: AlgebraPresentation, span: list, vectors: list) -> bool:
+    """Every vector lies in the span of the independent vectors ``span``:
+    adding them keeps the rank at ``len(span)``."""
+    return p.field.rank(span + vectors) == len(span)
+
+
+def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
     """The vectors independent of ``prefix`` and of the vectors before them.
 
     With all of them as columns, these are the pivot columns past ``prefix``.
     """
-    pivots = linalg.f_rref([list(row) for row in zip(*prefix, *vectors)])[1]
+    pivots = p.field.rref([list(row) for row in zip(*prefix, *vectors)])[1]
     return [vectors[c - len(prefix)] for c in pivots if c >= len(prefix)]
 
 
-def _derived_space(p: AlgebraPresentation) -> list[list[Expr]]:
-    return _derived_space_sub(p, p.unit, p.unit)
+def _derived_space(p: AlgebraPresentation) -> list:
+    """The row space of the slices c[i][j], i < j: every [e_i, e_j]."""
+    c = p.constants
+    return p.field.row_basis([list(c[i][j])
+                              for i, j in combinations(range(p.dimension), 2)])
 
 
-def _center(p: AlgebraPresentation) -> list[list[Expr]]:
+def _center(p: AlgebraPresentation) -> list:
     n = p.dimension
     rows = []
     for j in range(n):
         for k in range(n):
             rows.append([p.constants[i][j][k] for i in range(n)])
-    return linalg.f_nullspace(rows)
+    return p.field.nullspace(rows)
 
 
-def _killing_matrix(p: AlgebraPresentation) -> list[list[Expr]]:
+def _killing_matrix(p: AlgebraPresentation) -> list[list]:
+    """tr(ad(e_i) ad(e_j)) = sum_{a,b} c_ia^b c_jb^a; products with a zero
+    factor left out."""
     n = p.dimension
-    c = p.constants
-    k = [[ex.ZERO] * n for _ in range(n)]
+    c, sparse, zero = p.constants, p.sparse, p.field.zero
+    k = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            # trace of ad(e_i) ad(e_j); products with a zero factor left out
-            tr = ex.sum_of([x * c[j][b][a] for a in range(n)
-                            for b, x in enumerate(c[i][a])
-                            if not (x.is_zero or c[j][b][a].is_zero)])
+            tr = _sum([x * c[j][b][a] for a in range(n)
+                       for b, x in sparse[i][a] if c[j][b][a]], zero)
             k[i][j] = tr
             k[j][i] = tr
     return k
 
 
-def _is_nilpotent(p: AlgebraPresentation, space: list[list[Expr]]) -> bool:
+def _is_nilpotent(p: AlgebraPresentation, space: list) -> bool:
     """Lower central series of the subalgebra spanned by ``space`` hits zero."""
-    current = space
-    for _ in range(len(space) + 1):
-        if not current:
-            return True
-        nxt = _derived_space_sub(p, space, current)
+    current, nxt = space, _derived_space_sub(p, space)
+    while nxt:
         if len(nxt) >= len(current):
             return False  # series stalled above zero
-        current = nxt
-    return not current
+        current, nxt = nxt, _derived_space_sub(p, space, nxt)
+    return True
 
 
-def _derived_space_sub(p, left, right):
-    brackets = [_ad_bracket(p, v, w) for v in left for w in right]
-    return linalg.f_row_basis(brackets)
+def _derived_space_sub(p: AlgebraPresentation, left: list,
+                       right: list | None = None) -> list:
+    """Row basis of [left, right]; of [left, left] from the pairs a < b
+    when ``right`` is None."""
+    pairs = combinations(left, 2) if right is None else product(left, right)
+    return p.field.row_basis([_ad_bracket(p, v, w) for v, w in pairs])
 
 
-def _subalgebra(p: AlgebraPresentation,
-                vectors: list[list[Expr]]) -> AlgebraPresentation:
+def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
     """The subalgebra spanned by ``vectors`` (coordinates over ``p``),
     presented by its own tensor and no basis fields.
 
@@ -291,9 +438,9 @@ def _subalgebra(p: AlgebraPresentation,
     s = len(vectors)
     brackets = [_ad_bracket(p, vectors[a], vectors[b])
                 for a, b in combinations(range(s), 2)]
-    sols = linalg.f_solve_unique([list(row) for row in zip(*vectors)],
-                                 brackets, s)
-    sub = AlgebraPresentation((), _verified_tensor(vectors, brackets, sols))
+    sols = p.field.solve([list(row) for row in zip(*vectors)], brackets, s)
+    sub = AlgebraPresentation(
+        (), _verified_tensor(vectors, brackets, sols, p.field.zero))
     _check_jacobi(sub)
     return sub
 
@@ -304,13 +451,16 @@ def _subalgebra(p: AlgebraPresentation,
 
 @dataclass(frozen=True)
 class Verdict:
+    """A classification with its witnesses, coordinates over the basis in
+    the constants' field; ``as_dict`` renders them as expressions."""
+
     name: str
     mubarakzyanov_label: str | None
     dimension: int
     center_dim: int
     derived_dim: int
-    ideal_basis: tuple[tuple[Expr, ...], ...] = ()
-    complement_basis: tuple[tuple[Expr, ...], ...] = ()
+    ideal_basis: tuple[tuple[Fraction | Expr, ...], ...] = ()
+    complement_basis: tuple[tuple[Fraction | Expr, ...], ...] = ()
     notes: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -320,11 +470,14 @@ class Verdict:
             "dimension": self.dimension,
             "center_dim": self.center_dim,
             "derived_dim": self.derived_dim,
-            "ideal_basis": [[ex.to_text(c) for c in v] for v in self.ideal_basis],
-            "complement_basis": [[ex.to_text(c) for c in v]
-                                 for v in self.complement_basis],
+            "ideal_basis": _texts(self.ideal_basis),
+            "complement_basis": _texts(self.complement_basis),
             "notes": list(self.notes),
         }
+
+
+def _texts(vectors) -> list[list[str]]:
+    return [[ex.to_text(ex.as_expr(c)) for c in v] for v in vectors]
 
 
 _W3_NOTE = ("the three-dimensional Heisenberg-Weyl algebra is labelled A3,3 "
@@ -338,9 +491,8 @@ def _heisenberg_check(p: AlgebraPresentation, center, derived) -> bool:
         return False
     if len(center) != 1 or len(derived) != 1:
         return False
-    # the derived algebra and every bracket central
-    return _spans(center, derived + [_ad_bracket(p, p.unit[i], p.unit[j])
-                                     for i, j in combinations(range(n), 2)])
+    # every bracket central: the derived algebra is the span of the c[i][j]
+    return _spans(p, center, derived)
 
 
 def classify(p: AlgebraPresentation) -> Verdict:
@@ -370,9 +522,9 @@ def classify(p: AlgebraPresentation) -> Verdict:
                        notes=("the unique non-abelian two-dimensional algebra",))
 
     if n == 3 and p.is_rational():
-        kmat = _killing_matrix(p)
         pos, neg, zero = linalg.inertia(
-            [[c.as_fraction() for c in row] for row in kmat])
+            [[ex.as_expr(c).as_fraction() for c in row]
+             for row in _killing_matrix(p)])
         if zero == 0 and (pos, neg) == (2, 1):
             return Verdict("sl(2,R)", "A3,8", n, cd, dd,
                            notes=("Killing form nondegenerate with "
@@ -397,16 +549,15 @@ def _unclassified(p: AlgebraPresentation, why: str, center,
 def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     """Detect complement (+)s nilradical via the Killing-form radical."""
     n = p.dimension
-    kmat = _killing_matrix(p)
-    radical = linalg.f_nullspace(kmat)
+    radical = p.field.nullspace(_killing_matrix(p))
     m = len(radical)
     if not 0 < m < n:
         return None
     if not _is_nilpotent(p, radical):
         return None
-    # radical must be an ideal
-    if not _spans(radical,
-                  [_ad_bracket(p, v, w) for v in p.unit for w in radical]):
+    # radical must be an ideal: [e_i, w] in it for every i and w in it
+    if not _spans(p, radical,
+                  [_ad_unit(p, i, w) for i in range(n) for w in radical]):
         return None
     complement = _levi_complement(p, radical)
     if complement is None:
@@ -429,8 +580,7 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
         notes=notes)
 
 
-def _levi_complement(p: AlgebraPresentation,
-                     radical: list[list[Expr]]) -> list[list[Expr]] | None:
+def _levi_complement(p: AlgebraPresentation, radical: list) -> list | None:
     """A complement to the nilradical that closes under the bracket.
 
     Basis elements independent of the radical are corrected by solving two
@@ -439,7 +589,7 @@ def _levi_complement(p: AlgebraPresentation,
     radical; the first correction is skipped when the raw complement already
     closes, which also covers symbolic one-dimensional complements).
     """
-    lifts = _independent(radical, p.unit)
+    lifts = _independent(p, radical, p.unit)
     if len(lifts) + len(radical) != p.dimension:
         return None
     if _closes(p, lifts):
@@ -447,8 +597,8 @@ def _levi_complement(p: AlgebraPresentation,
     if not p.is_rational():
         return None  # symbolic correction not attempted
 
-    rad_z = _derived_space_sub(p, radical, radical)
-    stage_one = _independent(rad_z, radical)
+    rad_z = _derived_space_sub(p, radical)
+    stage_one = _independent(p, rad_z, radical)
     # the filtration matters: corrections are solved first modulo [N, N]
     # (whose stage coordinates the quadratic term cannot touch), then inside
     # [N, N] itself
@@ -461,14 +611,13 @@ def _levi_complement(p: AlgebraPresentation,
     return lifts if _closes(p, lifts) else None
 
 
-def _closes(p: AlgebraPresentation, lifts: list[list[Expr]]) -> bool:
-    return _spans(lifts, [_ad_bracket(p, lifts[i], lifts[j])
-                          for i, j in combinations(range(len(lifts)), 2)])
+def _closes(p: AlgebraPresentation, lifts: list) -> bool:
+    return _spans(p, lifts, [_ad_bracket(p, lifts[i], lifts[j])
+                             for i, j in combinations(range(len(lifts)), 2)])
 
 
-def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
-                   stage: list[list[Expr]],
-                   lower: list[list[Expr]]) -> list[list[Expr]] | None:
+def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
+                   lower: list) -> list | None:
     """One Levi correction step: solve for c with the defects killed mod stage.
 
     Unknowns are the coefficients of the corrections c_i in the stage space;
@@ -476,7 +625,8 @@ def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
     the corrected lifts must lose its stage-space component.  ``lower`` is
     the complement of the stage inside the radical and must contain the
     brackets of stage elements, so the quadratic correction term has no
-    stage coordinate and the condition is linear.
+    stage coordinate and the condition is linear.  Free unknowns are set to
+    zero.
     """
     s = len(lifts)
     m = len(stage)
@@ -486,61 +636,59 @@ def _correct_stage(p: AlgebraPresentation, lifts: list[list[Expr]],
     pairs = list(combinations(range(s), 2))
     # a bracket [l_i, l_j] per pair, then ad(l_i) stage_k at index i*m + k
     coords = _project(
-        [_ad_bracket(p, lifts[i], lifts[j]) for i, j in pairs]
+        p, [_ad_bracket(p, lifts[i], lifts[j]) for i, j in pairs]
         + [_ad_bracket(p, l, st) for l in lifts for st in stage],
         lifts, stage, lower)
     if coords is None:
         return None
     ad = [d for _, d in coords[len(pairs):]]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    zero = p.field.zero
+    ncols = s * m
+    rows = []
     for (i, j), (a_coords, defect_stage) in zip(pairs, coords):
         # unknowns: c[i][k] coefficients; equation per stage coordinate:
         # defect + ad(l_i) c_j - ad(l_j) c_i - sum_k a^k c_k  = 0 (mod below)
         for t in range(m):
-            row = [Fraction(0)] * (s * m)
+            row = [zero] * (ncols + 1)
             for k in range(m):
                 row[j * m + k] += ad[i * m + k][t]
                 row[i * m + k] -= ad[j * m + k][t]
             for q in range(s):
                 row[q * m + t] -= a_coords[q]
+            row[ncols] = -defect_stage[t]
             rows.append(row)
-            rhs.append(-defect_stage[t])
-    rref, pivots = linalg.q_rref([r + [b] for r, b in zip(rows, rhs)])
-    ncols = s * m
+    rref, pivots = p.field.rref(rows)
     if ncols in pivots:
         return None  # inconsistent
-    sol = [Fraction(0)] * ncols
+    sol = [zero] * ncols
     for row, pc in zip(rref, pivots):
-        sol[pc] = row.get(ncols, Fraction(0))
+        if ncols in row:
+            sol[pc] = _value(row[ncols])
     corrected = []
     for i in range(s):
         vec = list(lifts[i])
         for k in range(m):
             coeff = sol[i * m + k]
             if coeff:
-                vec = [a + ex.rational(coeff) * b for a, b in zip(vec, stage[k])]
+                vec = [a + coeff * b for a, b in zip(vec, stage[k])]
         corrected.append(vec)
     return corrected
 
 
-def _project(vectors, lifts, stage, lower):
+def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
     """Write each vec = sum a_q lift_q + sum d_t stage_t + (lower part).
 
     ``lifts + stage + lower`` must be a basis of the whole space.  Returns
-    one (a coefficients, stage coefficients) pair of rationals per vector,
-    from one elimination, or None when some decomposition is not rational.
+    one (a coefficients, stage coefficients) pair per vector, from one
+    elimination, or None when some vector is outside that span.
     """
     cols_all = lifts + stage + lower
     matrix = [[col[r] for col in cols_all] for r in range(len(cols_all[0]))]
     out = []
-    for sol in linalg.f_solve_unique(matrix, vectors):
+    for sol in p.field.solve(matrix, vectors):
         if sol is None:
             return None
-        try:
-            values = [s.to_expr().as_fraction() for s in sol]
-        except ExprError:
-            return None
+        values = [_value(s) for s in sol]
         out.append((values[:len(lifts)],
                     values[len(lifts):len(lifts) + len(stage)]))
     return out

@@ -384,6 +384,11 @@ class Expr:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        # false exactly at zero, like a number, so exact field code can use
+        # one truth test for Fraction and Expr entries
+        return bool(self.terms)
+
     @property
     def is_rational(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and not self.terms[0][1])
@@ -419,17 +424,17 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         if not isinstance(other, Expr):
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other)
             other = as_expr(other)
         a, b = self.terms, other.terms
         if not a or not b:
             return ZERO
         # a rational factor k only scales: k*c*m is canonical when c*m is
         if len(b) == 1 and not b[0][1]:
-            k = b[0][0]
-            return self if k == 1 else Expr(tuple([(c * k, fs) for c, fs in a]))
+            return self._scaled(b[0][0])
         if len(a) == 1 and not a[0][1]:
-            k = a[0][0]
-            return other if k == 1 else Expr(tuple([(k * c, fs) for c, fs in b]))
+            return other._scaled(a[0][0])
         pieces: list[Term] = []
         for c1, f1 in a:
             for c2, f2 in b:
@@ -437,6 +442,11 @@ class Expr:
         return Expr(_collect(pieces))
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: Rational) -> "Expr":
+        if not k or not self.terms:
+            return ZERO
+        return self if k == 1 else Expr(tuple([(c * k, fs) for c, fs in self.terms]))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):

@@ -2,8 +2,9 @@
 
 One sparse Gauss-Jordan elimination over ``{column: value}`` rows is
 generic over its field: it gives the reduced echelon form behind rank,
-nullspace and solve both over ``Fraction`` (the ``q_*`` functions) and over
-the fraction field of kernel expressions (the ``f_*`` functions).  The
+nullspace, row space and solve both over ``Fraction`` (the ``q_*``
+functions) and over the fraction field of kernel expressions (the ``f_*``
+functions).  The
 ``f_*`` functions eliminate a matrix whose entries are all rational over
 ``Fraction`` and any other over ``FieldFrac``; the reduced echelon form is
 unique, so the results are the same either way.  Dense lists are accepted
@@ -39,7 +40,8 @@ from . import expr as ex
 from .expr import Expr, ExprError
 
 __all__ = [
-    "q_rref", "q_rank", "q_nullspace", "q_solve",
+    "q_rref", "q_rank", "q_nullspace", "q_solve", "q_solve_unique",
+    "q_row_basis",
     "Poly", "p_trim", "p_add", "p_mul", "p_eval", "p_div_exact",
     "rational_roots", "RootExtractionError",
     "pencil_pivots", "charpoly", "inertia", "coordinates",
@@ -63,7 +65,8 @@ def _items(row):
 def _sparse(row) -> Row:
     """A dense list or a ``{column: value}`` dict as a dict of its nonzeros,
     as ``Fraction``."""
-    return {c: w for c, v in _items(row) if (w := Fraction(v))}
+    return {c: v if isinstance(v, Fraction) else Fraction(v)
+            for c, v in _items(row) if v}
 
 
 def _width(rows, ncols: int | None) -> int:
@@ -175,6 +178,54 @@ def q_solve(rows, rhs: list[Fraction],
     if len(pivots) < ncols:
         raise ExprError("underdetermined linear system")
     return [row.get(ncols, Fraction(0)) for row in rref]
+
+
+def q_solve_unique(matrix, rhss: list[list[Fraction]],
+                   ncols: int | None = None) -> list[list[Fraction] | None]:
+    """``f_solve_unique`` over the rationals: the unique solution of
+    matrix * x = rhs for each rhs, from one elimination, None for an
+    inconsistent one; raises when the columns are dependent."""
+    ncols = _width(matrix, ncols)
+    return _solve_unique((_sparse(row) for row in _augmented(matrix, rhss, ncols)),
+                         ncols, len(rhss), Fraction(0), Fraction(1))
+
+
+def q_row_basis(rows, ncols: int | None = None) -> list[list[Fraction]]:
+    """Reduced echelon basis of the row space, one dense row per pivot;
+    sparse rows need ``ncols``."""
+    ncols = _width(rows, ncols)
+    zero = Fraction(0)
+    return [[row.get(c, zero) for c in range(ncols)] for row in q_rref(rows)[0]]
+
+
+def _augmented(matrix, rhss, ncols: int) -> list[dict]:
+    """The matrix as ``{column: value}`` rows with right-hand side k in
+    column ``ncols + k``."""
+    aug = []
+    for i, row in enumerate(matrix):
+        row = dict(_items(row))
+        for k, rhs in enumerate(rhss):
+            row[ncols + k] = rhs[i]
+        aug.append(row)
+    return aug
+
+
+def _solve_unique(rows, ncols: int, nrhs: int, zero, one) -> list[list | None]:
+    """Unique solutions from augmented sparse field rows, as in
+    ``f_solve_unique``.
+
+    Row operations keep the linear relations among columns, so the column
+    of a consistent rhs reduces to its solution on the pivot rows of the
+    matrix and is zero below them; an inconsistent one keeps an entry below
+    them.
+    """
+    rref, pivots = _rref(rows, one)
+    if pivots[:ncols] != list(range(ncols)):
+        raise ExprError("basis is not linearly independent")
+    top, below = rref[:ncols], rref[ncols:]
+    return [None if any(c in row for row in below)
+            else [row.get(c, zero) for row in top]
+            for c in range(ncols, ncols + nrhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -620,30 +671,16 @@ def f_rank(matrix) -> int:
 def f_solve_unique(matrix, rhss: list[list[Expr]],
                    ncols: int | None = None) -> list[list[FieldFrac] | None]:
     """Unique solution of matrix * x = rhs over the expression field, for
-    each rhs in ``rhss``, from one elimination.
+    each rhs in ``rhss``, from one elimination of the matrix augmented by
+    every right-hand side.
 
-    The matrix is augmented by every right-hand side.  Row operations keep
-    the linear relations among columns, so the column of a consistent rhs
-    reduces to its solution on the pivot rows of the matrix and is zero
-    below them; an inconsistent one keeps an entry below them.  Returns one
-    solution per rhs, None for an inconsistent one; raises when the columns
-    of the matrix are dependent.  Sparse rows need ``ncols``.
+    Returns one solution per rhs, None for an inconsistent one; raises when
+    the columns of the matrix are dependent.  Sparse rows need ``ncols``.
     """
     ncols = _width(matrix, ncols)
-    aug = []
-    for i, row in enumerate(matrix):
-        row = dict(_items(row))
-        for k, rhs in enumerate(rhss):
-            row[ncols + k] = rhs[i]
-        aug.append(row)
-    rows, zero, one = _field_rows(aug)
-    rref, pivots = _rref(rows, one)
-    if pivots[:ncols] != list(range(ncols)):
-        raise ExprError("basis is not linearly independent")
-    top, below = rref[:ncols], rref[ncols:]
-    return [None if any(c in row for row in below)
-            else [FieldFrac.of(row.get(c, zero)) for row in top]
-            for c in range(ncols, ncols + len(rhss))]
+    rows, zero, one = _field_rows(_augmented(matrix, rhss, ncols))
+    return [None if sol is None else [FieldFrac.of(v) for v in sol]
+            for sol in _solve_unique(rows, ncols, len(rhss), zero, one)]
 
 
 def f_nullspace(matrix) -> list[list[Expr]]:

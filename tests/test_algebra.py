@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 from liepde import expr as ex, linalg
-from liepde.algebra import (ClosureError, _killing_matrix, _levi_complement,
-                            _subalgebra, classify, commutator,
-                            structure_constants)
+from liepde.algebra import (AlgebraPresentation, ClosureError, _Expressions,
+                            _Rationals, _ad_bracket, _derived_space,
+                            _killing_matrix, _levi_complement, _subalgebra,
+                            classify, commutator, structure_constants)
 from liepde.cli import _load_basis_file
 from liepde.expr import DELTA, OMEGA, R, T, U, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
-from liepde.jet import get_equation
+from liepde.jet import get_equation, make_heat
 from liepde.linalg import inertia, q_det
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
@@ -208,13 +209,14 @@ class TestClassification:
         # not silently skip the correction and change the verdict
         from liepde import linalg
 
-        def broken(rows):
-            raise RuntimeError("rref fault")
+        def broken(matrix, rhss, ncols=None):
+            raise RuntimeError("solve fault")
 
         pres = structure_constants(reduced_basis.fields)
-        monkeypatch.setattr(linalg, "q_rref", broken)
-        with pytest.raises(RuntimeError, match="rref fault"):
+        monkeypatch.setattr(linalg, "q_solve_unique", broken)
+        with pytest.raises(RuntimeError, match="solve fault") as err:
             classify(pres)
+        assert "_correct_stage" in [entry.name for entry in err.traceback]
 
     def test_abelian(self):
         vars2 = ("t", "x")
@@ -363,7 +365,7 @@ def _triangular_mix(rng, fields):
 
 def _subspaces(pres):
     """The Killing radical, and the Levi complement when there is one."""
-    radical = linalg.f_nullspace(_killing_matrix(pres))
+    radical = pres.field.nullspace(_killing_matrix(pres))
     out = [radical]
     if len(radical) < pres.dimension:
         out.append(_levi_complement(pres, radical))
@@ -398,18 +400,82 @@ class TestSubalgebras:
                                           for f in basis]))
         self._check(_triangular_mix(rng, reduced_basis.fields))
 
+    @pytest.mark.parametrize("held", ["Fraction", "Expr"])
     def test_corrupted_constant_fails_the_coordinate_recheck(
-            self, reduced_basis, monkeypatch):
+            self, reduced_basis, monkeypatch, held):
+        # corrupt the solve that _subalgebra calls on each path: q_* for a
+        # tensor held as Fraction, f_* for the same tensor held as Expr
         pres = structure_constants(reduced_basis.fields)
+        name, one = "q_solve_unique", Fr(1)
+        if held == "Expr":
+            pres = _as_expressions(pres)
+            name, one = "f_solve_unique", linalg.FieldFrac.of(1)
         radical, complement = _subspaces(pres)
-        solve = linalg.f_solve_unique
+        solve = getattr(linalg, name)
 
         def corrupted(matrix, rhss, ncols=None):
             sols = solve(matrix, rhss, ncols)
-            sols[-1] = [sols[-1][0] + linalg.FieldFrac.of(1)] + sols[-1][1:]
+            sols[-1] = [sols[-1][0] + one] + sols[-1][1:]
             return sols
 
-        monkeypatch.setattr(linalg, "f_solve_unique", corrupted)
+        monkeypatch.setattr(linalg, name, corrupted)
         for vectors in (radical, complement):
             with pytest.raises(ClosureError, match="re-verification"):
                 _subalgebra(pres, vectors)
+
+
+def _as_expressions(pres):
+    """The same presentation with its rational constants held as ``Expr``."""
+    return AlgebraPresentation(pres.basis, tuple(
+        tuple(tuple(ex.rational(c) for c in col) for col in row)
+        for row in pres.constants))
+
+
+def _mixes():
+    """Seeded triangular mixes of the heat basis, the reduced-3.2 and
+    reduced-3.7 bases and the hpz basis bound at R=5, S=4, V=1, W=1, with
+    the name each classifies as."""
+    binding = Binding.parse("R=5,S=4,V=1,W=1")
+    sources = [
+        (solve_determining(make_heat()).fields, "sl(2,R) (+)s W3"),
+        (solve_determining(get_equation("reduced-3.2"), binding).fields,
+         "sl(2,R) (+)s W3"),
+        (solve_determining(get_equation("reduced-3.7"), binding).fields,
+         "sl(2,R) (+)s W3"),
+        ([binding.apply_field(f) for f in known_basis()], "A1 (+)s W5"),
+    ]
+    return [(_triangular_mix(random.Random(seed), fields), name)
+            for seed in range(3) for fields, name in sources]
+
+
+class TestFieldParity:
+    """A rational tensor held as Fraction and the same tensor held as Expr
+    give the same verdict, witnesses and rendered constants."""
+
+    @pytest.fixture(scope="class")
+    def presentations(self):
+        return [(structure_constants(fields), name)
+                for fields, name in _mixes()]
+
+    def test_rational_tensors_are_held_as_fractions(self, presentations):
+        for pres, _ in presentations:
+            assert pres.field is _Rationals
+            assert all(type(c) is Fr for row in pres.constants
+                       for col in row for c in col)
+            assert _as_expressions(pres).field is _Expressions
+
+    def test_both_fields_give_the_same_output(self, presentations):
+        for pres, name in presentations:
+            twin = _as_expressions(pres)
+            verdict = classify(pres).as_dict()
+            assert verdict["name"] == name
+            assert classify(twin).as_dict() == verdict
+            assert twin.constants_text() == pres.constants_text()
+
+    def test_derived_space_is_the_span_of_every_bracket(self, presentations):
+        # the slices c[i][j], i < j, against all n^2 brackets [e_i, e_j]
+        for pres, _ in presentations:
+            for p in (pres, _as_expressions(pres)):
+                brackets = [_ad_bracket(p, u, v) for u in p.unit
+                            for v in p.unit]
+                assert _derived_space(p) == p.field.row_basis(brackets)

@@ -1,11 +1,19 @@
-"""Inertia oracle: sympy's Sturm root counts against ``linalg.inertia``.
+"""sympy oracles for classification: inertia, Killing matrix, centre and
+derived algebra.
 
 ``linalg.inertia`` reads the signature of a symmetric rational matrix off
 its characteristic polynomial by Descartes' rule of signs.  sympy computes
 the characteristic polynomial independently and counts its positive and
 negative roots with Sturm sequences (``Poly.count_roots``), so the oracle
-shares neither the polynomial nor the counting rule with the code.  sympy
-is a test-time oracle only; the package does not import it.
+shares neither the polynomial nor the counting rule with the code.
+
+For the heat, reduced-3.2 and bound hpz bases, sympy builds the adjoint
+matrices ad(e_i) from liepde's structure-constant tensor and computes the
+Killing matrix tr(ad_i ad_j), the dimension of the centre (the common
+kernel of every ad(e_j)) and that of the derived algebra (the span of
+every ad(e_i) e_j) by its own matrix arithmetic and ranks; liepde reads
+them off the tensor.  sympy is a test-time oracle only; the package does
+not import it.
 """
 
 import random
@@ -15,7 +23,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from liepde.algebra import (_center, _derived_space,  # noqa: E402
+                            _killing_matrix, structure_constants)
+from liepde.fixtures import known_basis  # noqa: E402
+from liepde.jet import get_equation, make_heat  # noqa: E402
 from liepde.linalg import inertia  # noqa: E402
+from liepde.solver import Binding, solve_determining  # noqa: E402
 
 
 def _symmetric(rng, n):
@@ -85,3 +98,37 @@ def test_inertia_matches_sympy(kind, seed):
         assert sum(expected) == n      # symmetric: every root is real
         assert inertia(k) == expected
 
+
+
+def _basis(name):
+    binding = Binding.parse("R=5,S=4,V=1,W=1")
+    if name == "heat":
+        return solve_determining(make_heat()).fields
+    if name == "reduced-3.2":
+        return solve_determining(get_equation(name), binding).fields
+    return [binding.apply_field(f) for f in known_basis()]
+
+
+def _rational(c):
+    c = Fr(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+@pytest.mark.parametrize("name", ["heat", "reduced-3.2", "hpz"])
+def test_killing_centre_and_derived_match_sympy(name):
+    pres = structure_constants(_basis(name))
+    c, n = pres.constants, pres.dimension
+    # ad(e_i) e_j = [e_i, e_j] = sum_k c_ij^k e_k: column j of ad(e_i)
+    ad = [sympy.Matrix(n, n, lambda k, j: _rational(c[i][j][k]))
+          for i in range(n)]
+    killing = sympy.Matrix(n, n, lambda i, j: (ad[i] * ad[j]).trace())
+    assert sympy.Matrix(n, n, lambda i, j: _rational(
+        _killing_matrix(pres)[i][j])) == killing
+    stacked, brackets = sympy.Matrix.vstack(*ad), sympy.Matrix.hstack(*ad)
+    center = [sympy.Matrix([_rational(v) for v in z]) for z in _center(pres)]
+    assert len(center) == n - stacked.rank()
+    assert all((stacked * z).is_zero_matrix for z in center)
+    derived = [sympy.Matrix([_rational(v) for v in d])
+               for d in _derived_space(pres)]
+    assert len(derived) == brackets.rank()
+    assert sympy.Matrix.hstack(brackets, *derived).rank() == brackets.rank()

@@ -190,6 +190,21 @@ class TestFastPaths:
             assert (e + 0).terms == e.terms
 
 
+class TestTruthValue:
+    def test_false_exactly_at_zero(self):
+        assert not ZERO and not rational(0) and not (X - X)
+        assert not OMEGA * OMEGA - R ** 2 + 4 * S     # zero after rewriting
+        assert ONE and rational(Fraction(-1, 3)) and X and exp_of(T) and DELTA
+        rng = random.Random(5)
+        for _ in range(200):
+            e = random_expr(rng)
+            assert bool(e) is not e.is_zero
+            assert not e - e
+            # a truth test agrees with the number the constant stands for
+            if e.is_rational:
+                assert bool(e) is bool(e.as_fraction())
+
+
 class TestHashContract:
     def test_rationals_hash_as_their_value(self):
         for v in (0, 2, -7, Fraction(1, 3), Fraction(-22, 7)):

@@ -13,8 +13,8 @@ from liepde.linalg import (FieldFrac, RootExtractionError, coordinates,
                            f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_det,
-                           q_nullspace, q_rank, q_rref, q_solve,
-                           rational_roots)
+                           q_nullspace, q_rank, q_row_basis, q_rref,
+                           q_solve, q_solve_unique, rational_roots)
 from liepde.prolong import VectorField
 from liepde.solver import Binding
 
@@ -415,6 +415,8 @@ class TestRationalEntries:
                                   for vec in q_nullspace(q)]
         assert f_row_basis(m) == [[ex.rational(row.get(c, 0))
                                    for c in range(ncols)] for row in rref]
+        assert q_row_basis(q) == [[row.get(c, 0) for c in range(ncols)]
+                                  for row in rref]
         if len(pivots) == ncols:
             x = [Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
             good = [sum(a * b for a, b in zip(row, x)) for row in q]
@@ -427,6 +429,10 @@ class TestRationalEntries:
                 assert sols[1] is None
             else:
                 assert [v.to_expr().as_fraction() for v in sols[1]] == expected
+            assert q_solve_unique(q, [good, bad]) == [x, expected]
+        else:
+            with pytest.raises(ex.ExprError, match="independent"):
+                q_solve_unique(q, [[Fr(0)] * nrows])
 
     def test_one_symbolic_entry_takes_the_expression_field(self):
         # rank 2 over the field, although it drops to 1 at R = 4
