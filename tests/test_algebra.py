@@ -400,16 +400,7 @@ class TestSubalgebras:
                                           for f in basis]))
         self._check(_triangular_mix(rng, reduced_basis.fields))
 
-    @pytest.mark.parametrize("held", ["Fraction", "Expr"])
-    def test_corrupted_constant_fails_the_coordinate_recheck(
-            self, reduced_basis, monkeypatch, held):
-        # corrupt the solve that _subalgebra calls on each path: q_* for a
-        # tensor held as Fraction, f_* for the same tensor held as Expr
-        pres = structure_constants(reduced_basis.fields)
-        name, one = "q_solve_unique", Fr(1)
-        if held == "Expr":
-            pres = _as_expressions(pres)
-            name, one = "f_solve_unique", linalg.FieldFrac.of(1)
+    def _check_corrupted_solve(self, pres, monkeypatch, name, one):
         radical, complement = _subspaces(pres)
         solve = getattr(linalg, name)
 
@@ -423,6 +414,18 @@ class TestSubalgebras:
             with pytest.raises(ClosureError, match="re-verification"):
                 _subalgebra(pres, vectors)
 
+    def test_corrupted_constant_fails_the_coordinate_recheck(
+            self, reduced_basis, monkeypatch):
+        # a tensor held as Fraction: _subalgebra solves with q_solve_unique
+        self._check_corrupted_solve(structure_constants(reduced_basis.fields),
+                                    monkeypatch, "q_solve_unique", Fr(1))
+
+    def test_corrupted_constant_fails_the_coordinate_recheck_as_expr(
+            self, reduced_basis, monkeypatch):
+        # the same tensor held as Expr: _subalgebra solves with f_solve_unique
+        pres = _as_expressions(structure_constants(reduced_basis.fields))
+        self._check_corrupted_solve(pres, monkeypatch, "f_solve_unique",
+                                    linalg.FieldFrac.of(1))
 
 def _as_expressions(pres):
     """The same presentation with its rational constants held as ``Expr``."""
