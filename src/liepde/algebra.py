@@ -12,8 +12,8 @@ every constant is rational, else as kernel expressions.  Everything after
 it -- brackets, Jacobi, the Killing matrix, centre, derived series,
 subalgebras, the Levi correction -- is one body that uses only ``+``,
 ``*`` and truth tests on the entries, with spans, ranks and solves from
-the ``q_*`` eliminations over ``Fraction`` or the ``f_*`` ones over the
-parameter field.  Values become expressions only where they are rendered
+the ``f_*`` eliminations of ``linalg``, which work over the field of
+their entries.  Values become expressions only where they are rendered
 (``constants_text``, ``Verdict.as_dict``).  Following de Graaf (*Lie
 Algebras: Theory and Algorithms*, 2000), brackets of basis elements are
 read straight off the tensor: the derived algebra is the row space of the
@@ -78,71 +78,17 @@ def _products(coeffs, partials) -> list[Expr]:
 # the field of the constants
 # ---------------------------------------------------------------------------
 
-class _Rationals:
-    """Constants in Q, held as ``Fraction``; the ``q_*`` eliminations."""
-
-    zero, one = Fraction(0), Fraction(1)
-
-    @staticmethod
-    def cleared(tensor):
-        """The tensor times the lcm D of its denominators, over the integers,
-        and the integer zero: D*c has integer products and, for a
-        homogeneous identity such as Jacobi, the same zeros."""
-        d = lcm(*(x.denominator for row in tensor for col in row for x in col))
-        return ([[[x.numerator * (d // x.denominator) for x in col]
-                  for col in row] for row in tensor], 0)
-
-    # looked up in ``linalg`` at call time, where tracing and tests patch them
-    @staticmethod
-    def rank(rows):
-        return linalg.q_rank(rows)
-
-    @staticmethod
-    def nullspace(rows):
-        return linalg.q_nullspace(rows)
-
-    @staticmethod
-    def row_basis(rows):
-        return linalg.q_row_basis(rows)
-
-    @staticmethod
-    def rref(rows):
-        return linalg.q_rref(rows)
-
-    @staticmethod
-    def solve(matrix, rhss, ncols=None):
-        return linalg.q_solve_unique(matrix, rhss, ncols)
-
-
-class _Expressions:
-    """Constants in the parameter field, held as ``Expr``; the ``f_*``
-    eliminations, whose ``rref`` and ``solve`` give ``FieldFrac``s."""
-
-    zero, one = ex.ZERO, ex.ONE
-
-    @staticmethod
-    def cleared(tensor):
-        return tensor, ex.ZERO
-
-    @staticmethod
-    def rank(rows):
-        return linalg.f_rank(rows)
-
-    @staticmethod
-    def nullspace(rows):
-        return linalg.f_nullspace(rows)
-
-    @staticmethod
-    def row_basis(rows):
-        return linalg.f_row_basis(rows)
-
-    @staticmethod
-    def rref(rows):
-        return linalg.f_rref(rows)
-
-    @staticmethod
-    def solve(matrix, rhss, ncols=None):
-        return linalg.f_solve_unique(matrix, rhss, ncols)
+def _cleared(p: AlgebraPresentation) -> tuple:
+    """The tensor ready for a homogeneous identity such as Jacobi, with its
+    zero: a rational tensor times the lcm D of its denominators, over the
+    integers, where D*c has integer products and the same zeros; an
+    expression tensor as it is."""
+    if isinstance(p.zero, Expr):
+        return p.constants, p.zero
+    tensor = p.constants
+    d = lcm(*(x.denominator for row in tensor for col in row for x in col))
+    return ([[[x.numerator * (d // x.denominator) for x in col]
+              for col in row] for row in tensor], 0)
 
 
 def _value(x):
@@ -174,8 +120,8 @@ class AlgebraPresentation:
     """Basis with the full structure-constant tensor c[i][j][k].
 
     The constants are all ``Fraction`` or all ``Expr``, and the presentation
-    computes in that field (``field``).  ``structure_constants`` and
-    ``_subalgebra`` hold them as ``Fraction`` exactly when every one is
+    computes in that field, whose zero is ``zero``.  ``structure_constants``
+    and ``_subalgebra`` hold them as ``Fraction`` exactly when every one is
     rational.  ``basis`` is empty for a subalgebra presented by its tensor
     alone (see ``_subalgebra``); the dimension is that of the tensor.
     """
@@ -188,18 +134,19 @@ class AlgebraPresentation:
         return len(self.constants)
 
     @cached_property
-    def field(self):
-        """``_Expressions`` when some constant is an ``Expr``, else
-        ``_Rationals``."""
+    def zero(self) -> Fraction | Expr:
+        """The zero of the constants' field: ``ex.ZERO`` when some constant
+        is an ``Expr``, else ``Fraction(0)``."""
         if any(isinstance(x, Expr) for row in self.constants for col in row
                for x in col):
-            return _Expressions
-        return _Rationals
+            return ex.ZERO
+        return Fraction(0)
 
     @cached_property
     def unit(self) -> tuple[tuple, ...]:
         """Coordinates of the basis elements themselves."""
-        n, zero, one = self.dimension, self.field.zero, self.field.one
+        n, zero = self.dimension, self.zero
+        one = ex.ONE if isinstance(zero, Expr) else Fraction(1)
         return tuple(tuple(one if i == j else zero for j in range(n))
                      for i in range(n))
 
@@ -212,9 +159,6 @@ class AlgebraPresentation:
     def is_rational(self) -> bool:
         return all(not isinstance(x, Expr) or x.is_rational
                    for row in self.constants for col in row for x in col)
-
-    def bracket_coords(self, i: int, j: int) -> tuple:
-        return self.constants[i][j]
 
     def constants_text(self) -> list[dict]:
         out = []
@@ -241,18 +185,15 @@ def structure_constants(basis) -> AlgebraPresentation:
                       for i, j in combinations(range(n), 2)]
     coords = linalg.coordinates(basis + tuple(bracket_fields), _geometric)
     # rational coordinates are solved over Q and give Fraction constants
-    field = _Rationals if all(e.is_rational for row in coords
-                              for e in row.values()) else _Expressions
-    if field is _Rationals:
+    if all(e.is_rational for row in coords for e in row.values()):
         coords = [{r: e.as_fraction() for r, e in row.items()}
                   for row in coords]
-    columns, bracket_coords = coords[:n], coords[n:]
+    columns, brackets = coords[:n], coords[n:]
 
     nrows = len(set().union(*coords))
-    zero = field.zero
-    matrix = [[col.get(r, zero) for col in columns] for r in range(nrows)]
-    sols = field.solve(matrix, [[bc.get(r, zero) for r in range(nrows)]
-                                for bc in bracket_coords], n)
+    matrix = [[col.get(r, 0) for col in columns] for r in range(nrows)]
+    sols = linalg.f_solve_unique(
+        matrix, [[b.get(r, 0) for r in range(nrows)] for b in brackets], n)
     pres = AlgebraPresentation(basis, _verified_tensor(
         [f.coefficients() for f in basis],
         [f.coefficients() for f in bracket_fields], sols, ex.ZERO))
@@ -295,12 +236,11 @@ def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
         expansions[i, j] = cs
     if all(not isinstance(c, Expr) or c.is_rational
            for cs in expansions.values() for c in cs):
-        field = _Rationals
         expansions = {ij: tuple(c.as_fraction() if isinstance(c, Expr) else c
                                 for c in cs) for ij, cs in expansions.items()}
+        zero_row = (Fraction(0),) * n
     else:
-        field = _Expressions
-    zero_row = (field.zero,) * n
+        zero_row = (ex.ZERO,) * n
     return tuple(tuple(expansions[i, j] if i < j
                        else tuple(-c for c in expansions[j, i]) if j < i
                        else zero_row for j in range(n)) for i in range(n))
@@ -310,8 +250,8 @@ def _check_jacobi(p: AlgebraPresentation):
     """sum_m c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l = 0 for every
     triple i < j < k and every l; products with a zero factor are left
     out.  The identity is homogeneous quadratic in c, so it is checked on
-    ``field.cleared``, which is D*c over the integers for rationals."""
-    c, zero = p.field.cleared(p.constants)
+    ``_cleared(p)``, which is D*c over the integers for rationals."""
+    c, zero = _cleared(p)
     for i, j, k in combinations(range(p.dimension), 3):
         outer = [(x, c[m][d]) for ab, d in ((c[i][j], k), (c[j][k], i),
                                             (c[k][i], j))
@@ -346,7 +286,7 @@ def _ad_bracket(p: AlgebraPresentation, v, w) -> list:
         if a:
             for k, x in sparse[i][j]:
                 pieces[k].append(a * x)
-    zero = p.field.zero
+    zero = p.zero
     return [_sum(ps, zero) for ps in pieces]
 
 
@@ -357,14 +297,14 @@ def _ad_unit(p: AlgebraPresentation, i: int, w) -> list:
         if x:
             for k, y in entries:
                 pieces[k].append(x * y)
-    zero = p.field.zero
+    zero = p.zero
     return [_sum(ps, zero) for ps in pieces]
 
 
 def _spans(p: AlgebraPresentation, span: list, vectors: list) -> bool:
     """Every vector lies in the span of the independent vectors ``span``:
     adding them keeps the rank at ``len(span)``."""
-    return p.field.rank(span + vectors) == len(span)
+    return linalg.f_rank(span + vectors) == len(span)
 
 
 def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
@@ -372,15 +312,15 @@ def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
 
     With all of them as columns, these are the pivot columns past ``prefix``.
     """
-    pivots = p.field.rref([list(row) for row in zip(*prefix, *vectors)])[1]
+    pivots = linalg.f_rref([list(row) for row in zip(*prefix, *vectors)])[1]
     return [vectors[c - len(prefix)] for c in pivots if c >= len(prefix)]
 
 
 def _derived_space(p: AlgebraPresentation) -> list:
     """The row space of the slices c[i][j], i < j: every [e_i, e_j]."""
     c = p.constants
-    return p.field.row_basis([list(c[i][j])
-                              for i, j in combinations(range(p.dimension), 2)])
+    return linalg.f_row_basis([list(c[i][j]) for i, j
+                               in combinations(range(p.dimension), 2)])
 
 
 def _center(p: AlgebraPresentation) -> list:
@@ -389,14 +329,14 @@ def _center(p: AlgebraPresentation) -> list:
     for j in range(n):
         for k in range(n):
             rows.append([p.constants[i][j][k] for i in range(n)])
-    return p.field.nullspace(rows)
+    return linalg.f_nullspace(rows)
 
 
 def _killing_matrix(p: AlgebraPresentation) -> list[list]:
     """tr(ad(e_i) ad(e_j)) = sum_{a,b} c_ia^b c_jb^a; products with a zero
     factor left out."""
     n = p.dimension
-    c, sparse, zero = p.constants, p.sparse, p.field.zero
+    c, sparse, zero = p.constants, p.sparse, p.zero
     k = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -422,7 +362,7 @@ def _derived_space_sub(p: AlgebraPresentation, left: list,
     """Row basis of [left, right]; of [left, left] from the pairs a < b
     when ``right`` is None."""
     pairs = combinations(left, 2) if right is None else product(left, right)
-    return p.field.row_basis([_ad_bracket(p, v, w) for v, w in pairs])
+    return linalg.f_row_basis([_ad_bracket(p, v, w) for v, w in pairs])
 
 
 def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
@@ -438,9 +378,10 @@ def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
     s = len(vectors)
     brackets = [_ad_bracket(p, vectors[a], vectors[b])
                 for a, b in combinations(range(s), 2)]
-    sols = p.field.solve([list(row) for row in zip(*vectors)], brackets, s)
+    sols = linalg.f_solve_unique([list(row) for row in zip(*vectors)],
+                                 brackets, s)
     sub = AlgebraPresentation(
-        (), _verified_tensor(vectors, brackets, sols, p.field.zero))
+        (), _verified_tensor(vectors, brackets, sols, p.zero))
     _check_jacobi(sub)
     return sub
 
@@ -549,7 +490,7 @@ def _unclassified(p: AlgebraPresentation, why: str, center,
 def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     """Detect complement (+)s nilradical via the Killing-form radical."""
     n = p.dimension
-    radical = p.field.nullspace(_killing_matrix(p))
+    radical = linalg.f_nullspace(_killing_matrix(p))
     m = len(radical)
     if not 0 < m < n:
         return None
@@ -642,7 +583,7 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
     if coords is None:
         return None
     ad = [d for _, d in coords[len(pairs):]]
-    zero = p.field.zero
+    zero = p.zero
     ncols = s * m
     rows = []
     for (i, j), (a_coords, defect_stage) in zip(pairs, coords):
@@ -657,7 +598,7 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
                 row[q * m + t] -= a_coords[q]
             row[ncols] = -defect_stage[t]
             rows.append(row)
-    rref, pivots = p.field.rref(rows)
+    rref, pivots = linalg.f_rref(rows)
     if ncols in pivots:
         return None  # inconsistent
     sol = [zero] * ncols
@@ -685,7 +626,7 @@ def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
     cols_all = lifts + stage + lower
     matrix = [[col[r] for col in cols_all] for r in range(len(cols_all[0]))]
     out = []
-    for sol in p.field.solve(matrix, vectors):
+    for sol in linalg.f_solve_unique(matrix, vectors):
         if sol is None:
             return None
         values = [_value(s) for s in sol]

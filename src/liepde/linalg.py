@@ -2,13 +2,15 @@
 
 One sparse Gauss-Jordan elimination over ``{column: value}`` rows is
 generic over its field: it gives the reduced echelon form behind rank,
-nullspace, row space and solve both over ``Fraction`` (the ``q_*``
-functions) and over the fraction field of kernel expressions (the ``f_*``
-functions).  The
-``f_*`` functions eliminate a matrix whose entries are all rational over
-``Fraction`` and any other over ``FieldFrac``; the reduced echelon form is
-unique, so the results are the same either way.  Dense lists are accepted
-and converted.  Around it:
+nullspace, row space and solve.  The ``f_*`` functions work over the field
+of their entries: rows of numbers are eliminated over ``Fraction`` and
+give ``Fraction`` results; rows of kernel expressions are eliminated over
+``Fraction`` when every entry is rational and over ``FieldFrac``
+otherwise (the reduced echelon form is unique, so the results are the
+same either way), and give ``FieldFrac``s (rref, solve) or
+denominator-cleared expressions (nullspace, row basis).  The ``q_*``
+functions are the rational rref, rank and nullspace of the solver.  Dense
+lists are accepted and converted.  Around it:
 
 * determinants over ``Fraction`` are fraction-free (Bareiss) eliminations
   over the integers after clearing one common denominator;
@@ -40,8 +42,7 @@ from . import expr as ex
 from .expr import Expr, ExprError
 
 __all__ = [
-    "q_rref", "q_rank", "q_nullspace", "q_solve", "q_solve_unique",
-    "q_row_basis",
+    "q_rref", "q_rank", "q_nullspace",
     "Poly", "p_trim", "p_add", "p_mul", "p_eval", "p_div_exact",
     "rational_roots", "RootExtractionError",
     "pencil_pivots", "charpoly", "inertia", "coordinates",
@@ -154,48 +155,6 @@ def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
     """
     ncols = _width(rows, ncols)
     return _nullspace(*q_rref(rows), ncols, Fraction(0), Fraction(1))
-
-
-def q_solve(rows, rhs: list[Fraction],
-            ncols: int | None = None) -> list[Fraction] | None:
-    """Unique solution of rows * x = rhs, or None when inconsistent.
-
-    ``rows`` are dense lists or sparse dicts; sparse rows need ``ncols``.
-    Raises on an underdetermined consistent system.
-    """
-    if not rows:
-        return []
-    ncols = _width(rows, ncols)
-    aug = []
-    for row, b in zip(rows, rhs):
-        row = _sparse(row)
-        if b:
-            row[ncols] = Fraction(b)
-        aug.append(row)
-    rref, pivots = q_rref(aug)
-    if ncols in pivots:
-        return None
-    if len(pivots) < ncols:
-        raise ExprError("underdetermined linear system")
-    return [row.get(ncols, Fraction(0)) for row in rref]
-
-
-def q_solve_unique(matrix, rhss: list[list[Fraction]],
-                   ncols: int | None = None) -> list[list[Fraction] | None]:
-    """``f_solve_unique`` over the rationals: the unique solution of
-    matrix * x = rhs for each rhs, from one elimination, None for an
-    inconsistent one; raises when the columns are dependent."""
-    ncols = _width(matrix, ncols)
-    return _solve_unique((_sparse(row) for row in _augmented(matrix, rhss, ncols)),
-                         ncols, len(rhss), Fraction(0), Fraction(1))
-
-
-def q_row_basis(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Reduced echelon basis of the row space, one dense row per pivot;
-    sparse rows need ``ncols``."""
-    ncols = _width(rows, ncols)
-    zero = Fraction(0)
-    return [[row.get(c, zero) for c in range(ncols)] for row in q_rref(rows)[0]]
 
 
 def _augmented(matrix, rhss, ncols: int) -> list[dict]:
@@ -584,9 +543,8 @@ class FieldFrac:
 
     No gcd reduction is attempted; the systems solved here are tiny and the
     canonical zero test on numerators is all correctness needs.  Only
-    matrices with a non-rational entry are eliminated over this field; the
-    ``f_*`` functions eliminate rational ones over ``Fraction`` and return
-    their results in the same types.
+    matrices with a non-rational entry are eliminated over this field (see
+    ``_field_rows``).
     """
 
     num: Expr
@@ -635,70 +593,88 @@ _F_ZERO = FieldFrac.of(0)
 _F_ONE = FieldFrac.of(1)
 
 
-def _field_rows(matrix) -> tuple[list[dict], object, object]:
-    """Sparse rows of a matrix of expressions or rationals, with the zero
-    and the unit of the field they are eliminated over.
+def _field_rows(matrix) -> tuple[list[dict], object, object, bool]:
+    """Sparse rows of a matrix of numbers or expressions, the zero and the
+    unit of the field they are eliminated over, and whether the entries
+    are expressions (whose results the ``f_*`` functions return as
+    ``FieldFrac`` or ``Expr``).
 
-    The field is ``Fraction`` when every entry is rational, else
-    ``FieldFrac``.  The reduced echelon form is unique, so the choice
-    changes the cost of an elimination, never its result.  ``matrix`` rows
-    are dense lists or sparse dicts.
+    Numbers are eliminated over ``Fraction``.  Expressions are too when
+    every one is rational, else over ``FieldFrac``; the reduced echelon
+    form is unique, so that choice changes the cost of an elimination,
+    never its result.  A matrix with any expression entry is one of
+    expressions.  ``matrix`` rows are dense lists or sparse dicts.
     """
+    try:
+        return ([_sparse(row) for row in matrix], Fraction(0), Fraction(1),
+                False)
+    except TypeError:   # Fraction(e) of an expression entry e
+        pass
     rows = [{c: e for c, v in _items(row) if not (e := ex.as_expr(v)).is_zero}
             for row in matrix]
     if all(e.is_rational for row in rows for e in row.values()):
         return ([{c: e.as_fraction() for c, e in row.items()} for row in rows],
-                Fraction(0), Fraction(1))
+                Fraction(0), Fraction(1), True)
     return ([{c: FieldFrac(e, ex.ONE) for c, e in row.items()}
-             for row in rows], _F_ZERO, _F_ONE)
+             for row in rows], _F_ZERO, _F_ONE, True)
 
 
-def f_rref(matrix) -> tuple[list[dict[int, FieldFrac]], list[int]]:
-    """Reduced row echelon form over the expression field; ``matrix`` rows
-    are dense lists or sparse dicts of expressions."""
-    rows, _, one = _field_rows(matrix)
+def f_rref(matrix) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form over the field of the entries, as sparse
+    rows of ``Fraction`` (number entries) or ``FieldFrac`` (expression
+    entries); ``matrix`` rows are dense lists or sparse dicts."""
+    rows, _, one, exprs = _field_rows(matrix)
     rref, pivots = _rref(rows, one)
-    return ([{c: FieldFrac.of(v) for c, v in row.items()} for row in rref],
-            pivots)
+    if exprs:
+        rref = [{c: FieldFrac.of(v) for c, v in row.items()} for row in rref]
+    return rref, pivots
 
 
 def f_rank(matrix) -> int:
-    """Rank over the expression field."""
-    rows, _, one = _field_rows(matrix)
+    """Rank over the field of the entries."""
+    rows, _, one, _ = _field_rows(matrix)
     return len(_rref(rows, one)[1])
 
 
-def f_solve_unique(matrix, rhss: list[list[Expr]],
-                   ncols: int | None = None) -> list[list[FieldFrac] | None]:
-    """Unique solution of matrix * x = rhs over the expression field, for
-    each rhs in ``rhss``, from one elimination of the matrix augmented by
-    every right-hand side.
+def f_solve_unique(matrix, rhss: list[list],
+                   ncols: int | None = None) -> list[list | None]:
+    """Unique solution of matrix * x = rhs over the field of the entries,
+    for each rhs in ``rhss``, from one elimination of the matrix augmented
+    by every right-hand side.
 
-    Returns one solution per rhs, None for an inconsistent one; raises when
-    the columns of the matrix are dependent.  Sparse rows need ``ncols``.
+    Returns one solution per rhs, None for an inconsistent one, with
+    ``Fraction`` entries for a system of numbers and ``FieldFrac`` ones for
+    a system of expressions; raises when the columns of the matrix are
+    dependent.  Sparse rows need ``ncols``.
     """
     ncols = _width(matrix, ncols)
-    rows, zero, one = _field_rows(_augmented(matrix, rhss, ncols))
+    rows, zero, one, exprs = _field_rows(_augmented(matrix, rhss, ncols))
+    sols = _solve_unique(rows, ncols, len(rhss), zero, one)
+    if not exprs:
+        return sols
     return [None if sol is None else [FieldFrac.of(v) for v in sol]
-            for sol in _solve_unique(rows, ncols, len(rhss), zero, one)]
+            for sol in sols]
 
 
-def f_nullspace(matrix) -> list[list[Expr]]:
-    """Right-nullspace basis with denominator-cleared expression entries,
-    one vector per free column."""
+def f_nullspace(matrix) -> list[list]:
+    """Right-nullspace basis, one dense vector per free column: ``Fraction``
+    vectors for number entries, denominator-cleared expression vectors for
+    expression entries."""
     ncols = _width(matrix, None)
-    rows, zero, one = _field_rows(matrix)
-    return [_cleared(v)
-            for v in _nullspace(*_rref(rows, one), ncols, zero, one)]
+    rows, zero, one, exprs = _field_rows(matrix)
+    basis = _nullspace(*_rref(rows, one), ncols, zero, one)
+    return [_cleared(v) for v in basis] if exprs else basis
 
 
-def f_row_basis(matrix) -> list[list[Expr]]:
-    """Reduced echelon basis of the row space with denominator-cleared
-    expression entries, one dense row per pivot."""
+def f_row_basis(matrix) -> list[list]:
+    """Reduced echelon basis of the row space, one dense row per pivot:
+    ``Fraction`` rows for number entries, denominator-cleared expression
+    rows for expression entries."""
     ncols = _width(matrix, None)
-    rows, zero, one = _field_rows(matrix)
-    return [_cleared([row.get(c, zero) for c in range(ncols)])
-            for row in _rref(rows, one)[0]]
+    rows, zero, one, exprs = _field_rows(matrix)
+    basis = [[row.get(c, zero) for c in range(ncols)]
+             for row in _rref(rows, one)[0]]
+    return [_cleared(v) for v in basis] if exprs else basis
 
 
 def _cleared(vec: list) -> list[Expr]:

@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 from liepde import expr as ex, linalg
-from liepde.algebra import (AlgebraPresentation, ClosureError, _Expressions,
-                            _Rationals, _ad_bracket, _derived_space,
-                            _killing_matrix, _levi_complement, _subalgebra,
-                            classify, commutator, structure_constants)
+from liepde.algebra import (AlgebraPresentation, ClosureError, _ad_bracket,
+                            _derived_space, _killing_matrix, _levi_complement,
+                            _subalgebra, classify, commutator,
+                            structure_constants)
 from liepde.cli import _load_basis_file
-from liepde.expr import DELTA, OMEGA, R, T, U, X, Y, ZERO, ONE
+from liepde.expr import DELTA, OMEGA, R, S, T, U, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation, make_heat
 from liepde.linalg import inertia, q_det
@@ -139,6 +139,17 @@ class TestStructureConstants:
         with pytest.raises(ClosureError, match="1 and 2"):
             structure_constants([e1, e2])
 
+    def test_unrepresentable_constant_is_an_error_naming_the_pair(self):
+        # [x d/dy, d/dx] = -d/dy = -1/(R + S) times (R + S) d/dy, and
+        # 1/(R + S) is not a kernel expression
+        vars3 = ("t", "x", "y")
+        fields = [VectorField(vars3, "u", (ZERO, ZERO, X), ZERO),
+                  VectorField(vars3, "u", (ZERO, ONE, ZERO), ZERO),
+                  VectorField(vars3, "u", (ZERO, ZERO, R + S), ZERO)]
+        with pytest.raises(ClosureError, match=r"structure constant for "
+                           r"pair \(1, 2\) is not representable"):
+            structure_constants(fields)
+
     def test_dependent_basis_rejected(self, basis):
         with pytest.raises(ex.ExprError, match="independent"):
             structure_constants([basis[1], basis[1].scaled(2)])
@@ -213,7 +224,7 @@ class TestClassification:
             raise RuntimeError("solve fault")
 
         pres = structure_constants(reduced_basis.fields)
-        monkeypatch.setattr(linalg, "q_solve_unique", broken)
+        monkeypatch.setattr(linalg, "f_solve_unique", broken)
         with pytest.raises(RuntimeError, match="solve fault") as err:
             classify(pres)
         assert "_correct_stage" in [entry.name for entry in err.traceback]
@@ -365,7 +376,7 @@ def _triangular_mix(rng, fields):
 
 def _subspaces(pres):
     """The Killing radical, and the Levi complement when there is one."""
-    radical = pres.field.nullspace(_killing_matrix(pres))
+    radical = linalg.f_nullspace(_killing_matrix(pres))
     out = [radical]
     if len(radical) < pres.dimension:
         out.append(_levi_complement(pres, radical))
@@ -416,13 +427,13 @@ class TestSubalgebras:
 
     def test_corrupted_constant_fails_the_coordinate_recheck(
             self, reduced_basis, monkeypatch):
-        # a tensor held as Fraction: _subalgebra solves with q_solve_unique
+        # a tensor held as Fraction: f_solve_unique gives Fraction solutions
         self._check_corrupted_solve(structure_constants(reduced_basis.fields),
-                                    monkeypatch, "q_solve_unique", Fr(1))
+                                    monkeypatch, "f_solve_unique", Fr(1))
 
     def test_corrupted_constant_fails_the_coordinate_recheck_as_expr(
             self, reduced_basis, monkeypatch):
-        # the same tensor held as Expr: _subalgebra solves with f_solve_unique
+        # the same tensor held as Expr: f_solve_unique gives FieldFrac ones
         pres = _as_expressions(structure_constants(reduced_basis.fields))
         self._check_corrupted_solve(pres, monkeypatch, "f_solve_unique",
                                     linalg.FieldFrac.of(1))
@@ -461,11 +472,17 @@ class TestFieldParity:
                 for fields, name in _mixes()]
 
     def test_rational_tensors_are_held_as_fractions(self, presentations):
+        # and so are the witnesses: the eliminations keep the field
         for pres, _ in presentations:
-            assert pres.field is _Rationals
+            assert type(pres.zero) is Fr and pres.zero == 0
             assert all(type(c) is Fr for row in pres.constants
                        for col in row for c in col)
-            assert _as_expressions(pres).field is _Expressions
+            twin = _as_expressions(pres)
+            assert twin.zero is ex.ZERO
+            for p, kind in ((pres, Fr), (twin, ex.Expr)):
+                verdict = classify(p)
+                assert all(type(c) is kind for v in verdict.ideal_basis
+                           + verdict.complement_basis for c in v)
 
     def test_both_fields_give_the_same_output(self, presentations):
         for pres, name in presentations:
@@ -481,4 +498,4 @@ class TestFieldParity:
             for p in (pres, _as_expressions(pres)):
                 brackets = [_ad_bracket(p, u, v) for u in p.unit
                             for v in p.unit]
-                assert _derived_space(p) == p.field.row_basis(brackets)
+                assert _derived_space(p) == linalg.f_row_basis(brackets)

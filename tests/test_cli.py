@@ -129,6 +129,19 @@ class TestCommands:
         assert code == 0
         assert "name: W5" in out
 
+    def test_classify_unrepresentable_constant_exits_two(self, capsys,
+                                                         tmp_path):
+        # [x d/dy, d/dx] has the constant 1/(R + S) on (R + S) d/dy
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "variables": ["t", "x", "y"], "dependent": "u",
+            "generators": [{"xi_y": "x"}, {"xi_x": "1"}, {"xi_y": "R + S"}]}))
+        code, out, err = run_cli(["classify", "--basis", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "pair (1, 2) is not representable" in err
+
     def test_classify_discovered_basis(self, capsys):
         code, out, _ = run_cli(
             ["classify", "--equation", "reduced-3.2",

@@ -13,8 +13,7 @@ from liepde.linalg import (FieldFrac, RootExtractionError, coordinates,
                            f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_det,
-                           q_nullspace, q_rank, q_row_basis, q_rref,
-                           q_solve, q_solve_unique, rational_roots)
+                           q_nullspace, q_rank, q_rref, rational_roots)
 from liepde.prolong import VectorField
 from liepde.solver import Binding
 
@@ -82,6 +81,27 @@ def _dense_rref(rows):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def q_solve(rows, rhs, ncols=None):
+    """Unique solution of rows * x = rhs over the rationals, or None when
+    inconsistent, from one elimination of the augmented rows; raises on an
+    underdetermined consistent system.  Sparse rows need ``ncols``.  The
+    one-rhs reference that ``f_solve_unique`` is checked against."""
+    if not rows:
+        return []
+    ncols = len(rows[0]) if ncols is None else ncols
+    aug = []
+    for row, b in zip(rows, rhs):
+        row = dict(row if isinstance(row, dict) else enumerate(row))
+        row[ncols] = b
+        aug.append(row)
+    rref, pivots = q_rref(aug)
+    if ncols in pivots:
+        return None
+    if len(pivots) < ncols:
+        raise ExprError("underdetermined linear system")
+    return [row.get(ncols, Fr(0)) for row in rref]
 
 
 def _cofactor_det(m):
@@ -386,7 +406,9 @@ class TestSeededExpressionField:
 
 
 class TestRationalEntries:
-    """Matrices of rational expressions are eliminated over ``Fraction``."""
+    """The ``f_*`` functions follow the field of their entries: rows of
+    numbers give ``Fraction`` results, rows of rational expressions are
+    eliminated over ``Fraction`` too but give ``FieldFrac`` or ``Expr``."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_f_functions_agree_with_the_rational_ones(self, seed):
@@ -396,8 +418,12 @@ class TestRationalEntries:
               if rng.random() < 0.6 else Fr(0) for _ in range(ncols)]
              for _ in range(nrows)]
         m = [[ex.rational(v) for v in row] for row in q]
+        # integral entries as int: numbers are eliminated over Fraction
+        ints = [[int(v) if v.denominator == 1 else v for v in row]
+                for row in q]
         assert linalg._field_rows(m)[2].__class__ is Fr
         rref, pivots = q_rref(q)
+        dense = [[row.get(c, Fr(0)) for c in range(ncols)] for row in rref]
         f_rows, f_pivots = f_rref(m)
         assert f_pivots == pivots
         assert all(isinstance(v, FieldFrac) for row in f_rows
@@ -413,10 +439,19 @@ class TestRationalEntries:
         assert f_rank(m) == len(pivots)
         assert f_nullspace(m) == [[ex.rational(v) for v in vec]
                                   for vec in q_nullspace(q)]
-        assert f_row_basis(m) == [[ex.rational(row.get(c, 0))
-                                   for c in range(ncols)] for row in rref]
-        assert q_row_basis(q) == [[row.get(c, 0) for c in range(ncols)]
-                                  for row in rref]
+        assert f_row_basis(m) == [[ex.rational(v) for v in row]
+                                  for row in dense]
+        # rows of numbers: the same results, as Fraction
+        for rows in (q, ints):
+            assert f_rref(rows) == (rref, pivots)
+            assert f_rank(rows) == len(pivots)
+            assert f_nullspace(rows) == q_nullspace(q)
+            assert f_row_basis(rows) == dense
+            assert all(type(v) is Fr for row in f_rref(rows)[0]
+                       for v in row.values())
+            assert all(type(v) is Fr for vecs in (f_nullspace(rows),
+                                                  f_row_basis(rows))
+                       for vec in vecs for v in vec)
         if len(pivots) == ncols:
             x = [Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
             good = [sum(a * b for a, b in zip(row, x)) for row in q]
@@ -429,10 +464,14 @@ class TestRationalEntries:
                 assert sols[1] is None
             else:
                 assert [v.to_expr().as_fraction() for v in sols[1]] == expected
-            assert q_solve_unique(q, [good, bad]) == [x, expected]
+            for rows in (q, ints):
+                sols = f_solve_unique(rows, [good, bad])
+                assert sols == [x, expected]
+                assert all(type(v) is Fr for sol in sols if sol for v in sol)
         else:
-            with pytest.raises(ex.ExprError, match="independent"):
-                q_solve_unique(q, [[Fr(0)] * nrows])
+            for rows in (m, q, ints):
+                with pytest.raises(ex.ExprError, match="independent"):
+                    f_solve_unique(rows, [[Fr(0)] * nrows])
 
     def test_one_symbolic_entry_takes_the_expression_field(self):
         # rank 2 over the field, although it drops to 1 at R = 4
