@@ -111,8 +111,7 @@ def _sum(pieces: list, zero):
 def _geometric(b) -> bool:
     # geometric part of a monomial: base variables, jets, exponentials;
     # parameters and rational content stay in the coefficient
-    return not (isinstance(b, Atom) and b.name in
-                ("R", "S", "V", "W", "omega", "delta"))
+    return not (isinstance(b, Atom) and b.name in ex.PARAMETER_NAMES)
 
 
 @dataclass(frozen=True)

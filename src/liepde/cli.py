@@ -20,14 +20,31 @@ from .jet import EvolutionPDE, StationaryEquation, get_equation, make_heat, make
 from .parser import parse, render
 from .prolong import VectorField, residual
 from .reduction import compare_with_printed, paper_reduction, reduce_time
-from .solver import (Binding, BindingError, SymmetryBasis, profile_basis,
-                     solve_determining, verify_basis)
+from .solver import (Binding, SymmetryBasis, profile_basis, solve_determining,
+                     verify_basis)
 
 __all__ = ["main"]
 
 MATH_FAILURE = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+
+def _read_generator(fields: dict, variables: tuple[str, ...],
+                    dependent: str) -> VectorField:
+    """The vector field of ``{"xi_<v>": text, "eta": text}``, the inverse of
+    ``VectorField.render``; a missing coefficient is zero."""
+    fields = dict(fields)
+    texts = [fields.pop(f"xi_{v}", "0") for v in variables]
+    texts.append(fields.pop("eta", "0"))
+    if fields:
+        raise ExprError(
+            f"unknown generator fields {sorted(fields)}; expected "
+            + ", ".join([f"xi_{v}" for v in variables] + ["eta"]))
+    if not all(isinstance(text, str) for text in texts):
+        raise ExprError(f"generator coefficients must be strings: {texts!r}")
+    *xi, eta = [parse(text) for text in texts]
+    return VectorField(variables, dependent, tuple(xi), eta)
 
 
 def _parse_generator(spec_text: str, variables: tuple[str, ...],
@@ -42,27 +59,25 @@ def _parse_generator(spec_text: str, variables: tuple[str, ...],
         if not eq:
             raise ExprError(f"generator field {chunk!r} is missing '='")
         fields[key.strip()] = rhs.strip()
-    xi = []
-    for v in variables:
-        xi.append(parse(fields.pop(f"xi_{v}", "0")))
-    eta = parse(fields.pop("eta", "0"))
-    if fields:
-        raise ExprError(
-            f"unknown generator fields {sorted(fields)}; expected "
-            + ", ".join([f"xi_{v}" for v in variables] + ["eta"]))
-    return VectorField(variables, dependent, tuple(xi), eta)
+    return _read_generator(fields, variables, dependent)
 
 
 def _load_basis_file(path: str) -> list[VectorField]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    variables = tuple(doc["variables"])
-    dependent = doc["dependent"]
-    out = []
-    for gen in doc["generators"]:
-        xi = tuple(parse(gen.get(f"xi_{v}", "0")) for v in variables)
-        out.append(VectorField(variables, dependent, xi, parse(gen.get("eta", "0"))))
-    return out
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise ExprError(f"basis file {path} is not JSON: {err}") from err
+    if not (isinstance(doc, dict) and isinstance(doc.get("dependent"), str)
+            and isinstance(doc.get("variables"), list)
+            and all(isinstance(v, str) for v in doc["variables"])
+            and isinstance(doc.get("generators"), list) and doc["generators"]
+            and all(isinstance(g, dict) for g in doc["generators"])):
+        raise ExprError(
+            f"basis file {path} must hold variables (a list of names), "
+            "dependent (a name) and generators (a non-empty list of objects)")
+    return [_read_generator(g, tuple(doc["variables"]), doc["dependent"])
+            for g in doc["generators"]]
 
 
 def _emit(doc: dict, text_lines: list[str], args) -> None:
@@ -370,10 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact Lie point symmetry engine for evolution PDEs")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if out:
-            p.add_argument("--out", help="write output to this path")
+        p.add_argument("--out", help="write output to this path")
 
     p = sub.add_parser("verify", help="check generators for zero residual")
     p.add_argument("--equation", required=True)
@@ -420,16 +434,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if err.code else 0
     try:
         return args.func(args)
-    except (BindingError,) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
     except InternalError as err:
         print(f"error: {err}", file=sys.stderr)
         return INTERNAL_ERROR
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as err:
+    except (ExprError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -31,11 +31,14 @@ and of terms within a sum, and they hash and compare as tuples.  The
 kernel keeps no caches: an expression computes its hash on first use and
 keeps it, and nothing else is memoised.
 
-Division is deliberately narrow: terms whose non-rational part consists of
-independent variables, user constants, jets or exponentials can be
-inverted, as can rational multiples of ``R*V + W`` (via ``delta``).
-Dividing by anything else raises :class:`UnsupportedDivision` rather than
-producing an unsound form.
+Inversion (``e ** -1`` and ``/``) is deliberately narrow: terms whose
+non-rational part consists of independent variables, user constants, jets
+or exponentials can be inverted, as can rational multiples of ``R*V + W``
+(via ``delta``).  :func:`divide_exact` returns ``num/den`` whenever the
+quotient is a value of this kernel, and raises :class:`UnsupportedDivision`
+at once when it is not; a divisor that is a sum holding an exponential
+(other than one every term shares) is refused.  Neither ever produces an
+unsound form.
 """
 
 from __future__ import annotations
@@ -598,121 +601,115 @@ def _omega_split(e: Expr) -> tuple[Expr, Expr]:
 
 
 def _delta_degree(e: Expr) -> int:
-    d = 0
-    for _, fs in e.terms:
-        for b, p in fs:
-            if b == _DELTA_B:
-                d = max(d, p)
-    return d
+    return max([p for _, fs in e.terms for b, p in fs if b == _DELTA_B], default=0)
 
 
-def _grlex_key(fs: Factors, universe: tuple[Base, ...]) -> tuple:
-    expo = {b: p for b, p in fs}
-    vec = tuple(-expo.get(b, 0) for b in universe)
-    return (-sum(expo.get(b, 0) for b in universe), vec)
+def _poly_div_exact(num: Expr, den: Expr) -> Expr | None:
+    """The polynomial quotient ``num/den``, or None when ``den`` does not
+    divide ``num``.
 
-
-def _poly_div_exact(num: Expr, den: Expr, max_steps: int = 4000) -> Expr | None:
-    """Plain multivariate exact division; None when no plain quotient exists.
-
-    Uses a graded-lex monomial order (multiplicative, so the leading term of
-    a product is the product of leading terms and single-divisor division is
-    complete for plain polynomial quotients).
+    ``den`` has two or more terms, no monomial factor and no negative power
+    or delta; ``num`` is delta-free.  The graded-lex order is
+    multiplicative, so when ``den`` divides the remainder its leading term
+    divides the remainder's, and the loop stops at the first leading term
+    that it does not.  ``num`` may hold negative powers, but as ``den`` has
+    no monomial factor a quotient never holds a power below the least one
+    in ``num``, so every step lowers the leading monomial in a well-order
+    and the loop ends.  A ``den`` holding an exponential gives None:
+    products of exponentials are new bases, which would break that order.
     """
-    bases: set[Base] = set()
-    for e in (num, den):
-        for _, fs in e.terms:
-            bases.update(b for b, _ in fs)
-    universe = tuple(sorted(bases))
-
-    def lead(e: Expr) -> Term:
-        return min(e.terms, key=lambda t: _grlex_key(t[1], universe))
-
-    dc, dfs = lead(den)
-    dexp = {b: p for b, p in dfs}
-    quotient = ZERO
-    rem = num
-    steps = 0
-    while not rem.is_zero:
-        steps += 1
-        if steps > max_steps:
-            return None
-        rc, rfs = lead(rem)
-        rexp = {b: p for b, p in rfs}
-        qfs = []
-        for b, p in dexp.items():
-            q = rexp.get(b, 0) - p
-            if isinstance(b, ExpFactor) or (q < 0 and isinstance(b, Atom)
-                                            and (b in _GUARDED + (_OMEGA_B, _DELTA_B))):
+    floor: dict[Base, int] = {}
+    for _, fs in num.terms:
+        for b, p in fs:
+            floor[b] = min(p, floor.get(b, 0))
+    for _, fs in den.terms:
+        for b, _ in fs:
+            if b.__class__ is ExpFactor:
                 return None
-            qfs.append((b, q))
-        for b, p in rexp.items():
-            if b not in dexp:
-                qfs.append((b, p))
-        try:
-            qterm = Expr(_collect(_normalize_product(rc / dc, tuple(qfs))))
-        except UnsupportedDivision:
-            return None
-        if qterm.is_zero or len(qterm.terms) != 1:
-            return None
-        quotient = quotient + qterm
+            floor.setdefault(b, 0)
+    universe = sorted(floor)
+
+    def grlex(term: Term) -> tuple:
+        expo = dict(term[1])
+        vec = [expo.get(b, 0) for b in universe]
+        return sum(vec), vec
+
+    dc, dfs = max(den.terms, key=grlex)
+    quotient: list[Term] = []
+    rem = num
+    while rem.terms:
+        rc, rfs = max(rem.terms, key=grlex)
+        qexp = dict(rfs)
+        for b, p in dfs:
+            qexp[b] = qexp.get(b, 0) - p
+            if qexp[b] < floor[b]:
+                return None
+        qterm = Expr(_collect(_normalize_product(rc / dc, tuple(qexp.items()))))
+        quotient.extend(qterm.terms)
         rem = rem - qterm * den
-    return quotient
+    return Expr(_collect(quotient))
+
+
+def _content(e: Expr) -> tuple[Fraction, Factors]:
+    """The first coefficient and the least power of each base over the
+    terms: the monomial that leaves no monomial factor."""
+    least = dict(e.terms[0][1])
+    for _, fs in e.terms[1:]:
+        expo = dict(fs)
+        for b in set(least) | set(expo):
+            least[b] = min(least.get(b, 0), expo.get(b, 0))
+    return e.terms[0][0], tuple([(b, p) for b, p in least.items() if p])
+
+
+def _divide_monomial(e: Expr, c: Fraction, fs: Factors) -> Expr:
+    """``e / (c*fs)`` term by term; :class:`UnsupportedDivision` when a term
+    would hold a negative power of a parameter."""
+    if not fs:
+        return e._scaled(1 / c)
+    inverse = tuple([(b, -p) for b, p in fs])
+    return Expr(_collect([t for ec, efs in e.terms
+                          for t in _normalize_product(ec / c, efs + inverse)]))
 
 
 def divide_exact(num: Expr, den: Expr) -> Expr:
-    """Exact division with the supported denominator classes.
+    """Exact quotient ``num/den``; :class:`UnsupportedDivision` when it is
+    not representable.
 
-    Handles rationals, invertible monomials, rational multiples of powers of
-    ``R*V + W`` and plain polynomial quotients (after clearing ``delta`` and
-    rationalising ``omega`` out of the denominator).  Raises
-    :class:`UnsupportedDivision` when the quotient is not representable.
+    One normalisation: delta is cleared from both sides and omega
+    rationalised out of ``den``; the powers of ``R*V + W`` in ``den`` are
+    taken out as powers of delta, and the rest of ``den`` is monomial
+    content, divided term by term, times a polynomial with no monomial
+    factor, divided by :func:`_poly_div_exact`.
     """
     num, den = as_expr(num), as_expr(den)
     if den.is_zero:
         raise DivisionByZero("division by an expression that simplifies to zero")
     if num.is_zero:
         return ZERO
-    if den.is_rational:
-        return num * (1 / den.as_fraction())
-    if len(den.terms) == 1:
-        try:
-            return num * _invert(den)
-        except UnsupportedDivision:
-            q = _poly_div_exact(num, den)
-            if q is not None:
-                return q
-            raise
     d = _delta_degree(den)
     if d:
-        num = num * _D_SUM ** d
-        den = den * _D_SUM ** d
+        num, den = num * _D_SUM ** d, den * _D_SUM ** d
     even, odd = _omega_split(den)
-    if not odd.is_zero:
+    if odd.terms:
         conj = even - OMEGA * odd
-        if conj.is_zero:
-            raise UnsupportedDivision(f"cannot divide by {to_text(den)}")
-        num = num * conj
-        den = den * conj
-    if den.is_rational:
-        return num * (1 / den.as_fraction())
-    if len(den.terms) == 1:
-        try:
-            return num * _invert(den)
-        except UnsupportedDivision:
-            q = _poly_div_exact(num, den)
-            if q is not None:
-                return q
-            raise
-    for j in range(1, 5):
-        cand = den * DELTA ** j
-        if cand.is_rational:
-            return num * DELTA ** j * (1 / cand.as_fraction())
-    q = _poly_div_exact(num, den)
-    if q is not None:
-        return q
-    raise UnsupportedDivision(
-        f"no exact representable quotient for division by {to_text(den)}")
+        num, den = num * conj, den * conj
+    k = _delta_degree(num)
+    if k:
+        num = num * _D_SUM ** k
+    while len(den.terms) > 1:
+        rest = _poly_div_exact(den, _D_SUM)
+        if rest is None:
+            break
+        den, k = rest, k + 1
+    c, m = _content(den)
+    num = _divide_monomial(num, c, m)
+    poly = _divide_monomial(den, c, m)
+    if len(poly.terms) > 1:
+        num = _poly_div_exact(num, poly)
+        if num is None:
+            raise UnsupportedDivision(
+                f"no exact representable quotient for division by {to_text(den)}")
+    return num * DELTA ** k if k else num
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,10 @@ class _Parser:
 
     def resolve(self, tok: _Token) -> Expr:
         name = tok.text
-        if name in ("R", "S", "V", "W", "omega", "t", "x", "y", "r"):
-            return ex.sym(name)
         if name in ex.DEPENDENT_NAMES:
             return ex.jet(name)
+        if name in ex.RESERVED_NAMES:
+            return ex.sym(name)
         if "_" in name:
             dep, _, suffix = name.partition("_")
             if dep in ex.DEPENDENT_NAMES:

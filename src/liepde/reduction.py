@@ -31,8 +31,6 @@ __all__ = [
     "compare_with_printed",
 ]
 
-_PARAM_ATOMS = {"R", "S", "V", "W", "omega", "delta"}
-
 
 class ReductionError(ExprError):
     """The generator does not reduce the equation in the supported way."""
@@ -62,7 +60,7 @@ class ReducedEquation:
 
 
 def _is_parameter_expr(e: Expr) -> bool:
-    return ex.atoms_of(e) <= _PARAM_ATOMS and not ex.jets_of(e) \
+    return ex.atoms_of(e).issubset(ex.PARAMETER_NAMES) and not ex.jets_of(e) \
         and not ex.tfuns_of(e)
 
 

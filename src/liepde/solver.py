@@ -44,6 +44,9 @@ class BindingError(ExprError):
     """Invalid parameter binding for the requested operation."""
 
 
+_BOUND = ex.PARAMETER_NAMES[:4]  # R, S, V, W; omega and delta are derived
+
+
 @dataclass(frozen=True)
 class Binding:
     """Exact rational values for R, S, V, W (omega, delta derived).
@@ -61,7 +64,7 @@ class Binding:
             for chunk in text.split(","):
                 name, _, rhs = chunk.partition("=")
                 name, rhs = name.strip(), rhs.strip()
-                if name not in ("R", "S", "V", "W", "omega"):
+                if name not in _BOUND:
                     raise BindingError(f"unknown parameter {name!r} in binding")
                 try:
                     vals[name] = Fraction(rhs)
@@ -78,15 +81,6 @@ class Binding:
         return r * r - 4 * s
 
     def omega(self) -> Fraction:
-        if "omega" in self.values:
-            om = self.values["omega"]
-            if om * om != self.discriminant():
-                raise BindingError(
-                    f"omega={om} is inconsistent: omega^2 must equal "
-                    f"R^2 - 4*S = {self.discriminant()}")
-            if om < 0:
-                raise BindingError("omega must be the non-negative square root")
-            return om
         disc = self.discriminant()
         if disc < 0:
             raise BindingError("R^2 - 4*S must be non-negative")
@@ -109,7 +103,7 @@ class Binding:
 
     def substitution(self, needed: set[str]) -> dict:
         out: dict = {}
-        for name in ("R", "S", "V", "W"):
+        for name in _BOUND:
             if name in needed:
                 if name not in self.values:
                     raise BindingError(f"binding does not set {name}")
@@ -124,7 +118,7 @@ class Binding:
         return out
 
     def apply(self, e: Expr) -> Expr:
-        needed = ex.atoms_of(e) & {"R", "S", "V", "W", "omega", "delta"}
+        needed = ex.atoms_of(e).intersection(ex.PARAMETER_NAMES)
         if not needed:
             return e
         return ex.subst_many(e, self.substitution(needed))
@@ -352,10 +346,10 @@ def solve_determining(pde: EvolutionPDE,
     binding = binding or Binding()
     if not binding.is_empty():
         binding.omega()  # discovery needs a rational surd; fail fast
-    params = ex.atoms_of(pde.rhs) & {"R", "S", "V", "W", "omega", "delta"}
+    params = ex.atoms_of(pde.rhs).intersection(ex.PARAMETER_NAMES)
     if params:
         bound_pde = binding.apply_pde(pde)
-        still = ex.atoms_of(bound_pde.rhs) & {"R", "S", "V", "W", "omega", "delta"}
+        still = ex.atoms_of(bound_pde.rhs).intersection(ex.PARAMETER_NAMES)
         if still:
             raise BindingError(
                 f"discovery needs rational parameters; unbound: {sorted(still)}")

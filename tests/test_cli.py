@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 import liepde
 from liepde import expr as ex
@@ -141,6 +142,38 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "pair (1, 2) is not representable" in err
+
+    def test_classify_basis_with_a_surd_constant(self, capsys, tmp_path):
+        # [(R^2 - 4S) d/dx, x d/dy] = omega * (omega d/dy)
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "variables": ["t", "x", "y"], "dependent": "u",
+            "generators": [{"xi_x": "R^2 - 4*S"}, {"xi_y": "x"},
+                           {"xi_y": "omega"}]}))
+        code, out, _ = run_cli(["classify", "--basis", str(path)], capsys)
+        assert code == 0
+        assert "name: W3" in out
+
+    @pytest.mark.parametrize("text", [
+        '{"variables": ["t", "x"], "dependent": "u", '
+        '"generators": [{"xi_t": "1", "xi_X": "1"}]}',
+        '{"variables": ["t", "x"], "dependent": "u", "generators": [',
+        '{"dependent": "u", "generators": [{"xi_t": "1"}]}',
+        '{"variables": ["t", "x"], "generators": [{"xi_t": "1"}]}',
+        '{"variables": ["t", "x"], "dependent": "u"}',
+        '[{"xi_t": "1"}]',
+        '{"variables": ["t", "x"], "dependent": "u", '
+        '"generators": [{"xi_t": 1}]}',
+        '{"variables": ["t", "x"], "dependent": "u", "generators": []}',
+    ], ids=["unknown-key", "not-json", "no-variables", "no-dependent",
+            "no-generators", "top-level-list", "non-string", "empty"])
+    def test_malformed_basis_file_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "basis.json"
+        path.write_text(text)
+        code, out, err = run_cli(["classify", "--basis", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_classify_discovered_basis(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 """Kernel canonical forms, arithmetic, calculus, exact evaluation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,39 @@ class TestDivision:
     def test_delta_powers_in_denominator(self):
         k1 = Fraction(1, 2) * (R - OMEGA) * DELTA
         assert divide_exact(k1 * (X + Y), k1) == X + Y
+
+    def test_surd_quotient(self):
+        assert divide_exact(R ** 2 - 4 * S, OMEGA) == OMEGA
+
+    @pytest.mark.parametrize("num, den", [
+        (ONE, X + Y), (ONE, 1 + T * Y), (X, 1 - Y ** 2), (X + 1, 1 - T)])
+    def test_inexact_quotient_is_refused_at_once(self, num, den):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedDivision):
+            divide_exact(num, den)
+        assert time.perf_counter() - start < 1
+
+    def test_sum_holding_an_exponential_is_refused(self):
+        with pytest.raises(UnsupportedDivision):
+            divide_exact(T * exp_of(T) + T ** 2, exp_of(T) + T)
+
+    def test_random_exact_quotients(self):
+        pool = [R, S, V, W, OMEGA, DELTA, X, Y, T, X ** -1]
+        rng = random.Random(505)
+
+        def polynomial():
+            out = ZERO
+            for _ in range(rng.randint(1, 3)):
+                term = rational(random_fraction(rng) or 1)
+                for _ in range(rng.randint(0, 3)):
+                    term = term * rng.choice(pool)
+                out = out + term
+            return out
+
+        for _ in range(300):
+            q, den = polynomial(), polynomial()
+            if not den.is_zero:
+                assert divide_exact(q * den, den) == q
 
 
 class TestCalculus:
