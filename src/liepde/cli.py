@@ -58,7 +58,10 @@ def _parse_generator(spec_text: str, variables: tuple[str, ...],
         key, eq, rhs = chunk.partition("=")
         if not eq:
             raise ExprError(f"generator field {chunk!r} is missing '='")
-        fields[key.strip()] = rhs.strip()
+        key = key.strip()
+        if key in fields:
+            raise ExprError(f"generator field {key!r} is given twice")
+        fields[key] = rhs.strip()
     return _read_generator(fields, variables, dependent)
 
 

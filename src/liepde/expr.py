@@ -31,14 +31,15 @@ and of terms within a sum, and they hash and compare as tuples.  The
 kernel keeps no caches: an expression computes its hash on first use and
 keeps it, and nothing else is memoised.
 
-Inversion (``e ** -1`` and ``/``) is deliberately narrow: terms whose
-non-rational part consists of independent variables, user constants, jets
-or exponentials can be inverted, as can rational multiples of ``R*V + W``
-(via ``delta``).  :func:`divide_exact` returns ``num/den`` whenever the
-quotient is a value of this kernel, and raises :class:`UnsupportedDivision`
-at once when it is not; a divisor that is a sum holding an exponential
-(other than one every term shares) is refused.  Neither ever produces an
-unsound form.
+Division has one policy.  ``/``, negative powers and every exact quotient
+the engine takes go through :func:`divide_exact`, which returns ``num/den``
+when the quotient is a value of this kernel and raises
+:class:`UnsupportedDivision`, naming the divisor as the caller wrote it, at
+once when it is not.  Negative powers of variables, user constants, jets
+and exponentials are values; so is ``delta``, the inverse of ``R*V + W``.
+Negative powers of the parameters, omega and delta are not, and no
+arithmetic builds them.  A divisor that is a sum holding an exponential
+(other than one every term shares) is refused.
 """
 
 from __future__ import annotations
@@ -212,15 +213,15 @@ _R_B = Atom("R")
 _S_B = Atom("S")
 _V_B = Atom("V")
 _W_B = Atom("W")
-_GUARDED = (_R_B, _S_B, _V_B, _W_B)
+_GUARDED = (_R_B, _S_B, _V_B, _W_B, _OMEGA_B, _DELTA_B)
 _T_B = Atom("t")
 
 
 def _rewrite_monomial(coeff: Fraction, fdict: dict[Base, int]) -> list[tuple[Fraction, dict]]:
     """Exhaustively apply the omega and delta rewrite rules to one monomial.
 
-    Terminates: the omega and negative-delta rules each fire at most once per
-    lineage, and the R*V*delta rule strictly lowers the combined R,V degree.
+    Terminates: the omega rule fires at most once per lineage, and the
+    R*V*delta rule strictly lowers the combined R,V degree.
     """
     out: list[tuple[Fraction, dict]] = []
     stack = [(coeff, fdict)]
@@ -244,22 +245,7 @@ def _rewrite_monomial(coeff: Fraction, fdict: dict[Base, int]) -> list[tuple[Fra
                     g[_S_B] = g.get(_S_B, 0) + k
                 stack.append((c * comb(half, j) * Fraction(-4) ** k, g))
             continue
-        de = f.get(_DELTA_B, 0)
-        if de < 0:
-            k = -de
-            g0 = dict(f)
-            del g0[_DELTA_B]
-            # delta^-k = (R*V + W)^k
-            for j in range(k + 1):
-                g = dict(g0)
-                if j:
-                    g[_R_B] = g.get(_R_B, 0) + j
-                    g[_V_B] = g.get(_V_B, 0) + j
-                if k - j:
-                    g[_W_B] = g.get(_W_B, 0) + (k - j)
-                stack.append((c * comb(k, j), g))
-            continue
-        if de >= 1 and f.get(_R_B, 0) >= 1 and f.get(_V_B, 0) >= 1:
+        if f.get(_DELTA_B, 0) >= 1 and f.get(_R_B, 0) >= 1 and f.get(_V_B, 0) >= 1:
             g1 = dict(f)
             for b in (_R_B, _V_B, _DELTA_B):
                 g1[b] -= 1
@@ -303,10 +289,7 @@ def _normalize_product(coeff: Fraction, raw: Iterable[Factor]) -> list[Term]:
         for b in _GUARDED:
             if merged.get(b, 0) < 0:
                 raise UnsupportedDivision(
-                    f"cannot invert the parameter {b.name}; only rational "
-                    f"multiples of R*V + W have exact inverses")
-        if merged.get(_OMEGA_B, 0) < 0:
-            raise UnsupportedDivision("cannot invert the surd omega")
+                    f"a negative power of {b.name} is not a kernel value")
 
     # one exp(arg) to the first power is canonical already; else merge
     if len(exp_args) > 1 or (exp_args and exp_factor[1] != 1):
@@ -457,7 +440,7 @@ class Expr:
         if n == 0:
             return ONE
         if n < 0:
-            return _invert(self) ** (-n)
+            return divide_exact(ONE, self) ** -n
         result = ONE
         square = self
         k = n
@@ -469,10 +452,10 @@ class Expr:
         return result
 
     def __truediv__(self, other) -> "Expr":
-        return self * (as_expr(other) ** -1)
+        return divide_exact(self, other)
 
     def __rtruediv__(self, other) -> "Expr":
-        return as_expr(other) * (self ** -1)
+        return divide_exact(other, self)
 
     # -- display -------------------------------------------------------------
 
@@ -551,7 +534,7 @@ R, S, V, W = sym("R"), sym("S"), sym("V"), sym("W")
 OMEGA, DELTA = sym("omega"), sym("delta")
 U, Z = sym("u"), sym("z")
 
-_D_SUM = R * V + W  # the only sum with an exact inverse (= delta)
+_D_SUM = R * V + W  # the sum whose inverse is delta
 
 
 def simplify(e: Expr) -> Expr:
@@ -563,29 +546,6 @@ def simplify(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
-
-def _invert_term(c: Fraction, fs: Factors) -> Expr:
-    pieces = _normalize_product(1 / c, tuple((b, -p) for b, p in fs))
-    return Expr(_collect(pieces))
-
-
-def _invert(e: Expr) -> Expr:
-    if e.is_zero:
-        raise DivisionByZero("division by an expression that simplifies to zero")
-    if len(e.terms) == 1:
-        c, fs = e.terms[0]
-        return _invert_term(c, fs)
-    # rational multiple of R*V + W  ->  inverse via delta
-    if len(e.terms) == len(_D_SUM.terms):
-        shapes = tuple(fs for _, fs in e.terms)
-        if shapes == tuple(fs for _, fs in _D_SUM.terms):
-            ratio = e.terms[0][0] / _D_SUM.terms[0][0]
-            if e == _D_SUM * ratio:
-                return DELTA * (1 / ratio)
-    raise UnsupportedDivision(
-        f"cannot invert {to_text(e)}; only single-term monomials and rational "
-        f"multiples of R*V + W are invertible")
-
 
 def _omega_split(e: Expr) -> tuple[Expr, Expr]:
     """e = even + omega*odd with omega-free parts (normal form has omega^<=1)."""
@@ -661,19 +621,23 @@ def _content(e: Expr) -> tuple[Fraction, Factors]:
     return e.terms[0][0], tuple([(b, p) for b, p in least.items() if p])
 
 
-def _divide_monomial(e: Expr, c: Fraction, fs: Factors) -> Expr:
-    """``e / (c*fs)`` term by term; :class:`UnsupportedDivision` when a term
-    would hold a negative power of a parameter."""
+def _divide_monomial(e: Expr, c: Fraction, fs: Factors) -> Expr | None:
+    """``e / (c*fs)`` term by term, or None when a term would hold a
+    negative power of a parameter."""
     if not fs:
         return e._scaled(1 / c)
     inverse = tuple([(b, -p) for b, p in fs])
-    return Expr(_collect([t for ec, efs in e.terms
-                          for t in _normalize_product(ec / c, efs + inverse)]))
+    try:
+        return Expr(_collect([t for ec, efs in e.terms
+                              for t in _normalize_product(ec / c, efs + inverse)]))
+    except UnsupportedDivision:
+        return None
 
 
 def divide_exact(num: Expr, den: Expr) -> Expr:
-    """Exact quotient ``num/den``; :class:`UnsupportedDivision` when it is
-    not representable.
+    """Exact quotient ``num/den``, behind ``/`` and negative powers too;
+    :class:`UnsupportedDivision`, naming ``den``, when it is not a kernel
+    value.
 
     One normalisation: delta is cleared from both sides and omega
     rationalised out of ``den``; the powers of ``R*V + W`` in ``den`` are
@@ -686,6 +650,7 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
         raise DivisionByZero("division by an expression that simplifies to zero")
     if num.is_zero:
         return ZERO
+    divisor = den
     d = _delta_degree(den)
     if d:
         num, den = num * _D_SUM ** d, den * _D_SUM ** d
@@ -704,11 +669,11 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
     c, m = _content(den)
     num = _divide_monomial(num, c, m)
     poly = _divide_monomial(den, c, m)
-    if len(poly.terms) > 1:
+    if num is not None and len(poly.terms) > 1:
         num = _poly_div_exact(num, poly)
-        if num is None:
-            raise UnsupportedDivision(
-                f"no exact representable quotient for division by {to_text(den)}")
+    if num is None:
+        raise UnsupportedDivision(
+            f"no exact quotient in the kernel for division by {to_text(divisor)}")
     return num * DELTA ** k if k else num
 
 

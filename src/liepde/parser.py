@@ -9,7 +9,8 @@
 Rationals are integer literals or integer/integer.  Identifiers cover the
 reserved atoms (t, x, y, r, R, S, V, W, omega), jet variables such as ``u``,
 ``u_tx`` or ``z_rr`` (subscript letters in canonical order: t, x, y, r), and
-any names passed in ``constants``.  ``sqrt`` accepts exactly one radicand,
+any names passed in ``constants`` other than ``delta``, which the kernel
+keeps for the inverse of ``R*V + W``.  ``sqrt`` accepts exactly one radicand,
 ``R^2 - 4*S``, and yields the surd atom omega; anything else is rejected so
 that the single-surd canonical form stays sound.
 
@@ -241,6 +242,9 @@ class _Parser:
 
 def parse(text: str, constants: frozenset[str] | set[str] = frozenset()) -> Expr:
     """Parse grammar text into a canonical expression."""
+    if "delta" in constants:
+        raise ExprError("'delta' cannot name a constant: the kernel keeps it "
+                        "for the inverse of R*V + W")
     parser = _Parser(text, frozenset(constants))
     value = parser.parse_expr()
     tok = parser.peek()

@@ -247,6 +247,20 @@ class TestClassification:
         # its Killing form is negative definite
         assert verdict.notes == ("semisimple with Killing signature (0,3)",)
 
+    @pytest.mark.parametrize("n, brackets, why", [
+        # filiform: nilpotent, so the Killing radical is the whole algebra
+        (4, {(0, 1): 2, (0, 2): 3}, "no recognised structure"),
+        (7, {}, "dimension above 6 is out of scope"),
+    ])
+    def test_tensor_only_presentations_are_unclassified(self, n, brackets,
+                                                        why):
+        c = [[[Fr(0)] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), k in brackets.items():
+            c[i][j][k], c[j][i][k] = Fr(1), Fr(-1)
+        verdict = classify(AlgebraPresentation(
+            (), tuple(tuple(map(tuple, row)) for row in c)))
+        assert (verdict.name, verdict.notes) == ("unclassified", (why,))
+
     def test_basis_change_invariance(self, reduced_basis):
         rng = random.Random(23)
         fields = list(reduced_basis.fields)

@@ -49,6 +49,14 @@ class TestExitCodes:
              "--generator", "xi_t=0; xi_x=((; eta=0"], capsys)
         assert code == 2
 
+    def test_repeated_generator_field_exits_two(self, capsys):
+        code, out, err = run_cli(
+            ["verify", "--equation", "heat",
+             "--generator", "xi_t=0; xi_x=1; xi_x=x; eta=0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "'xi_x'" in err
+
     def test_oversized_numbers_exit_two(self, capsys):
         # just above the parser's MAX_DIGITS (1000): 3^2096 has 1001 digits
         for value in ("3^2096", "1" * 1001):

@@ -44,6 +44,9 @@ class TestCanonicalForm:
         assert (2 * (R * V + W)) ** -1 == Fraction(1, 2) * DELTA
         assert DELTA ** -1 == R * V + W
         assert DELTA ** -2 == (R * V + W) ** 2
+        # no kernel value holds a negative power of delta
+        with pytest.raises(UnsupportedDivision):
+            ex._expr_of_base(ex.Atom("delta"), -1)
 
     def test_delta_cancellation_through_sums(self):
         c2 = 2 * (R * V + W)
@@ -87,13 +90,16 @@ class TestDivision:
         assert (2 * X * Y) ** -1 * (2 * X * Y) == ONE
 
     def test_parameter_not_invertible(self):
-        with pytest.raises(UnsupportedDivision):
+        # each refusal names the divisor as written, not its rationalised form
+        with pytest.raises(UnsupportedDivision, match=r"by R$"):
             R ** -1
-        with pytest.raises(UnsupportedDivision):
+        with pytest.raises(UnsupportedDivision, match=r"by omega$"):
             OMEGA ** -1
+        with pytest.raises(UnsupportedDivision, match=r"by R \+ omega$"):
+            (R + OMEGA) ** -1
 
     def test_general_sum_not_invertible(self):
-        with pytest.raises(UnsupportedDivision):
+        with pytest.raises(UnsupportedDivision, match=r"by x \+ y$"):
             (X + Y) ** -1
 
     def test_conjugate_division(self):
@@ -103,6 +109,7 @@ class TestDivision:
     def test_polynomial_quotient(self):
         assert divide_exact(R * V * X + W * X, R * V + W) == X
         assert divide_exact(X ** 2 - Y ** 2, X + Y) == X - Y
+        assert (X ** 2 - Y ** 2) / (X - Y) == X + Y
 
     def test_delta_powers_in_denominator(self):
         k1 = Fraction(1, 2) * (R - OMEGA) * DELTA
@@ -139,7 +146,8 @@ class TestDivision:
         for _ in range(300):
             q, den = polynomial(), polynomial()
             if not den.is_zero:
-                assert divide_exact(q * den, den) == q
+                num = q * den
+                assert num / den == divide_exact(num, den) == q
 
 
 class TestCalculus:

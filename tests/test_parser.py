@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from liepde import fixtures
-from liepde.expr import DELTA, OMEGA, R, S, X, Y, jet, rational
+from liepde.expr import DELTA, OMEGA, R, S, X, Y, ExprError, jet, rational
 from liepde.parser import MAX_DIGITS, ParseError, _power_too_long, parse, render
 
 
@@ -29,6 +29,8 @@ class TestGrammar:
     def test_negative_exponents(self):
         assert parse("x^-2") == X ** -2
         assert parse("(2*(R*V + W))^-1") == Fraction(1, 2) * DELTA
+        assert parse("(R*V*x + W*x)^-1") == DELTA * X ** -1
+        assert render(parse("(R*V*x + W*x)^-1")) == "(R*V + W)^-1*x^-1"
 
     def test_unary_minus_and_parentheses(self):
         assert parse("-x + (y - x)") == Y - 2 * X
@@ -41,6 +43,11 @@ class TestGrammar:
     def test_user_constants(self):
         e = parse("lam*exp(lam*t)", constants={"lam"})
         assert render(e) == "lam*exp(lam*t)"
+
+    def test_delta_is_not_a_constant_name(self):
+        # delta is the kernel's inverse of R*V + W, not a free constant
+        with pytest.raises(ExprError, match="'delta'"):
+            parse("delta*(R*V + W)", constants={"delta"})
 
 
 class TestErrors:
