@@ -20,10 +20,10 @@ from .jet import (  # noqa: F401
     equation_names, get_equation,
 )
 from .prolong import (  # noqa: F401
-    VectorField, DeterminingSystem, prolong2, residual, determining_equations,
+    VectorField, prolong2, residual, determining_equations,
 )
 from .solver import (  # noqa: F401
-    Binding, BindingError, Ansatz, SymmetryBasis, SymmetryProfile,
+    Binding, BindingError, ansatz, SymmetryBasis, SymmetryProfile,
     solve_determining, verify_basis, profile_basis, span_rank,
 )
 from .reduction import (  # noqa: F401

@@ -2,11 +2,12 @@
 
 An :class:`EvolutionPDE` is a scalar equation solved for the first time
 derivative, ``u_t = F(t, spatial variables, u, spatial jets)``, with F at
-most second order.  Total derivatives act on jet expressions; when a PDE is
-supplied, time-derivative jets are eliminated through the equation and its
-total derivatives, which is what restricting to the solution manifold means
-here.  That elimination is the reference path; ``prolong.residual`` works
-on the manifold from the start and never builds a time jet.
+most second order.  Total derivatives act on jet expressions;
+``eliminate_time_jets`` replaces time-derivative jets through the equation
+and its total derivatives, which is what restricting to the solution
+manifold means here.  That elimination is the reference path;
+``prolong.residual`` works on the manifold from the start and never builds
+a time jet.
 """
 
 from __future__ import annotations
@@ -97,18 +98,12 @@ def make_heat() -> EvolutionPDE:
     return EvolutionPDE(("t", "x"), "u", ex.jet("u", "xx"))
 
 
-def total_derivative(e: Expr, v: str, pde: EvolutionPDE | None = None) -> Expr:
-    """Total derivative D_v, optionally on the solution manifold of ``pde``.
-
-    D_v e = de/dv + sum_J u_{J+v} * de/du_J.  With a PDE supplied, time jets
-    are eliminated before and after differentiating.
-    """
+def total_derivative(e: Expr, v: str) -> Expr:
+    """Total derivative D_v e = de/dv + sum_J u_{J+v} * de/du_J."""
     if v not in ex.VARIABLE_NAMES:
         raise ExprError(f"total derivative direction must be one of {ex.VARIABLE_NAMES}")
-    if pde is not None:
-        e = eliminate_time_jets(e, pde)
     pieces = [ex.partial(e, Atom(v))]
-    for j in sorted(ex.jets_of(e), key=lambda j: (j.order, j.idx)):
+    for j in sorted(ex.jets_of(e)):
         de = ex.partial(e, j)
         if de.is_zero:
             continue
@@ -117,10 +112,7 @@ def total_derivative(e: Expr, v: str, pde: EvolutionPDE | None = None) -> Expr:
                 f"D_{v} of {ex.base_label(j)} exceeds jet order {MAX_JET_ORDER}")
         lifted = tuple(sorted(j.idx + (v,), key=ex.VARIABLE_NAMES.index))
         pieces.append(ex.jet(j.dep, lifted) * de)
-    out = ex.sum_of(pieces)
-    if pde is not None:
-        out = eliminate_time_jets(out, pde)
-    return out
+    return ex.sum_of(pieces)
 
 
 def _time_jet_rule(j: Jet, pde: EvolutionPDE) -> Expr:
@@ -144,8 +136,8 @@ def eliminate_time_jets(e: Expr, pde: EvolutionPDE) -> Expr:
     Fixed elimination order: u_t first, then mixed second-order time jets,
     then u_tt (whose replacement is cleaned recursively), then third order.
     This is the reference restriction to the solution manifold, used by
-    ``total_derivative(..., pde)`` and by tests that check the residual
-    against the classical criterion; ``prolong.residual`` does not call it.
+    tests that check the residual against the classical criterion;
+    ``prolong.residual`` does not call it.
     """
     for _ in range(8):
         time_jets = sorted(

@@ -92,9 +92,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, start_col))
             col += j - i
@@ -246,7 +246,10 @@ def parse(text: str, constants: frozenset[str] | set[str] = frozenset()) -> Expr
         raise ExprError("'delta' cannot name a constant: the kernel keeps it "
                         "for the inverse of R*V + W")
     parser = _Parser(text, frozenset(constants))
-    value = parser.parse_expr()
+    try:
+        value = parser.parse_expr()
+    except RecursionError:
+        parser.fail("expression nested too deeply")
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"unexpected trailing input {tok.text!r}", tok)

@@ -31,6 +31,11 @@ where J runs over () and the spatial multi-indices with F_{u_J} nonzero.
 L_J is the Leibniz remainder D_J(xi^t u_t) - xi^t u_{J,t} with the time
 jets replaced through the equation, so no time jet is ever built; the
 value equals the classical criterion with every time jet eliminated.
+
+``determining_equations`` splits the residual of a field with unknown
+t-functions by its monomials in the jets and the point variables x, y, r
+and u, and returns the coefficients as a plain list: the field is a
+symmetry iff every one vanishes, whatever their order.
 """
 
 from __future__ import annotations
@@ -44,8 +49,7 @@ from .expr import Atom, Expr, ExprError, Jet
 from .jet import EvolutionPDE, total_derivative
 
 __all__ = [
-    "VectorField", "DeterminingSystem", "prolong2", "residual",
-    "determining_equations",
+    "VectorField", "prolong2", "residual", "determining_equations",
 ]
 
 
@@ -191,55 +195,12 @@ def residual(vf: VectorField, pde: EvolutionPDE) -> Expr:
 # determining equations
 # ---------------------------------------------------------------------------
 
-def _jet_key(e_factors) -> tuple:
-    # graded lexicographic order on jet monomials: total degree, then the
-    # fixed base order (the natural order of factor tuples); keeps golden
-    # output stable
-    return (sum(p for _, p in e_factors), e_factors)
+def determining_equations(vf: VectorField, pde: EvolutionPDE) -> list[Expr]:
+    """The residual's coefficients of each monomial in the jets and in x,
+    y, r: zero for all of them iff ``vf`` is a symmetry."""
 
+    def split_off(b) -> bool:
+        return isinstance(b, Jet) or (
+            isinstance(b, Atom) and b.name in ("x", "y", "r"))
 
-@dataclass(frozen=True)
-class DeterminingSystem:
-    """Residual coefficients indexed by jet monomial, then by point monomial.
-
-    ``by_jet`` maps each monomial in derivative jets (order >= 1) to its
-    coefficient, an expression in the base variables, u, and the unknown
-    t-functions.  The system vanishes identically iff the ansatz field is a
-    symmetry.
-    """
-
-    pde: EvolutionPDE
-    by_jet: tuple[tuple[tuple, Expr], ...]  # ((factors, coefficient), ...)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero for _, c in self.by_jet)
-
-    def equations(self) -> list[tuple[str, str, Expr]]:
-        """Flat list of (jet monomial, point monomial, equation) rows.
-
-        Each coefficient is split further by monomials in the base variables
-        and u; every row must vanish.  Rows are sorted by the graded-lex jet
-        order, then by the point monomial.
-        """
-        rows: list[tuple[str, str, Expr]] = []
-        point = ("x", "y", "r")
-
-        def is_point(b) -> bool:
-            return (isinstance(b, Atom) and b.name in point) or \
-                (isinstance(b, Jet) and b.order == 0)
-
-        for jet_factors, coeff in self.by_jet:
-            jet_label = ex.factors_text(jet_factors)
-            split = ex.split_terms(coeff, is_point)
-            for mono in sorted(split, key=_jet_key):
-                rows.append((jet_label, ex.factors_text(mono), split[mono]))
-        return rows
-
-
-def determining_equations(vf: VectorField, pde: EvolutionPDE) -> DeterminingSystem:
-    """Collect the residual by jet monomials into a determining system."""
-    res = residual(vf, pde)
-    groups = ex.split_terms(
-        res, lambda b: isinstance(b, Jet) and b.order >= 1)
-    ordered = sorted(groups.items(), key=lambda kv: _jet_key(kv[0]))
-    return DeterminingSystem(pde, tuple(ordered))
+    return list(ex.split_terms(residual(vf, pde), split_off).values())

@@ -6,7 +6,7 @@ exponent are rational and the whole computation stays in exact arithmetic:
 
 1. build the structured ansatz (xi_t = a(t); spatial xi affine; eta equal
    to u times a quadratic form, excluding the infinite family of solution
-   symmetries) and collect the determining system;
+   symmetries) and collect its determining equations, in any order;
 2. the system is linear, homogeneous and first order in the unknown
    t-functions with constant coefficients, ``A g + B g' = 0``, a linear
    DAE; completing it leaves an ODE ``z' = M z`` whose size is the exact
@@ -34,7 +34,7 @@ from . import linalg
 from .linalg import RootExtractionError
 
 __all__ = [
-    "Binding", "BindingError", "Ansatz", "SymmetryBasis", "SymmetryProfile",
+    "Binding", "BindingError", "ansatz", "SymmetryBasis", "SymmetryProfile",
     "solve_determining", "verify_basis", "profile_basis",
     "span_rank",
 ]
@@ -66,6 +66,8 @@ class Binding:
                 name, rhs = name.strip(), rhs.strip()
                 if name not in _BOUND:
                     raise BindingError(f"unknown parameter {name!r} in binding")
+                if name in vals:
+                    raise BindingError(f"parameter {name!r} is given twice")
                 try:
                     vals[name] = Fraction(rhs)
                 except (ValueError, ZeroDivisionError) as err:
@@ -140,49 +142,32 @@ class Binding:
 # ansatz
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ansatz:
-    """Structured generator shape for a (1+1) or (1+2) evolution equation.
+def ansatz(pde: EvolutionPDE) -> tuple[list[str], VectorField]:
+    """The unknown t-functions and the structured generator shape over them.
 
-    xi_t = a(t); spatial xi coefficients affine in the spatial variables;
-    eta = u times a quadratic form in the spatial variables, all with
-    unknown functions of t.  Solution symmetries (an additive phi(t,...)
-    d/du with phi any solution) are excluded by construction.  The shape
-    contains every generator this engine is asked to find.
+    xi_t = a(t); each spatial xi_v = b_v + sum_w b_vw w, affine in the
+    spatial variables; eta = u (f + sum_v f_v v + sum_{v<=w} f_vw v w).
+    Solution symmetries (an additive phi(t,...) d/du with phi any solution)
+    are excluded by construction.  The shape contains every generator this
+    engine is asked to find; the names come in the order of the columns of
+    the determining system.
     """
+    spatial = pde.spatial
+    sym = {v: ex.sym(v) for v in spatial}
+    xi_terms = [[("a", ex.ONE)]] + [
+        [(f"b_{v}", ex.ONE)] + [(f"b_{v}{w}", sym[w]) for w in spatial]
+        for v in spatial]
+    eta_terms = [("f", ex.ONE)] + [(f"f_{v}", sym[v]) for v in spatial] + [
+        (f"f_{v}{w}", sym[v] * sym[w])
+        for i, v in enumerate(spatial) for w in spatial[i:]]
 
-    pde: EvolutionPDE
+    def combination(terms) -> Expr:
+        return ex.sum_of([ex.tfun(name) * monomial for name, monomial in terms])
 
-    def unknown_names(self) -> list[str]:
-        spatial = self.pde.spatial
-        names = ["a"]
-        for v in spatial:
-            names.append(f"b_{v}")
-            names.extend(f"b_{v}{w}" for w in spatial)
-        names.append("f")
-        names.extend(f"f_{v}" for v in spatial)
-        quad = []
-        for i, v in enumerate(spatial):
-            for w in spatial[i:]:
-                quad.append(f"f_{v}{w}")
-        return names + quad
-
-    def build(self) -> VectorField:
-        spatial = self.pde.spatial
-        dep = self.pde.dependent
-        xi = [ex.tfun("a")]
-        for v in spatial:
-            coeff = ex.tfun(f"b_{v}")
-            for w in spatial:
-                coeff = coeff + ex.tfun(f"b_{v}{w}") * ex.sym(w)
-            xi.append(coeff)
-        h = ex.tfun("f")
-        for v in spatial:
-            h = h + ex.tfun(f"f_{v}") * ex.sym(v)
-        for i, v in enumerate(spatial):
-            for w in spatial[i:]:
-                h = h + ex.tfun(f"f_{v}{w}") * ex.sym(v) * ex.sym(w)
-        return VectorField(self.pde.variables, dep, tuple(xi), h * ex.sym(dep))
+    names = [name for terms in xi_terms + [eta_terms] for name, _ in terms]
+    eta = combination(eta_terms) * ex.sym(pde.dependent)
+    return names, VectorField(pde.variables, pde.dependent,
+                              tuple(map(combination, xi_terms)), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +186,12 @@ class SymmetryBasis:
         return len(self.fields)
 
 
-def _linear_system(system_rows, unknowns: list[str]):
+def _linear_system(equations, unknowns: list[str]):
     """Split determining equations into A g + B g' = 0 over the rationals."""
     index = {name: i for i, name in enumerate(unknowns)}
     a_rows: list[list[Fraction]] = []
     b_rows: list[list[Fraction]] = []
-    for _, _, eq in system_rows:
-        if eq.is_zero:
-            continue
+    for eq in equations:
         arow = [Fraction(0)] * len(unknowns)
         brow = [Fraction(0)] * len(unknowns)
         for coeff, factors in eq.terms:
@@ -340,8 +323,7 @@ def _normalize_field(vf: VectorField) -> VectorField:
 
 
 def solve_determining(pde: EvolutionPDE,
-                      binding: Binding | None = None,
-                      ansatz: Ansatz | None = None) -> SymmetryBasis:
+                      binding: Binding | None = None) -> SymmetryBasis:
     """Discover the finite symmetry basis within the structured ansatz."""
     binding = binding or Binding()
     if not binding.is_empty():
@@ -355,11 +337,9 @@ def solve_determining(pde: EvolutionPDE,
                 f"discovery needs rational parameters; unbound: {sorted(still)}")
     else:
         bound_pde = pde
-    ansatz = ansatz or Ansatz(bound_pde)
-    unknowns = ansatz.unknown_names()
-    vf = ansatz.build()
-    system = determining_equations(vf, bound_pde)
-    a_rows, b_rows = _linear_system(system.equations(), unknowns)
+    unknowns, vf = ansatz(bound_pde)
+    a_rows, b_rows = _linear_system(determining_equations(vf, bound_pde),
+                                    unknowns)
     if not a_rows:
         raise ExprError("empty determining system")
     fields: list[VectorField] = []

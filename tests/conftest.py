@@ -5,7 +5,7 @@ import pytest
 from liepde import expr as ex
 from liepde.jet import make_heat, make_hpz
 from liepde.prolong import determining_equations
-from liepde.solver import Ansatz, Binding, _linear_system
+from liepde.solver import Binding, _linear_system, ansatz
 
 
 @pytest.fixture(scope="session")
@@ -28,9 +28,8 @@ def determining_dae(pde, binding):
     discovery builds for ``pde`` at ``binding``, over the structured
     ansatz."""
     bound = binding.apply_pde(pde)
-    ansatz = Ansatz(bound)
-    system = determining_equations(ansatz.build(), bound)
-    return _linear_system(system.equations(), ansatz.unknown_names())
+    unknowns, vf = ansatz(bound)
+    return _linear_system(determining_equations(vf, bound), unknowns)
 
 
 def random_fraction(rng, span=9, den=5):

@@ -57,6 +57,24 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "'xi_x'" in err
 
+    def test_repeated_parameter_exits_two(self, capsys):
+        code, out, err = run_cli(
+            ["find", "--equation", "hpz",
+             "--params", "R=5,R=1,S=4,V=1,W=1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "'R'" in err and "twice" in err
+
+    @pytest.mark.parametrize("coefficient", [
+        "x^\u00b2", "(" * 400 + "x" + ")" * 400])
+    def test_unreadable_generator_exits_two(self, coefficient, capsys):
+        code, out, err = run_cli(
+            ["verify", "--equation", "heat",
+             "--generator", f"xi_t={coefficient}; xi_x=0; eta=0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_oversized_numbers_exit_two(self, capsys):
         # just above the parser's MAX_DIGITS (1000): 3^2096 has 1001 digits
         for value in ("3^2096", "1" * 1001):

@@ -52,7 +52,8 @@ class TestTotalDerivative:
                 + R * jet("u", "x") + R * X * jet("u", "xx")
                 + S * Y * jet("u", "xx")
                 + V * jet("u", "xxy") + W * jet("u", "xxx"))
-        assert total_derivative(jet("u", "x"), "t", hpz) == hand
+        assert eliminate_time_jets(
+            total_derivative(jet("u", "x"), "t"), hpz) == hand
 
     def test_order_overflow_is_loud(self):
         with pytest.raises(JetOrderError) as err:

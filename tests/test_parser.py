@@ -79,6 +79,23 @@ class TestErrors:
         assert _power_too_long(rational(1, 3) * X + 1, 10 ** 12)
         assert not _power_too_long(X + 1, 10 ** 12)
 
+    @pytest.mark.parametrize("text", ["x^\u00b2", "\u00b2", "1/\u00b3",
+                                      "\u2460 + x"])
+    def test_digits_int_cannot_read_are_unexpected(self, text):
+        # superscripts and circled digits pass str.isdigit, not isdecimal
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse(text)
+
+    def test_every_decimal_digit_is_read(self):
+        # int() reads the decimal digits of any script
+        assert parse("\u0663*x") == 3 * X
+        assert parse("\uff11\uff12") == 12
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse("(" * 400 + "x" + ")" * 400)
+        assert parse("(" * 50 + "x" + ")" * 50) == X
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse("x +\n  %")

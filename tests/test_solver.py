@@ -10,11 +10,12 @@ from liepde import expr as ex, solver
 from liepde.expr import InternalError
 from liepde.fixtures import generator_names, known_basis
 from liepde.jet import EvolutionPDE, get_equation
-from liepde.prolong import residual
+from liepde.prolong import determining_equations, residual
 from liepde.linalg import RootExtractionError, q_rank
-from liepde.solver import (Ansatz, Binding, BindingError, _candidate_exponents,
-                           _completion, _trial_nullspace, profile_basis,
-                           solve_determining, span_rank, verify_basis)
+from liepde.solver import (Binding, BindingError, _candidate_exponents,
+                           _completion, _linear_system, _trial_nullspace,
+                           ansatz, profile_basis, solve_determining,
+                           span_rank, verify_basis)
 
 from conftest import determining_dae
 
@@ -265,6 +266,34 @@ class TestCompletion:
             _candidate_exponents([[Fr(1), Fr(0)]], [[Fr(0), Fr(0)]])
 
 
+class TestEquationOrder:
+    """Discovery reads the determining equations as a set: the reduced
+    echelon forms behind the completion and the trial nullspaces are
+    unique, so reordering the equations changes nothing it finds."""
+
+    @pytest.mark.parametrize("seed, name, params", [
+        (0, "hpz", "R=5,S=4,V=1,W=1"), (1, "hpz", "R=5,S=4,V=0,W=1"),
+        (2, "heat", ""), (3, "reduced-3.7", "R=5,S=4,V=1,W=1")])
+    def test_shuffled_equations(self, seed, name, params):
+        bound = Binding.parse(params).apply_pde(get_equation(name))
+        unknowns, vf = ansatz(bound)
+        equations = determining_equations(vf, bound)
+
+        def discovery(eqs):
+            a, b = _linear_system(eqs, unknowns)
+            pairs = _candidate_exponents(a, b)
+            return (_completion(a, b), pairs,
+                    [_trial_nullspace(a, b, lam, m - 1) for lam, m in pairs])
+
+        expected = discovery(equations)
+        assert sum(m for _, m in expected[1]) == len(expected[0]) > 0
+        rng = random.Random(seed)
+        for _ in range(4):
+            shuffled = list(equations)
+            rng.shuffle(shuffled)
+            assert discovery(shuffled) == expected
+
+
 class TestVerifyBasis:
     def test_report_rows(self, hpz):
         rows = verify_basis(zip(generator_names(), known_basis()), hpz)
@@ -307,7 +336,9 @@ class TestProfiles:
 
 class TestAnsatz:
     def test_contains_fixture_shapes(self, hpz):
-        names = Ansatz(hpz).unknown_names()
-        assert "a" in names and len(names) == 13
-        vf = Ansatz(hpz).build()
+        names, vf = ansatz(hpz)
+        assert names == ["a", "b_x", "b_xx", "b_xy", "b_y", "b_yx", "b_yy",
+                         "f", "f_x", "f_y", "f_xx", "f_xy", "f_yy"]
+        assert {f.name for c in vf.coefficients()
+                for f in ex.tfuns_of(c)} == set(names)
         assert vf.component("t") == ex.tfun("a")
