@@ -6,35 +6,47 @@ floating point appears anywhere.  The package verifies symmetry generators
 symbolically, discovers finite symmetry bases at rational parameter
 bindings, performs order reductions, and classifies the resulting Lie
 algebras.
+
+``__all__`` is the supported library API, grouped as in the README's
+"Library API" section; ``liepde.cli.main`` is supported too.  Every other
+name in the package's modules is internal.
 """
 
-from .expr import (  # noqa: F401
-    Expr, ExprError, InternalError, DivisionByZero, UnsupportedDivision,
-    rational, sym, jet, tfun, exp_of, simplify, substitute, differentiate,
-    divide_exact, evaluate, evaluate_rational,
-)
-from .parser import parse, render, ParseError  # noqa: F401
-from .jet import (  # noqa: F401
-    EvolutionPDE, StationaryEquation, JetOrderError,
-    make_hpz, make_heat, total_derivative, eliminate_time_jets,
-    equation_names, get_equation,
-)
-from .prolong import (  # noqa: F401
-    VectorField, prolong2, residual, determining_equations,
-)
-from .solver import (  # noqa: F401
-    Binding, BindingError, ansatz, SymmetryBasis, SymmetryProfile,
-    solve_determining, verify_basis, profile_basis, span_rank,
-)
-from .reduction import (  # noqa: F401
-    ReductionError, ReductionMap, ReducedEquation,
-    invariants_for, reduce_pde, paper_reduction, reduce_time,
-    compare_with_printed,
-)
-from .algebra import (  # noqa: F401
-    ClosureError, commutator, AlgebraPresentation, structure_constants,
-    Verdict, classify,
-)
-from .fixtures import known_basis, paper_generator, generator_names  # noqa: F401
+from .expr import DivisionByZero, Expr, ExprError, InternalError, UnsupportedDivision
+from .parser import ParseError, parse, render
+from .jet import (EvolutionPDE, StationaryEquation, equation_names, get_equation,
+                  make_heat, make_hpz)
+from .prolong import VectorField, residual
+from .solver import (Binding, BindingError, SymmetryBasis, SymmetryProfile,
+                     VerificationRow, profile_basis, solve_determining, verify_basis)
+from .linalg import RootExtractionError
+from .reduction import (ReducedEquation, ReductionError, ReductionMap, invariants_for,
+                        paper_reduction, reduce_pde, reduce_time)
+from .algebra import AlgebraPresentation, ClosureError, Verdict, classify, structure_constants
+from .fixtures import generator_names, known_basis
+
+__all__ = [
+    # equations
+    "EvolutionPDE", "StationaryEquation", "make_hpz", "make_heat",
+    "get_equation", "equation_names",
+    # expressions
+    "Expr", "parse", "render",
+    # verification
+    "VectorField", "residual", "verify_basis", "VerificationRow",
+    # discovery
+    "Binding", "solve_determining", "SymmetryBasis", "profile_basis",
+    "SymmetryProfile",
+    # reduction
+    "paper_reduction", "invariants_for", "reduce_pde", "reduce_time",
+    "ReductionMap", "ReducedEquation",
+    # algebra
+    "structure_constants", "classify", "AlgebraPresentation", "Verdict",
+    # fixtures
+    "known_basis", "generator_names",
+    # errors
+    "ExprError", "InternalError", "DivisionByZero", "UnsupportedDivision",
+    "ParseError", "BindingError", "RootExtractionError", "ReductionError",
+    "ClosureError",
+]
 
 __version__ = "0.1.0"

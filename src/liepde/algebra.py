@@ -46,11 +46,6 @@ from .expr import Atom, Expr, ExprError
 from . import linalg
 from .prolong import VectorField
 
-__all__ = [
-    "ClosureError", "commutator", "AlgebraPresentation", "structure_constants",
-    "Verdict", "classify",
-]
-
 
 class ClosureError(ExprError):
     """A commutator fell outside the span of the basis."""

@@ -23,7 +23,6 @@ from .reduction import compare_with_printed, paper_reduction, reduce_time
 from .solver import (Binding, SymmetryBasis, profile_basis, solve_determining,
                      verify_basis)
 
-__all__ = ["main"]
 
 MATH_FAILURE = 1
 USAGE_ERROR = 2

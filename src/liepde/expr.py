@@ -49,18 +49,6 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Union
 
-__all__ = [
-    "Atom", "TFun", "Jet", "ExpFactor", "Expr",
-    "ExprError", "InternalError", "DivisionByZero", "UnsupportedDivision",
-    "rational", "sym", "jet", "tfun", "exp_of", "as_expr",
-    "sum_of", "partial", "differentiate", "substitute", "subst_many",
-    "evaluate", "evaluate_rational", "divide_exact", "split_terms",
-    "atoms_of", "jets_of", "max_jet_order",
-    "factors_text", "simplify",
-    "ZERO", "ONE", "T", "X", "Y", "RADIAL", "U", "Z",
-    "R", "S", "V", "W", "OMEGA", "DELTA",
-    "PARAMETER_NAMES", "VARIABLE_NAMES", "DEPENDENT_NAMES", "RESERVED_NAMES",
-]
 
 PARAMETER_NAMES = ("R", "S", "V", "W", "omega", "delta")
 VARIABLE_NAMES = ("t", "x", "y", "r")
@@ -639,11 +627,14 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
     :class:`UnsupportedDivision`, naming ``den``, when it is not a kernel
     value.
 
-    One normalisation: delta is cleared from both sides and omega
-    rationalised out of ``den``; the powers of ``R*V + W`` in ``den`` are
-    taken out as powers of delta, and the rest of ``den`` is monomial
-    content, divided term by term, times a polynomial with no monomial
-    factor, divided by :func:`_poly_div_exact`.
+    One normalisation: delta is cleared from ``den`` and omega
+    rationalised out of it; the powers of ``R*V + W`` in ``den`` are taken
+    out as powers of delta, and the rest of ``den`` is monomial content,
+    divided term by term, times a polynomial with no monomial factor,
+    divided by :func:`_poly_div_exact`.  A monomial ``den`` divides ``num``
+    term by term as it is; delta is cleared from ``num`` only for the
+    polynomial step, or when that fails (``(1 - W*delta)/R`` is
+    ``V*delta``, read off ``R*V/R``).
     """
     num, den = as_expr(num), as_expr(den)
     if den.is_zero:
@@ -658,23 +649,25 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
     if odd.terms:
         conj = even - OMEGA * odd
         num, den = num * conj, den * conj
-    k = _delta_degree(num)
-    if k:
-        num = num * _D_SUM ** k
+    k = 0
     while len(den.terms) > 1:
         rest = _poly_div_exact(den, _D_SUM)
         if rest is None:
             break
         den, k = rest, k + 1
     c, m = _content(den)
-    num = _divide_monomial(num, c, m)
-    poly = _divide_monomial(den, c, m)
-    if num is not None and len(poly.terms) > 1:
-        num = _poly_div_exact(num, poly)
-    if num is None:
+    quotient = _divide_monomial(num, c, m) if len(den.terms) == 1 else None
+    if quotient is None:
+        j = _delta_degree(num)
+        if j:
+            num, k = num * _D_SUM ** j, k + j
+        quotient = _divide_monomial(num, c, m)
+        if quotient is not None and len(den.terms) > 1:
+            quotient = _poly_div_exact(quotient, _divide_monomial(den, c, m))
+    if quotient is None:
         raise UnsupportedDivision(
             f"no exact quotient in the kernel for division by {to_text(divisor)}")
-    return num * DELTA ** k if k else num
+    return quotient * DELTA ** k if k else quotient
 
 
 # ---------------------------------------------------------------------------
@@ -848,14 +841,14 @@ def atoms_of(e: Expr) -> set[str]:
     return out
 
 
-def jets_of(e: Expr, min_order: int = 0) -> set[Jet]:
+def jets_of(e: Expr) -> set[Jet]:
     out: set[Jet] = set()
     for _, fs in e.terms:
         for b, _ in fs:
-            if isinstance(b, Jet) and b.order >= min_order:
+            if isinstance(b, Jet):
                 out.add(b)
             elif isinstance(b, ExpFactor):
-                out |= jets_of(b.arg, min_order)
+                out |= jets_of(b.arg)
     return out
 
 

@@ -17,12 +17,6 @@ from . import expr as ex
 from .expr import DELTA, OMEGA, R, S, T, V, W, X, Y, Expr, exp_of
 from .prolong import VectorField
 
-__all__ = [
-    "known_basis", "generator_names", "paper_generator",
-    "coefficient_functions", "c1_e1_variants",
-    "K1", "K2", "K3", "characteristic_r", "multiplier_exponent",
-    "printed_reduced_equation", "printed_stationary_equation",
-]
 
 HALF = Fraction(1, 2)
 

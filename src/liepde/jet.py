@@ -18,11 +18,6 @@ from functools import lru_cache
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Jet
 
-__all__ = [
-    "EvolutionPDE", "StationaryEquation", "JetOrderError",
-    "make_hpz", "make_heat", "total_derivative", "eliminate_time_jets",
-    "equation_names", "get_equation",
-]
 
 MAX_JET_ORDER = 3
 

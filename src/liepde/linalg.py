@@ -41,15 +41,6 @@ from math import gcd, isqrt, lcm
 from . import expr as ex
 from .expr import Expr, ExprError
 
-__all__ = [
-    "q_rref", "q_rank", "q_nullspace",
-    "Poly", "p_trim", "p_add", "p_mul", "p_eval", "p_div_exact",
-    "rational_roots", "RootExtractionError",
-    "pencil_pivots", "charpoly", "inertia", "coordinates",
-    "FieldFrac", "f_rref", "f_solve_unique", "f_rank", "f_nullspace",
-    "f_row_basis",
-]
-
 
 # ---------------------------------------------------------------------------
 # sparse exact elimination over a field, and rational matrices
@@ -262,15 +253,16 @@ def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
 _FACTOR_BUDGET = 1_000_000   # largest trial divisor tried by _divisors
 
 
-def _divisors(n: int, budget: int = _FACTOR_BUDGET) -> list[int] | None:
-    """All positive divisors of |n|, or None when factoring exceeds budget."""
+def _divisors(n: int) -> list[int] | None:
+    """All positive divisors of |n|, or None when factoring exceeds
+    ``_FACTOR_BUDGET``."""
     n = abs(n)
     if n == 0:
         return None
     factors: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if d > budget:
+        if d > _FACTOR_BUDGET:
             return None
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1

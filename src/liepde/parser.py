@@ -23,6 +23,12 @@ value can be rendered again (Python refuses to convert integers of more than
 coefficient whose numerator or denominator is longer, and a power whose base
 has a coefficient that, raised to the exponent, would already be longer (it
 is refused before it is computed) raise :class:`ParseError`.
+
+Parentheses, ``exp(`` and ``sqrt(`` nest at most ``MAX_NESTING`` deep; a
+deeper input raises :class:`ParseError`.  The bound keeps the parser, the
+renderer and the prolongation of a generator with exponentials nested that
+deep within the interpreter's recursion limit; the work of ``verify`` on
+such a generator grows about as the fourth power of the depth.
 """
 
 from __future__ import annotations
@@ -32,10 +38,10 @@ from fractions import Fraction
 from . import expr as ex
 from .expr import Expr, ExprError
 
-__all__ = ["parse", "render", "ParseError", "MAX_DIGITS"]
 
 MAX_DIGITS = 1000
 _LIMIT = 10 ** MAX_DIGITS       # the smallest integer with too many digits
+MAX_NESTING = 50
 
 
 class ParseError(ExprError):
@@ -122,6 +128,7 @@ class _Parser:
     def __init__(self, text: str, constants: frozenset[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.constants = constants
 
     def peek(self) -> _Token:
@@ -201,15 +208,12 @@ class _Parser:
             return ex.rational(num)
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+            return self.parse_nested(tok)
         if tok.kind == "ident":
             self.advance()
             if tok.text in ("exp", "sqrt") and self.peek().kind == "(":
                 self.advance()
-                inner = self.parse_expr()
-                self.expect(")")
+                inner = self.parse_nested(tok)
                 if tok.text == "exp":
                     return ex.exp_of(inner)
                 if inner != _OMEGA_RADICAND:
@@ -219,6 +223,17 @@ class _Parser:
             return self.resolve(tok)
         self.fail(f"expected an expression, found {tok.text or 'end of input'!r}",
                   tok)
+
+    def parse_nested(self, tok: _Token) -> Expr:
+        """The expression after an opening parenthesis, and its ``)``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression nested too deeply: more than {MAX_NESTING} "
+                      f"levels of parentheses, exp( and sqrt(", tok)
+        inner = self.parse_expr()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
     def resolve(self, tok: _Token) -> Expr:
         name = tok.text
@@ -246,10 +261,7 @@ def parse(text: str, constants: frozenset[str] | set[str] = frozenset()) -> Expr
         raise ExprError("'delta' cannot name a constant: the kernel keeps it "
                         "for the inverse of R*V + W")
     parser = _Parser(text, frozenset(constants))
-    try:
-        value = parser.parse_expr()
-    except RecursionError:
-        parser.fail("expression nested too deeply")
+    value = parser.parse_expr()
     tok = parser.peek()
     if tok.kind != "eof":
         parser.fail(f"unexpected trailing input {tok.text!r}", tok)

@@ -48,10 +48,6 @@ from . import expr as ex
 from .expr import Atom, Expr, ExprError, Jet
 from .jet import EvolutionPDE, total_derivative
 
-__all__ = [
-    "VectorField", "prolong2", "residual", "determining_equations",
-]
-
 
 @dataclass(frozen=True)
 class VectorField:

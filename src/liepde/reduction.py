@@ -25,12 +25,6 @@ from .expr import Atom, Expr, ExprError, InternalError, Jet
 from .jet import EvolutionPDE, StationaryEquation, make_hpz, total_derivative
 from .prolong import VectorField, residual
 
-__all__ = [
-    "ReductionError", "ReductionMap", "ReducedEquation",
-    "invariants_for", "reduce_pde", "paper_reduction", "reduce_time",
-    "compare_with_printed",
-]
-
 
 class ReductionError(ExprError):
     """The generator does not reduce the equation in the supported way."""

@@ -33,12 +33,6 @@ from .prolong import VectorField, determining_equations, residual
 from . import linalg
 from .linalg import RootExtractionError
 
-__all__ = [
-    "Binding", "BindingError", "ansatz", "SymmetryBasis", "SymmetryProfile",
-    "solve_determining", "verify_basis", "profile_basis",
-    "span_rank",
-]
-
 
 class BindingError(ExprError):
     """Invalid parameter binding for the requested operation."""

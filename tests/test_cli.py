@@ -11,6 +11,7 @@ import liepde
 from liepde import expr as ex
 from liepde import solver
 from liepde.cli import main
+from liepde.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden" / "report.json"
 GOLDEN_FIND = Path(__file__).parent / "golden" / "find_hpz_nondefault.json"
@@ -66,7 +67,8 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "'R'" in err and "twice" in err
 
     @pytest.mark.parametrize("coefficient", [
-        "x^\u00b2", "(" * 400 + "x" + ")" * 400])
+        "x^\u00b2", "(" * 400 + "x" + ")" * 400,
+        "exp(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1)])
     def test_unreadable_generator_exits_two(self, coefficient, capsys):
         code, out, err = run_cli(
             ["verify", "--equation", "heat",
@@ -74,6 +76,14 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deepest_accepted_generator_is_verified(self, capsys):
+        nested = "exp(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+        code, out, err = run_cli(
+            ["verify", "--equation", "heat",
+             "--generator", f"xi_t=0; xi_x=0; eta={nested}*u"], capsys)
+        assert code == 1 and err == ""
+        assert "residual = " in out and out.endswith("FAILED\n")
 
     def test_oversized_numbers_exit_two(self, capsys):
         # just above the parser's MAX_DIGITS (1000): 3^2096 has 1001 digits
@@ -92,6 +102,15 @@ class TestExitCodes:
             capsys)
         assert code == 2
         assert "perfect" in err
+
+    def test_free_unknown_function_exits_two(self, capsys):
+        # R*V + omega*V + 2*W = 0 makes reduced-3.2 first order in r
+        code, out, err = run_cli(
+            ["find", "--equation", "reduced-3.2",
+             "--params", "R=5,S=4,V=1,W=-4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "free unknown function" in err
 
     def test_degenerate_reduction_params_exit_two(self, capsys):
         code, _, err = run_cli(

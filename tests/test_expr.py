@@ -115,6 +115,12 @@ class TestDivision:
         k1 = Fraction(1, 2) * (R - OMEGA) * DELTA
         assert divide_exact(k1 * (X + Y), k1) == X + Y
 
+    def test_monomial_divisor_of_a_delta_value(self):
+        # R*V*delta has the normal form 1 - W*delta, whose terms R does not
+        # divide; the quotient V*delta is still found
+        assert divide_exact(R * V * DELTA, R) == V * DELTA
+        assert divide_exact(R * V * DELTA * X, 2 * R * X) == V * DELTA / 2
+
     def test_surd_quotient(self):
         assert divide_exact(R ** 2 - 4 * S, OMEGA) == OMEGA
 

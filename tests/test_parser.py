@@ -6,7 +6,8 @@ import pytest
 
 from liepde import fixtures
 from liepde.expr import DELTA, OMEGA, R, S, X, Y, ExprError, jet, rational
-from liepde.parser import MAX_DIGITS, ParseError, _power_too_long, parse, render
+from liepde.parser import (MAX_DIGITS, MAX_NESTING, ParseError, _power_too_long,
+                           parse, render)
 
 
 class TestGrammar:
@@ -95,6 +96,20 @@ class TestErrors:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse("(" * 400 + "x" + ")" * 400)
         assert parse("(" * 50 + "x" + ")" * 50) == X
+
+    @pytest.mark.parametrize("opening", ["(", "exp(", "sqrt("])
+    def test_nesting_bound(self, opening):
+        # parentheses, exp( and sqrt( count alike
+        def nested(depth):
+            inner = "R^2 - 4*S" if opening == "sqrt(" else "x"
+            return opening + "(" * (depth - 1) + inner + ")" * depth
+        parse(nested(MAX_NESTING))
+        with pytest.raises(ParseError, match=f"more than {MAX_NESTING} levels"):
+            parse(nested(MAX_NESTING + 1))
+
+    def test_deepest_exponential_renders(self):
+        text = "exp(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+        assert render(parse(text)) == text
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:

@@ -44,7 +44,7 @@ class TestProlong2:
         d5 = known_basis()[4]
         eta_x = prolong2(d5)[("x",)]
         bare = eta_x
-        for j in sorted(ex.jets_of(eta_x, min_order=1),
+        for j in sorted([j for j in ex.jets_of(eta_x) if j.order >= 1],
                         key=lambda j: (j.order, j.idx)):
             bare = ex.subst_many(bare, {j: ZERO})
         bare = ex.substitute(ex.substitute(bare, "x", ZERO), "y", ZERO)
@@ -247,7 +247,7 @@ class TestDeterminingSystem:
     def test_no_time_jets_in_system(self, hpz):
         vf = field3(tfun("a"), tfun("b") * X, tfun("c"), tfun("f") * U)
         res = residual(vf, hpz)
-        assert ex.jets_of(res, min_order=1)
+        assert any(j.order >= 1 for j in ex.jets_of(res))
         for j in ex.jets_of(res):
             assert "t" not in j.idx
         for eq in determining_equations(vf, hpz):

@@ -117,8 +117,7 @@ class TestReduce:
         for name in ALL_GENERATORS:
             red = reduce_pde(hpz, invariants_for(paper_generator(name)))
             # stored as z_t = rhs: the z_t coefficient of rhs - z_t is -1
-            assert not ex.jets_of(red.equation.rhs, min_order=1) & \
-                {ex.Jet("z", ("t",))}
+            assert ex.Jet("z", ("t",)) not in ex.jets_of(red.equation.rhs)
 
 
 class TestTimeReduction:
@@ -142,7 +141,7 @@ class TestTimeReduction:
         st = reduce_time(hpz)
         E = ex.exp_of(R * ex.T * Fr(1, 2))
         images = {ex.Jet("u", ()): ex.Z * E}
-        for j in ex.jets_of(hpz.rhs, min_order=1):
+        for j in [j for j in ex.jets_of(hpz.rhs) if j.order >= 1]:
             images[j] = jet("z", j.idx) * E
         lhs_sub = ex.subst_many(hpz.rhs, images) - Fr(1, 2) * R * ex.Z * E
         assert (lhs_sub - E * st.lhs).is_zero
