@@ -10,20 +10,14 @@ algebras.
 ``__all__`` is the supported library API, grouped as in the README's
 "Library API" section; ``liepde.cli.main`` is supported too.  Every other
 name in the package's modules is internal.
+
+``import liepde`` imports none of the package's modules: each name of
+``__all__`` is looked up in its home module on every access (PEP 562), so
+a command pays only for the modules it uses, and the name always reads the
+home module's current value.
 """
 
-from .expr import DivisionByZero, Expr, ExprError, InternalError, UnsupportedDivision
-from .parser import ParseError, parse, render
-from .jet import (EvolutionPDE, StationaryEquation, equation_names, get_equation,
-                  make_heat, make_hpz)
-from .prolong import VectorField, residual
-from .solver import (Binding, BindingError, SymmetryBasis, SymmetryProfile,
-                     VerificationRow, profile_basis, solve_determining, verify_basis)
-from .linalg import RootExtractionError
-from .reduction import (ReducedEquation, ReductionError, ReductionMap, invariants_for,
-                        paper_reduction, reduce_pde, reduce_time)
-from .algebra import AlgebraPresentation, ClosureError, Verdict, classify, structure_constants
-from .fixtures import generator_names, known_basis
+from importlib import import_module
 
 __all__ = [
     # equations
@@ -50,3 +44,32 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_HOME = {name: module for module, names in (
+    ("expr", ("Expr", "ExprError", "InternalError", "DivisionByZero",
+              "UnsupportedDivision")),
+    ("parser", ("parse", "render", "ParseError")),
+    ("jet", ("EvolutionPDE", "StationaryEquation", "make_hpz", "make_heat",
+             "get_equation", "equation_names")),
+    ("prolong", ("VectorField", "residual", "verify_basis", "VerificationRow")),
+    ("solver", ("Binding", "solve_determining", "SymmetryBasis", "profile_basis",
+                "SymmetryProfile", "BindingError")),
+    ("linalg", ("RootExtractionError",)),
+    ("reduction", ("paper_reduction", "invariants_for", "reduce_pde",
+                   "reduce_time", "ReductionMap", "ReducedEquation",
+                   "ReductionError")),
+    ("algebra", ("structure_constants", "classify", "AlgebraPresentation",
+                 "Verdict", "ClosureError")),
+    ("fixtures", ("known_basis", "generator_names")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -35,14 +35,13 @@ computed invariants, never a wrong name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError
+from .expr import Atom, Expr, ExprError, Frozen
 from . import linalg
 from .prolong import VectorField
 
@@ -109,8 +108,7 @@ def _geometric(b) -> bool:
     return not (isinstance(b, Atom) and b.name in ex.PARAMETER_NAMES)
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Frozen):
     """Basis with the full structure-constant tensor c[i][j][k].
 
     The constants are all ``Fraction`` or all ``Expr``, and the presentation
@@ -384,8 +382,7 @@ def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """A classification with its witnesses, coordinates over the basis in
     the constants' field; ``as_dict`` renders them as expressions."""
 

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 mathematical failure (e.g. a nonzero residual in
 internal errors (an invariant of the engine itself was violated).
 Output is plain text, or a single JSON document with ``--format json``;
 identical inputs produce byte-identical JSON.
+
+The module imports only what every command uses; each command imports the
+rest when it runs, so a process that runs one command loads only the
+modules that command needs (listed in the README's CLI section).
 """
 
 from __future__ import annotations
@@ -13,15 +17,10 @@ import argparse
 import json
 import sys
 
-from . import fixtures
-from .algebra import classify, structure_constants
 from .expr import ExprError, InternalError
 from .jet import EvolutionPDE, StationaryEquation, get_equation, make_heat, make_hpz
 from .parser import parse, render
-from .prolong import VectorField, residual
-from .reduction import compare_with_printed, paper_reduction, reduce_time
-from .solver import (Binding, SymmetryBasis, profile_basis, solve_determining,
-                     verify_basis)
+from .prolong import VectorField, residual, verify_basis
 
 
 MATH_FAILURE = 1
@@ -113,6 +112,7 @@ def cmd_verify(args) -> int:
             raise ExprError(f"unknown fixture {args.fixture!r}; only 'paper'")
         if args.equation != "hpz":
             raise ExprError("the 'paper' fixture belongs to the hpz equation")
+        from . import fixtures
         named = list(zip(fixtures.generator_names(), fixtures.known_basis()))
     elif args.generator:
         named = [("generator", _parse_generator(
@@ -137,10 +137,11 @@ def cmd_verify(args) -> int:
     return 0 if doc["all_ok"] else MATH_FAILURE
 
 
-def _find_document(equation_name: str, binding: Binding,
-                   basis: SymmetryBasis | None = None) -> dict:
-    """The ``find`` document; ``basis`` is this equation's already-solved
-    basis at ``binding``, or None to solve it here."""
+def _find_document(equation_name: str, binding, basis=None) -> dict:
+    """The ``find`` document at a ``solver.Binding``; ``basis`` is this
+    equation's already-solved ``SymmetryBasis`` at ``binding``, or None to
+    solve it here."""
+    from .solver import profile_basis, solve_determining
     equation = _require_evolution(get_equation(equation_name))
     if basis is None:
         basis = solve_determining(equation, binding)
@@ -170,6 +171,7 @@ def _find_document(equation_name: str, binding: Binding,
 
 
 def cmd_find(args) -> int:
+    from .solver import Binding
     binding = Binding.parse(args.params or "")
     doc = _find_document(args.equation, binding)
     lines = [f"find {args.equation}  binding {doc['binding'] or '(none)'}",
@@ -187,6 +189,8 @@ def cmd_find(args) -> int:
 
 
 def _reduce_document(generator: str) -> dict:
+    from . import fixtures
+    from .reduction import compare_with_printed, paper_reduction, reduce_time
     if generator == "time":
         stationary = reduce_time(make_hpz())
         printed = fixtures.printed_stationary_equation()
@@ -220,6 +224,7 @@ def cmd_reduce(args) -> int:
         raise ExprError("reduction fixtures are defined for the hpz equation")
     if args.params:
         # degenerate-parameter guards: repeated root and singular RV+W
+        from .solver import Binding
         Binding.parse(args.params).require_reduction_params()
     if args.generator == "time":
         doc = _reduce_document("time")
@@ -251,6 +256,7 @@ def cmd_reduce(args) -> int:
 
 
 def _classify_document(fields, label: str) -> dict:
+    from .algebra import classify, structure_constants
     pres = structure_constants(fields)
     verdict = classify(pres)
     doc = verdict.as_dict()
@@ -264,6 +270,7 @@ def cmd_classify(args) -> int:
         fields = _load_basis_file(args.basis)
         label = args.basis
     elif args.equation:
+        from .solver import Binding, solve_determining
         equation = _require_evolution(get_equation(args.equation))
         binding = Binding.parse(args.params or "")
         basis = solve_determining(equation, binding)
@@ -284,6 +291,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import fixtures
+    from .solver import Binding, solve_determining
     binding = Binding.parse(args.params or "R=5,S=4,V=1,W=1")
     hpz = make_hpz()
 

@@ -44,10 +44,10 @@ arithmetic builds them.  A divisor that is a sum holding an exponential
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import comb
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Union
+from operator import attrgetter, itemgetter
 
 
 PARAMETER_NAMES = ("R", "S", "V", "W", "omega", "delta")
@@ -55,7 +55,7 @@ VARIABLE_NAMES = ("t", "x", "y", "r")
 DEPENDENT_NAMES = ("u", "z")
 RESERVED_NAMES = ("t", "x", "y", "r", "z", "u", "R", "S", "V", "W", "omega")
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 class ExprError(Exception):
@@ -73,6 +73,102 @@ class DivisionByZero(ExprError):
 
 class UnsupportedDivision(ExprError):
     """Raised when a division has no representable exact result."""
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+# ---------------------------------------------------------------------------
+
+class Fresh:
+    """A record field default made anew for each instance by ``make()``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], object]):
+        self.make = make
+
+
+_object_setattr = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's immutable records (equations, vector fields,
+    bases, verdicts, ...).
+
+    A subclass declares its fields as class annotations, in order, after
+    those of the record it extends, each with an optional class-level
+    default (a :class:`Fresh` one is made for each instance).  An instance
+    takes its fields by position or keyword, runs ``__post_init__``, equals
+    only an instance of the same class with equal fields, hashes its fields,
+    shows as ``Name(field=value, ...)`` and refuses assignment.  Instances
+    keep a ``__dict__``, so ``functools.cached_property`` works on records.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = tuple(cls.__annotations__)
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{
+            name: cls.__dict__[name] for name in own if name in cls.__dict__}}
+        # the field values of a record: a tuple, or the value of a lone field
+        cls._values_of = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # set one by one: filling ``self.__dict__`` at once would make every
+        # later attribute read slower
+        for field, value in zip(fields, args):
+            _object_setattr(self, field, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords or defaults."""
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} arguments, "
+                            f"{len(args)} given")
+        values = list(args)
+        for field in cls._fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                default = cls._defaults[field]
+                values.append(default.make() if default.__class__ is Fresh
+                              else default)
+            else:
+                raise TypeError(f"{name}() is missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got unknown or repeated fields "
+                            f"{sorted(kwargs)}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values_of(self) == self._values_of(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values_of(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{field}={getattr(self, field)!r}"
+                           for field in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +229,12 @@ class TFun(tuple):
 
 class ExpFactor(tuple):
     """``exp(arg)``, the tuple ``(4, key, arg)``: ``key`` lists each term of
-    ``arg`` as ``(factors, (numerator, denominator))``."""
+    ``arg`` as ``(factors, (numerator, denominator))``.
+
+    The key decides the argument, so equality and the hash read the key
+    alone: comparing the argument as well would compare every nested
+    exponential twice, at a cost doubling with each level of nesting.
+    """
     __slots__ = ()
 
     def __new__(cls, arg: "Expr"):
@@ -141,6 +242,14 @@ class ExpFactor(tuple):
         return tuple.__new__(cls, (4, key, arg))
 
     arg = property(itemgetter(2))
+
+    def __eq__(self, other):
+        if other.__class__ is ExpFactor:
+            return self[1] == other[1]
+        return tuple.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        return hash(self[1])
 
     def __getnewargs__(self):
         return (self.arg,)
@@ -174,7 +283,7 @@ class Jet(tuple):
         return f"Jet(dep={self.dep!r}, idx={self.idx!r})"
 
 
-Base = Union[Atom, TFun, Jet, ExpFactor]
+Base = Atom | TFun | Jet | ExpFactor
 Factor = tuple[Base, int]
 Factors = tuple[Factor, ...]
 Term = tuple[Fraction, Factors]
@@ -845,9 +954,9 @@ def jets_of(e: Expr) -> set[Jet]:
     out: set[Jet] = set()
     for _, fs in e.terms:
         for b, _ in fs:
-            if isinstance(b, Jet):
+            if b.__class__ is Jet:
                 out.add(b)
-            elif isinstance(b, ExpFactor):
+            elif b.__class__ is ExpFactor:
                 out |= jets_of(b.arg)
     return out
 

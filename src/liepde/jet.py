@@ -12,11 +12,10 @@ a time jet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, Jet
+from .expr import Atom, Expr, ExprError, Frozen, Jet
 
 
 MAX_JET_ORDER = 3
@@ -26,8 +25,7 @@ class JetOrderError(ExprError):
     """A total derivative would create a jet above the supported order."""
 
 
-@dataclass(frozen=True)
-class EvolutionPDE:
+class EvolutionPDE(Frozen):
     """u_t = rhs with rhs free of time jets and at most second order."""
 
     variables: tuple[str, ...]
@@ -67,8 +65,7 @@ class EvolutionPDE:
         return f"{self.dependent}_t = {ex.to_text(self.rhs)}"
 
 
-@dataclass(frozen=True)
-class StationaryEquation:
+class StationaryEquation(Frozen):
     """lhs = 0 in the spatial variables only (produced by time reduction)."""
 
     variables: tuple[str, ...]

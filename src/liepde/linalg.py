@@ -34,12 +34,11 @@ lists are accepted and converted.  Around it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from . import expr as ex
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, Frozen
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +528,7 @@ def coordinates(vectors, keep=None) -> list[dict]:
 # fraction field over kernel expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldFrac:
+class FieldFrac(Frozen):
     """num/den with kernel-expression parts; zero when the numerator is.
 
     No gcd reduction is attempted; the systems solved here are tiny and the

@@ -31,6 +31,7 @@ where J runs over () and the spatial multi-indices with F_{u_J} nonzero.
 L_J is the Leibniz remainder D_J(xi^t u_t) - xi^t u_{J,t} with the time
 jets replaced through the equation, so no time jet is ever built; the
 value equals the classical criterion with every time jet eliminated.
+``verify_basis`` checks named fields this way, one row per field.
 
 ``determining_equations`` splits the residual of a field with unknown
 t-functions by its monomials in the jets and the point variables x, y, r
@@ -40,17 +41,15 @@ symmetry iff every one vanishes, whatever their order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, Jet
+from .expr import Atom, Expr, ExprError, Frozen, Jet
 from .jet import EvolutionPDE, total_derivative
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Frozen):
     """Point generator with jet-free coefficients, aligned with ``variables``."""
 
     variables: tuple[str, ...]
@@ -185,6 +184,20 @@ def residual(vf: VectorField, pde: EvolutionPDE) -> Expr:
             pieces.append(-FJ * ex.sum_of([
                 Dxi(J) * F, Dxi((a,)) * DF((b,)), Dxi((b,)) * DF((a,))]))
     return ex.sum_of(pieces)
+
+
+class VerificationRow(Frozen):
+    name: str
+    residual: Expr
+
+    @property
+    def ok(self) -> bool:
+        return self.residual.is_zero
+
+
+def verify_basis(named_fields, pde: EvolutionPDE) -> list[VerificationRow]:
+    """Symbolic residual check for each (name, field); failures are rows."""
+    return [VerificationRow(name, residual(vf, pde)) for name, vf in named_fields]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ u = exp(kappa t / 2) z(spatial), and returns the stationary equation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import expr as ex
 from . import fixtures
-from .expr import Atom, Expr, ExprError, InternalError, Jet
+from .expr import Atom, Expr, ExprError, Frozen, InternalError, Jet
 from .jet import EvolutionPDE, StationaryEquation, make_hpz, total_derivative
 from .prolong import VectorField, residual
 
@@ -30,8 +29,7 @@ class ReductionError(ExprError):
     """The generator does not reduce the equation in the supported way."""
 
 
-@dataclass(frozen=True)
-class ReductionMap:
+class ReductionMap(Frozen):
     """Invariant r = alpha x + beta y and multiplier exponent Q(x, y)."""
 
     generator: VectorField
@@ -42,8 +40,7 @@ class ReductionMap:
     matched_name: str | None = None
 
 
-@dataclass(frozen=True)
-class ReducedEquation:
+class ReducedEquation(Frozen):
     equation: EvolutionPDE
     map: ReductionMap
     certificate: str = "no-residual-xy"

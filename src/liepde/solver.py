@@ -1,4 +1,4 @@
-"""Solve determining systems: verification and exact discovery.
+"""Solve determining systems: exact discovery.
 
 Discovery works at rational parameter bindings whose discriminant
 ``R^2 - 4*S`` is a perfect rational square, so the surd and every
@@ -23,13 +23,14 @@ exponent are rational and the whole computation stays in exact arithmetic:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, InternalError, Jet, TFun
+from .expr import Atom, Expr, ExprError, Fresh, Frozen, InternalError, Jet, TFun
 from .jet import EvolutionPDE
 from .prolong import VectorField, determining_equations, residual
+# verification lives next to the residual and is importable from here too
+from .prolong import VerificationRow, verify_basis
 from . import linalg
 from .linalg import RootExtractionError
 
@@ -41,15 +42,14 @@ class BindingError(ExprError):
 _BOUND = ex.PARAMETER_NAMES[:4]  # R, S, V, W; omega and delta are derived
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(Frozen):
     """Exact rational values for R, S, V, W (omega, delta derived).
 
     omega is the square root of R^2 - 4*S and must be exactly rational for
     discovery; reductions additionally need R*V + W nonzero.
     """
 
-    values: dict[str, Fraction] = field(default_factory=dict)
+    values: dict[str, Fraction] = Fresh(dict)
 
     @staticmethod
     def parse(text: str) -> "Binding":
@@ -168,8 +168,7 @@ def ansatz(pde: EvolutionPDE) -> tuple[list[str], VectorField]:
 # discovery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryBasis:
+class SymmetryBasis(Frozen):
     pde: EvolutionPDE
     binding: Binding
     fields: tuple[VectorField, ...]
@@ -376,26 +375,10 @@ def solve_determining(pde: EvolutionPDE,
 
 
 # ---------------------------------------------------------------------------
-# verification and profiles
+# profiles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerificationRow:
-    name: str
-    residual: Expr
-
-    @property
-    def ok(self) -> bool:
-        return self.residual.is_zero
-
-
-def verify_basis(named_fields, pde: EvolutionPDE) -> list[VerificationRow]:
-    """Symbolic residual check for each (name, field); failures are rows."""
-    return [VerificationRow(name, residual(vf, pde)) for name, vf in named_fields]
-
-
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(Frozen):
     """Shape facts of one (1+1) generator against the reduced-equation form."""
     a: Expr                    # xi_t, must depend on t alone
     b: Expr                    # xi_r - a'(t) r / 2, must depend on t alone
@@ -409,8 +392,7 @@ class ProfileRow:
         return self.a_time_only and self.b_time_only and self.eta_linear
 
 
-@dataclass(frozen=True)
-class SymmetryProfile:
+class SymmetryProfile(Frozen):
     rows: tuple[ProfileRow, ...]
     a_rank: int
     b_rank: int

@@ -1,7 +1,10 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import liepde
 from liepde import expr as ex
 from liepde.jet import make_heat, make_hpz
 from liepde.prolong import determining_equations
@@ -21,6 +24,17 @@ def heat():
 @pytest.fixture(scope="session")
 def binding():
     return Binding.parse("R=5,S=4,V=1,W=1")
+
+
+def child_env(**extra) -> dict:
+    """A minimal environment for a fresh ``python -m liepde.cli``: the child
+    imports the same liepde as this process, installed or not, and writes
+    no bytecode when this process was told not to."""
+    env = {"PATH": "/usr/bin:/bin",
+           "PYTHONPATH": str(Path(liepde.__file__).resolve().parent.parent)}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return {**env, **extra}
 
 
 def determining_dae(pde, binding):

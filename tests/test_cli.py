@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-import liepde
+from conftest import child_env
 from liepde import expr as ex
 from liepde import solver
 from liepde.cli import main
@@ -231,15 +231,12 @@ class TestCommands:
 class TestJsonDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         env_args = ["find", "--equation", "heat", "--format", "json"]
-        # The child imports the same liepde as this process, installed or not.
-        package_root = str(Path(liepde.__file__).resolve().parent.parent)
         outs = []
         for seed in ("1", "42"):
             proc = subprocess.run(
                 [sys.executable, "-m", "liepde.cli", *env_args],
                 capture_output=True, text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin",
-                     "PYTHONPATH": package_root},
+                env=child_env(PYTHONHASHSEED=seed),
                 cwd=str(Path(__file__).parent.parent))
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)

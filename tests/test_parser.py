@@ -1,5 +1,6 @@
 """Grammar, parse errors, and round trips."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,18 @@ class TestErrors:
 
 
 class TestRoundTrip:
+    def test_nested_exponentials_compare_in_linear_time(self):
+        # two equal exponentials built apart are compared and hashed level by
+        # level once; deepening one level at a time stops at the first depth
+        # where the total passes the budget instead of running 2^depth steps
+        start = time.perf_counter()
+        for depth in range(1, MAX_NESTING + 1):
+            e = parse("exp(" * depth + "t" + ")" * depth)
+            again = parse(render(e))
+            assert again == e and not again != e
+            assert hash(again) == hash(e)
+            assert time.perf_counter() - start < 1.0, depth
+
     def test_simple_round_trips(self):
         for text in ("u_tx + 3*u_yy", "z_rr - z_t + r*z_r",
                      "x^2*y - 4/7*t", "omega*x + omega^2",
