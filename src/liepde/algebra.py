@@ -1,11 +1,18 @@
 """Commutators, structure constants and classification of symmetry algebras.
 
-Commutators come from each field's Jacobian, computed once per field.
-Structure constants are found by one exact elimination against a monomial
-coordinatisation of the coefficient functions, solving for every bracket at
-once over the symbolic parameter field; every expansion is re-verified
-against the directly computed commutator before it is trusted, and
-non-closure is an error naming the offending pair.
+``commutator`` forms [X, Y] from each field's Jacobian, computed once per
+field; it serves library callers and is the tests' oracle.  Structure
+constants compute no commutator: each basis field is written once in
+coordinates over monomial fields m d_k (``linalg.coordinates``, with the
+parameters and rational content in the coefficient), and each bracket is
+formed in those coordinates, bilinearly, from the monomial brackets
+[m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k.  These are kept across calls
+in a table of at most ``BRACKET_TABLE_SIZE`` entries (about 1.3 MB when
+full), so a change of basis, which keeps the monomial fields, reuses all
+of them.  One exact elimination over the symbolic parameter field then
+expands every bracket at once; every expansion is re-verified as an exact
+identity between coordinate rows, which are faithful, before it is
+trusted, and non-closure is an error naming the offending pair.
 
 The tensor is held in the field of its constants: as ``Fraction`` when
 every constant is rational, else as kernel expressions.  Everything after
@@ -36,12 +43,12 @@ computed invariants, never a wrong name.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import lcm
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, Frozen
+from .expr import Atom, Expr, ExprError, Frozen, Jet
 from . import linalg
 from .prolong import VectorField
 
@@ -166,39 +173,127 @@ class AlgebraPresentation(Frozen):
 
 
 def structure_constants(basis) -> AlgebraPresentation:
-    """Expand all pairwise commutators in the basis, exactly.
+    """Expand all pairwise brackets in the basis, exactly.
 
-    Verifies linear independence, re-checks every expansion symbolically,
-    and re-verifies antisymmetry and the Jacobi identity on the tensor.
+    The brackets are formed in coordinates over monomial fields, from a
+    table of monomial brackets kept across calls and bounded at
+    ``BRACKET_TABLE_SIZE`` entries, about 1.3 MB (see
+    ``_coordinate_brackets``); no commutator and no Jacobian is computed.
+    One elimination expands every bracket in the basis, and each expansion
+    is re-verified as an exact identity between coordinate rows, which are
+    faithful: two fields are equal exactly when their coordinates are.
+    Refuses an empty basis, fields on different spaces and a dependent
+    basis, and re-verifies antisymmetry and the Jacobi identity on the
+    tensor.
     """
     basis = tuple(basis)
+    if not basis:
+        raise ExprError("an empty basis has no structure constants")
+    if any((f.variables, f.dependent) != (basis[0].variables,
+                                          basis[0].dependent) for f in basis):
+        raise ExprError("vector fields live on different spaces")
     n = len(basis)
-    bracket_fields = [commutator(basis[i], basis[j])
-                      for i, j in combinations(range(n), 2)]
-    coords = linalg.coordinates(basis + tuple(bracket_fields), _geometric)
-    # rational coordinates are solved over Q and give Fraction constants
-    if all(e.is_rational for row in coords for e in row.values()):
-        coords = [{r: e.as_fraction() for r, e in row.items()}
-                  for row in coords]
-    columns, brackets = coords[:n], coords[n:]
-
-    nrows = len(set().union(*coords))
-    matrix = [[col.get(r, 0) for col in columns] for r in range(nrows)]
+    monomials, rows, zero = _coordinate_brackets(basis)
+    vectors, brackets = rows[:n], rows[n:]
+    columns = range(len(monomials))
     sols = linalg.f_solve_unique(
-        matrix, [[b.get(r, 0) for r in range(nrows)] for b in brackets], n)
-    pres = AlgebraPresentation(basis, _verified_tensor(
-        [f.coefficients() for f in basis],
-        [f.coefficients() for f in bracket_fields], sols, ex.ZERO))
+        [[v.get(r, zero) for v in vectors] for r in columns],
+        [[b.get(r, zero) for r in columns] for b in brackets], n)
+    pres = AlgebraPresentation(basis, _verified_tensor(vectors, brackets,
+                                                       sols, zero))
     _check_jacobi(pres)
     return pres
+
+
+def _coordinate_brackets(basis: tuple) -> tuple:
+    """The basis and its brackets in coordinates over monomial fields.
+
+    Each field is written once as sparse coordinates over the monomial
+    fields m d_k of its terms (``linalg.coordinates``; the parameters and
+    rational content stay in the coefficient, see ``_geometric``), and
+    each [X_i, X_j] is formed from them bilinearly, out of the table of
+    monomial brackets.  Returns the monomial fields as (slot, monomial)
+    pairs in column order, the rows -- one per field, then one per pair
+    i < j -- and the zero of the one field they are held in.
+    """
+    space = (basis[0].variables, basis[0].dependent)
+    index: dict = {}
+    rows, zero = _one_field(linalg.coordinates(basis, _geometric, index))
+    monomials = list(index)
+    fields = [[(monomials[r], x) for r, x in row.items()] for row in rows]
+    rows, zero = _one_field(rows + [
+        _bracket(space, fields[i], fields[j], index, zero)
+        for i, j in combinations(range(len(basis)), 2)])
+    return list(index), rows, zero
+
+
+# Entries of the monomial-bracket table, chosen from its memory cost: an
+# entry holds about 625 bytes (traced with tracemalloc over the entries the
+# bases of the heat, reduced and hpz algebras fill), so a full table holds
+# about 1.3 MB, near 5% of a classifying process's peak resident memory.
+BRACKET_TABLE_SIZE = 2048
+
+
+@lru_cache(maxsize=BRACKET_TABLE_SIZE)
+def _monomial_bracket(variables: tuple[str, ...], dependent: str,
+                      a: tuple, b: tuple) -> tuple:
+    """[m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k (Olver, GTM 107, Ch. 1)
+    for the monomial fields a = (k, m) < b = (l, n), in coordinates: its
+    ((slot, monomial), coefficient) pairs, a coefficient as ``Fraction``
+    when rational, else as an expression in the parameters.
+
+    Kept across calls, least recently used first out, so that every basis
+    over the same monomial fields -- any change of basis -- reuses them;
+    [b, a] is read as -[a, b], so one order is stored.
+    """
+    (k, m), (l, n) = a, b
+    wrt = [Atom(v) for v in variables] + [Jet(dependent, ())]
+    m, n = Expr(((Fraction(1), m),)), Expr(((Fraction(1), n),))
+    dn, dm = m * ex.partial(n, wrt[k]), n * ex.partial(m, wrt[l])
+    slots = {l: dn - dm} if k == l else {l: dn, k: -dm}
+    return tuple(((slot, mono), x.as_fraction() if x.is_rational else x)
+                 for slot, e in slots.items()
+                 for mono, x in ex.split_terms(e, _geometric).items())
+
+
+def _one_field(rows: list[dict]) -> tuple[list[dict], Fraction | Expr]:
+    """Coordinate rows in one field, with its zero: ``Fraction`` when every
+    entry is rational, else ``Expr``."""
+    if all(not isinstance(x, Expr) or x.is_rational
+           for row in rows for x in row.values()):
+        return ([{r: x.as_fraction() if isinstance(x, Expr) else x
+                  for r, x in row.items()} for row in rows], Fraction(0))
+    return ([{r: ex.as_expr(x) for r, x in row.items()} for row in rows],
+            ex.ZERO)
+
+
+def _bracket(space: tuple, u: list, v: list, index: dict, zero) -> dict:
+    """Coordinates {column: value} of [X, Y] from the coordinates ``u`` and
+    ``v`` of X and Y, as ((slot, monomial), coefficient) pairs: the sum of
+    x y [a, b] over the pairs of monomial fields.  Monomial fields the
+    bracket adds to those of the basis extend ``index``."""
+    pieces: dict = {}
+    for a, x in u:
+        for b, y in v:
+            if a == b:
+                continue
+            if a < b:
+                xy, entries = x * y, _monomial_bracket(*space, a, b)
+            else:
+                xy, entries = -(x * y), _monomial_bracket(*space, b, a)
+            for key, c in entries:
+                r = index.setdefault(key, len(index))
+                pieces.setdefault(r, []).append(xy * c)
+    return {r: s for r, ps in pieces.items() if (s := _sum(ps, zero))}
 
 
 def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
     """The structure-constant tensor from one solution per pair i < j.
 
-    ``vectors`` are the basis elements and ``brackets`` the directly
-    computed bracket of each pair, both as sequences over the ring of
-    ``zero`` (field coefficients, or coordinates over a parent algebra);
+    ``vectors`` are the basis elements and ``brackets`` the bracket of each
+    pair, formed without the expansion, both over the ring of ``zero`` as
+    dense sequences or sparse {slot: value} dicts (coordinates over
+    monomial fields, or over a parent algebra);
     ``sols`` holds the solved expansion of each bracket, None when it is
     outside the span.  Every expansion sum_k c^k v_k is re-verified against
     its bracket before it is trusted; a pair that fails raises
@@ -206,6 +301,7 @@ def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
     when all are rational, else as ``Expr``.
     """
     n = len(vectors)
+    nonzero = [_nonzero(v) for v in vectors]
     expansions = {}
     for (i, j), sol, bracket in zip(combinations(range(n), 2), sols,
                                     brackets):
@@ -219,10 +315,14 @@ def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
             raise ClosureError(
                 f"structure constant for pair ({i + 1}, {j + 1}) is not "
                 f"representable: {err}") from err
-        # decisive re-check against the directly computed bracket
-        terms = [(c, v) for c, v in zip(cs, vectors) if c]
-        if any(_sum([c * v[slot] for c, v in terms], zero) != b
-               for slot, b in enumerate(bracket)):
+        # decisive re-check against the bracket's own coordinates
+        pieces: dict = {}
+        for c, v in zip(cs, nonzero):
+            if c:
+                for slot, x in v:
+                    pieces.setdefault(slot, []).append(c * x)
+        if {slot: e for slot, ps in pieces.items()
+                if (e := _sum(ps, zero))} != dict(_nonzero(bracket)):
             raise ClosureError(
                 f"expansion of pair ({i + 1}, {j + 1}) failed re-verification")
         expansions[i, j] = cs
@@ -236,6 +336,13 @@ def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
     return tuple(tuple(expansions[i, j] if i < j
                        else tuple(-c for c in expansions[j, i]) if j < i
                        else zero_row for j in range(n)) for i in range(n))
+
+
+def _nonzero(v) -> list:
+    """The (slot, value) pairs of the nonzero entries of a dense sequence
+    or a sparse {slot: value} dict."""
+    return [(k, x) for k, x in (v.items() if isinstance(v, dict)
+                                else enumerate(v)) if x]
 
 
 def _check_jacobi(p: AlgebraPresentation):

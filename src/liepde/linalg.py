@@ -499,7 +499,7 @@ def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> Poly:
 # coordinates of expressions and vector fields
 # ---------------------------------------------------------------------------
 
-def coordinates(vectors, keep=None) -> list[dict]:
+def coordinates(vectors, keep=None, index=None) -> list[dict]:
     """Sparse coordinate rows of expressions or vector fields.
 
     A vector is an expression (one slot) or a vector field, whose slots are
@@ -508,9 +508,11 @@ def coordinates(vectors, keep=None) -> list[dict]:
     factors selected by ``keep``; columns are shared by all vectors and
     numbered in first-seen order.  With ``keep`` None every factor is kept
     and the entries are the rational term coefficients; otherwise an entry
-    is the expression summing the remaining parts of its terms.
+    is the expression summing the remaining parts of its terms.  ``index``,
+    when given, is the caller's ``{(slot, monomial): column}`` map, which
+    the new columns extend.
     """
-    index: dict = {}
+    index = {} if index is None else index
     rows = []
     for vec in vectors:
         slots = (vec,) if isinstance(vec, Expr) else vec.coefficients()

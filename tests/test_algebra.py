@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from liepde import expr as ex, linalg
-from liepde.algebra import (AlgebraPresentation, ClosureError, _ad_bracket,
-                            _derived_space, _killing_matrix, _levi_complement,
-                            _subalgebra, classify, commutator,
-                            structure_constants)
+from liepde import algebra
+from liepde.algebra import (BRACKET_TABLE_SIZE, AlgebraPresentation,
+                            ClosureError, _ad_bracket, _derived_space,
+                            _killing_matrix, _levi_complement, _subalgebra,
+                            classify, commutator, structure_constants)
 from liepde.cli import _load_basis_file
 from liepde.expr import DELTA, OMEGA, R, S, T, U, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
@@ -136,7 +137,8 @@ class TestStructureConstants:
         vars2 = ("t", "x")
         e1 = VectorField(vars2, "u", (ZERO, ONE), ZERO)
         e2 = VectorField(vars2, "u", (ZERO, X ** 2), ZERO)
-        with pytest.raises(ClosureError, match="1 and 2"):
+        with pytest.raises(ClosureError, match="^commutator of basis elements "
+                           "1 and 2 is not in the span of the basis$"):
             structure_constants([e1, e2])
 
     def test_unrepresentable_constant_is_an_error_naming_the_pair(self):
@@ -146,13 +148,57 @@ class TestStructureConstants:
         fields = [VectorField(vars3, "u", (ZERO, ZERO, X), ZERO),
                   VectorField(vars3, "u", (ZERO, ONE, ZERO), ZERO),
                   VectorField(vars3, "u", (ZERO, ZERO, R + S), ZERO)]
-        with pytest.raises(ClosureError, match=r"structure constant for "
-                           r"pair \(1, 2\) is not representable"):
+        with pytest.raises(ClosureError, match=r"^structure constant for "
+                           r"pair \(1, 2\) is not representable: "):
+            structure_constants(fields)
+
+    @pytest.mark.parametrize("name", ["hpz", "reduced-3.2"])
+    def test_corrupted_constant_fails_the_coordinate_recheck(
+            self, name, basis, reduced_basis, monkeypatch):
+        # the bracket rows are formed without the expansion, so a wrong
+        # solution cannot pass the re-check: symbolic and rational tensors
+        fields = basis if name == "hpz" else reduced_basis.fields
+        one = linalg.FieldFrac.of(1) if name == "hpz" else Fr(1)
+        solve = linalg.f_solve_unique
+
+        def corrupted(matrix, rhss, ncols=None):
+            sols = solve(matrix, rhss, ncols)
+            sols[-1] = [sols[-1][0] + one] + sols[-1][1:]
+            return sols
+
+        monkeypatch.setattr(linalg, "f_solve_unique", corrupted)
+        n = len(fields)
+        with pytest.raises(ClosureError, match=rf"^expansion of pair "
+                           rf"\({n - 1}, {n}\) failed re-verification$"):
             structure_constants(fields)
 
     def test_dependent_basis_rejected(self, basis):
-        with pytest.raises(ex.ExprError, match="independent"):
+        with pytest.raises(ex.ExprError,
+                           match="^basis is not linearly independent$"):
             structure_constants([basis[1], basis[1].scaled(2)])
+
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ex.ExprError,
+                           match="^an empty basis has no structure constants$"):
+            structure_constants([])
+
+    def test_fields_on_different_spaces_rejected(self):
+        plane = VectorField(("t", "x"), "u", (ZERO, ONE), ZERO)
+        space = VectorField(("t", "x", "y"), "u", (ZERO, ONE, ZERO), ZERO)
+        for fields in ([plane, space], [plane, plane.scaled(X), space]):
+            with pytest.raises(ex.ExprError, match="^vector fields live on "
+                               "different spaces$"):
+                structure_constants(fields)
+
+    def test_parameter_from_an_exponential_keeps_expressions(self):
+        # rational coordinates, but [d/dt, exp(R t) d/dx] = R exp(R t) d/dx
+        # has the constant R
+        vars2 = ("t", "x")
+        e1 = VectorField(vars2, "u", (ONE, ZERO), ZERO)
+        e2 = VectorField(vars2, "u", (ZERO, ex.exp_of(R * T)), ZERO)
+        pres = structure_constants([e1, e2])
+        assert pres.constants[0][1] == (ZERO, R)
+        assert classify(pres).name == "A2"
 
     def test_w5_tensor(self, basis):
         pres = structure_constants(basis[1:])
@@ -513,3 +559,66 @@ class TestFieldParity:
                 brackets = [_ad_bracket(p, u, v) for u in p.unit
                             for v in p.unit]
                 assert _derived_space(p) == linalg.f_row_basis(brackets)
+
+
+# R*V + W != 0 and R^2 - 4S a nonzero rational square at each binding
+BINDINGS = ("R=5,S=4,V=1,W=1", "R=3,S=2,V=1,W=2", "R=-4,S=63/16,V=2,W=-1")
+
+
+@pytest.fixture(scope="module")
+def discovered():
+    """The bases of heat and of the four reduced equations at R=5, S=4,
+    V=1, W=1."""
+    binding = Binding.parse(BINDINGS[0])
+    return [solve_determining(make_heat()).fields] + [
+        solve_determining(get_equation(name), binding).fields
+        for name in ("reduced-3.2", "reduced-3.5", "reduced-3.7",
+                     "reduced-3.9")]
+
+
+def _classify_bases(seed, discovered):
+    """The kinds of basis the classify benchmark draws, at one seed:
+    triangular mixes of the discovered bases, the symbolic hpz basis and
+    its W5 part permuted and scaled, and both bound at a drawn binding and
+    mixed."""
+    rng = random.Random(seed)
+    out = [_triangular_mix(rng, fields) for fields in discovered]
+    for fields in (known_basis(), known_basis()[1:]):
+        perm = rng.sample(range(len(fields)), len(fields))
+        out.append([fields[p].scaled(Fr(rng.choice((-3, -1, 1, 2)),
+                                        rng.randint(1, 3))) for p in perm])
+        bound = Binding.parse(rng.choice(BINDINGS))
+        out.append(_triangular_mix(rng, [bound.apply_field(f)
+                                         for f in fields]))
+    return out
+
+
+class TestCoordinateBrackets:
+    """Brackets formed in coordinates from the table of monomial brackets,
+    against ``commutator`` as the oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tensor_expands_every_commutator(self, seed, discovered):
+        for fields in _classify_bases(seed, discovered):
+            pres = structure_constants(fields)
+            for i, j in combinations(range(len(fields)), 2):
+                expansion = _fields_from_coords(fields, pres.constants[i][j])
+                assert expansion == commutator(fields[i], fields[j]), (i, j)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cold_warm_and_cleared_tables_agree(self, seed, discovered):
+        bases = _classify_bases(seed, discovered)
+        table = algebra._monomial_bracket
+        table.cache_clear()
+        runs, infos = [], []
+        for clear in (False, False, True):
+            if clear:
+                table.cache_clear()
+            runs.append([structure_constants(f).constants for f in bases])
+            infos.append(table.cache_info())
+            assert infos[-1].maxsize == BRACKET_TABLE_SIZE
+            assert 0 < infos[-1].currsize <= BRACKET_TABLE_SIZE
+        assert runs[0] == runs[1] == runs[2]
+        # the warm run computes no monomial bracket again
+        assert infos[1].misses == infos[0].misses
+        assert infos[1].hits > infos[0].hits

@@ -18,13 +18,16 @@ not import it.
 
 import random
 from fractions import Fraction as Fr
+from itertools import combinations
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from liepde.algebra import (_center, _derived_space,  # noqa: E402
-                            _killing_matrix, structure_constants)
+from liepde import expr as ex  # noqa: E402
+from liepde.algebra import (_center, _coordinate_brackets,  # noqa: E402
+                            _derived_space, _killing_matrix,
+                            structure_constants)
 from liepde.fixtures import known_basis  # noqa: E402
 from liepde.jet import get_equation, make_heat  # noqa: E402
 from liepde.linalg import inertia  # noqa: E402
@@ -132,3 +135,43 @@ def test_killing_centre_and_derived_match_sympy(name):
                for d in _derived_space(pres)]
     assert len(derived) == brackets.rank()
     assert sympy.Matrix.hstack(brackets, *derived).rank() == brackets.rank()
+
+
+NAMES = ("t", "x", "y", "u", "R", "S", "V", "W", "omega")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+
+
+def _sympy(e):
+    """A kernel expression in sympy, through its rendered text."""
+    return sympy.sympify(ex.to_text(e).replace("^", "**"), locals=SYMBOLS)
+
+
+def _sympy_bracket(xs, ys, wrt):
+    """[X, Y]^k = sum_v X^v d_v Y^k - Y^v d_v X^k."""
+    return [sum(a * sympy.diff(q, v) - b * sympy.diff(p, v)
+                for a, b, v in zip(xs, ys, wrt)) for p, q in zip(xs, ys)]
+
+
+def _vanishes(e):
+    """Zero once omega^2 = R^2 - 4S, which the kernel applies, is used."""
+    s = SYMBOLS
+    e = e.subs(s["S"], (s["R"] ** 2 - s["omega"] ** 2) / 4)
+    return sympy.simplify(sympy.powsimp(sympy.expand(e))) == 0
+
+
+@pytest.mark.parametrize("name", ["hpz", "heat"])
+def test_coordinate_brackets_match_sympy(name):
+    fields = (tuple(known_basis()) if name == "hpz"
+              else tuple(solve_determining(make_heat()).fields))
+    monomials, rows, _ = _coordinate_brackets(fields)
+    wrt = [SYMBOLS[v] for v in fields[0].variables] + [SYMBOLS["u"]]
+    theirs = [[_sympy(c) for c in f.coefficients()] for f in fields]
+    n = len(fields)
+    for (i, j), row in zip(combinations(range(n), 2), rows[n:]):
+        ours = [sympy.Integer(0)] * len(wrt)
+        for r, value in row.items():
+            slot, monomial = monomials[r]
+            ours[slot] += _sympy(ex.as_expr(value)
+                                 * ex.Expr(((Fr(1), monomial),)))
+        expected = _sympy_bracket(theirs[i], theirs[j], wrt)
+        assert all(_vanishes(a - b) for a, b in zip(ours, expected)), (i, j)

@@ -15,6 +15,7 @@ from liepde.parser import MAX_NESTING
 
 GOLDEN = Path(__file__).parent / "golden" / "report.json"
 GOLDEN_FIND = Path(__file__).parent / "golden" / "find_hpz_nondefault.json"
+GOLDEN_HEAT = Path(__file__).parent / "golden" / "classify_heat.json"
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 
@@ -268,3 +269,11 @@ class TestGoldenReport:
                      "--format", "json", "--out", str(target)])
         assert code == 0
         assert target.read_bytes() == GOLDEN_FIND.read_bytes()
+
+    def test_classify_heat_matches_golden_copy(self, tmp_path):
+        # heat is the one registered classification the report leaves out
+        target = tmp_path / "classify.json"
+        code = main(["classify", "--equation", "heat", "--format", "json",
+                     "--out", str(target)])
+        assert code == 0
+        assert target.read_bytes() == GOLDEN_HEAT.read_bytes()
