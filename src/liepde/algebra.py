@@ -1,7 +1,7 @@
 """Commutators, structure constants and classification of symmetry algebras.
 
 ``commutator`` forms [X, Y] from each field's Jacobian, computed once per
-field; it serves library callers and is the tests' oracle.  Structure
+field; it is internal and remains as the tests' oracle.  Structure
 constants compute no commutator: each basis field is written once in
 coordinates over monomial fields m d_k (``linalg.coordinates``, with the
 parameters and rational content in the coefficient), and each bracket is
@@ -400,13 +400,13 @@ def _ad_unit(p: AlgebraPresentation, i: int, w) -> list:
     return [_sum(ps, zero) for ps in pieces]
 
 
-def _spans(p: AlgebraPresentation, span: list, vectors: list) -> bool:
+def _spans(span: list, vectors: list) -> bool:
     """Every vector lies in the span of the independent vectors ``span``:
     adding them keeps the rank at ``len(span)``."""
     return linalg.f_rank(span + vectors) == len(span)
 
 
-def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
+def _independent(prefix: list, vectors) -> list:
     """The vectors independent of ``prefix`` and of the vectors before them.
 
     With all of them as columns, these are the pivot columns past ``prefix``.
@@ -531,7 +531,7 @@ def _heisenberg_check(p: AlgebraPresentation, center, derived) -> bool:
     if len(center) != 1 or len(derived) != 1:
         return False
     # every bracket central: the derived algebra is the span of the c[i][j]
-    return _spans(p, center, derived)
+    return _spans(center, derived)
 
 
 def classify(p: AlgebraPresentation) -> Verdict:
@@ -595,7 +595,7 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     if not _is_nilpotent(p, radical):
         return None
     # radical must be an ideal: [e_i, w] in it for every i and w in it
-    if not _spans(p, radical,
+    if not _spans(radical,
                   [_ad_unit(p, i, w) for i in range(n) for w in radical]):
         return None
     complement = _levi_complement(p, radical)
@@ -628,7 +628,7 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> list | None:
     radical; the first correction is skipped when the raw complement already
     closes, which also covers symbolic one-dimensional complements).
     """
-    lifts = _independent(p, radical, p.unit)
+    lifts = _independent(radical, p.unit)
     if len(lifts) + len(radical) != p.dimension:
         return None
     if _closes(p, lifts):
@@ -637,7 +637,7 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> list | None:
         return None  # symbolic correction not attempted
 
     rad_z = _derived_space_sub(p, radical)
-    stage_one = _independent(p, rad_z, radical)
+    stage_one = _independent(rad_z, radical)
     # the filtration matters: corrections are solved first modulo [N, N]
     # (whose stage coordinates the quadratic term cannot touch), then inside
     # [N, N] itself
@@ -647,12 +647,12 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> list | None:
         lifts = _correct_stage(p, lifts, stage_space, lower) or lifts
         if _closes(p, lifts):
             return lifts
-    return lifts if _closes(p, lifts) else None
+    return None
 
 
 def _closes(p: AlgebraPresentation, lifts: list) -> bool:
-    return _spans(p, lifts, [_ad_bracket(p, lifts[i], lifts[j])
-                             for i, j in combinations(range(len(lifts)), 2)])
+    return _spans(lifts, [_ad_bracket(p, lifts[i], lifts[j])
+                          for i, j in combinations(range(len(lifts)), 2)])
 
 
 def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
@@ -669,9 +669,6 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
     """
     s = len(lifts)
     m = len(stage)
-    if m == 0:
-        return lifts
-
     pairs = list(combinations(range(s), 2))
     # a bracket [l_i, l_j] per pair, then ad(l_i) stage_k at index i*m + k
     coords = _project(

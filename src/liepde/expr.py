@@ -634,12 +634,6 @@ U, Z = sym("u"), sym("z")
 _D_SUM = R * V + W  # the sum whose inverse is delta
 
 
-def simplify(e: Expr) -> Expr:
-    """Identity on Expr: construction already canonicalises.  Kept as the
-    explicit canonicalisation entry point; idempotence is then structural."""
-    return as_expr(e)
-
-
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ denominator-cleared expressions (nullspace, row basis).  The ``q_*``
 functions are the rational rref, rank and nullspace of the solver.  Dense
 lists are accepted and converted.  Around it:
 
-* determinants over ``Fraction`` are fraction-free (Bareiss) eliminations
-  over the integers after clearing one common denominator;
 * univariate polynomials over ``Fraction`` serve matrix pencils:
   fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
   polynomials, and of ``lambda*I - M`` the last one is the characteristic
@@ -23,8 +21,8 @@ lists are accepted and converted.  Around it:
   Rational roots are found exactly from the divisors of the end
   coefficients, within a trial-division budget that refuses loudly; roots
   that are not rational are left to the caller.  ``pencil_gram_poly``
-  (the pencil's Gram determinant, interpolated from integer-Bareiss
-  determinants at integer nodes) is no longer used by discovery;
+  (the pencil's Gram determinant) is no longer used by discovery and is
+  kept as a reference for perfbench's lookup;
 * ``coordinates`` writes expressions or vector fields as sparse rows over
   shared monomial columns, for the ranks and solves above;
 * field elements over kernel expressions are num/den pairs with a
@@ -397,102 +395,28 @@ def _sign_changes(p) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def q_det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) integer elimination.
-
-    The entries are first scaled by their common denominator ``d``, so every
-    Bareiss division is an exact integer division; the determinant is the
-    integer one divided by ``d**n``.
-    """
-    n = len(rows)
-    rows = [[Fraction(v) for v in row] for row in rows]
-    den = lcm(1, *(v.denominator for row in rows for v in row))
-    m = [[v.numerator * (den // v.denominator) for v in row] for row in rows]
-    sign, prev = 1, 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if m[i][k]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != k:
-            m[k], m[pr] = m[pr], m[k]
-            sign = -sign
-        top = m[k]
-        piv = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            head = row[k]
-            for j in range(k + 1, n):
-                row[j] = (piv * row[j] - head * top[j]) // prev
-        prev = piv
-    return Fraction(sign * prev, den ** n)
-
-
 def pencil_gram_poly(a_rows: list[list[Fraction]],
                      b_rows: list[list[Fraction]]) -> Poly:
     """det((A + t*B)^T (A + t*B)) as an exact polynomial, by interpolation.
 
     Its real roots are exactly the real values where the pencil loses column
-    rank, so it certifies that a candidate exponent set is complete.  One
-    common denominator ``d`` makes ``A`` and ``B`` integer; the Gram matrix
-    is then ``G0 + t*G1 + t^2*G2`` with ``G0 = A^T A``,
-    ``G1 = A^T B + B^T A`` and ``G2 = B^T B`` formed once, and each of the
-    ``2n + 1`` integer nodes takes an integer determinant, divided by
-    ``d^(2n)``.
+    rank.  Discovery no longer uses it; it is kept as a reference for
+    perfbench's lookup.  The Gram matrix is formed at the ``2n + 1`` nodes
+    ``t = -n..n``; its determinant there is ``(-1)^n`` times the constant
+    coefficient of its ``charpoly``, and one ``q_rref`` of the Vandermonde
+    rows, augmented by those values, gives the coefficients.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    d = lcm(1, *(Fraction(v).denominator
-                 for rows in (a_rows, b_rows) for row in rows for v in row))
-    a = [[int(v * d) for v in row] for row in a_rows]
-    b = [[int(v * d) for v in row] for row in b_rows]
-
-    def cross(x, y):
-        return [[sum(x[i][p] * y[i][q] for i in range(nrows))
-                 for q in range(ncols)] for p in range(ncols)]
-
-    g0 = cross(a, a)
-    ab = cross(a, b)
-    g1 = [[ab[p][q] + ab[q][p] for q in range(ncols)] for p in range(ncols)]
-    g2 = cross(b, b)
-    degree = 2 * ncols
-    samples = []
-    k = 0
-    while len(samples) < degree + 1:
-        samples.append(k)
-        if k > 0:
-            samples.append(-k)
-        k += 1
-    samples = samples[:degree + 1]
-    scale = d ** degree
-    values = []
-    for lam in samples:
-        gram = [[c0 + lam * (c1 + lam * c2) for c0, c1, c2 in zip(r0, r1, r2)]
-                for r0, r1, r2 in zip(g0, g1, g2)]
-        values.append(q_det(gram) / scale)
-    return _lagrange([Fraction(lam) for lam in samples], values)
-
-
-def _lagrange(xs: list[Fraction], ys: list[Fraction]) -> Poly:
-    """The interpolating polynomial through distinct nodes ``xs``.
-
-    Each Lagrange basis numerator is the node polynomial prod (x - x_j),
-    formed once, divided exactly by its own factor (x - x_i).
-    """
-    nodes: Poly = (Fraction(1),)
-    for xj in xs:
-        nodes = p_mul(nodes, (-xj, Fraction(1)))
-    out = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j != i:
-                den *= xi - xj
-        scale = yi / den
-        for k, c in enumerate(p_div_exact(nodes, (-xi, Fraction(1)))):
-            out[k] += c * scale
-    return p_trim(out)
+    ncols = len(a_rows[0]) if a_rows else 0
+    size = 2 * ncols + 1
+    rows = []
+    for t in range(-ncols, ncols + 1):
+        m = [[Fraction(x) + t * y for x, y in zip(ra, rb)]
+             for ra, rb in zip(a_rows, b_rows)]
+        gram = [[sum(row[p] * row[q] for row in m) for q in range(ncols)]
+                for p in range(ncols)]
+        det = (-1) ** ncols * charpoly(gram)[0]
+        rows.append([Fraction(t) ** k for k in range(size)] + [det])
+    return p_trim([row.get(size, Fraction(0)) for row in q_rref(rows)[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from liepde.cli import _load_basis_file
 from liepde.expr import DELTA, OMEGA, R, S, T, U, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation, make_heat
-from liepde.linalg import inertia, q_det
+from liepde.linalg import inertia, q_rank
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
 
@@ -347,7 +347,7 @@ def _invertible(rng, n):
     while True:
         p = [[Fr(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)]
              for _ in range(n)]
-        if q_det(p) != 0:
+        if q_rank(p) == n:
             return p
 
 

@@ -11,7 +11,7 @@ from liepde.expr import (
     DELTA, OMEGA, ONE, R, RADIAL, S, T, V, W, X, Y, ZERO,
     DivisionByZero, UnsupportedDivision,
     differentiate, divide_exact, evaluate, evaluate_rational, exp_of, jet,
-    rational, simplify, substitute, sym, tfun,
+    rational, substitute, sym, tfun,
 )
 
 from conftest import TreeGen, random_fraction
@@ -64,12 +64,6 @@ class TestCanonicalForm:
         e1 = (X + Y) + (T + RADIAL)
         e2 = T + (RADIAL + (Y + X))
         assert e1 == e2
-
-    def test_simplify_identity_and_idempotence(self):
-        e = (X + Y) ** 2 - X ** 2 - 2 * X * Y - Y ** 2
-        assert simplify(e) == ZERO
-        s = simplify((R + OMEGA) * X)
-        assert simplify(s) == s
 
     def test_power_expansion(self):
         assert (X + 1) ** 2 == X ** 2 + 2 * X + 1

@@ -8,12 +8,12 @@ import pytest
 
 from liepde import expr as ex, linalg
 from liepde.expr import ExprError, R, S, V, W
-from liepde.linalg import (FieldFrac, RootExtractionError, coordinates,
-                           f_nullspace, f_rank, f_row_basis, f_rref,
-                           f_solve_unique, fraction_sqrt,
+from liepde.linalg import (FieldFrac, RootExtractionError, charpoly,
+                           coordinates, f_nullspace, f_rank, f_row_basis,
+                           f_rref, f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
-                           pencil_gram_poly, pencil_pivots, q_det,
-                           q_nullspace, q_rank, q_rref, rational_roots)
+                           pencil_gram_poly, pencil_pivots, q_nullspace,
+                           q_rank, q_rref, rational_roots)
 from liepde.prolong import VectorField
 from liepde.solver import Binding
 
@@ -33,8 +33,11 @@ class TestRationalMatrices:
         assert q_solve([[Fr(1)], [Fr(1)]], [Fr(1), Fr(2)]) is None
 
     def test_det(self):
-        assert q_det([[Fr(1), Fr(2)], [Fr(3), Fr(4)]]) == Fr(-2)
-        assert q_det([[Fr(1), Fr(2)], [Fr(2), Fr(4)]]) == 0
+        # det M = (-1)^n det(-M), and det(-M) is the constant coefficient
+        # of charpoly(M) = det(lam*I - M)
+        for m, det in (([[Fr(1), Fr(2)], [Fr(3), Fr(4)]], Fr(-2)),
+                       ([[Fr(1), Fr(2)], [Fr(2), Fr(4)]], 0)):
+            assert (-1) ** len(m) * charpoly(m)[0] == _cofactor_det(m) == det
 
 
 # (nrows, ncols, density): tall, wide and square, sparse and dense
@@ -164,16 +167,11 @@ class TestSeededRationalMatrices:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_det_matches_cofactor_expansion(self, seed):
+        # the determinant route of pencil_gram_poly
         rng = random.Random(seed)
         for n in range(6):
             m = _random_matrix(rng, n, n, rng.choice((0.3, 1.0)))
-            det = q_det(m)
-            assert det == _cofactor_det(m)
-            if n >= 2:
-                i, j = rng.sample(range(n), 2)
-                swapped = list(m)
-                swapped[i], swapped[j] = swapped[j], swapped[i]
-                assert q_det(swapped) == -det
+            assert (-1) ** n * charpoly(m)[0] == _cofactor_det(m)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gram_poly_off_the_nodes(self, seed):
