@@ -9,23 +9,36 @@ formed in those coordinates, bilinearly, from the monomial brackets
 [m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k.  These are kept across calls
 in a table of at most ``BRACKET_TABLE_SIZE`` entries (about 1.3 MB when
 full), so a change of basis, which keeps the monomial fields, reuses all
-of them.  One exact elimination over the symbolic parameter field then
-expands every bracket at once; every expansion is re-verified as an exact
-identity between coordinate rows, which are faithful, before it is
-trusted, and non-closure is an error naming the offending pair.
+of them.  One exact elimination then expands every bracket at once;
+every expansion is re-verified as an exact identity between coordinate
+rows, which are faithful, before it is trusted, and non-closure is an
+error naming the offending pair.
 
-The tensor is held in the field of its constants: as ``Fraction`` when
-every constant is rational, else as kernel expressions.  Everything after
-it -- brackets, Jacobi, the Killing matrix, centre, derived series,
-subalgebras, the Levi correction -- is one body that uses only ``+``,
-``*`` and truth tests on the entries, with spans, ranks and solves from
-the ``f_*`` eliminations of ``linalg``, which work over the field of
-their entries.  Values become expressions only where they are rendered
-(``constants_text``, ``Verdict.as_dict``).  Following de Graaf (*Lie
-Algebras: Theory and Algorithms*, 2000), brackets of basis elements are
-read straight off the tensor: the derived algebra is the row space of the
-slices c[i][j] with i < j, [e_i, w] is the tensor contracted with w, and
-Jacobi, homogeneous quadratic in c, is checked on the integer tensor D*c.
+A rational basis is computed over the integers: each field's coordinates
+are a primitive integer row with one scale, the monomial brackets hold
+integer coefficients over one denominator, and the brackets, the
+fraction-free solve (``linalg.z_solve_unique``) and the re-check
+sum_k N^k R_k = L B_ij are integer identities.  Other bases are computed
+over the symbolic parameter field.  The tensor is held in the field of its
+constants: as ``Fraction`` (formed once, from the integer solution) when
+every constant is rational, else as kernel expressions.  Following de
+Graaf (*Lie Algebras: Theory and Algorithms*, 2000), brackets of basis
+elements are read straight off the tensor: the derived algebra is the row
+space of the slices c[i][j] with i < j, [e_i, w] is the tensor contracted
+with w, and Jacobi, homogeneous quadratic in c, is checked on the integer
+tensor D*c.
+
+Everything after the tensor -- brackets, the Killing matrix, centre,
+derived series, subalgebras, the Levi correction -- is one body that uses
+only ``+``, ``*`` and truth tests on the entries.  ``classify`` runs it on
+D*c when the constants are numbers, with ``linalg``'s integer eliminations
+(``z_*``) and primitive integer vectors: spans and ranks do not depend on
+scale, the Killing signature does not change under c -> D*c, and the Levi
+correction is equivariant under rescaling a lift, so each witness is
+divided back to exactly the vector the field computation gives.  On
+expression tensors it uses the ``f_*`` eliminations, which work over the
+field of their entries.  Values become expressions only where they are
+rendered (``constants_text``, ``Verdict.as_dict``).
 
 Classification detects the structures this engine meets: abelian nA1,
 Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form
@@ -45,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Frozen, Jet
@@ -79,23 +92,10 @@ def _products(coeffs, partials) -> list[Expr]:
 # the field of the constants
 # ---------------------------------------------------------------------------
 
-def _cleared(p: AlgebraPresentation) -> tuple:
-    """The tensor ready for a homogeneous identity such as Jacobi, with its
-    zero: a rational tensor times the lcm D of its denominators, over the
-    integers, where D*c has integer products and the same zeros; an
-    expression tensor as it is."""
-    if isinstance(p.zero, Expr):
-        return p.constants, p.zero
-    tensor = p.constants
-    d = lcm(*(x.denominator for row in tensor for col in row for x in col))
-    return ([[[x.numerator * (d // x.denominator) for x in col]
-              for col in row] for row in tensor], 0)
-
-
 def _value(x):
     """An elimination result as a constant: a ``FieldFrac`` as its exact
-    expression (ExprError when that is not representable), a ``Fraction``
-    as it is."""
+    expression (ExprError when that is not representable), a number as it
+    is."""
     return x.to_expr() if isinstance(x, linalg.FieldFrac) else x
 
 
@@ -103,6 +103,12 @@ def _sum(pieces: list, zero):
     """The sum of ``pieces`` in the ring of ``zero``; expressions are merged
     by one collection."""
     return ex.sum_of(pieces) if isinstance(zero, Expr) else sum(pieces, zero)
+
+
+def _over_z(p: AlgebraPresentation) -> bool:
+    """``p`` is held over the integers: its eliminations are ``linalg``'s
+    integer ones (``z_*``), whose vectors are primitive integer vectors."""
+    return type(p.zero) is int
 
 
 # ---------------------------------------------------------------------------
@@ -118,34 +124,38 @@ def _geometric(b) -> bool:
 class AlgebraPresentation(Frozen):
     """Basis with the full structure-constant tensor c[i][j][k].
 
-    The constants are all ``Fraction`` or all ``Expr``, and the presentation
-    computes in that field, whose zero is ``zero``.  ``structure_constants``
-    and ``_subalgebra`` hold them as ``Fraction`` exactly when every one is
-    rational.  ``basis`` is empty for a subalgebra presented by its tensor
-    alone (see ``_subalgebra``); the dimension is that of the tensor.
+    The constants are all ``Fraction``, all ``Expr`` or all ``int``, and the
+    presentation computes in that ring, whose zero is ``zero``.
+    ``structure_constants`` and ``_subalgebra`` hold them as ``Fraction``
+    exactly when every one is rational; ``classify`` computes on the
+    integer tensor ``cleared`` instead.  ``basis`` is empty for a
+    subalgebra presented by its tensor alone (see ``_subalgebra``); the
+    dimension is that of the tensor.
     """
 
     basis: tuple[VectorField, ...]
-    constants: tuple[tuple[tuple[Fraction | Expr, ...], ...], ...]
+    constants: tuple[tuple[tuple[Fraction | Expr | int, ...], ...], ...]
 
     @property
     def dimension(self) -> int:
         return len(self.constants)
 
     @cached_property
-    def zero(self) -> Fraction | Expr:
-        """The zero of the constants' field: ``ex.ZERO`` when some constant
-        is an ``Expr``, else ``Fraction(0)``."""
-        if any(isinstance(x, Expr) for row in self.constants for col in row
-               for x in col):
+    def zero(self) -> Fraction | Expr | int:
+        """The zero of the constants' ring: ``ex.ZERO`` when some constant
+        is an ``Expr``, 0 when every one is an ``int``, else
+        ``Fraction(0)``."""
+        kinds = {type(x) for row in self.constants for col in row
+                 for x in col}
+        if Expr in kinds:
             return ex.ZERO
-        return Fraction(0)
+        return 0 if kinds == {int} else Fraction(0)
 
     @cached_property
     def unit(self) -> tuple[tuple, ...]:
         """Coordinates of the basis elements themselves."""
         n, zero = self.dimension, self.zero
-        one = ex.ONE if isinstance(zero, Expr) else Fraction(1)
+        one = ex.ONE if isinstance(zero, Expr) else zero + 1
         return tuple(tuple(one if i == j else zero for j in range(n))
                      for i in range(n))
 
@@ -154,6 +164,20 @@ class AlgebraPresentation(Frozen):
         """``sparse[i][j]``: the (k, c_ij^k) pairs with c_ij^k nonzero."""
         return tuple(tuple(tuple((k, x) for k, x in enumerate(col) if x)
                            for col in row) for row in self.constants)
+
+    @cached_property
+    def cleared(self) -> tuple | None:
+        """The tensor over the integers, D*c with D the lcm of the
+        denominators, when the constants are numbers; None when they are
+        expressions.  D*c has integer products and the same zeros, spans
+        and Killing signature as c, so homogeneous identities such as
+        Jacobi, and classification, are decided on it."""
+        if isinstance(self.zero, Expr):
+            return None
+        c = self.constants
+        d = lcm(*(x.denominator for row in c for col in row for x in col))
+        return tuple(tuple(tuple(x.numerator * (d // x.denominator)
+                                 for x in col) for col in row) for row in c)
 
     def is_rational(self) -> bool:
         return all(not isinstance(x, Expr) or x.is_rational
@@ -179,12 +203,12 @@ def structure_constants(basis) -> AlgebraPresentation:
     table of monomial brackets kept across calls and bounded at
     ``BRACKET_TABLE_SIZE`` entries, about 1.3 MB (see
     ``_coordinate_brackets``); no commutator and no Jacobian is computed.
-    One elimination expands every bracket in the basis, and each expansion
-    is re-verified as an exact identity between coordinate rows, which are
-    faithful: two fields are equal exactly when their coordinates are.
-    Refuses an empty basis, fields on different spaces and a dependent
-    basis, and re-verifies antisymmetry and the Jacobi identity on the
-    tensor.
+    One elimination expands every bracket in the basis -- over the integers
+    when every coordinate is rational -- and each expansion is re-verified
+    as an exact identity between coordinate rows, which are faithful: two
+    fields are equal exactly when their coordinates are.  Refuses an empty
+    basis, fields on different spaces and a dependent basis, and
+    re-verifies antisymmetry and the Jacobi identity on the tensor.
     """
     basis = tuple(basis)
     if not basis:
@@ -193,14 +217,18 @@ def structure_constants(basis) -> AlgebraPresentation:
                                           basis[0].dependent) for f in basis):
         raise ExprError("vector fields live on different spaces")
     n = len(basis)
-    monomials, rows, zero = _coordinate_brackets(basis)
+    monomials, rows, scales = _coordinate_brackets(basis)
     vectors, brackets = rows[:n], rows[n:]
+    zero = ex.ZERO if scales is None else 0
     columns = range(len(monomials))
-    sols = linalg.f_solve_unique(
-        [[v.get(r, zero) for v in vectors] for r in columns],
-        [[b.get(r, zero) for r in columns] for b in brackets], n)
-    pres = AlgebraPresentation(basis, _verified_tensor(vectors, brackets,
-                                                       sols, zero))
+    matrix = [[v.get(r, zero) for v in vectors] for r in columns]
+    rhss = [[b.get(r, zero) for r in columns] for b in brackets]
+    if scales is None:
+        sols, den = linalg.f_solve_unique(matrix, rhss, n), 1
+    else:
+        sols, den = linalg.z_solve_unique(matrix, rhss, n)
+    pres = AlgebraPresentation(basis, _verified_tensor(
+        vectors, brackets, sols, den, zero, scales))
     _check_jacobi(pres)
     return pres
 
@@ -214,23 +242,51 @@ def _coordinate_brackets(basis: tuple) -> tuple:
     each [X_i, X_j] is formed from them bilinearly, out of the table of
     monomial brackets.  Returns the monomial fields as (slot, monomial)
     pairs in column order, the rows -- one per field, then one per pair
-    i < j -- and the zero of the one field they are held in.
+    i < j -- and their scales.  When every coordinate and every monomial
+    bracket met is rational, the rows are integer rows and row r stands
+    for the coordinates row / scales[r] (a positive ``Fraction``): each
+    field's row is primitive; otherwise the rows hold expressions, as they
+    are, and the scales are None.
     """
     space = (basis[0].variables, basis[0].dependent)
     index: dict = {}
-    rows, zero = _one_field(linalg.coordinates(basis, _geometric, index))
+    coords = linalg.coordinates(basis, _geometric, index)
+    pairs = list(combinations(range(len(basis)), 2))
+    if all(x.is_rational for row in coords for x in row.values()):
+        rows, scales = map(list, zip(*map(_integer_row, coords)))
+        fields = _fields(rows, index)
+        for i, j in pairs:
+            bracket = _integer_bracket(space, fields[i], fields[j], index)
+            if bracket is None:
+                break
+            rows.append(bracket[0])
+            scales.append(bracket[1] * scales[i] * scales[j])
+        else:
+            return list(index), rows, scales
+    fields = _fields(coords, index)
+    return list(index), coords + [_bracket(space, fields[i], fields[j], index)
+                                  for i, j in pairs], None
+
+
+def _fields(rows: list[dict], index: dict) -> list[list]:
+    """Coordinate rows as lists of ((slot, monomial), value) pairs."""
     monomials = list(index)
-    fields = [[(monomials[r], x) for r, x in row.items()] for row in rows]
-    rows, zero = _one_field(rows + [
-        _bracket(space, fields[i], fields[j], index, zero)
-        for i, j in combinations(range(len(basis)), 2)])
-    return list(index), rows, zero
+    return [[(monomials[r], x) for r, x in row.items()] for row in rows]
+
+
+def _integer_row(row: dict) -> tuple[dict, Fraction]:
+    """A row of rational expressions as a primitive integer row and the
+    positive scale that takes the row to it."""
+    ints = linalg.z_row(row)
+    r = next(iter(ints), None)
+    return ints, ints[r] / row[r].as_fraction() if ints else Fraction(1)
 
 
 # Entries of the monomial-bracket table, chosen from its memory cost: an
-# entry holds about 625 bytes (traced with tracemalloc over the entries the
-# bases of the heat, reduced and hpz algebras fill), so a full table holds
-# about 1.3 MB, near 5% of a classifying process's peak resident memory.
+# entry holds about 655 bytes (traced with tracemalloc, the drop at
+# cache_clear() over the entries four seeds of the classify benchmark
+# fill), so a full table holds about 1.3 MB, near 5% of a classifying
+# process's peak resident memory.
 BRACKET_TABLE_SIZE = 2048
 
 
@@ -238,9 +294,11 @@ BRACKET_TABLE_SIZE = 2048
 def _monomial_bracket(variables: tuple[str, ...], dependent: str,
                       a: tuple, b: tuple) -> tuple:
     """[m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k (Olver, GTM 107, Ch. 1)
-    for the monomial fields a = (k, m) < b = (l, n), in coordinates: its
-    ((slot, monomial), coefficient) pairs, a coefficient as ``Fraction``
-    when rational, else as an expression in the parameters.
+    for the monomial fields a = (k, m) < b = (l, n), in coordinates:
+    ``(d, pairs)``, with ``pairs`` its ((slot, monomial), coefficient)
+    pairs.  When every coefficient is rational they are integers over the
+    one positive denominator d; otherwise d is None and they are
+    expressions in the parameters.
 
     Kept across calls, least recently used first out, so that every basis
     over the same monomial fields -- any change of basis -- reuses them;
@@ -251,54 +309,84 @@ def _monomial_bracket(variables: tuple[str, ...], dependent: str,
     m, n = Expr(((Fraction(1), m),)), Expr(((Fraction(1), n),))
     dn, dm = m * ex.partial(n, wrt[k]), n * ex.partial(m, wrt[l])
     slots = {l: dn - dm} if k == l else {l: dn, k: -dm}
-    return tuple(((slot, mono), x.as_fraction() if x.is_rational else x)
-                 for slot, e in slots.items()
-                 for mono, x in ex.split_terms(e, _geometric).items())
+    pairs = [((slot, mono), x) for slot, e in slots.items()
+             for mono, x in ex.split_terms(e, _geometric).items()]
+    if not all(x.is_rational for _, x in pairs):
+        return None, tuple(pairs)
+    values = [x.as_fraction() for _, x in pairs]
+    d = lcm(*(v.denominator for v in values))
+    return d, tuple((key, v.numerator * (d // v.denominator))
+                    for (key, _), v in zip(pairs, values))
 
 
-def _one_field(rows: list[dict]) -> tuple[list[dict], Fraction | Expr]:
-    """Coordinate rows in one field, with its zero: ``Fraction`` when every
-    entry is rational, else ``Expr``."""
-    if all(not isinstance(x, Expr) or x.is_rational
-           for row in rows for x in row.values()):
-        return ([{r: x.as_fraction() if isinstance(x, Expr) else x
-                  for r, x in row.items()} for row in rows], Fraction(0))
-    return ([{r: ex.as_expr(x) for r, x in row.items()} for row in rows],
-            ex.ZERO)
+def _integer_bracket(space: tuple, u: list, v: list, index: dict):
+    """The bracket of the integer coordinates ``u`` and ``v``, as
+    ((slot, monomial), value) pairs, over the integers: an integer row and
+    the positive integer d that it is the bracket times; None when a
+    monomial bracket has a coefficient that is not rational.  Monomial
+    fields the bracket adds to those of the basis extend ``index``."""
+    out: dict = {}
+    d = 1
+    for a, x in u:
+        for b, y in v:
+            if a == b:
+                continue
+            if a < b:
+                xy, (e, entries) = x * y, _monomial_bracket(*space, a, b)
+            else:
+                xy, (e, entries) = -x * y, _monomial_bracket(*space, b, a)
+            if e is None:
+                return None
+            if d % e:   # bring the sum so far to a common denominator
+                m = e // gcd(d, e)
+                out = {r: w * m for r, w in out.items()}
+                d *= m
+            xy *= d // e
+            for key, c in entries:
+                r = index.setdefault(key, len(index))
+                out[r] = out.get(r, 0) + xy * c
+    return {r: w for r, w in out.items() if w}, d
 
 
-def _bracket(space: tuple, u: list, v: list, index: dict, zero) -> dict:
-    """Coordinates {column: value} of [X, Y] from the coordinates ``u`` and
-    ``v`` of X and Y, as ((slot, monomial), coefficient) pairs: the sum of
-    x y [a, b] over the pairs of monomial fields.  Monomial fields the
-    bracket adds to those of the basis extend ``index``."""
+def _bracket(space: tuple, u: list, v: list, index: dict) -> dict:
+    """Coordinates {column: value} of [X, Y] from the expression
+    coordinates ``u`` and ``v`` of X and Y, as ((slot, monomial),
+    coefficient) pairs: the sum of x y [a, b] over the pairs of monomial
+    fields.  Monomial fields the bracket adds to those of the basis extend
+    ``index``."""
     pieces: dict = {}
     for a, x in u:
         for b, y in v:
             if a == b:
                 continue
             if a < b:
-                xy, entries = x * y, _monomial_bracket(*space, a, b)
+                xy, (d, entries) = x * y, _monomial_bracket(*space, a, b)
             else:
-                xy, entries = -(x * y), _monomial_bracket(*space, b, a)
+                xy, (d, entries) = -(x * y), _monomial_bracket(*space, b, a)
+            if d is not None and d != 1:
+                xy = xy * Fraction(1, d)
             for key, c in entries:
                 r = index.setdefault(key, len(index))
                 pieces.setdefault(r, []).append(xy * c)
-    return {r: s for r, ps in pieces.items() if (s := _sum(ps, zero))}
+    return {r: s for r, ps in pieces.items() if (s := ex.sum_of(ps))}
 
 
-def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
+def _verified_tensor(vectors, brackets, sols, den, zero,
+                     scales=None) -> tuple:
     """The structure-constant tensor from one solution per pair i < j.
 
     ``vectors`` are the basis elements and ``brackets`` the bracket of each
     pair, formed without the expansion, both over the ring of ``zero`` as
     dense sequences or sparse {slot: value} dicts (coordinates over
-    monomial fields, or over a parent algebra);
-    ``sols`` holds the solved expansion of each bracket, None when it is
-    outside the span.  Every expansion sum_k c^k v_k is re-verified against
-    its bracket before it is trusted; a pair that fails raises
-    ``ClosureError`` naming it.  The constants come back as ``Fraction``
-    when all are rational, else as ``Expr``.
+    monomial fields, or over a parent algebra); ``sols`` holds the solved
+    expansion of each bracket, None when it is outside the span: integer
+    numerators over the common denominator ``den``, or field values with
+    ``den`` 1.  Every expansion sum_k N^k v_k is re-verified against ``den``
+    times its bracket before it is trusted; a pair that fails raises
+    ``ClosureError`` naming it.  ``scales``, when given, are those of
+    ``_coordinate_brackets`` for the vectors and then the brackets.  The
+    constants come back as ``Fraction`` when all are rational, else as
+    ``Expr``.
     """
     n = len(vectors)
     nonzero = [_nonzero(v) for v in vectors]
@@ -321,21 +409,36 @@ def _verified_tensor(vectors, brackets, sols, zero) -> tuple:
             if c:
                 for slot, x in v:
                     pieces.setdefault(slot, []).append(c * x)
+        target = dict(_nonzero(bracket))
+        if den != 1:
+            target = {slot: den * x for slot, x in target.items()}
         if {slot: e for slot, ps in pieces.items()
-                if (e := _sum(ps, zero))} != dict(_nonzero(bracket)):
+                if (e := _sum(ps, zero))} != target:
             raise ClosureError(
                 f"expansion of pair ({i + 1}, {j + 1}) failed re-verification")
         expansions[i, j] = cs
-    if all(not isinstance(c, Expr) or c.is_rational
-           for cs in expansions.values() for c in cs):
-        expansions = {ij: tuple(c.as_fraction() if isinstance(c, Expr) else c
-                                for c in cs) for ij, cs in expansions.items()}
-        zero_row = (Fraction(0),) * n
-    else:
-        zero_row = (ex.ZERO,) * n
+    if not isinstance(zero, Expr):
+        expansions, zero = _rationals(expansions, den, scales, n), Fraction(0)
+    elif all(c.is_rational for cs in expansions.values() for c in cs):
+        expansions = {ij: tuple(c.as_fraction() for c in cs)
+                      for ij, cs in expansions.items()}
+        zero = Fraction(0)
+    zero_row = (zero,) * n
     return tuple(tuple(expansions[i, j] if i < j
                        else tuple(-c for c in expansions[j, i]) if j < i
                        else zero_row for j in range(n)) for i in range(n))
+
+
+def _rationals(expansions: dict, den: int, scales, n: int) -> dict:
+    """The constants of verified integer expansions, as ``Fraction``: the
+    numerators over ``den``, and with ``scales`` the expansion of pair
+    (i, j) in row k taken to c_ij^k = N^k scale_k / (den scale_ij)."""
+    scales = scales or [1] * (n + len(expansions))
+    zero = Fraction(0)
+    return {ij: tuple(Fraction(x * k.numerator * s.denominator,
+                               k.denominator * s.numerator * den)
+                      if x else zero for x, k in zip(numerators, scales))
+            for (ij, numerators), s in zip(expansions.items(), scales[n:])}
 
 
 def _nonzero(v) -> list:
@@ -349,8 +452,9 @@ def _check_jacobi(p: AlgebraPresentation):
     """sum_m c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l = 0 for every
     triple i < j < k and every l; products with a zero factor are left
     out.  The identity is homogeneous quadratic in c, so it is checked on
-    ``_cleared(p)``, which is D*c over the integers for rationals."""
-    c, zero = _cleared(p)
+    ``p.cleared``, D*c over the integers, when the constants are numbers."""
+    c, zero = ((p.constants, p.zero) if p.cleared is None
+               else (p.cleared, 0))
     for i, j, k in combinations(range(p.dimension), 3):
         outer = [(x, c[m][d]) for ab, d in ((c[i][j], k), (c[j][k], i),
                                             (c[k][i], j))
@@ -406,20 +510,35 @@ def _spans(span: list, vectors: list) -> bool:
     return linalg.f_rank(span + vectors) == len(span)
 
 
-def _independent(prefix: list, vectors) -> list:
+def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
     """The vectors independent of ``prefix`` and of the vectors before them.
 
     With all of them as columns, these are the pivot columns past ``prefix``.
     """
-    pivots = linalg.f_rref([list(row) for row in zip(*prefix, *vectors)])[1]
+    rref = linalg.z_rref if _over_z(p) else linalg.f_rref
+    pivots = rref([list(row) for row in zip(*prefix, *vectors)])[1]
     return [vectors[c - len(prefix)] for c in pivots if c >= len(prefix)]
+
+
+def _row_basis(p: AlgebraPresentation, vectors: list) -> list:
+    """A basis of the span of the vectors: ``linalg``'s reduced echelon
+    basis, primitive integer rows over the integers."""
+    return (linalg.z_row_basis if _over_z(p) else linalg.f_row_basis)(
+        vectors)
+
+
+def _nullspace(p: AlgebraPresentation, rows: list) -> list:
+    """``linalg``'s nullspace basis of the rows: primitive integer vectors
+    over the integers, each a multiple of the field's vector, which is 1 at
+    its last nonzero entry (see ``_witness``)."""
+    return (linalg.z_nullspace if _over_z(p) else linalg.f_nullspace)(rows)
 
 
 def _derived_space(p: AlgebraPresentation) -> list:
     """The row space of the slices c[i][j], i < j: every [e_i, e_j]."""
     c = p.constants
-    return linalg.f_row_basis([list(c[i][j]) for i, j
-                               in combinations(range(p.dimension), 2)])
+    return _row_basis(p, [list(c[i][j]) for i, j
+                          in combinations(range(p.dimension), 2)])
 
 
 def _center(p: AlgebraPresentation) -> list:
@@ -428,7 +547,7 @@ def _center(p: AlgebraPresentation) -> list:
     for j in range(n):
         for k in range(n):
             rows.append([p.constants[i][j][k] for i in range(n)])
-    return linalg.f_nullspace(rows)
+    return _nullspace(p, rows)
 
 
 def _killing_matrix(p: AlgebraPresentation) -> list[list]:
@@ -461,7 +580,16 @@ def _derived_space_sub(p: AlgebraPresentation, left: list,
     """Row basis of [left, right]; of [left, left] from the pairs a < b
     when ``right`` is None."""
     pairs = combinations(left, 2) if right is None else product(left, right)
-    return linalg.f_row_basis([_ad_bracket(p, v, w) for v, w in pairs])
+    return _row_basis(p, [_ad_bracket(p, v, w) for v, w in pairs])
+
+
+def _solve(p: AlgebraPresentation, matrix, rhss, ncols=None) -> tuple:
+    """``linalg``'s unique solutions in ``p``'s ring, with their common
+    denominator: integer numerators over it over the integers, field
+    values over 1 otherwise."""
+    if _over_z(p):
+        return linalg.z_solve_unique(matrix, rhss, ncols)
+    return linalg.f_solve_unique(matrix, rhss, ncols), 1
 
 
 def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
@@ -477,10 +605,9 @@ def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
     s = len(vectors)
     brackets = [_ad_bracket(p, vectors[a], vectors[b])
                 for a, b in combinations(range(s), 2)]
-    sols = linalg.f_solve_unique([list(row) for row in zip(*vectors)],
-                                 brackets, s)
+    sols, den = _solve(p, [list(row) for row in zip(*vectors)], brackets, s)
     sub = AlgebraPresentation(
-        (), _verified_tensor(vectors, brackets, sols, p.zero))
+        (), _verified_tensor(vectors, brackets, sols, den, p.zero))
     _check_jacobi(sub)
     return sub
 
@@ -519,6 +646,17 @@ def _texts(vectors) -> list[list[str]]:
     return [[ex.to_text(ex.as_expr(c)) for c in v] for v in vectors]
 
 
+def _witness(p: AlgebraPresentation, v, scale=None) -> tuple:
+    """A witness vector in the constants' field.  Over the integers it is
+    ``scale`` times the field's vector, by default its last nonzero entry,
+    where a nullspace vector over the field is 1, and comes back as
+    ``Fraction``."""
+    if not _over_z(p):
+        return tuple(v)
+    scale = scale or next(x for x in reversed(v) if x)
+    return tuple(Fraction(x, scale) for x in v)
+
+
 _W3_NOTE = ("the three-dimensional Heisenberg-Weyl algebra is labelled A3,3 "
             "here following the source classification; the conventional "
             "Mubarakzyanov label for it is A3,1")
@@ -535,7 +673,13 @@ def _heisenberg_check(p: AlgebraPresentation, center, derived) -> bool:
 
 
 def classify(p: AlgebraPresentation) -> Verdict:
-    """Classification verdict with witnesses; see the module docstring."""
+    """Classification verdict with witnesses; see the module docstring.
+
+    Constants held as numbers are classified on the integer tensor
+    ``p.cleared``: spans, ranks and the Killing signature do not change
+    when c is scaled, and the witnesses are brought back to c's field."""
+    if isinstance(p.zero, Fraction):
+        p = AlgebraPresentation((), p.cleared)
     n = p.dimension
     if n > 6:
         return _unclassified(p, "dimension above 6 is out of scope",
@@ -553,7 +697,7 @@ def classify(p: AlgebraPresentation) -> Verdict:
         label = "A3,3" if n == 3 else None
         notes = (_W3_NOTE,) if n == 3 else ()
         return Verdict(name, label, n, cd, dd,
-                       ideal_basis=tuple(tuple(v) for v in center),
+                       ideal_basis=tuple(_witness(p, v) for v in center),
                        notes=notes)
 
     if n == 2 and dd == 1:
@@ -588,7 +732,7 @@ def _unclassified(p: AlgebraPresentation, why: str, center,
 def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     """Detect complement (+)s nilradical via the Killing-form radical."""
     n = p.dimension
-    radical = linalg.f_nullspace(_killing_matrix(p))
+    radical = _nullspace(p, _killing_matrix(p))
     m = len(radical)
     if not 0 < m < n:
         return None
@@ -598,9 +742,10 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     if not _spans(radical,
                   [_ad_unit(p, i, w) for i in range(n) for w in radical]):
         return None
-    complement = _levi_complement(p, radical)
-    if complement is None:
+    levi = _levi_complement(p, radical)
+    if levi is None:
         return None
+    complement, scale = levi
     try:
         ideal_verdict = classify(_subalgebra(p, radical))
         comp_verdict = classify(_subalgebra(p, complement))
@@ -611,69 +756,87 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     notes = ideal_verdict.notes + comp_verdict.notes + (
         "nilradical recovered as the radical of the Killing form; "
         "complement corrected to close under the bracket",)
+    # only the complement can itself be a semidirect sum: a nilpotent
+    # radical has a zero Killing form, so it never splits off a complement
+    comp_name = comp_verdict.name
+    if " (+)s " in comp_name:
+        comp_name = f"({comp_name})"
     return Verdict(
-        f"{comp_verdict.name} (+)s {ideal_verdict.name}",
+        f"{comp_name} (+)s {ideal_verdict.name}",
         None, n, len(center), len(derived),
-        ideal_basis=tuple(tuple(v) for v in radical),
-        complement_basis=tuple(tuple(v) for v in complement),
+        ideal_basis=tuple(_witness(p, v) for v in radical),
+        complement_basis=tuple(_witness(p, v, scale) for v in complement),
         notes=notes)
 
 
-def _levi_complement(p: AlgebraPresentation, radical: list) -> list | None:
-    """A complement to the nilradical that closes under the bracket.
+def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
+    """A complement to the nilradical that closes under the bracket, and
+    the positive integer it is scaled by against the complement over the
+    field (1 unless corrected over the integers).
 
     Basis elements independent of the radical are corrected by solving two
     rational linear systems: first modulo the derived space of the radical,
     then inside it (classical Levi-Malcev steps for a two-step nilpotent
     radical; the first correction is skipped when the raw complement already
-    closes, which also covers symbolic one-dimensional complements).
+    closes, which also covers symbolic one-dimensional complements).  The
+    brackets of the lifts are formed once per set of lifts, for the closure
+    test and the next correction.
     """
-    lifts = _independent(radical, p.unit)
+    lifts = _independent(p, radical, p.unit)
     if len(lifts) + len(radical) != p.dimension:
         return None
-    if _closes(p, lifts):
-        return lifts
+    brackets = _lift_brackets(p, lifts)
+    if _spans(lifts, brackets):
+        return lifts, 1
     if not p.is_rational():
         return None  # symbolic correction not attempted
 
     rad_z = _derived_space_sub(p, radical)
-    stage_one = _independent(rad_z, radical)
+    stage_one = _independent(p, rad_z, radical)
+    scale = 1
     # the filtration matters: corrections are solved first modulo [N, N]
     # (whose stage coordinates the quadratic term cannot touch), then inside
     # [N, N] itself
     for stage_space, lower in ((stage_one, rad_z), (rad_z, stage_one)):
         if not stage_space:
             continue
-        lifts = _correct_stage(p, lifts, stage_space, lower) or lifts
-        if _closes(p, lifts):
-            return lifts
+        corrected = _correct_stage(p, lifts, brackets, stage_space, lower)
+        if corrected is None:
+            continue
+        lifts, den = corrected
+        scale *= den
+        brackets = _lift_brackets(p, lifts)
+        if _spans(lifts, brackets):
+            return lifts, scale
     return None
 
 
-def _closes(p: AlgebraPresentation, lifts: list) -> bool:
-    return _spans(lifts, [_ad_bracket(p, lifts[i], lifts[j])
-                          for i, j in combinations(range(len(lifts)), 2)])
+def _lift_brackets(p: AlgebraPresentation, lifts: list) -> list:
+    """[l_i, l_j] for the pairs i < j."""
+    return [_ad_bracket(p, lifts[i], lifts[j])
+            for i, j in combinations(range(len(lifts)), 2)]
 
 
-def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
-                   lower: list) -> list | None:
+def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
+                   stage: list, lower: list) -> tuple | None:
     """One Levi correction step: solve for c with the defects killed mod stage.
 
     Unknowns are the coefficients of the corrections c_i in the stage space;
     for each pair (i, j) the defect of [l_i + c_i, l_j + c_j] closing onto
-    the corrected lifts must lose its stage-space component.  ``lower`` is
-    the complement of the stage inside the radical and must contain the
-    brackets of stage elements, so the quadratic correction term has no
-    stage coordinate and the condition is linear.  Free unknowns are set to
-    zero.
+    the corrected lifts must lose its stage-space component.  ``brackets``
+    are the [l_i, l_j].  ``lower`` is the complement of the stage inside
+    the radical and must contain the brackets of stage elements, so the
+    quadratic correction term has no stage coordinate and the condition is
+    linear.  Free unknowns are set to zero.  Returns the corrected lifts,
+    each the positive integer den times l_i + c_i (den 1 over a field),
+    and den.
     """
     s = len(lifts)
     m = len(stage)
     pairs = list(combinations(range(s), 2))
     # a bracket [l_i, l_j] per pair, then ad(l_i) stage_k at index i*m + k
     coords = _project(
-        p, [_ad_bracket(p, lifts[i], lifts[j]) for i, j in pairs]
-        + [_ad_bracket(p, l, st) for l in lifts for st in stage],
+        p, brackets + [_ad_bracket(p, l, st) for l in lifts for st in stage],
         lifts, stage, lower)
     if coords is None:
         return None
@@ -693,22 +856,38 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, stage: list,
                 row[q * m + t] -= a_coords[q]
             row[ncols] = -defect_stage[t]
             rows.append(row)
-    rref, pivots = linalg.f_rref(rows)
-    if ncols in pivots:
+    sol, den = _particular(p, rows, ncols)
+    if sol is None:
         return None  # inconsistent
-    sol = [zero] * ncols
-    for row, pc in zip(rref, pivots):
-        if ncols in row:
-            sol[pc] = _value(row[ncols])
     corrected = []
     for i in range(s):
-        vec = list(lifts[i])
+        vec = list(lifts[i]) if den == 1 else [den * a for a in lifts[i]]
         for k in range(m):
             coeff = sol[i * m + k]
             if coeff:
                 vec = [a + coeff * b for a, b in zip(vec, stage[k])]
         corrected.append(vec)
-    return corrected
+    return corrected, den
+
+
+def _particular(p: AlgebraPresentation, rows: list, ncols: int) -> tuple:
+    """The solution with free unknowns zero of the augmented rows (the
+    right-hand side in column ``ncols``), with its denominator: integer
+    numerators over one positive den over the integers, field values over 1
+    otherwise; (None, None) when inconsistent."""
+    if _over_z(p):
+        rref, pivots = linalg.z_rref(rows)
+        den = lcm(*(row[pc] for row, pc in zip(rref, pivots)))
+    else:
+        (rref, pivots), den = linalg.f_rref(rows), 1
+    if ncols in pivots:
+        return None, None
+    sol = [p.zero] * ncols
+    for row, pc in zip(rref, pivots):
+        if ncols in row:
+            x = row[ncols]
+            sol[pc] = x * (den // row[pc]) if _over_z(p) else _value(x)
+    return sol, den
 
 
 def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
@@ -716,12 +895,14 @@ def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
 
     ``lifts + stage + lower`` must be a basis of the whole space.  Returns
     one (a coefficients, stage coefficients) pair per vector, from one
-    elimination, or None when some vector is outside that span.
+    elimination, or None when some vector is outside that span; over the
+    integers they are numerators over one common denominator, which the
+    linear conditions of ``_correct_stage`` do not need.
     """
     cols_all = lifts + stage + lower
     matrix = [[col[r] for col in cols_all] for r in range(len(cols_all[0]))]
     out = []
-    for sol in linalg.f_solve_unique(matrix, vectors):
+    for sol in _solve(p, matrix, vectors)[0]:
         if sol is None:
             return None
         values = [_value(s) for s in sol]

@@ -1,16 +1,26 @@
 """Exact linear algebra: rationals, univariate polynomials, symbolic fields.
 
-One sparse Gauss-Jordan elimination over ``{column: value}`` rows is
-generic over its field: it gives the reduced echelon form behind rank,
-nullspace, row space and solve.  The ``f_*`` functions work over the field
-of their entries: rows of numbers are eliminated over ``Fraction`` and
-give ``Fraction`` results; rows of kernel expressions are eliminated over
-``Fraction`` when every entry is rational and over ``FieldFrac``
-otherwise (the reduced echelon form is unique, so the results are the
-same either way), and give ``FieldFrac``s (rref, solve) or
-denominator-cleared expressions (nullspace, row basis).  The ``q_*``
-functions are the rational rref, rank and nullspace of the solver.  Dense
-lists are accepted and converted.  Around it:
+Two sparse Gauss-Jordan eliminations over ``{column: value}`` rows give the
+reduced echelon form behind rank, nullspace, row space and solve:
+
+* rational rows are eliminated over the integers, fraction-free: each row
+  is scaled once to a primitive integer row, rows are combined by
+  cross-multiplication and kept primitive, and every reduced row keeps its
+  pivot entry (Bareiss, *Math. Comp.* 22, 1968, without the determinant
+  bookkeeping).  ``Fraction``s are formed only where a caller asks for
+  field values: the rref rows and the solutions.  The ``z_*`` functions
+  return the integer results themselves: primitive rows and nullspace
+  vectors, and solutions as numerators over one common denominator;
+* rows with a non-rational expression entry are eliminated over
+  ``FieldFrac``, num/den pairs of kernel expressions.
+
+The ``f_*`` functions work over the field of their entries: rows of
+numbers give ``Fraction`` results; rows of expressions give ``FieldFrac``s
+(rref, solve) or denominator-cleared expressions (nullspace, row basis),
+and are eliminated over the integers when every entry is rational (the
+reduced echelon form is unique, so the results are the same either way).
+The ``q_*`` functions are the rational rref, rank and nullspace of the
+solver.  Dense lists are accepted and converted.  Around them:
 
 * univariate polynomials over ``Fraction`` serve matrix pencils:
   fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
@@ -40,7 +50,7 @@ from .expr import Expr, ExprError, Frozen
 
 
 # ---------------------------------------------------------------------------
-# sparse exact elimination over a field, and rational matrices
+# sparse exact elimination: over the integers, and over a field
 # ---------------------------------------------------------------------------
 
 Row = dict[int, Fraction]
@@ -51,19 +61,85 @@ def _items(row):
     return row.items() if isinstance(row, dict) else enumerate(row)
 
 
-def _sparse(row) -> Row:
-    """A dense list or a ``{column: value}`` dict as a dict of its nonzeros,
-    as ``Fraction``."""
-    return {c: v if isinstance(v, Fraction) else Fraction(v)
-            for c, v in _items(row) if v}
-
-
 def _width(rows, ncols: int | None) -> int:
     if ncols is not None:
         return ncols
     if rows and isinstance(rows[0], dict):
         raise ValueError("sparse rows need an explicit column count")
     return len(rows[0]) if rows else 0
+
+
+def z_row(row) -> dict[int, int]:
+    """A row of rational numbers -- ``int``, ``Fraction`` or rational
+    expressions, dense or sparse -- as a primitive integer row of its
+    nonzero entries, a positive multiple of it: times the lcm of their
+    denominators, over the gcd of the products.  Scaling a row keeps its
+    row space and its solutions."""
+    row = {c: v.as_fraction() if isinstance(v, Expr)
+           else v if isinstance(v, (int, Fraction)) else Fraction(v)
+           for c, v in _items(row) if v}
+    d = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (d // v.denominator)
+                       for c, v in row.items()})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row over the gcd of its entries (``gcd()`` of no entries
+    is 0, and an empty row stays empty)."""
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()} if g > 1 else row
+
+
+def _zrref(rows) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form over the integers, fraction-free.
+
+    ``rows`` yields fresh primitive ``{column: int}`` dicts of nonzero
+    entries, which are consumed.  Rows are reduced one at a time against
+    the pivot rows found so far (``_cross``); a surviving row takes a
+    positive entry at its leftmost nonzero column, its pivot, which is then
+    cleared from the earlier pivot rows the same way.  The result has one
+    primitive row per pivot, in column order, zero in every other pivot
+    column and positive at its own: divided by that entry, each is the row
+    of the unique reduced echelon form over the rationals.
+    """
+    basis: dict = {}   # pivot column -> its reduced row, pivot entry kept
+    for row in rows:
+        # pivot rows are zero in every other pivot column, so one pass over
+        # the pivot columns the row starts with clears them all
+        for c in [c for c in row if c in basis]:
+            row = _cross(row, c, basis[c])
+        if not row:
+            continue
+        pc = min(row)
+        if row[pc] < 0:
+            row = {j: -v for j, v in row.items()}
+        for c, other in basis.items():
+            if pc in other:
+                basis[c] = _cross(other, pc, row)
+        basis[pc] = row
+    pivots = sorted(basis)
+    return [basis[pc] for pc in pivots], pivots
+
+
+def _cross(row: dict, c: int, pivot_row: dict) -> dict:
+    """Column ``c`` of an integer row cleared by cross-multiplication:
+    p*row - a*pivot_row, with a the row's entry and p > 0 the pivot row's
+    entry there, both over their gcd, made primitive.  ``row`` is used up;
+    only nonzero entries are kept."""
+    a, p = row.pop(c), pivot_row[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    for j, v in pivot_row.items():
+        if j != c:
+            w = row.get(j, 0) - a * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return _primitive(row)
 
 
 def _rref(rows, one) -> tuple[list[dict], list[int]]:
@@ -76,12 +152,12 @@ def _rref(rows, one) -> tuple[list[dict], list[int]]:
     surviving row is scaled to a unit pivot at its leftmost nonzero column,
     which is then cleared from the earlier pivot rows.  The result is the
     unique reduced echelon basis of the row space, one row per pivot in
-    column order, each holding only its nonzero entries.
+    column order, each holding only its nonzero entries.  The package runs
+    it over ``FieldFrac`` only (rational rows take ``_zrref``); over
+    ``Fraction(1)`` it is the tests' reference for the integer loop.
     """
     basis: dict = {}   # pivot column -> its reduced row, pivot entry left out
     for row in rows:
-        # pivot rows are zero in every other pivot column, so one pass over
-        # the pivot columns the row starts with clears them all
         for c in [c for c in row if c in basis]:
             _subtract(row, row.pop(c), basis[c])
         if not row:
@@ -109,8 +185,8 @@ def _subtract(row: dict, f, pivot_row: dict):
 
 
 def _nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
-    """Right-nullspace basis from a reduced echelon form, one dense vector
-    per free column, in column order."""
+    """Right-nullspace basis from a reduced echelon form over a field, one
+    dense vector per free column, in column order."""
     is_pivot = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -125,14 +201,88 @@ def _nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
     return basis
 
 
+def _over_pivots(rref: list[dict], pivots: list[int]
+                 ) -> tuple[list[Row], list[int]]:
+    """The rows of ``_zrref`` over their pivot entries, and the pivots: the
+    reduced echelon form over the rationals, as ``Fraction``."""
+    return [{j: Fraction(v, row[pc]) for j, v in row.items()}
+            for row, pc in zip(rref, pivots)], pivots
+
+
+def z_rref(matrix) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced echelon form over the integers of rows of rational numbers
+    (``int``, ``Fraction`` or rational expressions; dense lists or sparse
+    dicts): one primitive integer row per pivot, positive at its pivot and
+    zero in every other pivot column, and the pivot column list."""
+    return _zrref([z_row(row) for row in matrix])
+
+
+def z_nullspace(matrix, ncols: int | None = None) -> list[list[int]]:
+    """Basis of the right nullspace of rows of rational numbers, as
+    primitive integer vectors, one per free column in column order: each
+    is a positive multiple of the vector ``q_nullspace`` gives, which is 1
+    at its free column, its last nonzero entry."""
+    ncols = _width(matrix, ncols)
+    rref, pivots = z_rref(matrix)
+    is_pivot = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in is_pivot:
+            continue
+        rows = [(row, pc) for row, pc in zip(rref, pivots) if fc in row]
+        scale = lcm(*(row[pc] for row, pc in rows))
+        v = [0] * ncols
+        v[fc] = scale
+        for row, pc in rows:
+            v[pc] = -row[fc] * (scale // row[pc])
+        g = gcd(*v)
+        basis.append([x // g for x in v] if g > 1 else v)
+    return basis
+
+
+def z_row_basis(matrix, ncols: int | None = None) -> list[list[int]]:
+    """Reduced echelon basis of the row space of rows of rational numbers,
+    one dense primitive integer row per pivot: each a positive multiple of
+    the row ``q_rref`` gives, which is 1 at its first nonzero entry."""
+    ncols = _width(matrix, ncols)
+    return [[row.get(c, 0) for c in range(ncols)] for row in z_rref(matrix)[0]]
+
+
+def z_solve_unique(matrix, rhss: list[list], ncols: int | None = None
+                   ) -> tuple[list[list[int] | None], int]:
+    """``f_solve_unique`` over the integers, for rows of rational numbers.
+
+    Returns one solution per rhs, None for an inconsistent one, as integer
+    numerators over one common positive denominator, which is returned
+    with them: ``(solutions, den)``.  Raises when the columns of the matrix
+    are dependent.  Sparse rows need ``ncols``.
+    """
+    ncols = _width(matrix, ncols)
+    return _z_solve(*z_rref(_augmented(matrix, rhss, ncols)), ncols,
+                    len(rhss))
+
+
+def _z_solve(rref, pivots, ncols: int, nrhs: int) -> tuple[list, int]:
+    """The solutions of ``z_solve_unique`` from the integer reduced form of
+    the augmented rows (see ``_solve_unique``)."""
+    if pivots[:ncols] != list(range(ncols)):
+        raise ExprError("basis is not linearly independent")
+    top, below = rref[:ncols], rref[ncols:]
+    den = lcm(*(row[pc] for row, pc in zip(top, pivots)))
+    scales = [den // row[pc] for row, pc in zip(top, pivots)]
+    return [None if any(c in row for row in below)
+            else [row.get(c, 0) * s for row, s in zip(top, scales)]
+            for c in range(ncols, ncols + nrhs)], den
+
+
 def q_rref(rows) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over the rationals, as sparse rows, and the
     pivot column list; ``rows`` are dense lists or sparse dicts."""
-    return _rref((_sparse(row) for row in rows), Fraction(1))
+    return _over_pivots(*z_rref(rows))
 
 
 def q_rank(rows) -> int:
-    return len(q_rref(rows)[1])
+    return len(z_rref(rows)[1])
 
 
 def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
@@ -157,8 +307,8 @@ def _augmented(matrix, rhss, ncols: int) -> list[dict]:
     return aug
 
 
-def _solve_unique(rows, ncols: int, nrhs: int, zero, one) -> list[list | None]:
-    """Unique solutions from augmented sparse field rows, as in
+def _solve_unique(rows, ncols: int, nrhs: int) -> list[list | None]:
+    """Unique solutions from augmented sparse ``FieldFrac`` rows, as in
     ``f_solve_unique``.
 
     Row operations keep the linear relations among columns, so the column
@@ -166,12 +316,12 @@ def _solve_unique(rows, ncols: int, nrhs: int, zero, one) -> list[list | None]:
     matrix and is zero below them; an inconsistent one keeps an entry below
     them.
     """
-    rref, pivots = _rref(rows, one)
+    rref, pivots = _rref(rows, _F_ONE)
     if pivots[:ncols] != list(range(ncols)):
         raise ExprError("basis is not linearly independent")
     top, below = rref[:ncols], rref[ncols:]
     return [None if any(c in row for row in below)
-            else [row.get(c, zero) for row in top]
+            else [row.get(c, _F_ZERO) for row in top]
             for c in range(ncols, ncols + nrhs)]
 
 
@@ -510,29 +660,34 @@ _F_ONE = FieldFrac.of(1)
 
 
 def _field_rows(matrix) -> tuple[list[dict], object, object, bool]:
-    """Sparse rows of a matrix of numbers or expressions, the zero and the
-    unit of the field they are eliminated over, and whether the entries
-    are expressions (whose results the ``f_*`` functions return as
-    ``FieldFrac`` or ``Expr``).
+    """Sparse rows of a matrix of numbers or expressions, ready for
+    elimination, the zero and the unit of the field of its results, and
+    whether the entries are expressions (whose results the ``f_*``
+    functions return as ``FieldFrac`` or ``Expr``).
 
-    Numbers are eliminated over ``Fraction``.  Expressions are too when
-    every one is rational, else over ``FieldFrac``; the reduced echelon
-    form is unique, so that choice changes the cost of an elimination,
-    never its result.  A matrix with any expression entry is one of
-    expressions.  ``matrix`` rows are dense lists or sparse dicts.
+    Numbers, and expressions when every one is rational, have results in
+    ``Fraction`` and come as primitive integer rows for the integer loop;
+    the others are rows over ``FieldFrac``.  The reduced echelon form is
+    unique, so the loop an elimination takes changes its cost, never its
+    result.  A matrix with any expression entry is one of expressions.
+    ``matrix`` rows are dense lists or sparse dicts.
     """
-    try:
-        return ([_sparse(row) for row in matrix], Fraction(0), Fraction(1),
-                False)
-    except TypeError:   # Fraction(e) of an expression entry e
-        pass
-    rows = [{c: e for c, v in _items(row) if not (e := ex.as_expr(v)).is_zero}
+    rows = [row if isinstance(row, dict) else dict(enumerate(row))
             for row in matrix]
-    if all(e.is_rational for row in rows for e in row.values()):
-        return ([{c: e.as_fraction() for c, e in row.items()} for row in rows],
-                Fraction(0), Fraction(1), True)
-    return ([{c: FieldFrac(e, ex.ONE) for c, e in row.items()}
+    exprs = [v for row in rows for v in row.values() if isinstance(v, Expr)]
+    if all(e.is_rational for e in exprs):
+        return ([z_row(row) for row in rows], Fraction(0), Fraction(1),
+                bool(exprs))
+    return ([{c: FieldFrac.of(v) for c, v in row.items() if v}
              for row in rows], _F_ZERO, _F_ONE, True)
+
+
+def _eliminated(rows, one) -> tuple[list[dict], list[int]]:
+    """The reduced echelon form of ``_field_rows`` over the field of
+    ``one``: by the integer loop for ``Fraction``."""
+    if isinstance(one, FieldFrac):
+        return _rref(rows, one)
+    return _over_pivots(*_zrref(rows))
 
 
 def f_rref(matrix) -> tuple[list[dict], list[int]]:
@@ -540,7 +695,7 @@ def f_rref(matrix) -> tuple[list[dict], list[int]]:
     rows of ``Fraction`` (number entries) or ``FieldFrac`` (expression
     entries); ``matrix`` rows are dense lists or sparse dicts."""
     rows, _, one, exprs = _field_rows(matrix)
-    rref, pivots = _rref(rows, one)
+    rref, pivots = _eliminated(rows, one)
     if exprs:
         rref = [{c: FieldFrac.of(v) for c, v in row.items()} for row in rref]
     return rref, pivots
@@ -549,7 +704,8 @@ def f_rref(matrix) -> tuple[list[dict], list[int]]:
 def f_rank(matrix) -> int:
     """Rank over the field of the entries."""
     rows, _, one, _ = _field_rows(matrix)
-    return len(_rref(rows, one)[1])
+    return len((_rref(rows, one) if isinstance(one, FieldFrac)
+                else _zrref(rows))[1])
 
 
 def f_solve_unique(matrix, rhss: list[list],
@@ -564,12 +720,13 @@ def f_solve_unique(matrix, rhss: list[list],
     dependent.  Sparse rows need ``ncols``.
     """
     ncols = _width(matrix, ncols)
-    rows, zero, one, exprs = _field_rows(_augmented(matrix, rhss, ncols))
-    sols = _solve_unique(rows, ncols, len(rhss), zero, one)
-    if not exprs:
-        return sols
-    return [None if sol is None else [FieldFrac.of(v) for v in sol]
-            for sol in sols]
+    rows, _, one, exprs = _field_rows(_augmented(matrix, rhss, ncols))
+    if isinstance(one, FieldFrac):
+        return _solve_unique(rows, ncols, len(rhss))
+    sols, den = _z_solve(*_zrref(rows), ncols, len(rhss))
+    return [None if sol is None else
+            [FieldFrac.of(Fraction(x, den)) if exprs else Fraction(x, den)
+             for x in sol] for sol in sols]
 
 
 def f_nullspace(matrix) -> list[list]:
@@ -578,7 +735,7 @@ def f_nullspace(matrix) -> list[list]:
     expression entries."""
     ncols = _width(matrix, None)
     rows, zero, one, exprs = _field_rows(matrix)
-    basis = _nullspace(*_rref(rows, one), ncols, zero, one)
+    basis = _nullspace(*_eliminated(rows, one), ncols, zero, one)
     return [_cleared(v) for v in basis] if exprs else basis
 
 
@@ -589,7 +746,7 @@ def f_row_basis(matrix) -> list[list]:
     ncols = _width(matrix, None)
     rows, zero, one, exprs = _field_rows(matrix)
     basis = [[row.get(c, zero) for c in range(ncols)]
-             for row in _rref(rows, one)[0]]
+             for row in _eliminated(rows, one)[0]]
     return [_cleared(v) for v in basis] if exprs else basis
 
 

@@ -156,17 +156,22 @@ class TestStructureConstants:
     def test_corrupted_constant_fails_the_coordinate_recheck(
             self, name, basis, reduced_basis, monkeypatch):
         # the bracket rows are formed without the expansion, so a wrong
-        # solution cannot pass the re-check: symbolic and rational tensors
+        # solution cannot pass the re-check: a symbolic tensor is solved
+        # over FieldFrac, a rational one over the integers (one numerator
+        # off by one)
         fields = basis if name == "hpz" else reduced_basis.fields
-        one = linalg.FieldFrac.of(1) if name == "hpz" else Fr(1)
-        solve = linalg.f_solve_unique
+        if name == "hpz":
+            solve, one = linalg.f_solve_unique, linalg.FieldFrac.of(1)
+        else:
+            solve, one = linalg.z_solve_unique, 1
 
         def corrupted(matrix, rhss, ncols=None):
-            sols = solve(matrix, rhss, ncols)
+            out = solve(matrix, rhss, ncols)
+            sols = out if name == "hpz" else out[0]
             sols[-1] = [sols[-1][0] + one] + sols[-1][1:]
-            return sols
+            return out
 
-        monkeypatch.setattr(linalg, "f_solve_unique", corrupted)
+        monkeypatch.setattr(linalg, solve.__name__, corrupted)
         n = len(fields)
         with pytest.raises(ClosureError, match=rf"^expansion of pair "
                            rf"\({n - 1}, {n}\) failed re-verification$"):
@@ -262,15 +267,16 @@ class TestClassification:
 
     def test_levi_correction_fault_propagates(self, reduced_basis,
                                               monkeypatch):
-        # a fault in the rational solve of the Levi correction must surface,
-        # not silently skip the correction and change the verdict
+        # a fault in the rational solve of the Levi correction, which runs
+        # over the integers, must surface, not silently skip the correction
+        # and change the verdict
         from liepde import linalg
 
         def broken(matrix, rhss, ncols=None):
             raise RuntimeError("solve fault")
 
         pres = structure_constants(reduced_basis.fields)
-        monkeypatch.setattr(linalg, "f_solve_unique", broken)
+        monkeypatch.setattr(linalg, "z_solve_unique", broken)
         with pytest.raises(RuntimeError, match="solve fault") as err:
             classify(pres)
         assert "_correct_stage" in [entry.name for entry in err.traceback]
@@ -436,10 +442,10 @@ def _triangular_mix(rng, fields):
 
 def _subspaces(pres):
     """The Killing radical, and the Levi complement when there is one."""
-    radical = linalg.f_nullspace(_killing_matrix(pres))
+    radical = algebra._nullspace(pres, _killing_matrix(pres))
     out = [radical]
     if len(radical) < pres.dimension:
-        out.append(_levi_complement(pres, radical))
+        out.append(_levi_complement(pres, radical)[0])
     return out
 
 
@@ -476,9 +482,10 @@ class TestSubalgebras:
         solve = getattr(linalg, name)
 
         def corrupted(matrix, rhss, ncols=None):
-            sols = solve(matrix, rhss, ncols)
+            out = solve(matrix, rhss, ncols)
+            sols = out[0] if name == "z_solve_unique" else out
             sols[-1] = [sols[-1][0] + one] + sols[-1][1:]
-            return sols
+            return out
 
         monkeypatch.setattr(linalg, name, corrupted)
         for vectors in (radical, complement):
@@ -487,9 +494,11 @@ class TestSubalgebras:
 
     def test_corrupted_constant_fails_the_coordinate_recheck(
             self, reduced_basis, monkeypatch):
-        # a tensor held as Fraction: f_solve_unique gives Fraction solutions
-        self._check_corrupted_solve(structure_constants(reduced_basis.fields),
-                                    monkeypatch, "f_solve_unique", Fr(1))
+        # the integer tensor classify computes on: z_solve_unique gives
+        # integer numerators over one denominator
+        pres = structure_constants(reduced_basis.fields)
+        self._check_corrupted_solve(AlgebraPresentation((), pres.cleared),
+                                    monkeypatch, "z_solve_unique", 1)
 
     def test_corrupted_constant_fails_the_coordinate_recheck_as_expr(
             self, reduced_basis, monkeypatch):
@@ -559,6 +568,34 @@ class TestFieldParity:
                 brackets = [_ad_bracket(p, u, v) for u in p.unit
                             for v in p.unit]
                 assert _derived_space(p) == linalg.f_row_basis(brackets)
+
+
+class TestScaleInvariance:
+    """classify computes on the integer tensor D*c: spans do not depend on
+    scale and the Levi correction is equivariant, so c -> mu*c changes
+    neither the name, the dimensions nor the witnesses."""
+
+    @pytest.fixture(scope="class")
+    def presentations(self):
+        return [(structure_constants(fields), name)
+                for fields, name in _mixes()]
+
+    @pytest.mark.parametrize("mu", [Fr(2), Fr(-3), Fr(1, 5)])
+    def test_scaled_tensors_classify_alike(self, presentations, mu):
+        for pres, name in presentations:
+            scaled = AlgebraPresentation(pres.basis, tuple(
+                tuple(tuple(mu * c for c in col) for col in row)
+                for row in pres.constants))
+            verdict, other = classify(pres), classify(scaled)
+            assert verdict.name == name
+            assert (other.name, other.dimension, other.center_dim,
+                    other.derived_dim) == (name, verdict.dimension,
+                                           verdict.center_dim,
+                                           verdict.derived_dim)
+            assert other.ideal_basis == verdict.ideal_basis
+            assert other.complement_basis == verdict.complement_basis
+            assert all(type(c) is Fr for v in other.ideal_basis
+                       + other.complement_basis for c in v)
 
 
 # R*V + W != 0 and R^2 - 4S a nonzero rational square at each binding

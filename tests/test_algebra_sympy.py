@@ -1,5 +1,5 @@
-"""sympy oracles for classification: inertia, Killing matrix, centre and
-derived algebra.
+"""sympy oracles for classification: inertia, Killing matrix, centre,
+derived algebra and structure constants.
 
 ``linalg.inertia`` reads the signature of a symmetric rational matrix off
 its characteristic polynomial by Descartes' rule of signs.  sympy computes
@@ -12,8 +12,11 @@ matrices ad(e_i) from liepde's structure-constant tensor and computes the
 Killing matrix tr(ad_i ad_j), the dimension of the centre (the common
 kernel of every ad(e_j)) and that of the derived algebra (the span of
 every ad(e_i) e_j) by its own matrix arithmetic and ranks; liepde reads
-them off the tensor.  sympy is a test-time oracle only; the package does
-not import it.
+them off the tensor.  For seeded triangular mixes of the bound hpz, heat
+and reduced-3.2 bases, whose tensors liepde computes over the integers,
+sympy forms every commutator by differentiation and solves its expansion
+in the basis on its own.  sympy is a test-time oracle only; the package
+does not import it.
 """
 
 import random
@@ -163,15 +166,67 @@ def _vanishes(e):
 def test_coordinate_brackets_match_sympy(name):
     fields = (tuple(known_basis()) if name == "hpz"
               else tuple(solve_determining(make_heat()).fields))
-    monomials, rows, _ = _coordinate_brackets(fields)
+    # rational rows are integer rows standing for row / scale
+    monomials, rows, scales = _coordinate_brackets(fields)
     wrt = [SYMBOLS[v] for v in fields[0].variables] + [SYMBOLS["u"]]
     theirs = [[_sympy(c) for c in f.coefficients()] for f in fields]
     n = len(fields)
-    for (i, j), row in zip(combinations(range(n), 2), rows[n:]):
+    scales = scales or [1] * len(rows)
+    for (i, j), row, scale in zip(combinations(range(n), 2), rows[n:],
+                                  scales[n:]):
         ours = [sympy.Integer(0)] * len(wrt)
         for r, value in row.items():
             slot, monomial = monomials[r]
             ours[slot] += _sympy(ex.as_expr(value)
-                                 * ex.Expr(((Fr(1), monomial),)))
+                                 * ex.Expr(((Fr(1) / scale, monomial),)))
         expected = _sympy_bracket(theirs[i], theirs[j], wrt)
         assert all(_vanishes(a - b) for a, b in zip(ours, expected)), (i, j)
+
+
+def _triangular_mix(rng, fields):
+    """Each field scaled, plus a rational multiple of one earlier field."""
+    out = []
+    for i, field in enumerate(fields):
+        mixed = field.scaled(Fr(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
+        if i:
+            other = fields[rng.randrange(i)]
+            mixed = mixed.plus(other.scaled(Fr(rng.randint(-3, 3), 2)))
+        out.append(mixed)
+    return out
+
+
+def _expansion_in_sympy(theirs, bracket, unknowns):
+    """The unique c with sum_k c_k X_k = bracket, solved by sympy: every
+    slot is expanded, its exponentials combined, and the coefficient of
+    each distinct monomial of the variables and exp(...) in each slot set
+    to zero."""
+    equations: dict = {}
+    for slot, target in enumerate(bracket):
+        e = sum(c * x[slot] for c, x in zip(unknowns, theirs)) - target
+        for term in sympy.Add.make_args(sympy.powsimp(sympy.expand(e))):
+            coeff, monomial = term.as_independent(*unknowns, as_Add=False)
+            number, monomial = coeff.as_coeff_Mul()
+            key = slot, monomial
+            equations[key] = equations.get(key, 0) + number * term / coeff
+    [solution] = sympy.linsolve(list(equations.values()), unknowns)
+    assert not solution.free_symbols
+    return solution
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", ["hpz", "heat", "reduced-3.2"])
+def test_integer_tensor_matches_sympy_expansion(name, seed):
+    # the bound hpz, heat and reduced bases have rational coordinates, so
+    # structure_constants forms their brackets, solve and re-check over the
+    # integers; sympy forms each commutator by differentiation and solves
+    # its expansion on its own
+    fields = _triangular_mix(random.Random(seed), _basis(name))
+    assert _coordinate_brackets(tuple(fields))[2] is not None
+    pres = structure_constants(fields)
+    wrt = [sympy.Symbol(v) for v in (*fields[0].variables, fields[0].dependent)]
+    theirs = [[_sympy(c) for c in f.coefficients()] for f in fields]
+    unknowns = sympy.symbols(f"c0:{len(fields)}")
+    for i, j in combinations(range(len(fields)), 2):
+        bracket = _sympy_bracket(theirs[i], theirs[j], wrt)
+        expected = _expansion_in_sympy(theirs, bracket, unknowns)
+        assert [_rational(c) for c in pres.constants[i][j]] == list(expected)

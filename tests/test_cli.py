@@ -200,6 +200,22 @@ class TestCommands:
         assert code == 0
         assert "name: W3" in out
 
+    def test_classify_nested_semidirect_name_is_parenthesised(
+            self, capsys, tmp_path):
+        # sl(2,R) + A2: the Killing radical is d/dy, and the complement,
+        # sl(2,R) + span{y d/dy}, is itself a semidirect sum
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "variables": ["t", "x", "y"], "dependent": "u",
+            "generators": [{"xi_x": "1"}, {"xi_x": "x"}, {"xi_x": "x^2"},
+                           {"xi_y": "1"}, {"xi_y": "y"}]}))
+        code, out, _ = run_cli(["classify", "--basis", str(path),
+                                "--format", "json"], capsys)
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["name"] == "(sl(2,R) (+)s A1) (+)s A1"
+        assert verdict["ideal_basis"] == [["0", "0", "0", "1", "0"]]
+
     @pytest.mark.parametrize("text", [
         '{"variables": ["t", "x"], "dependent": "u", '
         '"generators": [{"xi_t": "1", "xi_X": "1"}]}',

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Fr
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -401,6 +401,126 @@ class TestSeededExpressionField:
         m = [list(row) for row in zip(*cols)]
         with pytest.raises(ExprError, match="independent"):
             f_solve_unique(m, [[ex.ONE, ex.ZERO, ex.ZERO]])
+
+
+def _big_denominators(rng, nrows, ncols):
+    """Random rationals with numerators and denominators up to 10^6, some
+    zero, and a dependent row."""
+    rows = [[Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+             if rng.random() < 0.7 else Fr(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1:
+        c = Fr(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        rows[-1] = [c * v for v in rows[0]]
+    return rows
+
+
+EDGE_CASES = {
+    "empty": ([], 3),
+    "zero-row": ([[0, 0, 0]], 3),
+    "all-zero": ([[Fr(0), Fr(0)], [Fr(0), Fr(0)], [Fr(0), Fr(0)]], 2),
+    "zero-leading": ([[0, 0, Fr(2, 3), 4], [0, 3, 1, 0], [0, 0, 0, 5]], 4),
+    "dependent": ([[1, 2, 3], [2, 4, 6], [-1, -2, -3], [Fr(1, 2), 1, Fr(3, 2)]],
+                  3),
+    "negative": ([[-3, 5, -7], [2, -4, 6], [-1, -1, -1]], 3),
+    "denominators-1e6": ([[Fr(1, 10**6), Fr(-3, 999983), 7],
+                          [Fr(5, 123456), 1, Fr(-2, 10**6 - 1)]], 3),
+}
+
+
+class TestIntegerLoop:
+    """Every rational elimination runs through the fraction-free loop over
+    the integers; the field loop over Fraction(1) is the reference."""
+
+    @staticmethod
+    def _reference(rows):
+        return linalg._rref(({c: Fr(v) for c, v in enumerate(row) if v}
+                             for row in rows), Fr(1))
+
+    def _check(self, rows, ncols):
+        ref, pivots = self._reference(rows)
+        null = linalg._nullspace(ref, pivots, ncols, Fr(0), Fr(1))
+        dense = [[row.get(c, Fr(0)) for c in range(ncols)] for row in ref]
+        # the f_* functions read the width off a dense first row
+        rrefs = [q_rref(rows)] + [f_rref(rows)] * bool(rows)
+        vectors = [(q_nullspace(rows, ncols), null)]
+        if rows:
+            vectors += [(f_nullspace(rows), null), (f_row_basis(rows), dense)]
+            assert f_rank(rows) == len(pivots)
+        assert q_rank(rows) == len(pivots)
+        for got in rrefs:
+            assert got == (ref, pivots)
+            assert all(type(v) is Fr for row in got[0] for v in row.values())
+        for got, want in vectors:
+            assert got == want
+            assert all(type(v) is Fr for vec in got for v in vec)
+        # the integer results: positive primitive multiples of the field's
+        zrows, zpivots = linalg.z_rref(rows)
+        assert zpivots == pivots
+        for zrow, row, pc in zip(zrows, ref, pivots):
+            assert all(type(v) is int for v in zrow.values())
+            assert zrow[pc] > 0 and gcd(*zrow.values()) == 1
+            assert {c: Fr(v, zrow[pc]) for c, v in zrow.items()} == row
+        assert linalg.z_row_basis(rows, ncols) == [
+            [zrow.get(c, 0) for c in range(ncols)] for zrow in zrows]
+        znull = linalg.z_nullspace(rows, ncols)
+        assert len(znull) == len(null)
+        for zvec, vec in zip(znull, null):
+            last = max(c for c, v in enumerate(zvec) if v)
+            assert all(type(v) is int for v in zvec) and gcd(*zvec) == 1
+            assert zvec[last] > 0
+            assert [Fr(v, zvec[last]) for v in zvec] == vec
+        self._check_solve(rows, ncols, ref, pivots)
+
+    def _check_solve(self, rows, ncols, ref, pivots):
+        """Against the reference reduction of the augmented rows."""
+        rng = random.Random(len(rows) * 31 + ncols)
+        rhss = [[Fr(rng.randint(-9, 9), rng.randint(1, 9)) for _ in rows]
+                for _ in range(2)]
+        if rows and len(pivots) == ncols:
+            rhss.append([sum(a * b for a, b in zip(row, range(1, ncols + 1)))
+                         for row in rows])
+        aug = [list(row) + [rhs[i] for rhs in rhss]
+               for i, row in enumerate(rows)]
+        if len(pivots) < ncols:
+            for solve in (f_solve_unique, linalg.z_solve_unique):
+                with pytest.raises(ExprError, match="independent"):
+                    solve(rows, rhss, ncols)
+            return
+        aref, apivots = self._reference(aug)
+        top, below = aref[:ncols], aref[ncols:]
+        expected = [None if any(c in row for row in below)
+                    else [row.get(c, Fr(0)) for row in top]
+                    for c in range(ncols, ncols + len(rhss))]
+        assert apivots[:ncols] == list(range(ncols))
+        sols = f_solve_unique(rows, rhss, ncols)
+        assert sols == expected
+        assert all(type(v) is Fr for sol in sols if sol for v in sol)
+        numerators, den = linalg.z_solve_unique(rows, rhss, ncols)
+        assert type(den) is int and den > 0
+        assert [None if sol is None else [Fr(x, den) for x in sol]
+                for sol in numerators] == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_seeded_matrices(self, seed, shape):
+        nrows, ncols, density = shape
+        rng = random.Random(seed)
+        self._check(_random_matrix(rng, nrows, ncols, density), ncols)
+        self._check(_big_denominators(rng, nrows, ncols), ncols)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases(self, case):
+        rows, ncols = EDGE_CASES[case]
+        self._check(rows, ncols)
+
+    def test_gcd_of_no_entries(self):
+        # gcd() of nothing is 0: an empty row stays empty, not divided by 0
+        assert gcd() == 0
+        assert linalg.z_row([0, Fr(0)]) == {}
+        assert linalg.z_row({}) == {}
+        assert linalg.z_row([Fr(-4, 6), 0, Fr(8, 3)]) == {0: -1, 2: 4}
+        assert linalg.z_rref([[0, 0], [0, 0]]) == ([], [])
 
 
 class TestRationalEntries:
