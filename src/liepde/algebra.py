@@ -5,7 +5,7 @@ field; it is internal and remains as the tests' oracle.  Structure
 constants compute no commutator: each basis field is written once in
 coordinates over monomial fields m d_k (``linalg.coordinates``, with the
 parameters and rational content in the coefficient), and each bracket is
-formed in those coordinates, bilinearly, from the monomial brackets
+formed in those coordinates by one bilinear sum over the monomial brackets
 [m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k.  These are kept across calls
 in a table of at most ``BRACKET_TABLE_SIZE`` entries (about 1.3 MB when
 full), so a change of basis, which keeps the monomial fields, reuses all
@@ -14,30 +14,34 @@ every expansion is re-verified as an exact identity between coordinate
 rows, which are faithful, before it is trusted, and non-closure is an
 error naming the offending pair.
 
-A rational basis is computed over the integers: each field's coordinates
-are a primitive integer row with one scale, the monomial brackets hold
-integer coefficients over one denominator, and the brackets, the
-fraction-free solve (``linalg.z_solve_unique``) and the re-check
-sum_k N^k R_k = L B_ij are integer identities.  Other bases are computed
-over the symbolic parameter field.  The tensor is held in the field of its
-constants: as ``Fraction`` (formed once, from the integer solution) when
-every constant is rational, else as kernel expressions.  Following de
-Graaf (*Lie Algebras: Theory and Algorithms*, 2000), brackets of basis
-elements are read straight off the tensor: the derived algebra is the row
-space of the slices c[i][j] with i < j, [e_i, w] is the tensor contracted
-with w, and Jacobi, homogeneous quadratic in c, is checked on the integer
-tensor D*c.
+A presentation computes in one ring, chosen once when the presentation is
+formed and held as a ``Ring`` record: its zero and one, the sum of a list
+of products, whole-row eliminations from ``linalg`` (rref, rank,
+nullspace, row basis, and the solve with its common denominator), the maps
+from their results to the constants and to witnesses, and whether the
+rational-only steps -- the Killing signature and the Levi correction --
+apply.  ``INTEGERS`` is the ring of rational constants, held as
+``Fraction``: a rational basis's coordinates are primitive integer rows
+with one scale each, the brackets are integer rows over one denominator,
+and the solve (``linalg.z_solve_unique``) and the re-check
+sum_k N^k R_k = L B_ij are integer identities; classification runs on the
+integer tensor D*c with the fraction-free ``z_*`` eliminations and
+primitive integer vectors.  ``EXPRESSIONS`` is the ring of kernel
+expressions: the ``f_*`` eliminations, over the field of their entries.
+``structure_constants`` takes ``INTEGERS`` when every coordinate and every
+monomial bracket met is rational.  Following de Graaf (*Lie Algebras:
+Theory and Algorithms*, 2000), brackets of basis elements are read
+straight off the tensor: the derived algebra is the row space of the
+slices c[i][j] with i < j, [e_i, w] is the tensor contracted with w, and
+Jacobi, homogeneous quadratic in c, is checked on D*c.
 
 Everything after the tensor -- brackets, the Killing matrix, centre,
 derived series, subalgebras, the Levi correction -- is one body that uses
-only ``+``, ``*`` and truth tests on the entries.  ``classify`` runs it on
-D*c when the constants are numbers, with ``linalg``'s integer eliminations
-(``z_*``) and primitive integer vectors: spans and ranks do not depend on
-scale, the Killing signature does not change under c -> D*c, and the Levi
-correction is equivariant under rescaling a lift, so each witness is
-divided back to exactly the vector the field computation gives.  On
-expression tensors it uses the ``f_*`` eliminations, which work over the
-field of their entries.  Values become expressions only where they are
+only ``+``, ``*``, truth tests and the ring's operations.  Spans do not
+depend on scale, the Killing signature does not change under c -> D*c,
+and the Levi correction is equivariant under rescaling a lift, so each
+integer witness is divided back to exactly the vector the field
+computation gives.  Values become expressions only where they are
 rendered (``constants_text``, ``Verdict.as_dict``).
 
 Classification detects the structures this engine meets: abelian nA1,
@@ -89,26 +93,122 @@ def _products(coeffs, partials) -> list[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# the field of the constants
+# the ring of a presentation
 # ---------------------------------------------------------------------------
 
-def _value(x):
-    """An elimination result as a constant: a ``FieldFrac`` as its exact
-    expression (ExprError when that is not representable), a number as it
-    is."""
-    return x.to_expr() if isinstance(x, linalg.FieldFrac) else x
+class Ring(Frozen):
+    """The ring a presentation computes in (see the module docstring).
+
+    Each operation is a whole function over rows or lists, not a method
+    called per element.  The eliminations look ``linalg``'s functions up
+    when they run, so a wrapped or replaced one is the one called.
+    """
+
+    name: str          # the module attribute holding the record
+    zero: object
+    one: object
+    sum: object        # a list of ring elements -> their sum
+    rref: object       # rows -> (reduced rows, pivot columns)
+    rank: object
+    nullspace: object  # dense rows -> one vector per free column
+    row_basis: object
+    solve: object      # (matrix, rhss, ncols) -> (solutions, denominator)
+    values: object     # a solution -> its entries, as ring elements
+    tensor: object     # verified expansions -> (tensor, its ring)
+    clear: object      # constants -> the tensor classification runs on
+    witness: object    # (vector, scale) -> it in the constants' type
+    rational: object   # constants -> the rational-only steps apply
+    holds: object      # a constant -> it is an element of the ring
+
+    def __reduce__(self):
+        return self.name
+
+    def __repr__(self):
+        return self.name
 
 
-def _sum(pieces: list, zero):
-    """The sum of ``pieces`` in the ring of ``zero``; expressions are merged
-    by one collection."""
-    return ex.sum_of(pieces) if isinstance(zero, Expr) else sum(pieces, zero)
+def _rational_tensor(expansions: dict, den: int, scales: list, n: int):
+    """The constants of verified integer expansions, as ``Fraction``: the
+    expansion of pair (i, j) in row k is taken to
+    c_ij^k = N^k scale_k / (den scale_ij)."""
+    zero = Fraction(0)
+    return _antisymmetric(
+        {ij: tuple(Fraction(x * k.numerator * s.denominator,
+                            k.denominator * s.numerator * den)
+                   if x else zero for x, k in zip(numerators, scales))
+         for (ij, numerators), s in zip(expansions.items(), scales[n:])},
+        zero, n), INTEGERS
 
 
-def _over_z(p: AlgebraPresentation) -> bool:
-    """``p`` is held over the integers: its eliminations are ``linalg``'s
-    integer ones (``z_*``), whose vectors are primitive integer vectors."""
-    return type(p.zero) is int
+def _expression_tensor(expansions: dict, den: int, scales: list, n: int):
+    """The constants of verified expression expansions (``den`` 1): the
+    expansion of pair (i, j) divided by the bracket's scale, the vectors'
+    being 1; as ``Fraction`` in ``INTEGERS`` when every one is rational,
+    else as expressions."""
+    cs = {ij: xs if s == 1 else tuple(x * Fraction(1, s) for x in xs)
+          for (ij, xs), s in zip(expansions.items(), scales[n:])}
+    if all(c.is_rational for xs in cs.values() for c in xs):
+        return _antisymmetric({ij: tuple(c.as_fraction() for c in xs)
+                               for ij, xs in cs.items()}, Fraction(0),
+                              n), INTEGERS
+    return _antisymmetric(cs, ex.ZERO, n), EXPRESSIONS
+
+
+def _antisymmetric(expansions: dict, zero, n: int) -> tuple:
+    """The tensor with c[i][j] the expansion of pair i < j."""
+    zero_row = (zero,) * n
+    return tuple(tuple(expansions[i, j] if i < j
+                       else tuple(-c for c in expansions[j, i]) if j < i
+                       else zero_row for j in range(n)) for i in range(n))
+
+
+def _cleared(c: tuple) -> tuple:
+    """D*c over the integers, D the lcm of the denominators: the same zeros,
+    spans and Killing signature as c, so homogeneous identities such as
+    Jacobi, and classification, are decided on it."""
+    d = lcm(*(x.denominator for row in c for col in row for x in col))
+    return tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in col)
+                       for col in row) for row in c)
+
+
+def _fractions(v, scale=None) -> tuple:
+    """An integer witness as ``Fraction``: ``scale`` times the field's
+    vector, by default its last nonzero entry, where a nullspace vector
+    over the field is 1."""
+    scale = scale or next(x for x in reversed(v) if x)
+    return tuple(Fraction(x, scale) for x in v)
+
+
+INTEGERS = Ring(
+    "INTEGERS", 0, 1, sum,
+    rref=lambda rows: linalg.z_rref(rows),
+    rank=lambda rows: linalg.q_rank(rows),
+    nullspace=lambda rows: linalg.z_nullspace(rows),
+    row_basis=lambda rows: linalg.z_row_basis(rows),
+    solve=lambda matrix, rhss, ncols=None: linalg.z_solve_unique(
+        matrix, rhss, ncols),
+    values=tuple,
+    tensor=_rational_tensor,
+    clear=_cleared,
+    witness=_fractions,
+    rational=lambda c: True,
+    holds=lambda x: hasattr(x, "denominator"))
+
+EXPRESSIONS = Ring(
+    "EXPRESSIONS", ex.ZERO, ex.ONE, ex.sum_of,
+    rref=lambda rows: linalg.f_rref(rows),
+    rank=lambda rows: linalg.f_rank(rows),
+    nullspace=lambda rows: linalg.f_nullspace(rows),
+    row_basis=lambda rows: linalg.f_row_basis(rows),
+    solve=lambda matrix, rhss, ncols=None: (
+        linalg.f_solve_unique(matrix, rhss, ncols), 1),
+    values=lambda sol: tuple(x.to_expr() for x in sol),
+    tensor=_expression_tensor,
+    clear=lambda c: c,
+    witness=lambda v, scale=None: tuple(v),
+    rational=lambda c: all(x.is_rational for row in c for col in row
+                           for x in col),
+    holds=lambda x: hasattr(x, "is_rational"))
 
 
 # ---------------------------------------------------------------------------
@@ -122,40 +222,36 @@ def _geometric(b) -> bool:
 
 
 class AlgebraPresentation(Frozen):
-    """Basis with the full structure-constant tensor c[i][j][k].
-
-    The constants are all ``Fraction``, all ``Expr`` or all ``int``, and the
-    presentation computes in that ring, whose zero is ``zero``.
-    ``structure_constants`` and ``_subalgebra`` hold them as ``Fraction``
-    exactly when every one is rational; ``classify`` computes on the
-    integer tensor ``cleared`` instead.  ``basis`` is empty for a
-    subalgebra presented by its tensor alone (see ``_subalgebra``); the
-    dimension is that of the tensor.
+    """Basis with the full structure-constant tensor c[i][j][k], in ``ring``:
+    ``INTEGERS`` for constants held as ``Fraction`` (or as ``int``, the
+    tensor ``classify`` computes on), ``EXPRESSIONS`` for kernel
+    expressions.  Without a ring, the first of the two that holds every
+    constant is taken; constants outside the ring raise ``ExprError``.
+    ``basis`` is empty for a subalgebra presented by its tensor alone (see
+    ``_subalgebra``); the dimension is that of the tensor.
     """
 
     basis: tuple[VectorField, ...]
     constants: tuple[tuple[tuple[Fraction | Expr | int, ...], ...], ...]
+    ring: Ring | None = None
+
+    def __post_init__(self):
+        rings = (self.ring,) if self.ring else (INTEGERS, EXPRESSIONS)
+        for ring in rings:
+            if all(ring.holds(x) for row in self.constants for col in row
+                   for x in col):
+                return object.__setattr__(self, "ring", ring)
+        raise ExprError(f"structure constants are not all elements of "
+                        f"{' or '.join(map(repr, rings))}")
 
     @property
     def dimension(self) -> int:
         return len(self.constants)
 
     @cached_property
-    def zero(self) -> Fraction | Expr | int:
-        """The zero of the constants' ring: ``ex.ZERO`` when some constant
-        is an ``Expr``, 0 when every one is an ``int``, else
-        ``Fraction(0)``."""
-        kinds = {type(x) for row in self.constants for col in row
-                 for x in col}
-        if Expr in kinds:
-            return ex.ZERO
-        return 0 if kinds == {int} else Fraction(0)
-
-    @cached_property
     def unit(self) -> tuple[tuple, ...]:
         """Coordinates of the basis elements themselves."""
-        n, zero = self.dimension, self.zero
-        one = ex.ONE if isinstance(zero, Expr) else zero + 1
+        n, zero, one = self.dimension, self.ring.zero, self.ring.one
         return tuple(tuple(one if i == j else zero for j in range(n))
                      for i in range(n))
 
@@ -166,22 +262,11 @@ class AlgebraPresentation(Frozen):
                            for col in row) for row in self.constants)
 
     @cached_property
-    def cleared(self) -> tuple | None:
-        """The tensor over the integers, D*c with D the lcm of the
-        denominators, when the constants are numbers; None when they are
-        expressions.  D*c has integer products and the same zeros, spans
-        and Killing signature as c, so homogeneous identities such as
-        Jacobi, and classification, are decided on it."""
-        if isinstance(self.zero, Expr):
-            return None
-        c = self.constants
-        d = lcm(*(x.denominator for row in c for col in row for x in col))
-        return tuple(tuple(tuple(x.numerator * (d // x.denominator)
-                                 for x in col) for col in row) for row in c)
-
-    def is_rational(self) -> bool:
-        return all(not isinstance(x, Expr) or x.is_rational
-                   for row in self.constants for col in row for x in col)
+    def cleared(self) -> tuple:
+        """The tensor classification runs on: D*c over the integers, D the
+        lcm of the denominators, in ``INTEGERS``; the constants themselves
+        in ``EXPRESSIONS``."""
+        return self.ring.clear(self.constants)
 
     def constants_text(self) -> list[dict]:
         out = []
@@ -217,55 +302,49 @@ def structure_constants(basis) -> AlgebraPresentation:
                                           basis[0].dependent) for f in basis):
         raise ExprError("vector fields live on different spaces")
     n = len(basis)
-    monomials, rows, scales = _coordinate_brackets(basis)
+    monomials, rows, scales, ring = _coordinate_brackets(basis)
     vectors, brackets = rows[:n], rows[n:]
-    zero = ex.ZERO if scales is None else 0
     columns = range(len(monomials))
-    matrix = [[v.get(r, zero) for v in vectors] for r in columns]
-    rhss = [[b.get(r, zero) for r in columns] for b in brackets]
-    if scales is None:
-        sols, den = linalg.f_solve_unique(matrix, rhss, n), 1
-    else:
-        sols, den = linalg.z_solve_unique(matrix, rhss, n)
-    pres = AlgebraPresentation(basis, _verified_tensor(
-        vectors, brackets, sols, den, zero, scales))
+    matrix = [[v.get(r, ring.zero) for v in vectors] for r in columns]
+    rhss = [[b.get(r, ring.zero) for r in columns] for b in brackets]
+    sols, den = ring.solve(matrix, rhss, n)
+    pres = AlgebraPresentation(basis, *_verified_tensor(
+        ring, vectors, brackets, sols, den, scales))
     _check_jacobi(pres)
     return pres
 
 
-def _coordinate_brackets(basis: tuple) -> tuple:
+def _coordinate_brackets(basis: tuple, ring: Ring = INTEGERS) -> tuple:
     """The basis and its brackets in coordinates over monomial fields.
 
     Each field is written once as sparse coordinates over the monomial
     fields m d_k of its terms (``linalg.coordinates``; the parameters and
     rational content stay in the coefficient, see ``_geometric``), and
-    each [X_i, X_j] is formed from them bilinearly, out of the table of
-    monomial brackets.  Returns the monomial fields as (slot, monomial)
-    pairs in column order, the rows -- one per field, then one per pair
-    i < j -- and their scales.  When every coordinate and every monomial
-    bracket met is rational, the rows are integer rows and row r stands
-    for the coordinates row / scales[r] (a positive ``Fraction``): each
-    field's row is primitive; otherwise the rows hold expressions, as they
-    are, and the scales are None.
+    each [X_i, X_j] is formed from them (``_bracket``).  Returns the
+    monomial fields as (slot, monomial) pairs in column order, the rows --
+    one per field, then one per pair i < j -- their scales, and the ring
+    of the rows, row r standing for the coordinates row / scales[r]:
+    primitive integer rows in ``INTEGERS`` when every coordinate and every
+    monomial bracket met is rational, else the coordinates as they are in
+    ``EXPRESSIONS``, where only a bracket's scale can differ from 1.
     """
     space = (basis[0].variables, basis[0].dependent)
     index: dict = {}
     coords = linalg.coordinates(basis, _geometric, index)
-    pairs = list(combinations(range(len(basis)), 2))
-    if all(x.is_rational for row in coords for x in row.values()):
+    if ring is INTEGERS and all(x.is_rational for row in coords
+                                for x in row.values()):
         rows, scales = map(list, zip(*map(_integer_row, coords)))
-        fields = _fields(rows, index)
-        for i, j in pairs:
-            bracket = _integer_bracket(space, fields[i], fields[j], index)
-            if bracket is None:
-                break
-            rows.append(bracket[0])
-            scales.append(bracket[1] * scales[i] * scales[j])
-        else:
-            return list(index), rows, scales
-    fields = _fields(coords, index)
-    return list(index), coords + [_bracket(space, fields[i], fields[j], index)
-                                  for i, j in pairs], None
+    else:
+        ring, rows, scales = EXPRESSIONS, coords, [1] * len(coords)
+    fields = _fields(rows, index)
+    for i, j in combinations(range(len(basis)), 2):
+        bracket, d, rational = _bracket(ring.sum, space, fields[i],
+                                        fields[j], index)
+        if not (rational or ring is EXPRESSIONS):
+            return _coordinate_brackets(basis, EXPRESSIONS)
+        rows.append(bracket)
+        scales.append(d * scales[i] * scales[j])
+    return list(index), rows, scales, ring
 
 
 def _fields(rows: list[dict], index: dict) -> list[list]:
@@ -319,14 +398,18 @@ def _monomial_bracket(variables: tuple[str, ...], dependent: str,
                     for (key, _), v in zip(pairs, values))
 
 
-def _integer_bracket(space: tuple, u: list, v: list, index: dict):
-    """The bracket of the integer coordinates ``u`` and ``v``, as
-    ((slot, monomial), value) pairs, over the integers: an integer row and
-    the positive integer d that it is the bracket times; None when a
-    monomial bracket has a coefficient that is not rational.  Monomial
-    fields the bracket adds to those of the basis extend ``index``."""
-    out: dict = {}
-    d = 1
+def _bracket(total, space: tuple, u: list, v: list, index: dict) -> tuple:
+    """The coordinates of [X, Y] from those of X and Y, ``u`` and ``v`` as
+    ((slot, monomial), value) pairs: the sum of x y [a, b] over the pairs
+    of monomial fields, ``total`` the sum of the coordinates' ring.
+
+    Returns the row {column: value} of d times the bracket, for d the lcm
+    of the denominators of the monomial brackets met, then d, and whether
+    every one of those is rational.  Monomial fields the bracket adds to
+    those of the basis extend ``index``.
+    """
+    pieces: dict = {}
+    d, rational = 1, True
     for a, x in u:
         for b, y in v:
             if a == b:
@@ -334,62 +417,39 @@ def _integer_bracket(space: tuple, u: list, v: list, index: dict):
             if a < b:
                 xy, (e, entries) = x * y, _monomial_bracket(*space, a, b)
             else:
-                xy, (e, entries) = -x * y, _monomial_bracket(*space, b, a)
+                xy, (e, entries) = -(x * y), _monomial_bracket(*space, b, a)
             if e is None:
-                return None
-            if d % e:   # bring the sum so far to a common denominator
+                rational, e = False, 1
+            elif d % e:   # bring the sum so far to a common denominator
                 m = e // gcd(d, e)
-                out = {r: w * m for r, w in out.items()}
+                pieces = {r: [w * m for w in ws] for r, ws in pieces.items()}
                 d *= m
-            xy *= d // e
+            if d != e:
+                xy = xy * (d // e)
             for key, c in entries:
-                r = index.setdefault(key, len(index))
-                out[r] = out.get(r, 0) + xy * c
-    return {r: w for r, w in out.items() if w}, d
+                pieces.setdefault(index.setdefault(key, len(index)),
+                                  []).append(xy * c)
+    return ({r: s for r, ws in pieces.items() if (s := total(ws))}, d,
+            rational)
 
 
-def _bracket(space: tuple, u: list, v: list, index: dict) -> dict:
-    """Coordinates {column: value} of [X, Y] from the expression
-    coordinates ``u`` and ``v`` of X and Y, as ((slot, monomial),
-    coefficient) pairs: the sum of x y [a, b] over the pairs of monomial
-    fields.  Monomial fields the bracket adds to those of the basis extend
-    ``index``."""
-    pieces: dict = {}
-    for a, x in u:
-        for b, y in v:
-            if a == b:
-                continue
-            if a < b:
-                xy, (d, entries) = x * y, _monomial_bracket(*space, a, b)
-            else:
-                xy, (d, entries) = -(x * y), _monomial_bracket(*space, b, a)
-            if d is not None and d != 1:
-                xy = xy * Fraction(1, d)
-            for key, c in entries:
-                r = index.setdefault(key, len(index))
-                pieces.setdefault(r, []).append(xy * c)
-    return {r: s for r, ps in pieces.items() if (s := ex.sum_of(ps))}
-
-
-def _verified_tensor(vectors, brackets, sols, den, zero,
+def _verified_tensor(ring: Ring, vectors, brackets, sols, den,
                      scales=None) -> tuple:
-    """The structure-constant tensor from one solution per pair i < j.
+    """The structure-constant tensor from one solution per pair i < j, and
+    the ring it is held in.
 
     ``vectors`` are the basis elements and ``brackets`` the bracket of each
-    pair, formed without the expansion, both over the ring of ``zero`` as
-    dense sequences or sparse {slot: value} dicts (coordinates over
-    monomial fields, or over a parent algebra); ``sols`` holds the solved
-    expansion of each bracket, None when it is outside the span: integer
-    numerators over the common denominator ``den``, or field values with
-    ``den`` 1.  Every expansion sum_k N^k v_k is re-verified against ``den``
-    times its bracket before it is trusted; a pair that fails raises
+    pair, formed without the expansion, both as sparse {slot: value} dicts
+    (coordinates over monomial fields, or over a parent algebra); ``sols``
+    holds the solved expansion of each bracket in ``ring``, None when it is
+    outside the span, as values over the common denominator ``den``.
+    Every expansion sum_k N^k v_k is re-verified against ``den`` times its
+    bracket before it is trusted; a pair that fails raises
     ``ClosureError`` naming it.  ``scales``, when given, are those of
-    ``_coordinate_brackets`` for the vectors and then the brackets.  The
-    constants come back as ``Fraction`` when all are rational, else as
-    ``Expr``.
+    ``_coordinate_brackets`` for the vectors and then the brackets.
     """
     n = len(vectors)
-    nonzero = [_nonzero(v) for v in vectors]
+    nonzero = [[(k, x) for k, x in v.items() if x] for v in vectors]
     expansions = {}
     for (i, j), sol, bracket in zip(combinations(range(n), 2), sols,
                                     brackets):
@@ -398,7 +458,7 @@ def _verified_tensor(vectors, brackets, sols, den, zero,
                 f"commutator of basis elements {i + 1} and {j + 1} is not in "
                 f"the span of the basis")
         try:
-            cs = tuple(_value(s) for s in sol)
+            cs = ring.values(sol)
         except ExprError as err:
             raise ClosureError(
                 f"structure constant for pair ({i + 1}, {j + 1}) is not "
@@ -409,64 +469,36 @@ def _verified_tensor(vectors, brackets, sols, den, zero,
             if c:
                 for slot, x in v:
                     pieces.setdefault(slot, []).append(c * x)
-        target = dict(_nonzero(bracket))
+        target = {slot: x for slot, x in bracket.items() if x}
         if den != 1:
             target = {slot: den * x for slot, x in target.items()}
         if {slot: e for slot, ps in pieces.items()
-                if (e := _sum(ps, zero))} != target:
+                if (e := ring.sum(ps))} != target:
             raise ClosureError(
                 f"expansion of pair ({i + 1}, {j + 1}) failed re-verification")
         expansions[i, j] = cs
-    if not isinstance(zero, Expr):
-        expansions, zero = _rationals(expansions, den, scales, n), Fraction(0)
-    elif all(c.is_rational for cs in expansions.values() for c in cs):
-        expansions = {ij: tuple(c.as_fraction() for c in cs)
-                      for ij, cs in expansions.items()}
-        zero = Fraction(0)
-    zero_row = (zero,) * n
-    return tuple(tuple(expansions[i, j] if i < j
-                       else tuple(-c for c in expansions[j, i]) if j < i
-                       else zero_row for j in range(n)) for i in range(n))
-
-
-def _rationals(expansions: dict, den: int, scales, n: int) -> dict:
-    """The constants of verified integer expansions, as ``Fraction``: the
-    numerators over ``den``, and with ``scales`` the expansion of pair
-    (i, j) in row k taken to c_ij^k = N^k scale_k / (den scale_ij)."""
-    scales = scales or [1] * (n + len(expansions))
-    zero = Fraction(0)
-    return {ij: tuple(Fraction(x * k.numerator * s.denominator,
-                               k.denominator * s.numerator * den)
-                      if x else zero for x, k in zip(numerators, scales))
-            for (ij, numerators), s in zip(expansions.items(), scales[n:])}
-
-
-def _nonzero(v) -> list:
-    """The (slot, value) pairs of the nonzero entries of a dense sequence
-    or a sparse {slot: value} dict."""
-    return [(k, x) for k, x in (v.items() if isinstance(v, dict)
-                                else enumerate(v)) if x]
+    return ring.tensor(expansions, den,
+                       scales or [1] * (n + len(expansions)), n)
 
 
 def _check_jacobi(p: AlgebraPresentation):
     """sum_m c_ij^m c_mk^l + c_jk^m c_mi^l + c_ki^m c_mj^l = 0 for every
     triple i < j < k and every l; products with a zero factor are left
     out.  The identity is homogeneous quadratic in c, so it is checked on
-    ``p.cleared``, D*c over the integers, when the constants are numbers."""
-    c, zero = ((p.constants, p.zero) if p.cleared is None
-               else (p.cleared, 0))
+    ``p.cleared``, D*c over the integers in ``INTEGERS``."""
+    c, total = p.cleared, p.ring.sum
     for i, j, k in combinations(range(p.dimension), 3):
         outer = [(x, c[m][d]) for ab, d in ((c[i][j], k), (c[j][k], i),
                                             (c[k][i], j))
                  for m, x in enumerate(ab) if x]
         for l in range(p.dimension):
-            if _sum([x * row[l] for x, row in outer if row[l]], zero):
+            if total([x * row[l] for x, row in outer if row[l]]):
                 raise ExprError(
                     f"Jacobi identity fails on triple ({i+1}, {j+1}, {k+1})")
 
 
 # ---------------------------------------------------------------------------
-# subspace machinery (coordinates over the basis, in the constants' field)
+# subspace machinery (coordinates over the basis, in the presentation's ring)
 # ---------------------------------------------------------------------------
 
 def _ad_bracket(p: AlgebraPresentation, v, w) -> list:
@@ -489,8 +521,7 @@ def _ad_bracket(p: AlgebraPresentation, v, w) -> list:
         if a:
             for k, x in sparse[i][j]:
                 pieces[k].append(a * x)
-    zero = p.zero
-    return [_sum(ps, zero) for ps in pieces]
+    return list(map(p.ring.sum, pieces))
 
 
 def _ad_unit(p: AlgebraPresentation, i: int, w) -> list:
@@ -500,14 +531,13 @@ def _ad_unit(p: AlgebraPresentation, i: int, w) -> list:
         if x:
             for k, y in entries:
                 pieces[k].append(x * y)
-    zero = p.zero
-    return [_sum(ps, zero) for ps in pieces]
+    return list(map(p.ring.sum, pieces))
 
 
-def _spans(span: list, vectors: list) -> bool:
+def _spans(p: AlgebraPresentation, span: list, vectors: list) -> bool:
     """Every vector lies in the span of the independent vectors ``span``:
     adding them keeps the rank at ``len(span)``."""
-    return linalg.f_rank(span + vectors) == len(span)
+    return p.ring.rank(span + vectors) == len(span)
 
 
 def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
@@ -515,30 +545,15 @@ def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
 
     With all of them as columns, these are the pivot columns past ``prefix``.
     """
-    rref = linalg.z_rref if _over_z(p) else linalg.f_rref
-    pivots = rref([list(row) for row in zip(*prefix, *vectors)])[1]
+    pivots = p.ring.rref([list(row) for row in zip(*prefix, *vectors)])[1]
     return [vectors[c - len(prefix)] for c in pivots if c >= len(prefix)]
-
-
-def _row_basis(p: AlgebraPresentation, vectors: list) -> list:
-    """A basis of the span of the vectors: ``linalg``'s reduced echelon
-    basis, primitive integer rows over the integers."""
-    return (linalg.z_row_basis if _over_z(p) else linalg.f_row_basis)(
-        vectors)
-
-
-def _nullspace(p: AlgebraPresentation, rows: list) -> list:
-    """``linalg``'s nullspace basis of the rows: primitive integer vectors
-    over the integers, each a multiple of the field's vector, which is 1 at
-    its last nonzero entry (see ``_witness``)."""
-    return (linalg.z_nullspace if _over_z(p) else linalg.f_nullspace)(rows)
 
 
 def _derived_space(p: AlgebraPresentation) -> list:
     """The row space of the slices c[i][j], i < j: every [e_i, e_j]."""
     c = p.constants
-    return _row_basis(p, [list(c[i][j]) for i, j
-                          in combinations(range(p.dimension), 2)])
+    return p.ring.row_basis([list(c[i][j]) for i, j
+                             in combinations(range(p.dimension), 2)])
 
 
 def _center(p: AlgebraPresentation) -> list:
@@ -547,19 +562,19 @@ def _center(p: AlgebraPresentation) -> list:
     for j in range(n):
         for k in range(n):
             rows.append([p.constants[i][j][k] for i in range(n)])
-    return _nullspace(p, rows)
+    return p.ring.nullspace(rows)
 
 
 def _killing_matrix(p: AlgebraPresentation) -> list[list]:
     """tr(ad(e_i) ad(e_j)) = sum_{a,b} c_ia^b c_jb^a; products with a zero
     factor left out."""
     n = p.dimension
-    c, sparse, zero = p.constants, p.sparse, p.zero
-    k = [[zero] * n for _ in range(n)]
+    c, sparse, total = p.constants, p.sparse, p.ring.sum
+    k = [[p.ring.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            tr = _sum([x * c[j][b][a] for a in range(n)
-                       for b, x in sparse[i][a] if c[j][b][a]], zero)
+            tr = total([x * c[j][b][a] for a in range(n)
+                        for b, x in sparse[i][a] if c[j][b][a]])
             k[i][j] = tr
             k[j][i] = tr
     return k
@@ -580,16 +595,7 @@ def _derived_space_sub(p: AlgebraPresentation, left: list,
     """Row basis of [left, right]; of [left, left] from the pairs a < b
     when ``right`` is None."""
     pairs = combinations(left, 2) if right is None else product(left, right)
-    return _row_basis(p, [_ad_bracket(p, v, w) for v, w in pairs])
-
-
-def _solve(p: AlgebraPresentation, matrix, rhss, ncols=None) -> tuple:
-    """``linalg``'s unique solutions in ``p``'s ring, with their common
-    denominator: integer numerators over it over the integers, field
-    values over 1 otherwise."""
-    if _over_z(p):
-        return linalg.z_solve_unique(matrix, rhss, ncols)
-    return linalg.f_solve_unique(matrix, rhss, ncols), 1
+    return p.ring.row_basis([_ad_bracket(p, v, w) for v, w in pairs])
 
 
 def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
@@ -605,9 +611,11 @@ def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
     s = len(vectors)
     brackets = [_ad_bracket(p, vectors[a], vectors[b])
                 for a, b in combinations(range(s), 2)]
-    sols, den = _solve(p, [list(row) for row in zip(*vectors)], brackets, s)
-    sub = AlgebraPresentation(
-        (), _verified_tensor(vectors, brackets, sols, den, p.zero))
+    sols, den = p.ring.solve([list(row) for row in zip(*vectors)], brackets,
+                             s)
+    sub = AlgebraPresentation((), *_verified_tensor(
+        p.ring, [dict(enumerate(v)) for v in vectors],
+        [dict(enumerate(b)) for b in brackets], sols, den))
     _check_jacobi(sub)
     return sub
 
@@ -646,17 +654,6 @@ def _texts(vectors) -> list[list[str]]:
     return [[ex.to_text(ex.as_expr(c)) for c in v] for v in vectors]
 
 
-def _witness(p: AlgebraPresentation, v, scale=None) -> tuple:
-    """A witness vector in the constants' field.  Over the integers it is
-    ``scale`` times the field's vector, by default its last nonzero entry,
-    where a nullspace vector over the field is 1, and comes back as
-    ``Fraction``."""
-    if not _over_z(p):
-        return tuple(v)
-    scale = scale or next(x for x in reversed(v) if x)
-    return tuple(Fraction(x, scale) for x in v)
-
-
 _W3_NOTE = ("the three-dimensional Heisenberg-Weyl algebra is labelled A3,3 "
             "here following the source classification; the conventional "
             "Mubarakzyanov label for it is A3,1")
@@ -669,17 +666,16 @@ def _heisenberg_check(p: AlgebraPresentation, center, derived) -> bool:
     if len(center) != 1 or len(derived) != 1:
         return False
     # every bracket central: the derived algebra is the span of the c[i][j]
-    return _spans(center, derived)
+    return _spans(p, center, derived)
 
 
 def classify(p: AlgebraPresentation) -> Verdict:
     """Classification verdict with witnesses; see the module docstring.
 
-    Constants held as numbers are classified on the integer tensor
-    ``p.cleared``: spans, ranks and the Killing signature do not change
-    when c is scaled, and the witnesses are brought back to c's field."""
-    if isinstance(p.zero, Fraction):
-        p = AlgebraPresentation((), p.cleared)
+    The verdict is computed on ``p.cleared`` in ``p``'s ring: over the
+    integers, spans, ranks and the Killing signature do not change when c
+    is scaled, and the witnesses are brought back to c's field."""
+    p = AlgebraPresentation((), p.cleared, p.ring)
     n = p.dimension
     if n > 6:
         return _unclassified(p, "dimension above 6 is out of scope",
@@ -697,14 +693,14 @@ def classify(p: AlgebraPresentation) -> Verdict:
         label = "A3,3" if n == 3 else None
         notes = (_W3_NOTE,) if n == 3 else ()
         return Verdict(name, label, n, cd, dd,
-                       ideal_basis=tuple(_witness(p, v) for v in center),
+                       ideal_basis=tuple(map(p.ring.witness, center)),
                        notes=notes)
 
     if n == 2 and dd == 1:
         return Verdict("A2", "A2,1", n, cd, dd,
                        notes=("the unique non-abelian two-dimensional algebra",))
 
-    if n == 3 and p.is_rational():
+    if n == 3 and p.ring.rational(p.constants):
         pos, neg, zero = linalg.inertia(
             [[ex.as_expr(c).as_fraction() for c in row]
              for row in _killing_matrix(p)])
@@ -732,14 +728,14 @@ def _unclassified(p: AlgebraPresentation, why: str, center,
 def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     """Detect complement (+)s nilradical via the Killing-form radical."""
     n = p.dimension
-    radical = _nullspace(p, _killing_matrix(p))
+    radical = p.ring.nullspace(_killing_matrix(p))
     m = len(radical)
     if not 0 < m < n:
         return None
     if not _is_nilpotent(p, radical):
         return None
     # radical must be an ideal: [e_i, w] in it for every i and w in it
-    if not _spans(radical,
+    if not _spans(p, radical,
                   [_ad_unit(p, i, w) for i in range(n) for w in radical]):
         return None
     levi = _levi_complement(p, radical)
@@ -749,6 +745,8 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     try:
         ideal_verdict = classify(_subalgebra(p, radical))
         comp_verdict = classify(_subalgebra(p, complement))
+    except linalg.ExpressionSwellError:
+        raise
     except ExprError:
         return None
     if "unclassified" in (ideal_verdict.name, comp_verdict.name):
@@ -764,8 +762,8 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     return Verdict(
         f"{comp_name} (+)s {ideal_verdict.name}",
         None, n, len(center), len(derived),
-        ideal_basis=tuple(_witness(p, v) for v in radical),
-        complement_basis=tuple(_witness(p, v, scale) for v in complement),
+        ideal_basis=tuple(map(p.ring.witness, radical)),
+        complement_basis=tuple(p.ring.witness(v, scale) for v in complement),
         notes=notes)
 
 
@@ -786,9 +784,9 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
     if len(lifts) + len(radical) != p.dimension:
         return None
     brackets = _lift_brackets(p, lifts)
-    if _spans(lifts, brackets):
+    if _spans(p, lifts, brackets):
         return lifts, 1
-    if not p.is_rational():
+    if not p.ring.rational(p.constants):
         return None  # symbolic correction not attempted
 
     rad_z = _derived_space_sub(p, radical)
@@ -806,7 +804,7 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
         lifts, den = corrected
         scale *= den
         brackets = _lift_brackets(p, lifts)
-        if _spans(lifts, brackets):
+        if _spans(p, lifts, brackets):
             return lifts, scale
     return None
 
@@ -827,9 +825,10 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
     are the [l_i, l_j].  ``lower`` is the complement of the stage inside
     the radical and must contain the brackets of stage elements, so the
     quadratic correction term has no stage coordinate and the condition is
-    linear.  Free unknowns are set to zero.  Returns the corrected lifts,
-    each the positive integer den times l_i + c_i (den 1 over a field),
-    and den.
+    linear.  Free unknowns are set to zero: the solution is read off the
+    nullspace vector of the rows [A | defect] at their last column, den
+    there.  Returns the corrected lifts, each den times l_i + c_i (den 1
+    over a field, a positive integer over the integers), and den.
     """
     s = len(lifts)
     m = len(stage)
@@ -841,7 +840,7 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
     if coords is None:
         return None
     ad = [d for _, d in coords[len(pairs):]]
-    zero = p.zero
+    zero = p.ring.zero
     ncols = s * m
     rows = []
     for (i, j), (a_coords, defect_stage) in zip(pairs, coords):
@@ -854,11 +853,12 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
                 row[i * m + k] -= ad[j * m + k][t]
             for q in range(s):
                 row[q * m + t] -= a_coords[q]
-            row[ncols] = -defect_stage[t]
+            row[ncols] = defect_stage[t]
             rows.append(row)
-    sol, den = _particular(p, rows, ncols)
-    if sol is None:
-        return None  # inconsistent
+    null = p.ring.nullspace(rows)
+    if not null or not null[-1][ncols]:
+        return None  # inconsistent: the last column is a pivot
+    *sol, den = null[-1]
     corrected = []
     for i in range(s):
         vec = list(lifts[i]) if den == 1 else [den * a for a in lifts[i]]
@@ -868,26 +868,6 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
                 vec = [a + coeff * b for a, b in zip(vec, stage[k])]
         corrected.append(vec)
     return corrected, den
-
-
-def _particular(p: AlgebraPresentation, rows: list, ncols: int) -> tuple:
-    """The solution with free unknowns zero of the augmented rows (the
-    right-hand side in column ``ncols``), with its denominator: integer
-    numerators over one positive den over the integers, field values over 1
-    otherwise; (None, None) when inconsistent."""
-    if _over_z(p):
-        rref, pivots = linalg.z_rref(rows)
-        den = lcm(*(row[pc] for row, pc in zip(rref, pivots)))
-    else:
-        (rref, pivots), den = linalg.f_rref(rows), 1
-    if ncols in pivots:
-        return None, None
-    sol = [p.zero] * ncols
-    for row, pc in zip(rref, pivots):
-        if ncols in row:
-            x = row[ncols]
-            sol[pc] = x * (den // row[pc]) if _over_z(p) else _value(x)
-    return sol, den
 
 
 def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
@@ -902,10 +882,10 @@ def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
     cols_all = lifts + stage + lower
     matrix = [[col[r] for col in cols_all] for r in range(len(cols_all[0]))]
     out = []
-    for sol in _solve(p, matrix, vectors)[0]:
+    for sol in p.ring.solve(matrix, vectors)[0]:
         if sol is None:
             return None
-        values = [_value(s) for s in sol]
+        values = p.ring.values(sol)
         out.append((values[:len(lifts)],
                     values[len(lifts):len(lifts) + len(stage)]))
     return out

@@ -7,20 +7,20 @@ reduced echelon form behind rank, nullspace, row space and solve:
   is scaled once to a primitive integer row, rows are combined by
   cross-multiplication and kept primitive, and every reduced row keeps its
   pivot entry (Bareiss, *Math. Comp.* 22, 1968, without the determinant
-  bookkeeping).  ``Fraction``s are formed only where a caller asks for
-  field values: the rref rows and the solutions.  The ``z_*`` functions
-  return the integer results themselves: primitive rows and nullspace
-  vectors, and solutions as numerators over one common denominator;
+  bookkeeping).  The ``z_*`` functions return the integer results
+  themselves: primitive rows and nullspace vectors, and solutions as
+  numerators over one common denominator; ``q_rank`` and ``q_nullspace``
+  (``Fraction`` vectors) serve the solver;
 * rows with a non-rational expression entry are eliminated over
-  ``FieldFrac``, num/den pairs of kernel expressions.
+  ``FieldFrac``, num/den pairs of kernel expressions, within a swell
+  budget (below).
 
 The ``f_*`` functions work over the field of their entries: rows of
 numbers give ``Fraction`` results; rows of expressions give ``FieldFrac``s
 (rref, solve) or denominator-cleared expressions (nullspace, row basis),
 and are eliminated over the integers when every entry is rational (the
 reduced echelon form is unique, so the results are the same either way).
-The ``q_*`` functions are the rational rref, rank and nullspace of the
-solver.  Dense lists are accepted and converted.  Around them:
+Dense lists are accepted and converted.  Around them:
 
 * univariate polynomials over ``Fraction`` serve matrix pencils:
   fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
@@ -36,8 +36,11 @@ solver.  Dense lists are accepted and converted.  Around them:
 * ``coordinates`` writes expressions or vector fields as sparse rows over
   shared monomial columns, for the ranks and solves above;
 * field elements over kernel expressions are num/den pairs with a
-  canonical zero test on the numerator (no gcd needed at these sizes);
-  nullspace and row-space vectors come back with denominators cleared.
+  canonical zero test on the numerator and no gcd reduction, so their
+  terms can swell (a 5x4 matrix of entries of at most 6 terms has run
+  past 20 s); an element whose numerator or denominator outgrows
+  ``_SWELL_BUDGET`` terms is refused with ``ExpressionSwellError``.
+  Nullspace and row-space vectors come back with denominators cleared.
 """
 
 from __future__ import annotations
@@ -243,7 +246,7 @@ def z_nullspace(matrix, ncols: int | None = None) -> list[list[int]]:
 def z_row_basis(matrix, ncols: int | None = None) -> list[list[int]]:
     """Reduced echelon basis of the row space of rows of rational numbers,
     one dense primitive integer row per pivot: each a positive multiple of
-    the row ``q_rref`` gives, which is 1 at its first nonzero entry."""
+    the row ``f_rref`` gives, which is 1 at its first nonzero entry."""
     ncols = _width(matrix, ncols)
     return [[row.get(c, 0) for c in range(ncols)] for row in z_rref(matrix)[0]]
 
@@ -275,24 +278,21 @@ def _z_solve(rref, pivots, ncols: int, nrhs: int) -> tuple[list, int]:
             for c in range(ncols, ncols + nrhs)], den
 
 
-def q_rref(rows) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form over the rationals, as sparse rows, and the
-    pivot column list; ``rows`` are dense lists or sparse dicts."""
-    return _over_pivots(*z_rref(rows))
-
-
 def q_rank(rows) -> int:
+    """Rank of rows of rational numbers, dense or sparse."""
     return len(z_rref(rows)[1])
 
 
 def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right nullspace, one vector per free column.
+    """Basis of the right nullspace of rows of rational numbers, as
+    ``Fraction`` vectors, one per free column, 1 there.
 
     ``rows`` are dense lists or sparse dicts; sparse rows need ``ncols``.
     The vectors are dense and come in free-column order.
     """
     ncols = _width(rows, ncols)
-    return _nullspace(*q_rref(rows), ncols, Fraction(0), Fraction(1))
+    return _nullspace(*_over_pivots(*z_rref(rows)), ncols, Fraction(0),
+                      Fraction(1))
 
 
 def _augmented(matrix, rhss, ncols: int) -> list[dict]:
@@ -553,7 +553,7 @@ def pencil_gram_poly(a_rows: list[list[Fraction]],
     rank.  Discovery no longer uses it; it is kept as a reference for
     perfbench's lookup.  The Gram matrix is formed at the ``2n + 1`` nodes
     ``t = -n..n``; its determinant there is ``(-1)^n`` times the constant
-    coefficient of its ``charpoly``, and one ``q_rref`` of the Vandermonde
+    coefficient of its ``charpoly``, and one ``z_rref`` of the Vandermonde
     rows, augmented by those values, gives the coefficients.
     """
     ncols = len(a_rows[0]) if a_rows else 0
@@ -566,7 +566,8 @@ def pencil_gram_poly(a_rows: list[list[Fraction]],
                 for p in range(ncols)]
         det = (-1) ** ncols * charpoly(gram)[0]
         rows.append([Fraction(t) ** k for k in range(size)] + [det])
-    return p_trim([row.get(size, Fraction(0)) for row in q_rref(rows)[0]])
+    return p_trim([Fraction(row.get(size, 0), row[pc])
+                   for row, pc in zip(*z_rref(rows))])
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +605,25 @@ def coordinates(vectors, keep=None, index=None) -> list[dict]:
 # fraction field over kernel expressions
 # ---------------------------------------------------------------------------
 
+# Most terms in the numerator or the denominator of a ``FieldFrac``.  The
+# largest element formed by an elimination that answers, in the tests, the
+# classify benchmark and the report, has 182 terms; on the 5x4 matrices of
+# ``tests/test_linalg.py::TestExpressionSwell`` that swell, elements pass
+# 256 terms within 0.35 s and then grow past 1000 (Python 3.11, 2 cores).
+_SWELL_BUDGET = 256
+
+
+class ExpressionSwellError(ExprError):
+    """A symbolic elimination refused: a field element outgrew the budget."""
+
+
 class FieldFrac(Frozen):
     """num/den with kernel-expression parts; zero when the numerator is.
 
-    No gcd reduction is attempted; the systems solved here are tiny and the
-    canonical zero test on numerators is all correctness needs.  Only
-    matrices with a non-rational entry are eliminated over this field (see
-    ``_field_rows``).
+    No gcd reduction is attempted: the canonical zero test on numerators is
+    all correctness needs, and ``_SWELL_BUDGET`` bounds the growth this
+    allows, checked as each element is formed.  Only matrices with a
+    non-rational entry are eliminated over this field (see ``_field_rows``).
     """
 
     num: Expr
@@ -625,6 +638,10 @@ class FieldFrac(Frozen):
     def __post_init__(self):
         if self.den.is_zero:
             raise ex.DivisionByZero("zero denominator in field element")
+        if max(len(self.num.terms), len(self.den.terms)) > _SWELL_BUDGET:
+            raise ExpressionSwellError(
+                f"expression swell: a symbolic elimination formed a field "
+                f"element of more than {_SWELL_BUDGET} terms")
 
     @property
     def is_zero(self) -> bool:

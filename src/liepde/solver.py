@@ -211,7 +211,8 @@ def _linear_system(equations, unknowns: list[str]):
 def _completion(a_rows, b_rows) -> list[list[Fraction]]:
     """Complete the DAE ``A g + B g' = 0`` to ``z' = M z``; returns ``M``.
 
-    ``[B | A]`` is eliminated with the g'-columns first; rows with their
+    ``[B | A]`` is eliminated over the integers (``linalg.z_rref``) with
+    the g'-columns first; rows with their
     pivot in the g-part are constraints ``C g = 0``, whose derivatives
     ``C g' = 0`` are appended until the constraint rank stops growing
     (Kunkel & Mehrmann, *Differential-Algebraic Equations*, 2006).  A
@@ -226,7 +227,7 @@ def _completion(a_rows, b_rows) -> list[list[Fraction]]:
             for arow, brow in zip(a_rows, b_rows)]
     rank = None
     while True:
-        rref, pivots = linalg.q_rref(rows)
+        rref, pivots = linalg.z_rref(rows)
         # C, written in the g'-columns: as rows of the system these are
         # C g' = 0, and read over the g-columns they are C itself
         constraints = [{j - n: v for j, v in row.items()}
@@ -239,8 +240,9 @@ def _completion(a_rows, b_rows) -> list[list[Fraction]]:
         raise RootExtractionError(
             "the ansatz admits a free unknown function; the determining "
             "system does not pin it down")
-    # g'_i = sum_j minus_n[i][j] g_j, from the pivot row of column i
-    minus_n = [{j - n: -v for j, v in row.items() if j >= n} for row in rref[:n]]
+    # g'_i = sum_j minus_n[i][j] g_j, from the integer pivot row of column i
+    minus_n = [{j - n: Fraction(-v, row[i]) for j, v in row.items() if j >= n}
+               for i, row in enumerate(rref[:n])]
     free = [i for i in range(n) if n + i not in pivots]
     kernel = linalg.q_nullspace(constraints, n)
     return [[sum((v * vec[j] for j, v in minus_n[i].items()), Fraction(0))

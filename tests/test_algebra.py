@@ -1,5 +1,6 @@
 """Commutators, structure constants, Jacobi, and classification."""
 
+import json
 import random
 from fractions import Fraction as Fr
 from itertools import combinations
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import liepde
 from liepde import expr as ex, linalg
 from liepde import algebra
 from liepde.algebra import (BRACKET_TABLE_SIZE, AlgebraPresentation,
@@ -205,6 +207,34 @@ class TestStructureConstants:
         assert pres.constants[0][1] == (ZERO, R)
         assert classify(pres).name == "A2"
 
+    def test_rational_pairs_after_a_symbolic_one_are_expressions(self):
+        # pair (1, 2) meets the constant R; pair (2, 3),
+        # [exp(R t) d/dx, x d/dx] = exp(R t) d/dx, has rational pieces only
+        vars2 = ("t", "x")
+        e1 = VectorField(vars2, "u", (ONE, ZERO), ZERO)
+        e2 = VectorField(vars2, "u", (ZERO, ex.exp_of(R * T)), ZERO)
+        e3 = VectorField(vars2, "u", (ZERO, X), ZERO)
+        pres = structure_constants([e1, e2, e3])
+        assert pres.ring is algebra.EXPRESSIONS
+        assert pres.constants[0][1] == (ZERO, R, ZERO)
+        assert pres.constants[1][2] == (ZERO, ONE, ZERO)
+        assert pres.constants[0][2] == (ZERO, ZERO, ZERO)
+        verdict = classify(pres)
+        assert verdict.name == "A1 (+)s 2A1"
+        assert verdict.as_dict()["ideal_basis"] == [["0", "1", "0"],
+                                                    ["R", "0", "R^2"]]
+
+    def test_cancelling_symbolic_brackets_give_rational_constants(self):
+        # [d/dt + d/dy, exp(R t - R y) d/dx] = R e d/dx - R e d/dx = 0
+        vars3 = ("t", "x", "y")
+        e1 = VectorField(vars3, "u", (ONE, ZERO, ONE), ZERO)
+        e2 = VectorField(vars3, "u", (ZERO, ex.exp_of(R * T - R * Y), ZERO),
+                         ZERO)
+        pres = structure_constants([e1, e2])
+        assert pres.ring is algebra.INTEGERS
+        assert pres.constants[0][1] == (Fr(0), Fr(0))
+        assert classify(pres).name == "2A1"
+
     def test_w5_tensor(self, basis):
         pres = structure_constants(basis[1:])
         # center and derived algebra are both the delta2 line
@@ -280,6 +310,17 @@ class TestClassification:
         with pytest.raises(RuntimeError, match="solve fault") as err:
             classify(pres)
         assert "_correct_stage" in [entry.name for entry in err.traceback]
+
+    def test_swell_in_a_subalgebra_is_refused_not_unclassified(
+            self, reduced_basis, monkeypatch):
+        # other errors in a subalgebra only mean "no semidirect verdict"
+        def swelling(p, vectors):
+            raise linalg.ExpressionSwellError("expression swell")
+
+        pres = structure_constants(reduced_basis.fields)
+        monkeypatch.setattr(algebra, "_subalgebra", swelling)
+        with pytest.raises(linalg.ExpressionSwellError):
+            classify(pres)
 
     def test_abelian(self):
         vars2 = ("t", "x")
@@ -442,7 +483,7 @@ def _triangular_mix(rng, fields):
 
 def _subspaces(pres):
     """The Killing radical, and the Levi complement when there is one."""
-    radical = algebra._nullspace(pres, _killing_matrix(pres))
+    radical = pres.ring.nullspace(_killing_matrix(pres))
     out = [radical]
     if len(radical) < pres.dimension:
         out.append(_levi_complement(pres, radical)[0])
@@ -543,11 +584,11 @@ class TestFieldParity:
     def test_rational_tensors_are_held_as_fractions(self, presentations):
         # and so are the witnesses: the eliminations keep the field
         for pres, _ in presentations:
-            assert type(pres.zero) is Fr and pres.zero == 0
+            assert pres.ring is algebra.INTEGERS
             assert all(type(c) is Fr for row in pres.constants
                        for col in row for c in col)
             twin = _as_expressions(pres)
-            assert twin.zero is ex.ZERO
+            assert twin.ring is algebra.EXPRESSIONS
             for p, kind in ((pres, Fr), (twin, ex.Expr)):
                 verdict = classify(p)
                 assert all(type(c) is kind for v in verdict.ideal_basis
@@ -567,7 +608,7 @@ class TestFieldParity:
             for p in (pres, _as_expressions(pres)):
                 brackets = [_ad_bracket(p, u, v) for u in p.unit
                             for v in p.unit]
-                assert _derived_space(p) == linalg.f_row_basis(brackets)
+                assert _derived_space(p) == p.ring.row_basis(brackets)
 
 
 class TestScaleInvariance:
@@ -634,6 +675,20 @@ class TestCoordinateBrackets:
     """Brackets formed in coordinates from the table of monomial brackets,
     against ``commutator`` as the oracle."""
 
+    def test_earlier_terms_are_brought_to_the_common_denominator(self):
+        # [t d/dt, t^2 d/dt] (denominator 1) is summed before
+        # [d/dx, exp(x/2) d/dx] (denominator 2)
+        vars2 = ("t", "x")
+        fields = (VectorField(vars2, "u", (T, ONE), ZERO),
+                  VectorField(vars2, "u", (T ** 2, ex.exp_of(X / 2)), ZERO))
+        monomials, rows, scales, ring = algebra._coordinate_brackets(fields)
+        assert ring is algebra.INTEGERS and scales[2] == 2
+        index: dict = {}
+        [expected] = linalg.coordinates([commutator(*fields)],
+                                        algebra._geometric, index)
+        assert {monomials[r]: v / scales[2] for r, v in rows[2].items()} \
+            == {key: expected[r].as_fraction() for key, r in index.items()}
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tensor_expands_every_commutator(self, seed, discovered):
         for fields in _classify_bases(seed, discovered):
@@ -659,3 +714,99 @@ class TestCoordinateBrackets:
         # the warm run computes no monomial bracket again
         assert infos[1].misses == infos[0].misses
         assert infos[1].hits > infos[0].hits
+
+
+GOLDEN_VERDICTS = Path(__file__).parent / "golden" / "classify_bases.json"
+
+
+class TestGoldenVerdicts:
+    """The rendered constants and verdicts of the 27 bases that
+    ``_classify_bases`` draws at seeds 1-3, byte for byte.  The rings are
+    compared with each other elsewhere; this pins what both of them give,
+    witness scaling included."""
+
+    def test_verdicts_match_the_golden_file(self, discovered):
+        records = []
+        for seed in (1, 2, 3):
+            for k, fields in enumerate(_classify_bases(seed, discovered)):
+                pres = structure_constants(fields)
+                records.append({"seed": seed, "basis": k,
+                                "constants": pres.constants_text(),
+                                "verdict": classify(pres).as_dict()})
+        text = json.dumps(records, indent=1) + "\n"
+        assert text == GOLDEN_VERDICTS.read_text()
+
+
+def _counted(monkeypatch, names) -> dict:
+    """Calls to the ``linalg`` functions ``names``, counted from now on."""
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(linalg, name, spy(name, getattr(linalg, name)))
+    return calls
+
+
+class TestRingChoice:
+    """A rational basis is solved and classified in ``INTEGERS`` and never
+    reaches the ``FieldFrac`` loop: a fallback to the expression field would
+    change no verdict, only the cost.  A tensor held as expressions is
+    classified in ``EXPRESSIONS``."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rational_bases_never_reach_the_expression_loop(
+            self, seed, discovered, monkeypatch):
+        calls = _counted(monkeypatch, ["_rref"])
+        for k, fields in enumerate(_classify_bases(seed, discovered)):
+            calls["_rref"] = 0
+            pres = structure_constants(fields)
+            classify(pres)
+            # 5 and 7: the symbolic hpz basis and its W5 part
+            symbolic = k in (5, 7)
+            assert (pres.ring is algebra.EXPRESSIONS) == symbolic, k
+            assert (calls["_rref"] > 0) == symbolic, k
+
+    def test_each_ring_runs_its_own_eliminations(self, discovered,
+                                                 monkeypatch):
+        pres = structure_constants(_classify_bases(1, discovered)[1])
+        twin = _as_expressions(pres)
+        f_names = ["f_rref", "f_rank", "f_nullspace", "f_row_basis",
+                   "f_solve_unique"]
+        calls = _counted(monkeypatch, ["z_rref"] + f_names)
+        assert classify(pres).name == "sl(2,R) (+)s W3"
+        assert calls["z_rref"] > 0
+        assert sum(calls[name] for name in f_names) == 0
+        # the twin's subalgebras have rational constants, held as Fraction
+        # in INTEGERS; the twin itself is eliminated with the f_* functions
+        verdict = classify(twin)
+        assert verdict.name == "sl(2,R) (+)s W3"
+        assert sum(calls[name] for name in f_names) > 0
+        kinds = {type(c) for v in verdict.ideal_basis
+                 + verdict.complement_basis for c in v}
+        assert kinds == {ex.Expr}
+
+    def test_the_constructor_takes_the_ring_of_the_constants(self, basis):
+        pres = structure_constants(basis[1:])
+        twin = _as_expressions(structure_constants(basis[2:4]))
+        assert (pres.ring, twin.ring) == (algebra.EXPRESSIONS,
+                                          algebra.EXPRESSIONS)
+        public = liepde.AlgebraPresentation(pres.basis, pres.constants)
+        assert public.ring is algebra.EXPRESSIONS
+        assert classify(public) == classify(pres)
+        assert AlgebraPresentation((), (((Fr(0),),),)).ring is algebra.INTEGERS
+        assert AlgebraPresentation((), (((0,),),)).ring is algebra.INTEGERS
+
+    def test_constants_outside_the_ring_are_refused(self, basis):
+        pres = structure_constants(basis[1:])
+        with pytest.raises(ex.ExprError, match="^structure constants are not "
+                           "all elements of INTEGERS$"):
+            AlgebraPresentation(pres.basis, pres.constants, algebra.INTEGERS)
+        mixed = (((Fr(0), ZERO), (Fr(0), Fr(0))), ((Fr(0),) * 2,) * 2)
+        with pytest.raises(ex.ExprError, match="^structure constants are not "
+                           "all elements of INTEGERS or EXPRESSIONS$"):
+            AlgebraPresentation((), mixed)

@@ -167,11 +167,10 @@ def test_coordinate_brackets_match_sympy(name):
     fields = (tuple(known_basis()) if name == "hpz"
               else tuple(solve_determining(make_heat()).fields))
     # rational rows are integer rows standing for row / scale
-    monomials, rows, scales = _coordinate_brackets(fields)
+    monomials, rows, scales, _ = _coordinate_brackets(fields)
     wrt = [SYMBOLS[v] for v in fields[0].variables] + [SYMBOLS["u"]]
     theirs = [[_sympy(c) for c in f.coefficients()] for f in fields]
     n = len(fields)
-    scales = scales or [1] * len(rows)
     for (i, j), row, scale in zip(combinations(range(n), 2), rows[n:],
                                   scales[n:]):
         ours = [sympy.Integer(0)] * len(wrt)

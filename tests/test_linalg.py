@@ -1,6 +1,8 @@
 """Exact linear algebra: rational, polynomial and symbolic-field layers."""
 
 import random
+import re
+import time
 from fractions import Fraction as Fr
 from math import gcd, isqrt
 
@@ -13,7 +15,7 @@ from liepde.linalg import (FieldFrac, RootExtractionError, charpoly,
                            f_rref, f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_nullspace,
-                           q_rank, q_rref, rational_roots)
+                           q_rank, rational_roots)
 from liepde.prolong import VectorField
 from liepde.solver import Binding
 
@@ -99,7 +101,7 @@ def q_solve(rows, rhs, ncols=None):
         row = dict(row if isinstance(row, dict) else enumerate(row))
         row[ncols] = b
         aug.append(row)
-    rref, pivots = q_rref(aug)
+    rref, pivots = f_rref(aug)
     if ncols in pivots:
         return None
     if len(pivots) < ncols:
@@ -123,7 +125,7 @@ class TestSeededRationalMatrices:
         rows = _random_matrix(random.Random(seed), nrows, ncols, density)
         ref, ref_pivots = _dense_rref(rows)
         for given in (rows, _sparse(rows)):
-            rref, pivots = q_rref(given)
+            rref, pivots = f_rref(given)
             assert pivots == ref_pivots
             assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
             for row, pc in zip(rref, pivots):
@@ -428,6 +430,37 @@ EDGE_CASES = {
 }
 
 
+class TestExpressionSwell:
+    """The ``FieldFrac`` loop refuses an element past ``_SWELL_BUDGET``
+    terms as it is formed: without the budget, ``f_rank`` of these 5x4
+    rank-3 matrices, of entries with at most 6 terms, ran past 20 s."""
+
+    REFUSAL = (rf"^expression swell: a symbolic elimination formed a field "
+               rf"element of more than {linalg._SWELL_BUDGET} terms$")
+
+    @pytest.mark.parametrize("seed", [0, 3, 4, 7])
+    def test_swell_answers_or_refuses_within_two_seconds(self, seed):
+        rng = random.Random(seed)
+        rows = _ranked(rng, _point(rng), 5, 4, 3)
+        start = time.perf_counter()
+        try:
+            assert f_rank(rows) == 3
+        except linalg.ExpressionSwellError as err:
+            assert re.match(self.REFUSAL, str(err))
+        assert time.perf_counter() - start < 2
+
+    def test_budget_bounds_numerator_and_denominator(self):
+        budget = linalg._SWELL_BUDGET
+        at, past = (ex.sum_of([ex.X ** k for k in range(n)])
+                    for n in (budget, budget + 1))
+        assert FieldFrac(at, at).to_expr() == ex.ONE
+        for num, den in ((past, ex.ONE), (ex.ONE, past)):
+            with pytest.raises(linalg.ExpressionSwellError,
+                               match=self.REFUSAL):
+                FieldFrac(num, den)
+        assert issubclass(linalg.ExpressionSwellError, ExprError)
+
+
 class TestIntegerLoop:
     """Every rational elimination runs through the fraction-free loop over
     the integers; the field loop over Fraction(1) is the reference."""
@@ -441,9 +474,9 @@ class TestIntegerLoop:
         ref, pivots = self._reference(rows)
         null = linalg._nullspace(ref, pivots, ncols, Fr(0), Fr(1))
         dense = [[row.get(c, Fr(0)) for c in range(ncols)] for row in ref]
-        # the f_* functions read the width off a dense first row
-        rrefs = [q_rref(rows)] + [f_rref(rows)] * bool(rows)
+        rrefs = [f_rref(rows)]
         vectors = [(q_nullspace(rows, ncols), null)]
+        # the other f_* functions read the width off a dense first row
         if rows:
             vectors += [(f_nullspace(rows), null), (f_row_basis(rows), dense)]
             assert f_rank(rows) == len(pivots)
@@ -540,7 +573,7 @@ class TestRationalEntries:
         ints = [[int(v) if v.denominator == 1 else v for v in row]
                 for row in q]
         assert linalg._field_rows(m)[2].__class__ is Fr
-        rref, pivots = q_rref(q)
+        rref, pivots = f_rref(q)
         dense = [[row.get(c, Fr(0)) for c in range(ncols)] for row in rref]
         f_rows, f_pivots = f_rref(m)
         assert f_pivots == pivots
