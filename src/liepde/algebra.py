@@ -27,7 +27,7 @@ and the solve (``linalg.z_solve_unique``) and the re-check
 sum_k N^k R_k = L B_ij are integer identities; classification runs on the
 integer tensor D*c with the fraction-free ``z_*`` eliminations and
 primitive integer vectors.  ``EXPRESSIONS`` is the ring of kernel
-expressions: the ``f_*`` eliminations, over the field of their entries.
+expressions: the ``f_*`` eliminations, over ``FieldFrac``.
 ``structure_constants`` takes ``INTEGERS`` when every coordinate and every
 monomial bracket met is rational.  Following de Graaf (*Lie Algebras:
 Theory and Algorithms*, 2000), brackets of basis elements are read

@@ -11,16 +11,14 @@ reduced echelon form behind rank, nullspace, row space and solve:
   themselves: primitive rows and nullspace vectors, and solutions as
   numerators over one common denominator; ``q_rank`` and ``q_nullspace``
   (``Fraction`` vectors) serve the solver;
-* rows with a non-rational expression entry are eliminated over
-  ``FieldFrac``, num/den pairs of kernel expressions, within a swell
-  budget (below).
+* the ``f_*`` functions eliminate over ``FieldFrac``, num/den pairs of
+  kernel expressions, within a swell budget (below), whatever the entries
+  are: numbers or expressions, dense lists or sparse dicts.  They return
+  ``FieldFrac``s (rref, solve) or denominator-cleared expressions
+  (nullspace, row basis).
 
-The ``f_*`` functions work over the field of their entries: rows of
-numbers give ``Fraction`` results; rows of expressions give ``FieldFrac``s
-(rref, solve) or denominator-cleared expressions (nullspace, row basis),
-and are eliminated over the integers when every entry is rational (the
-reduced echelon form is unique, so the results are the same either way).
-Dense lists are accepted and converted.  Around them:
+A caller picks the ring by the function it calls: rational rows go to the
+integer loop only through ``z_*`` and ``q_*``.  Around them:
 
 * univariate polynomials over ``Fraction`` serve matrix pencils:
   fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
@@ -40,7 +38,6 @@ Dense lists are accepted and converted.  Around them:
   terms can swell (a 5x4 matrix of entries of at most 6 terms has run
   past 20 s); an element whose numerator or denominator outgrows
   ``_SWELL_BUDGET`` terms is refused with ``ExpressionSwellError``.
-  Nullspace and row-space vectors come back with denominators cleared.
 """
 
 from __future__ import annotations
@@ -55,9 +52,6 @@ from .expr import Expr, ExprError, Frozen
 # ---------------------------------------------------------------------------
 # sparse exact elimination: over the integers, and over a field
 # ---------------------------------------------------------------------------
-
-Row = dict[int, Fraction]
-
 
 def _items(row):
     """The ``(column, value)`` pairs of a dense list or a sparse dict."""
@@ -204,14 +198,6 @@ def _nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
     return basis
 
 
-def _over_pivots(rref: list[dict], pivots: list[int]
-                 ) -> tuple[list[Row], list[int]]:
-    """The rows of ``_zrref`` over their pivot entries, and the pivots: the
-    reduced echelon form over the rationals, as ``Fraction``."""
-    return [{j: Fraction(v, row[pc]) for j, v in row.items()}
-            for row, pc in zip(rref, pivots)], pivots
-
-
 def z_rref(matrix) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced echelon form over the integers of rows of rational numbers
     (``int``, ``Fraction`` or rational expressions; dense lists or sparse
@@ -261,13 +247,7 @@ def z_solve_unique(matrix, rhss: list[list], ncols: int | None = None
     are dependent.  Sparse rows need ``ncols``.
     """
     ncols = _width(matrix, ncols)
-    return _z_solve(*z_rref(_augmented(matrix, rhss, ncols)), ncols,
-                    len(rhss))
-
-
-def _z_solve(rref, pivots, ncols: int, nrhs: int) -> tuple[list, int]:
-    """The solutions of ``z_solve_unique`` from the integer reduced form of
-    the augmented rows (see ``_solve_unique``)."""
+    rref, pivots = z_rref(_augmented(matrix, rhss, ncols))
     if pivots[:ncols] != list(range(ncols)):
         raise ExprError("basis is not linearly independent")
     top, below = rref[:ncols], rref[ncols:]
@@ -275,7 +255,7 @@ def _z_solve(rref, pivots, ncols: int, nrhs: int) -> tuple[list, int]:
     scales = [den // row[pc] for row, pc in zip(top, pivots)]
     return [None if any(c in row for row in below)
             else [row.get(c, 0) * s for row, s in zip(top, scales)]
-            for c in range(ncols, ncols + nrhs)], den
+            for c in range(ncols, ncols + len(rhss))], den
 
 
 def q_rank(rows) -> int:
@@ -291,8 +271,10 @@ def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
     The vectors are dense and come in free-column order.
     """
     ncols = _width(rows, ncols)
-    return _nullspace(*_over_pivots(*z_rref(rows)), ncols, Fraction(0),
-                      Fraction(1))
+    rref, pivots = z_rref(rows)
+    rref = [{j: Fraction(v, row[pc]) for j, v in row.items()}
+            for row, pc in zip(rref, pivots)]
+    return _nullspace(rref, pivots, ncols, Fraction(0), Fraction(1))
 
 
 def _augmented(matrix, rhss, ncols: int) -> list[dict]:
@@ -305,24 +287,6 @@ def _augmented(matrix, rhss, ncols: int) -> list[dict]:
             row[ncols + k] = rhs[i]
         aug.append(row)
     return aug
-
-
-def _solve_unique(rows, ncols: int, nrhs: int) -> list[list | None]:
-    """Unique solutions from augmented sparse ``FieldFrac`` rows, as in
-    ``f_solve_unique``.
-
-    Row operations keep the linear relations among columns, so the column
-    of a consistent rhs reduces to its solution on the pivot rows of the
-    matrix and is zero below them; an inconsistent one keeps an entry below
-    them.
-    """
-    rref, pivots = _rref(rows, _F_ONE)
-    if pivots[:ncols] != list(range(ncols)):
-        raise ExprError("basis is not linearly independent")
-    top, below = rref[:ncols], rref[ncols:]
-    return [None if any(c in row for row in below)
-            else [row.get(c, _F_ZERO) for row in top]
-            for c in range(ncols, ncols + nrhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +586,9 @@ class FieldFrac(Frozen):
 
     No gcd reduction is attempted: the canonical zero test on numerators is
     all correctness needs, and ``_SWELL_BUDGET`` bounds the growth this
-    allows, checked as each element is formed.  Only matrices with a
-    non-rational entry are eliminated over this field (see ``_field_rows``).
+    allows, checked as each element is formed.  The ``f_*`` functions
+    eliminate over this field whatever their entries are; rational rows
+    take the integer loop through ``z_*`` and ``q_*``.
     """
 
     num: Expr
@@ -631,8 +596,7 @@ class FieldFrac(Frozen):
 
     @staticmethod
     def of(v) -> "FieldFrac":
-        if isinstance(v, FieldFrac):
-            return v
+        """A number or an expression as a field element."""
         return FieldFrac(ex.as_expr(v), ex.ONE)
 
     def __post_init__(self):
@@ -676,102 +640,61 @@ _F_ZERO = FieldFrac.of(0)
 _F_ONE = FieldFrac.of(1)
 
 
-def _field_rows(matrix) -> tuple[list[dict], object, object, bool]:
-    """Sparse rows of a matrix of numbers or expressions, ready for
-    elimination, the zero and the unit of the field of its results, and
-    whether the entries are expressions (whose results the ``f_*``
-    functions return as ``FieldFrac`` or ``Expr``).
-
-    Numbers, and expressions when every one is rational, have results in
-    ``Fraction`` and come as primitive integer rows for the integer loop;
-    the others are rows over ``FieldFrac``.  The reduced echelon form is
-    unique, so the loop an elimination takes changes its cost, never its
-    result.  A matrix with any expression entry is one of expressions.
-    ``matrix`` rows are dense lists or sparse dicts.
-    """
-    rows = [row if isinstance(row, dict) else dict(enumerate(row))
-            for row in matrix]
-    exprs = [v for row in rows for v in row.values() if isinstance(v, Expr)]
-    if all(e.is_rational for e in exprs):
-        return ([z_row(row) for row in rows], Fraction(0), Fraction(1),
-                bool(exprs))
-    return ([{c: FieldFrac.of(v) for c, v in row.items() if v}
-             for row in rows], _F_ZERO, _F_ONE, True)
-
-
-def _eliminated(rows, one) -> tuple[list[dict], list[int]]:
-    """The reduced echelon form of ``_field_rows`` over the field of
-    ``one``: by the integer loop for ``Fraction``."""
-    if isinstance(one, FieldFrac):
-        return _rref(rows, one)
-    return _over_pivots(*_zrref(rows))
-
-
 def f_rref(matrix) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form over the field of the entries, as sparse
-    rows of ``Fraction`` (number entries) or ``FieldFrac`` (expression
-    entries); ``matrix`` rows are dense lists or sparse dicts."""
-    rows, _, one, exprs = _field_rows(matrix)
-    rref, pivots = _eliminated(rows, one)
-    if exprs:
-        rref = [{c: FieldFrac.of(v) for c, v in row.items()} for row in rref]
-    return rref, pivots
+    """Reduced row echelon form over the expression field, as sparse
+    ``FieldFrac`` rows, of a matrix of numbers or expressions; ``matrix``
+    rows are dense lists or sparse dicts."""
+    return _rref(({c: FieldFrac.of(v) for c, v in _items(row) if v}
+                  for row in matrix), _F_ONE)
 
 
 def f_rank(matrix) -> int:
-    """Rank over the field of the entries."""
-    rows, _, one, _ = _field_rows(matrix)
-    return len((_rref(rows, one) if isinstance(one, FieldFrac)
-                else _zrref(rows))[1])
+    """Rank over the expression field."""
+    return len(f_rref(matrix)[1])
 
 
 def f_solve_unique(matrix, rhss: list[list],
                    ncols: int | None = None) -> list[list | None]:
-    """Unique solution of matrix * x = rhs over the field of the entries,
-    for each rhs in ``rhss``, from one elimination of the matrix augmented
-    by every right-hand side.
+    """Unique solution of matrix * x = rhs over the expression field, for
+    each rhs in ``rhss``, from one elimination of the matrix augmented by
+    every right-hand side.
 
-    Returns one solution per rhs, None for an inconsistent one, with
-    ``Fraction`` entries for a system of numbers and ``FieldFrac`` ones for
-    a system of expressions; raises when the columns of the matrix are
-    dependent.  Sparse rows need ``ncols``.
+    Returns one ``FieldFrac`` solution per rhs, None for an inconsistent
+    one; raises when the columns of the matrix are dependent.  Row
+    operations keep the linear relations among columns, so the column of a
+    consistent rhs reduces to its solution on the pivot rows of the matrix
+    and is zero below them; an inconsistent one keeps an entry below them.
+    Sparse rows need ``ncols``.
     """
     ncols = _width(matrix, ncols)
-    rows, _, one, exprs = _field_rows(_augmented(matrix, rhss, ncols))
-    if isinstance(one, FieldFrac):
-        return _solve_unique(rows, ncols, len(rhss))
-    sols, den = _z_solve(*_zrref(rows), ncols, len(rhss))
-    return [None if sol is None else
-            [FieldFrac.of(Fraction(x, den)) if exprs else Fraction(x, den)
-             for x in sol] for sol in sols]
+    rref, pivots = f_rref(_augmented(matrix, rhss, ncols))
+    if pivots[:ncols] != list(range(ncols)):
+        raise ExprError("basis is not linearly independent")
+    top, below = rref[:ncols], rref[ncols:]
+    return [None if any(c in row for row in below)
+            else [row.get(c, _F_ZERO) for row in top]
+            for c in range(ncols, ncols + len(rhss))]
 
 
-def f_nullspace(matrix) -> list[list]:
-    """Right-nullspace basis, one dense vector per free column: ``Fraction``
-    vectors for number entries, denominator-cleared expression vectors for
-    expression entries."""
+def f_nullspace(matrix) -> list[list[Expr]]:
+    """Right-nullspace basis over the expression field, one dense
+    denominator-cleared expression vector per free column."""
     ncols = _width(matrix, None)
-    rows, zero, one, exprs = _field_rows(matrix)
-    basis = _nullspace(*_eliminated(rows, one), ncols, zero, one)
-    return [_cleared(v) for v in basis] if exprs else basis
+    return [_cleared(v) for v in _nullspace(*f_rref(matrix), ncols, _F_ZERO,
+                                            _F_ONE)]
 
 
-def f_row_basis(matrix) -> list[list]:
-    """Reduced echelon basis of the row space, one dense row per pivot:
-    ``Fraction`` rows for number entries, denominator-cleared expression
-    rows for expression entries."""
+def f_row_basis(matrix) -> list[list[Expr]]:
+    """Reduced echelon basis of the row space over the expression field,
+    one dense denominator-cleared expression row per pivot."""
     ncols = _width(matrix, None)
-    rows, zero, one, exprs = _field_rows(matrix)
-    basis = [[row.get(c, zero) for c in range(ncols)]
-             for row in _eliminated(rows, one)[0]]
-    return [_cleared(v) for v in basis] if exprs else basis
+    return [_cleared([row.get(c, _F_ZERO) for c in range(ncols)])
+            for row in f_rref(matrix)[0]]
 
 
-def _cleared(vec: list) -> list[Expr]:
-    """The vector as expressions: a rational one as it is, a ``FieldFrac``
-    one times the product of its distinct non-rational denominators."""
-    if all(isinstance(v, Fraction) for v in vec):
-        return [ex.rational(v) for v in vec]
+def _cleared(vec: list[FieldFrac]) -> list[Expr]:
+    """The vector as expressions, times the product of its distinct
+    non-rational denominators."""
     dens: list[Expr] = []
     for v in vec:
         if v and not v.den.is_rational and v.den not in dens:

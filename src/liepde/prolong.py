@@ -60,6 +60,9 @@ class VectorField(Frozen):
     def __post_init__(self):
         if len(self.xi) != len(self.variables):
             raise ExprError("one xi coefficient per independent variable")
+        for i, v in enumerate(self.variables):
+            if v in self.variables[:i]:
+                raise ExprError(f"independent variable {v!r} is given twice")
         for c in self.coefficients():
             for j in ex.jets_of(c):
                 if j.order >= 1:

@@ -16,7 +16,7 @@ from liepde.algebra import (BRACKET_TABLE_SIZE, AlgebraPresentation,
                             _killing_matrix, _levi_complement, _subalgebra,
                             classify, commutator, structure_constants)
 from liepde.cli import _load_basis_file
-from liepde.expr import DELTA, OMEGA, R, S, T, U, X, Y, ZERO, ONE
+from liepde.expr import DELTA, OMEGA, R, S, T, U, V, W, X, Y, ZERO, ONE
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation, make_heat
 from liepde.linalg import inertia, q_rank
@@ -310,6 +310,37 @@ class TestClassification:
         with pytest.raises(RuntimeError, match="solve fault") as err:
             classify(pres)
         assert "_correct_stage" in [entry.name for entry in err.traceback]
+
+    def test_symbolic_constants_are_not_levi_corrected(self, discovered,
+                                                       monkeypatch):
+        # a heat basis of the classify benchmark with every other element
+        # scaled by delta, 1/delta = R*V + W: c'_ij^k = s_i s_j / s_k c_ij^k.
+        # The rational tensor needs the correction; over the expressions it
+        # is not attempted, since no budget bounds the delta powers that
+        # FieldFrac.to_expr multiplies out
+        pres = structure_constants(_classify_bases(1, discovered)[0])
+        n = pres.dimension
+        s = [DELTA if i % 2 else ONE for i in range(n)]
+        over = [R * V + W if k % 2 else ONE for k in range(n)]
+        scaled = liepde.AlgebraPresentation((), tuple(
+            tuple(tuple(ex.rational(x) * s[i] * s[j] * over[k]
+                        for k, x in enumerate(col))
+                  for j, col in enumerate(row))
+            for i, row in enumerate(pres.constants)))
+        assert scaled.ring is algebra.EXPRESSIONS
+        calls = []
+        correct = algebra._correct_stage
+        monkeypatch.setattr(algebra, "_correct_stage",
+                            lambda *args: calls.append(args) or correct(*args))
+        assert classify(pres).name == "sl(2,R) (+)s W3" and calls
+
+        def refused(*args):
+            pytest.fail("a symbolic Levi correction was attempted")
+
+        monkeypatch.setattr(algebra, "_correct_stage", refused)
+        verdict = classify(scaled)
+        assert (verdict.name, verdict.notes) == ("unclassified",
+                                                 ("no recognised structure",))
 
     def test_swell_in_a_subalgebra_is_refused_not_unclassified(
             self, reduced_basis, monkeypatch):

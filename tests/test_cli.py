@@ -59,6 +59,16 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and "'xi_x'" in err
 
+    def test_repeated_basis_variable_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "variables": ["t", "t"], "dependent": "u",
+            "generators": [{"xi_t": "1"}]}))
+        code, out, err = run_cli(["classify", "--basis", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "'t'" in err and "twice" in err
+
     def test_repeated_parameter_exits_two(self, capsys):
         code, out, err = run_cli(
             ["find", "--equation", "hpz",

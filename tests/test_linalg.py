@@ -90,9 +90,10 @@ def _dense_rref(rows):
 
 def q_solve(rows, rhs, ncols=None):
     """Unique solution of rows * x = rhs over the rationals, or None when
-    inconsistent, from one elimination of the augmented rows; raises on an
-    underdetermined consistent system.  Sparse rows need ``ncols``.  The
-    one-rhs reference that ``f_solve_unique`` is checked against."""
+    inconsistent, from one integer elimination of the augmented rows;
+    raises on an underdetermined consistent system.  Sparse rows need
+    ``ncols``.  A one-rhs solve by ``z_rref``, apart from the common
+    denominator of ``z_solve_unique``."""
     if not rows:
         return []
     ncols = len(rows[0]) if ncols is None else ncols
@@ -101,12 +102,12 @@ def q_solve(rows, rhs, ncols=None):
         row = dict(row if isinstance(row, dict) else enumerate(row))
         row[ncols] = b
         aug.append(row)
-    rref, pivots = f_rref(aug)
+    rref, pivots = linalg.z_rref(aug)
     if ncols in pivots:
         return None
     if len(pivots) < ncols:
         raise ExprError("underdetermined linear system")
-    return [row.get(ncols, Fr(0)) for row in rref]
+    return [Fr(row.get(ncols, 0), row[pc]) for row, pc in zip(rref, pivots)]
 
 
 def _cofactor_det(m):
@@ -125,12 +126,13 @@ class TestSeededRationalMatrices:
         rows = _random_matrix(random.Random(seed), nrows, ncols, density)
         ref, ref_pivots = _dense_rref(rows)
         for given in (rows, _sparse(rows)):
-            rref, pivots = f_rref(given)
+            rref, pivots = linalg.z_rref(given)
             assert pivots == ref_pivots
-            assert [[row.get(c, 0) for c in range(ncols)] for row in rref] == ref
+            assert [[Fr(row.get(c, 0), row[pc]) for c in range(ncols)]
+                    for row, pc in zip(rref, pivots)] == ref
             for row, pc in zip(rref, pivots):
                 assert 0 not in row.values()
-                assert min(row) == pc and row[pc] == 1
+                assert min(row) == pc and row[pc] > 0
                 assert not set(row) & (set(pivots) - {pc})
 
     @pytest.mark.parametrize("seed", range(4))
@@ -462,8 +464,8 @@ class TestExpressionSwell:
 
 
 class TestIntegerLoop:
-    """Every rational elimination runs through the fraction-free loop over
-    the integers; the field loop over Fraction(1) is the reference."""
+    """The fraction-free loop over the integers, behind ``z_*`` and
+    ``q_*``; the field loop over Fraction(1) is the reference."""
 
     @staticmethod
     def _reference(rows):
@@ -473,20 +475,10 @@ class TestIntegerLoop:
     def _check(self, rows, ncols):
         ref, pivots = self._reference(rows)
         null = linalg._nullspace(ref, pivots, ncols, Fr(0), Fr(1))
-        dense = [[row.get(c, Fr(0)) for c in range(ncols)] for row in ref]
-        rrefs = [f_rref(rows)]
-        vectors = [(q_nullspace(rows, ncols), null)]
-        # the other f_* functions read the width off a dense first row
-        if rows:
-            vectors += [(f_nullspace(rows), null), (f_row_basis(rows), dense)]
-            assert f_rank(rows) == len(pivots)
         assert q_rank(rows) == len(pivots)
-        for got in rrefs:
-            assert got == (ref, pivots)
-            assert all(type(v) is Fr for row in got[0] for v in row.values())
-        for got, want in vectors:
-            assert got == want
-            assert all(type(v) is Fr for vec in got for v in vec)
+        got = q_nullspace(rows, ncols)
+        assert got == null
+        assert all(type(v) is Fr for vec in got for v in vec)
         # the integer results: positive primitive multiples of the field's
         zrows, zpivots = linalg.z_rref(rows)
         assert zpivots == pivots
@@ -516,9 +508,8 @@ class TestIntegerLoop:
         aug = [list(row) + [rhs[i] for rhs in rhss]
                for i, row in enumerate(rows)]
         if len(pivots) < ncols:
-            for solve in (f_solve_unique, linalg.z_solve_unique):
-                with pytest.raises(ExprError, match="independent"):
-                    solve(rows, rhss, ncols)
+            with pytest.raises(ExprError, match="independent"):
+                linalg.z_solve_unique(rows, rhss, ncols)
             return
         aref, apivots = self._reference(aug)
         top, below = aref[:ncols], aref[ncols:]
@@ -526,9 +517,6 @@ class TestIntegerLoop:
                     else [row.get(c, Fr(0)) for row in top]
                     for c in range(ncols, ncols + len(rhss))]
         assert apivots[:ncols] == list(range(ncols))
-        sols = f_solve_unique(rows, rhss, ncols)
-        assert sols == expected
-        assert all(type(v) is Fr for sol in sols if sol for v in sol)
         numerators, den = linalg.z_solve_unique(rows, rhss, ncols)
         assert type(den) is int and den > 0
         assert [None if sol is None else [Fr(x, den) for x in sol]
@@ -557,9 +545,57 @@ class TestIntegerLoop:
 
 
 class TestRationalEntries:
-    """The ``f_*`` functions follow the field of their entries: rows of
-    numbers give ``Fraction`` results, rows of rational expressions are
-    eliminated over ``Fraction`` too but give ``FieldFrac`` or ``Expr``."""
+    """The two loops agree.  The ``f_*`` functions eliminate rational rows
+    over ``FieldFrac`` -- held as ``Expr``, as ``Fraction`` or as ``int``
+    -- and give the values the integer loop gives through ``z_*`` and
+    ``q_*``, as ``FieldFrac`` or ``Expr``.  (``FieldFrac`` does not reduce
+    a rational num/den pair, so ``_big_denominators`` stays on the integer
+    side: its integers outgrow what an assertion can print.)"""
+
+    def _check(self, rng, q, ncols):
+        nrows = len(q)
+        m = [[ex.rational(v) for v in row] for row in q]
+        ints = [[int(v) if Fr(v).denominator == 1 else v for v in row]
+                for row in q]
+        zrows, pivots = linalg.z_rref(q)
+        rref = [{c: Fr(v, row[pc]) for c, v in row.items()}
+                for row, pc in zip(zrows, pivots)]
+        null = [[ex.rational(v) for v in vec] for vec in q_nullspace(q, ncols)]
+        dense = [[ex.rational(row.get(c, 0)) for c in range(ncols)]
+                 for row in rref]
+        rhss = []
+        if len(pivots) == ncols:
+            x = [Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
+            good = [sum(a * b for a, b in zip(row, x)) for row in q]
+            bad = [Fr(rng.randint(-5, 5)) for _ in range(nrows)]
+            rhss = [good, bad]
+            numerators, den = linalg.z_solve_unique(q, rhss, ncols)
+            expected = [None if sol is None else [Fr(v, den) for v in sol]
+                        for sol in numerators]
+            assert expected == [x, q_solve(q, bad, ncols)]
+        as_exprs = [[ex.rational(v) for v in rhs] for rhs in rhss]
+        for rows, given in ((m, as_exprs), (q, rhss), (ints, rhss)):
+            f_rows, f_pivots = f_rref(rows)
+            assert f_pivots == pivots
+            assert all(isinstance(v, FieldFrac) for row in f_rows
+                       for v in row.values())
+            assert [{c: v.to_expr().as_fraction() for c, v in row.items()}
+                    for row in f_rows] == rref
+            assert f_rank(rows) == len(pivots)
+            # nullspace and row basis read the width off a dense first row
+            if rows:
+                assert f_nullspace(rows) == null
+                assert f_row_basis(rows) == dense
+            if not given:
+                with pytest.raises(ex.ExprError, match="independent"):
+                    f_solve_unique(rows, [[Fr(0)] * nrows], ncols)
+                continue
+            sols = f_solve_unique(rows, given, ncols)
+            assert all(isinstance(v, FieldFrac) for sol in sols if sol
+                       for v in sol)
+            assert [None if sol is None else
+                    [v.to_expr().as_fraction() for v in sol]
+                    for sol in sols] == expected
 
     @pytest.mark.parametrize("seed", range(8))
     def test_f_functions_agree_with_the_rational_ones(self, seed):
@@ -568,66 +604,23 @@ class TestRationalEntries:
         q = [[Fr(rng.randint(-3, 3), rng.randint(1, 3))
               if rng.random() < 0.6 else Fr(0) for _ in range(ncols)]
              for _ in range(nrows)]
-        m = [[ex.rational(v) for v in row] for row in q]
-        # integral entries as int: numbers are eliminated over Fraction
-        ints = [[int(v) if v.denominator == 1 else v for v in row]
-                for row in q]
-        assert linalg._field_rows(m)[2].__class__ is Fr
-        rref, pivots = f_rref(q)
-        dense = [[row.get(c, Fr(0)) for c in range(ncols)] for row in rref]
-        f_rows, f_pivots = f_rref(m)
-        assert f_pivots == pivots
-        assert all(isinstance(v, FieldFrac) for row in f_rows
-                   for v in row.values())
-        assert [{c: v.to_expr().as_fraction() for c, v in row.items()}
-                for row in f_rows] == rref
-        # the generic engine over FieldFrac, which symbolic entries take
-        generic, _ = linalg._rref(
-            ({c: FieldFrac.of(v) for c, v in enumerate(row) if v}
-             for row in q), FieldFrac.of(1))
-        assert [{c: v.to_expr() for c, v in row.items()} for row in generic] \
-            == [{c: v.to_expr() for c, v in row.items()} for row in f_rows]
-        assert f_rank(m) == len(pivots)
-        assert f_nullspace(m) == [[ex.rational(v) for v in vec]
-                                  for vec in q_nullspace(q)]
-        assert f_row_basis(m) == [[ex.rational(v) for v in row]
-                                  for row in dense]
-        # rows of numbers: the same results, as Fraction
-        for rows in (q, ints):
-            assert f_rref(rows) == (rref, pivots)
-            assert f_rank(rows) == len(pivots)
-            assert f_nullspace(rows) == q_nullspace(q)
-            assert f_row_basis(rows) == dense
-            assert all(type(v) is Fr for row in f_rref(rows)[0]
-                       for v in row.values())
-            assert all(type(v) is Fr for vecs in (f_nullspace(rows),
-                                                  f_row_basis(rows))
-                       for vec in vecs for v in vec)
-        if len(pivots) == ncols:
-            x = [Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
-            good = [sum(a * b for a, b in zip(row, x)) for row in q]
-            bad = [Fr(rng.randint(-5, 5)) for _ in range(nrows)]
-            expected = q_solve(q, bad)
-            sols = f_solve_unique(m, [[ex.rational(v) for v in good],
-                                      [ex.rational(v) for v in bad]])
-            assert [v.to_expr().as_fraction() for v in sols[0]] == x
-            if expected is None:
-                assert sols[1] is None
-            else:
-                assert [v.to_expr().as_fraction() for v in sols[1]] == expected
-            for rows in (q, ints):
-                sols = f_solve_unique(rows, [good, bad])
-                assert sols == [x, expected]
-                assert all(type(v) is Fr for sol in sols if sol for v in sol)
-        else:
-            for rows in (m, q, ints):
-                with pytest.raises(ex.ExprError, match="independent"):
-                    f_solve_unique(rows, [[Fr(0)] * nrows])
+        self._check(rng, q, ncols)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_seeded_matrices(self, seed, shape):
+        nrows, ncols, density = shape
+        rng = random.Random(seed)
+        self._check(rng, _random_matrix(rng, nrows, ncols, density), ncols)
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_edge_cases(self, case):
+        rows, ncols = EDGE_CASES[case]
+        self._check(random.Random(ncols), rows, ncols)
 
     def test_one_symbolic_entry_takes_the_expression_field(self):
         # rank 2 over the field, although it drops to 1 at R = 4
         m = [[ex.ONE, ex.rational(2)], [ex.rational(2), R]]
-        assert isinstance(linalg._field_rows(m)[2], FieldFrac)
         assert f_rank(m) == 2
         assert f_nullspace(m) == []
         [sol] = f_solve_unique(m, [[ex.rational(3), R + 2]])

@@ -54,6 +54,13 @@ class TestProlong2:
         with pytest.raises(ex.ExprError):
             field3(0, jet("u", "x"), 0, 0)
 
+    def test_rejects_repeated_variables(self):
+        # a second "t" slot could never be told apart from the first
+        with pytest.raises(ex.ExprError, match="^independent variable 't' "
+                           "is given twice$"):
+            VectorField(("t", "x", "t"), "u", (ex.ONE, ex.ZERO, ex.ZERO),
+                        ex.ZERO)
+
 
 class TestResidual:
     def test_fixture_symmetry(self, hpz):
