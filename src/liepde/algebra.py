@@ -385,7 +385,7 @@ def _monomial_bracket(variables: tuple[str, ...], dependent: str,
     """
     (k, m), (l, n) = a, b
     wrt = [Atom(v) for v in variables] + [Jet(dependent, ())]
-    m, n = Expr(((Fraction(1), m),)), Expr(((Fraction(1), n),))
+    m, n = Expr(((1, m),)), Expr(((1, n),))
     dn, dm = m * ex.partial(n, wrt[k]), n * ex.partial(m, wrt[l])
     slots = {l: dn - dm} if k == l else {l: dn, k: -dm}
     pairs = [((slot, mono), x) for slot, e in slots.items()

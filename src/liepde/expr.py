@@ -1,8 +1,9 @@
 """Exact symbolic expression kernel.
 
 Values are immutable, fully expanded sums of terms.  Each term is an exact
-rational coefficient times a sorted tuple of factors ``base^exponent``, where
-a base is one of
+rational coefficient -- an ``int`` when it is integral, otherwise a reduced
+``Fraction`` -- times a sorted tuple of factors ``base^exponent``, where a
+base is one of
 
 * a named atom: the independent variables ``t, x, y, r``, the parameters
   ``R, S, V, W``, the surd ``omega``, an internal localisation atom
@@ -23,7 +24,8 @@ Their leading monomials are coprime, so the pair is a Groebner basis of the
 ideal it generates and every value has exactly one normal form: equality of
 canonical forms decides equality of values for the polynomial/exponential
 class this engine works in.  All arithmetic is exact; nothing here ever
-touches floating point.
+touches floating point: every quotient of coefficients is formed as a
+``Fraction``.
 
 Bases are tuples that begin with their sort key (see the bases section),
 so their natural tuple order is the fixed order of factors within a term
@@ -286,7 +288,7 @@ class Jet(tuple):
 Base = Atom | TFun | Jet | ExpFactor
 Factor = tuple[Base, int]
 Factors = tuple[Factor, ...]
-Term = tuple[Fraction, Factors]
+Term = tuple[Rational, Factors]
 
 
 def base_label(b: Base) -> str:
@@ -314,13 +316,13 @@ _GUARDED = (_R_B, _S_B, _V_B, _W_B, _OMEGA_B, _DELTA_B)
 _T_B = Atom("t")
 
 
-def _rewrite_monomial(coeff: Fraction, fdict: dict[Base, int]) -> list[tuple[Fraction, dict]]:
+def _rewrite_monomial(coeff: Rational, fdict: dict[Base, int]) -> list[tuple[Rational, dict]]:
     """Exhaustively apply the omega and delta rewrite rules to one monomial.
 
     Terminates: the omega rule fires at most once per lineage, and the
     R*V*delta rule strictly lowers the combined R,V degree.
     """
-    out: list[tuple[Fraction, dict]] = []
+    out: list[tuple[Rational, dict]] = []
     stack = [(coeff, fdict)]
     while stack:
         c, f = stack.pop()
@@ -340,7 +342,7 @@ def _rewrite_monomial(coeff: Fraction, fdict: dict[Base, int]) -> list[tuple[Fra
                 k = half - j
                 if k:
                     g[_S_B] = g.get(_S_B, 0) + k
-                stack.append((c * comb(half, j) * Fraction(-4) ** k, g))
+                stack.append((c * comb(half, j) * (-4) ** k, g))
             continue
         if f.get(_DELTA_B, 0) >= 1 and f.get(_R_B, 0) >= 1 and f.get(_V_B, 0) >= 1:
             g1 = dict(f)
@@ -361,7 +363,7 @@ def _rewrite_monomial(coeff: Fraction, fdict: dict[Base, int]) -> list[tuple[Fra
     return out
 
 
-def _normalize_product(coeff: Fraction, raw: Iterable[Factor]) -> list[Term]:
+def _normalize_product(coeff: Rational, raw: Iterable[Factor]) -> list[Term]:
     """Merge factors, fold exponentials, apply rewrites; may split the term."""
     if coeff == 0:
         return []
@@ -395,7 +397,12 @@ def _normalize_product(coeff: Fraction, raw: Iterable[Factor]) -> list[Term]:
             total = total + a
         exp_factor = None if total.is_zero else (ExpFactor(total), 1)
 
-    pieces = _rewrite_monomial(coeff, merged)
+    # a monomial that neither rule applies to is its own normal form
+    if merged.get(_OMEGA_B, 0) >= 2 or (
+            _DELTA_B in merged and _R_B in merged and _V_B in merged):
+        pieces = _rewrite_monomial(coeff, merged)
+    else:
+        pieces = ((coeff, merged),)
     terms: list[Term] = []
     for c, f in pieces:
         fs = sorted(f.items())
@@ -405,8 +412,21 @@ def _normalize_product(coeff: Fraction, raw: Iterable[Factor]) -> list[Term]:
     return terms
 
 
+def _coefficient(q) -> Rational:
+    """A rational number as a term coefficient: an ``int`` when it is
+    integral, otherwise a ``Fraction``."""
+    if q.__class__ is int:
+        return q
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _collect(pieces: Iterable[Term]) -> tuple[Term, ...]:
-    acc: dict[Factors, Fraction] = {}
+    """Sorted terms with like monomials merged, zeros dropped and every
+    coefficient as ``_coefficient`` gives it (a sum or product of
+    ``Fraction``s can be integral)."""
+    acc: dict[Factors, Rational] = {}
     for c, fs in pieces:
         if fs in acc:
             acc[fs] += c
@@ -414,7 +434,8 @@ def _collect(pieces: Iterable[Term]) -> tuple[Term, ...]:
             acc[fs] = c
     out = [(fs, c) for fs, c in acc.items() if c]
     out.sort()
-    return tuple([(c, fs) for fs, c in out])
+    return tuple([(c if c.__class__ is int or c.denominator != 1
+                   else c.numerator, fs) for fs, c in out])
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +502,7 @@ class Expr:
             return Fraction(0)
         if not self.is_rational:
             raise ExprError(f"{self} is not a rational constant")
-        return self.terms[0][0]
+        return Fraction(self.terms[0][0])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -529,7 +550,13 @@ class Expr:
     def _scaled(self, k: Rational) -> "Expr":
         if not k or not self.terms:
             return ZERO
-        return self if k == 1 else Expr(tuple([(c * k, fs) for c, fs in self.terms]))
+        if k == 1:
+            return self
+        # an integral k stays an int, so int coefficients stay ints
+        k = _coefficient(k)
+        return Expr(tuple([(c if (c := a * k).__class__ is int
+                            or c.denominator != 1 else c.numerator, fs)
+                           for a, fs in self.terms]))
 
     def __pow__(self, n: int) -> "Expr":
         if not isinstance(n, int):
@@ -564,12 +591,12 @@ class Expr:
 
 
 ZERO = Expr(())
-ONE = Expr(((Fraction(1), ()),))
+ONE = Expr(((1, ()),))
 
 
 def rational(p: Rational, q: int = 1) -> Expr:
-    c = Fraction(p, q) if q != 1 else Fraction(p)
-    return Expr(()) if c == 0 else Expr(((c, ()),))
+    c = _coefficient(Fraction(p, q) if q != 1 else p)
+    return Expr(((c, ()),)) if c else ZERO
 
 
 def as_expr(v) -> Expr:
@@ -590,7 +617,7 @@ def sum_of(pieces: Iterable[Expr]) -> Expr:
 
 
 def _expr_of_base(b: Base, p: int = 1) -> Expr:
-    return Expr(_collect(_normalize_product(Fraction(1), ((b, p),))))
+    return Expr(_collect(_normalize_product(1, ((b, p),))))
 
 
 def sym(name: str) -> Expr:
@@ -695,13 +722,14 @@ def _poly_div_exact(num: Expr, den: Expr) -> Expr | None:
             qexp[b] = qexp.get(b, 0) - p
             if qexp[b] < floor[b]:
                 return None
-        qterm = Expr(_collect(_normalize_product(rc / dc, tuple(qexp.items()))))
+        qterm = Expr(_collect(_normalize_product(Fraction(rc, dc),
+                                                 tuple(qexp.items()))))
         quotient.extend(qterm.terms)
         rem = rem - qterm * den
     return Expr(_collect(quotient))
 
 
-def _content(e: Expr) -> tuple[Fraction, Factors]:
+def _content(e: Expr) -> tuple[Rational, Factors]:
     """The first coefficient and the least power of each base over the
     terms: the monomial that leaves no monomial factor."""
     least = dict(e.terms[0][1])
@@ -712,15 +740,15 @@ def _content(e: Expr) -> tuple[Fraction, Factors]:
     return e.terms[0][0], tuple([(b, p) for b, p in least.items() if p])
 
 
-def _divide_monomial(e: Expr, c: Fraction, fs: Factors) -> Expr | None:
+def _divide_monomial(e: Expr, c: Rational, fs: Factors) -> Expr | None:
     """``e / (c*fs)`` term by term, or None when a term would hold a
     negative power of a parameter."""
     if not fs:
-        return e._scaled(1 / c)
+        return e._scaled(Fraction(1, c))
     inverse = tuple([(b, -p) for b, p in fs])
     try:
-        return Expr(_collect([t for ec, efs in e.terms
-                              for t in _normalize_product(ec / c, efs + inverse)]))
+        return Expr(_collect([t for ec, efs in e.terms for t in
+                              _normalize_product(Fraction(ec, c), efs + inverse)]))
     except UnsupportedDivision:
         return None
 
@@ -744,6 +772,9 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
         raise DivisionByZero("division by an expression that simplifies to zero")
     if num.is_zero:
         return ZERO
+    if len(den.terms) == 1 and not den.terms[0][1]:
+        # a rational divisor only scales
+        return num._scaled(Fraction(1, den.terms[0][0]))
     divisor = den
     d = _delta_degree(den)
     if d:
@@ -778,16 +809,16 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 def _dbase(b: Base, v: Base) -> Expr | None:
-    """Formal derivative of a base with respect to a base, or None if zero."""
-    if b == v:
-        return ONE
+    """Formal derivative of a base other than ``v`` with respect to ``v``,
+    or None if zero."""
     if isinstance(b, TFun) and v == _T_B:
         return tfun(b.name, b.order + 1)
     if isinstance(b, ExpFactor):
         da = partial(b.arg, v)
         if da.is_zero:
             return None
-        return da * _expr_of_base(b)
+        # exp(arg) to the first power, as every canonical term holds it
+        return da * Expr(((1, ((b, 1),)),))
     return None
 
 
@@ -798,14 +829,15 @@ def partial(e: Expr, v: Base | str) -> Expr:
     pieces: list[Term] = []
     for c, fs in e.terms:
         for i, (b, p) in enumerate(fs):
+            if b == v:
+                # lowering one exponent keeps a canonical monomial canonical
+                pieces.append((c * p, fs[:i] + fs[i + 1:] if p == 1
+                               else fs[:i] + ((b, p - 1),) + fs[i + 1:]))
+                continue
             db = _dbase(b, v)
             if db is None:
                 continue
-            rest = fs[:i] + ((b, p - 1),) + fs[i + 1:]
-            head = _normalize_product(c * p, rest)
-            if db is ONE:
-                pieces.extend(head)
-                continue
+            head = _normalize_product(c * p, fs[:i] + ((b, p - 1),) + fs[i + 1:])
             for c1, f1 in head:
                 for c2, f2 in db.terms:
                     pieces.extend(_normalize_product(c1 * c2, f1 + f2))
@@ -839,9 +871,21 @@ def differentiate(e: Expr, v: str) -> Expr:
 
 
 def subst_many(e: Expr, mapping: Mapping[Base, Expr]) -> Expr:
-    """Simultaneous capture-free substitution followed by canonicalisation."""
+    """Simultaneous capture-free substitution followed by canonicalisation.
+
+    When every mapped base is an atom bound to a rational number (what
+    ``Binding.apply`` passes), the terms are scaled instead of rebuilt
+    (``_bind_atoms``)."""
     if not mapping:
         return e
+    values = {}
+    for b, v in mapping.items():
+        v = as_expr(v)
+        if b.__class__ is not Atom or not v.is_rational:
+            break
+        values[b] = v.terms[0][0] if v.terms else 0
+    else:
+        return _bind_atoms(e, values)
     pieces: list[Expr] = []
     for c, fs in e.terms:
         piece = rational(c)
@@ -854,6 +898,32 @@ def subst_many(e: Expr, mapping: Mapping[Base, Expr]) -> Expr:
                 piece = piece * _expr_of_base(b, p)
         pieces.append(piece)
     return sum_of(pieces)
+
+
+def _bind_atoms(e: Expr, values: dict[Atom, Rational]) -> Expr:
+    """``subst_many`` of atoms by rational numbers: each bound factor scales
+    its term's coefficient, and the factors left keep their order.  Taking
+    factors out of a canonical monomial leaves nothing to rewrite, so one
+    collection merges the terms that now coincide."""
+    pieces: list[Term] = []
+    for c, fs in e.terms:
+        kept = []
+        for b, p in fs:
+            if b in values:
+                k = values[b]
+                if not k and p < 0:
+                    raise DivisionByZero(
+                        "division by an expression that simplifies to zero")
+                c = c * k ** p if p > 0 else c * Fraction(1, k ** -p)
+            elif b.__class__ is ExpFactor:
+                arg = _bind_atoms(b.arg, values)
+                if arg.terms:
+                    kept.append((ExpFactor(arg), p))
+            else:
+                kept.append((b, p))
+        if c:
+            pieces.append((c, tuple(kept)))
+    return Expr(_collect(pieces))
 
 
 def substitute(e: Expr, target: str | Base | Expr, replacement) -> Expr:

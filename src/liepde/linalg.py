@@ -20,17 +20,18 @@ reduced echelon form behind rank, nullspace, row space and solve:
 A caller picks the ring by the function it calls: rational rows go to the
 integer loop only through ``z_*`` and ``q_*``.  Around them:
 
-* univariate polynomials over ``Fraction`` serve matrix pencils:
-  fraction-free Bareiss elimination of ``A + lambda*B`` gives its pivot
-  polynomials, and of ``lambda*I - M`` the last one is the characteristic
-  polynomial of ``M`` (``charpoly``).  Discovery reads its exponents off
-  it; ``inertia`` reads the signature of a symmetric matrix off it by
-  Descartes' rule of signs, which is exact for real-rooted polynomials.
+* univariate polynomials over ``Fraction``: ``charpoly`` forms the
+  characteristic polynomial of a rational matrix by Hessenberg reduction.
+  Discovery reads its exponents off it; ``inertia`` reads the signature of
+  a symmetric matrix off it by Descartes' rule of signs, which is exact
+  for real-rooted polynomials.
   Rational roots are found exactly from the divisors of the end
   coefficients, within a trial-division budget that refuses loudly; roots
-  that are not rational are left to the caller.  ``pencil_gram_poly``
-  (the pencil's Gram determinant) is no longer used by discovery and is
-  kept as a reference for perfbench's lookup;
+  that are not rational are left to the caller.  ``pencil_pivots``
+  (fraction-free Bareiss elimination of a pencil ``A + lambda*B``) and
+  ``pencil_gram_poly`` (its Gram determinant) have no caller in the
+  package: they are named references, kept for perfbench's lookup and,
+  for ``pencil_pivots``, as the tests' reference for ``charpoly``;
 * ``coordinates`` writes expressions or vector fields as sparse rows over
   shared monomial columns, for the ranks and solves above;
 * field elements over kernel expressions are num/den pairs with a
@@ -72,9 +73,12 @@ def z_row(row) -> dict[int, int]:
     nonzero entries, a positive multiple of it: times the lcm of their
     denominators, over the gcd of the products.  Scaling a row keeps its
     row space and its solutions."""
+    row = {c: v for c, v in _items(row) if v}
+    if all(v.__class__ is int for v in row.values()):
+        return _primitive(row)
     row = {c: v.as_fraction() if isinstance(v, Expr)
            else v if isinstance(v, (int, Fraction)) else Fraction(v)
-           for c, v in _items(row) if v}
+           for c, v in row.items()}
     d = lcm(*(v.denominator for v in row.values()))
     return _primitive({c: v.numerator * (d // v.denominator)
                        for c, v in row.items()})
@@ -448,6 +452,10 @@ def pencil_pivots(a_rows: list[list[Fraction]],
     vanishes there; if a column has no pivot at all the pencil is rank
     deficient for every lambda and the caller's ansatz admits a free
     function, which is reported as an error.
+
+    No package code calls it.  It stays because perfbench's tracing looks
+    it up by name, and the last pivot of ``lambda*I - M`` is the tests'
+    reference for ``charpoly``.
     """
     nrows = len(a_rows)
     ncols = len(a_rows[0]) if nrows else 0
@@ -482,12 +490,52 @@ def pencil_pivots(a_rows: list[list[Fraction]],
 
 
 def charpoly(m: list[list[Fraction]]) -> Poly:
-    """``det(lam*I - M)``: the last Bareiss pivot of ``lam*I - M``, whose
-    elimination never swaps rows (its leading principal minors are monic)."""
-    d = len(m)
-    identity = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    pivots = pencil_pivots([[-v for v in row] for row in m], identity)
-    return pivots[-1] if pivots else (Fraction(1),)
+    """``det(lam*I - M)`` of a square rational matrix, as ``Fraction``s.
+
+    ``M`` is brought to upper Hessenberg form ``H`` by similarity (row and
+    column swaps, and row operations below the subdiagonal undone on the
+    columns), and the characteristic polynomials ``p_k`` of the leading
+    k x k blocks of ``H`` follow by the recurrence
+    ``p_k = (lam - h_kk) p_{k-1} - sum_i h_ik h_{i+1,i}...h_{k,k-1} p_{i-1}``
+    (Cohen, *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9).
+    """
+    n = len(m)
+    h = [[Fraction(v) for v in row] for row in m]
+    for c in range(n - 2):
+        r = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if r is None:
+            continue
+        s = c + 1
+        if r != s:
+            h[r], h[s] = h[s], h[r]
+            for row in h:
+                row[r], row[s] = row[s], row[r]
+        pivot_row = h[s]
+        for i in range(s + 1, n):
+            if h[i][c]:
+                u = h[i][c] / pivot_row[c]
+                row_i = h[i]
+                for j in range(c, n):
+                    row_i[j] -= u * pivot_row[j]
+                for row in h:
+                    row[s] += u * row[i]
+    polys: list[list[Fraction]] = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        hkk, prev = h[k - 1][k - 1], polys[-1]
+        p = [Fraction(0)] + prev
+        for j, c in enumerate(prev):
+            p[j] -= hkk * c
+        t = Fraction(1)
+        for i in range(1, k):
+            t *= h[k - i][k - i - 1]
+            if not t:
+                break
+            f = t * h[k - i - 1][k - 1]
+            if f:
+                for j, c in enumerate(polys[k - i - 1]):
+                    p[j] -= f * c
+        polys.append(p)
+    return tuple(polys[-1])
 
 
 def inertia(k: list[list[Fraction]]) -> tuple[int, int, int]:
@@ -586,7 +634,8 @@ class FieldFrac(Frozen):
 
     No gcd reduction is attempted: the canonical zero test on numerators is
     all correctness needs, and ``_SWELL_BUDGET`` bounds the growth this
-    allows, checked as each element is formed.  The ``f_*`` functions
+    allows, checked as each element is formed.  A rational denominator is
+    folded into the numerator, leaving ``ONE``.  The ``f_*`` functions
     eliminate over this field whatever their entries are; rational rows
     take the integer loop through ``z_*`` and ``q_*``.
     """
@@ -600,8 +649,15 @@ class FieldFrac(Frozen):
         return FieldFrac(ex.as_expr(v), ex.ONE)
 
     def __post_init__(self):
-        if self.den.is_zero:
+        den = self.den.terms
+        if not den:
             raise ex.DivisionByZero("zero denominator in field element")
+        if len(den) == 1 and not den[0][1] and den[0][0] != 1:
+            # a rational denominator goes into the numerator's coefficients,
+            # which the kernel keeps reduced: rational rows then grow no
+            # integers past their values
+            object.__setattr__(self, "num", self.num * Fraction(1, den[0][0]))
+            object.__setattr__(self, "den", ex.ONE)
         if max(len(self.num.terms), len(self.den.terms)) > _SWELL_BUDGET:
             raise ExpressionSwellError(
                 f"expression swell: a symbolic elimination formed a field "

@@ -1,16 +1,22 @@
 """Kernel invariants behind the canonical forms: the base order, the zero and
-scalar fast paths of ``*`` and ``+``, and the hash/equality contract."""
+scalar fast paths of ``*`` and ``+``, the fast paths of ``partial`` and
+``subst_many``, the coefficient types, and the hash/equality contract."""
 
 import copy
 import pickle
 import random
 from fractions import Fraction
 
+import pytest
+
 from liepde import expr as ex
 from liepde.expr import (
-    DELTA, OMEGA, ONE, R, S, T, V, W, X, Y, ZERO, Atom, ExpFactor, Jet, TFun,
-    exp_of, jet, rational, sym,
+    DELTA, OMEGA, ONE, R, S, T, U, V, W, X, Y, ZERO, Atom, DivisionByZero,
+    ExpFactor, Jet, TFun, exp_of, jet, rational, sym, tfun,
 )
+from liepde.jet import get_equation
+from liepde.parser import parse, render
+from liepde.prolong import VectorField, residual
 
 from conftest import random_fraction
 
@@ -220,3 +226,194 @@ class TestHashContract:
         b = X ** 2 - Y ** 2 + R ** 2 - 4 * S
         assert a == b and hash(a) == hash(b)
         assert len({a, b, X, X * 1}) == 2
+
+
+# -- coefficients and the fast paths of partial and subst_many -------------------
+
+def coefficients(e):
+    """Every term coefficient of ``e``, inside exponentials too."""
+    for c, fs in e.terms:
+        yield c
+        for b, _ in fs:
+            if isinstance(b, ExpFactor):
+                yield from coefficients(b.arg)
+
+
+def assert_reduced_coefficients(e):
+    """An ``int`` exactly when integral, else a ``Fraction`` that is not; so
+    never a ``float`` or a ``bool``."""
+    for c in coefficients(e):
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), \
+            f"coefficient {c!r} of type {type(c).__name__}"
+
+
+def reference_partial(e, v):
+    """``partial`` by the general loop: each factor's derivative times the
+    rest of its term, every product through ``_normalize_product``."""
+    pieces = []
+    for c, fs in e.terms:
+        for i, (b, p) in enumerate(fs):
+            if b == v:
+                db = ONE
+            elif isinstance(b, TFun) and v == Atom("t"):
+                db = tfun(b.name, b.order + 1)
+            elif isinstance(b, ExpFactor):
+                db = reference_partial(b.arg, v) * ex._expr_of_base(b)
+            else:
+                continue
+            head = ex._normalize_product(c * p, fs[:i] + ((b, p - 1),) + fs[i + 1:])
+            for c1, f1 in head:
+                for c2, f2 in db.terms:
+                    pieces.extend(ex._normalize_product(c1 * c2, f1 + f2))
+    return ex.Expr(ex._collect(pieces))
+
+
+def reference_subst(e, mapping):
+    """``subst_many`` by the general loop: every term rebuilt factor by
+    factor with kernel products."""
+    pieces = []
+    for c, fs in e.terms:
+        piece = rational(c)
+        for b, p in fs:
+            if isinstance(b, ExpFactor):
+                piece = piece * exp_of(reference_subst(b.arg, mapping)) ** p
+            elif b in mapping:
+                piece = piece * ex.as_expr(mapping[b]) ** p
+            else:
+                piece = piece * ex._expr_of_base(b, p)
+        pieces.append(piece)
+    return ex.sum_of(pieces)
+
+
+K = sym("k")
+# exponentials (nested, and with parameters in the argument), negative
+# powers, omega, delta, R*V*delta, t-functions and a user constant
+RICH_POOL = [X, Y, T, R, S, V, W, OMEGA, DELTA, K, U, jet("u", "x"),
+             X ** -1, K ** -1, jet("u", "x") ** -2, R * V * DELTA,
+             OMEGA * DELTA, DELTA ** 2, tfun("a"), tfun("a", 1),
+             exp_of(Fraction(3, 2) * T), exp_of(-T + 2 * X),
+             exp_of(OMEGA * X - R * T), exp_of(K * T + DELTA * X),
+             exp_of(exp_of(T) * X)]
+WRT = [Atom("x"), Atom("y"), Atom("t"), Atom("R"), Atom("V"), Atom("omega"),
+       Atom("delta"), Atom("k"), Jet("u", ()), Jet("u", ("x",)), TFun("a")]
+BOUND = [Atom(name) for name in ("R", "S", "V", "W", "omega", "delta", "k",
+                                 "x")]
+
+
+def rich_expr(rng, terms=4):
+    e = ZERO
+    for _ in range(rng.randint(1, terms)):
+        mono = rational(random_fraction(rng))
+        for _ in range(rng.randint(0, 4)):
+            mono = mono * rng.choice(RICH_POOL)
+        e = e + mono
+    return e
+
+
+def random_value(rng):
+    """A rational, an integer or (now and then) zero."""
+    return rng.choice((random_fraction(rng), rng.randint(-4, 4),
+                       Fraction(rng.randint(-9, 9), 1)))
+
+
+class TestCoefficients:
+    def test_constants_and_sums(self):
+        assert type(ONE.terms[0][0]) is int
+        for v in (2, Fraction(4, 2), True, rational(6, 3)):
+            assert type(ex.as_expr(v).terms[0][0]) is int
+        assert type(rational(3, 6).terms[0][0]) is Fraction
+        assert type(rational(7).as_fraction()) is Fraction
+        assert rational(0).is_zero and rational(Fraction(0, 3)).is_zero
+        for e in (X / 2 + X / 2, X * Fraction(2, 3) * 3, (X + 1) ** 3,
+                  OMEGA * OMEGA, R * V * DELTA, -Fraction(1, 2) * X * 4):
+            assert_reduced_coefficients(e)
+
+    def test_partial_matches_the_general_loop(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            e = rich_expr(rng)
+            for v in WRT:
+                got = ex.partial(e, v)
+                assert got.terms == reference_partial(e, v).terms
+                assert_reduced_coefficients(got)
+
+    def test_rational_bindings_match_the_general_loop(self):
+        rng = random.Random(32)
+        refusals = 0
+        for _ in range(400):
+            e = rich_expr(rng)
+            mapping = {b: ex.as_expr(random_value(rng))
+                       for b in rng.sample(BOUND, rng.randint(1, len(BOUND)))}
+            try:
+                expected = reference_subst(e, mapping)
+            except DivisionByZero:
+                refusals += 1
+                with pytest.raises(DivisionByZero):
+                    ex.subst_many(e, mapping)
+                continue
+            got = ex.subst_many(e, mapping)
+            assert got.terms == expected.terms
+            assert_reduced_coefficients(got)
+        assert refusals > 0
+
+    def test_other_mappings_take_the_general_loop(self):
+        rng = random.Random(33)
+        for _ in range(100):
+            e = rich_expr(rng)
+            mapping = {Atom("x"): 2 * T, Atom("k"): rational(2),
+                       Jet("u", ()): X * Y}
+            got = ex.subst_many(e, mapping)
+            assert got.terms == reference_subst(e, mapping).terms
+            assert_reduced_coefficients(got)
+
+    def test_zero_bound_under_a_negative_power(self):
+        zero = {Atom("k"): ZERO}
+        for e in (K ** -1, X * K ** -2 + Y, exp_of(X * K ** -1) * Y):
+            with pytest.raises(DivisionByZero):
+                ex.subst_many(e, zero)
+            with pytest.raises(DivisionByZero):
+                reference_subst(e, zero)
+        # an exponential whose argument vanishes leaves the factor 1
+        assert ex.subst_many(exp_of(K * T) * X + K, zero) == X
+
+    def test_quotients(self):
+        rng = random.Random(34)
+        divisors = [rational(3), rational(Fraction(-3, 2)), X, R * V + W,
+                    R + S, OMEGA, DELTA, X + 1, exp_of(T) * 2]
+        for _ in range(200):
+            a = random_expr(rng)
+            d = rng.choice(divisors)
+            q = ex.divide_exact(a * d, d)
+            assert q == a
+            assert_reduced_coefficients(q)
+            if d.is_rational or d == X:
+                assert_reduced_coefficients(ex.divide_exact(a, d))
+        assert (6 * X) / 3 == 2 * X
+        assert_reduced_coefficients((6 * X + 3) / 3)
+        assert_reduced_coefficients((4 * X * Y - 2 * Y) / (2 * Y))
+
+    def test_parsed_text(self):
+        rng = random.Random(35)
+        for _ in range(100):
+            e = random_expr(rng)
+            assert_reduced_coefficients(parse(render(e), {"k"}))
+        for text in ("4/2*x + 6/4 - 3/3*exp(2/2*t)", "x*1/2 + 1/2*x",
+                     "(R*V + W)^-1*(R*V + W)", "omega^3*1/4", "6/3*u_x^-2"):
+            assert_reduced_coefficients(parse(text))
+
+    def test_residuals(self):
+        rng = random.Random(36)
+        for name in ("hpz", "heat", "reduced-3.2"):
+            pde = get_equation(name)
+            pool = [X, T, sym(pde.dependent), R, OMEGA, DELTA,
+                    exp_of(Fraction(1, 2) * X), rational(Fraction(1, 3))]
+            for _ in range(4):
+                coefficient = [sum((random_fraction(rng) * rng.choice(pool)
+                                    * rng.choice(pool) for _ in range(3)),
+                                   ZERO)
+                               for _ in range(len(pde.variables) + 1)]
+                vf = VectorField(pde.variables, pde.dependent,
+                                 tuple(coefficient[:-1]), coefficient[-1])
+                res = residual(vf, pde)
+                assert not res.is_zero
+                assert_reduced_coefficients(res)

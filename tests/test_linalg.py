@@ -16,8 +16,12 @@ from liepde.linalg import (FieldFrac, RootExtractionError, charpoly,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_nullspace,
                            q_rank, rational_roots)
+from liepde.algebra import (AlgebraPresentation, _killing_matrix,
+                            structure_constants)
+from liepde.fixtures import known_basis
+from liepde.jet import make_heat
 from liepde.prolong import VectorField
-from liepde.solver import Binding
+from liepde.solver import Binding, solve_determining
 
 
 class TestRationalMatrices:
@@ -191,6 +195,79 @@ class TestSeededRationalMatrices:
             g = [[sum(row[p] * row[q] for row in m) for q in range(ncols)]
                  for p in range(ncols)]
             assert p_eval(gram, lam) == _cofactor_det(g)
+
+
+def _pencil_charpoly(m):
+    """``det(lam*I - M)`` as the last Bareiss pivot of the pencil
+    ``-M + lam*I``, whose elimination never swaps rows (its leading
+    principal minors are monic): the reference for ``charpoly``."""
+    d = len(m)
+    identity = [[Fr(int(i == j)) for j in range(d)] for i in range(d)]
+    pivots = pencil_pivots([[-Fr(v) for v in row] for row in m], identity)
+    return pivots[-1] if pivots else (Fr(1),)
+
+
+def _killing_matrix_of(basis):
+    """The Killing matrix of D*c, the integer tensor that classification
+    works on."""
+    cleared = structure_constants(basis).cleared
+    k = _killing_matrix(AlgebraPresentation((), cleared))
+    assert all(type(v) is int for row in k for v in row)
+    return k
+
+
+class TestCharpoly:
+    """Hessenberg reduction against the Bareiss pencil and the cofactor
+    determinant."""
+
+    def _check(self, m):
+        p = charpoly(m)
+        assert all(type(c) is Fr for c in p)
+        assert len(p) == len(m) + 1 and p[-1] == 1
+        assert p == _pencil_charpoly(m)
+        return p
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_matrices(self, seed):
+        rng = random.Random(seed)
+        for n in range(9):
+            m = _random_matrix(rng, n, n, rng.choice((0.3, 0.6, 1.0)))
+            p = self._check(m)
+            assert (-1) ** n * p[0] == _cofactor_det(m)
+
+    def test_zero_subdiagonal(self):
+        # block upper triangular: charpoly is the product of the blocks'
+        a, b = [[Fr(1), Fr(2)], [Fr(-3, 2), Fr(4)]], [[Fr(5)]]
+        m = [[Fr(1), Fr(2), Fr(7), Fr(1, 3)], [Fr(-3, 2), Fr(4), Fr(0), Fr(2)],
+             [Fr(0), Fr(0), Fr(5), Fr(9)], [Fr(0), Fr(0), Fr(0), Fr(-1)]]
+        p = self._check(m)
+        assert p == p_mul(p_mul(charpoly(a), charpoly(b)), (Fr(1), Fr(1)))
+        assert self._check([[Fr(2), Fr(1), Fr(0)], [Fr(0), Fr(3), Fr(1)],
+                            [Fr(0), Fr(0), Fr(4)]]) == \
+            p_mul(p_mul((Fr(-2), Fr(1)), (Fr(-3), Fr(1))), (Fr(-4), Fr(1)))
+
+    def test_row_swap(self):
+        # the subdiagonal entry of the first column is zero and the one
+        # below it is not, so the reduction swaps the second and third rows
+        # and columns
+        m = [[Fr(1), Fr(2), Fr(3)], [Fr(0), Fr(1), Fr(4)], [Fr(5), Fr(6), Fr(0)]]
+        p = self._check(m)
+        assert -p[0] == _cofactor_det(m) == 1
+        m = [[Fr(0), Fr(1), Fr(0), Fr(2)], [Fr(0), Fr(0), Fr(1), Fr(0)],
+             [Fr(0), Fr(3), Fr(0), Fr(1)], [Fr(7, 2), Fr(0), Fr(1), Fr(1)]]
+        assert self._check(m)[0] == _cofactor_det(m)
+
+    def test_integer_killing_matrices(self):
+        binding = Binding.parse("R=5,S=4,V=1,W=1")
+        bound = [binding.apply_field(f) for f in known_basis()]
+        heat = _killing_matrix_of(solve_determining(make_heat()).fields)
+        w5 = _killing_matrix_of(bound[1:])
+        for k in (heat, w5, _killing_matrix_of(bound)):
+            p = self._check(k)
+            assert (-1) ** len(k) * p[0] == _cofactor_det(k)
+        assert any(v for row in heat for v in row)
+        # W5 is nilpotent: its Killing form vanishes
+        assert charpoly(w5) == (Fr(0),) * 5 + (Fr(1),)
 
 
 class TestPolynomials:
@@ -548,9 +625,7 @@ class TestRationalEntries:
     """The two loops agree.  The ``f_*`` functions eliminate rational rows
     over ``FieldFrac`` -- held as ``Expr``, as ``Fraction`` or as ``int``
     -- and give the values the integer loop gives through ``z_*`` and
-    ``q_*``, as ``FieldFrac`` or ``Expr``.  (``FieldFrac`` does not reduce
-    a rational num/den pair, so ``_big_denominators`` stays on the integer
-    side: its integers outgrow what an assertion can print.)"""
+    ``q_*``, as ``FieldFrac`` or ``Expr``."""
 
     def _check(self, rng, q, ncols):
         nrows = len(q)
@@ -612,6 +687,15 @@ class TestRationalEntries:
         nrows, ncols, density = shape
         rng = random.Random(seed)
         self._check(rng, _random_matrix(rng, nrows, ncols, density), ncols)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(7, 7), (12, 10)])
+    def test_big_denominators(self, seed, shape):
+        # a rational denominator folds into the numerator's reduced
+        # coefficients; without the fold these grow integers without bound
+        nrows, ncols = shape
+        rng = random.Random(seed)
+        self._check(rng, _big_denominators(rng, nrows, ncols), ncols)
 
     @pytest.mark.parametrize("case", sorted(EDGE_CASES))
     def test_edge_cases(self, case):

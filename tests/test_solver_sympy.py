@@ -2,7 +2,7 @@
 
 Discovery completes the determining system ``A g + B g' = 0`` to
 ``z' = M z`` and reads every exponent and multiplicity off
-``charpoly(M)``, computed by fraction-free elimination of ``lam*I - M``.
+``charpoly(M)``, computed by Hessenberg reduction of ``M``.
 sympy computes the same polynomial independently, and its roots are
 compared with the known exponents.  sympy is a test-time oracle only; the
 package does not import it.
