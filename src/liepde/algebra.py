@@ -14,8 +14,8 @@ every expansion is re-verified as an exact identity between coordinate
 rows, which are faithful, before it is trusted, and non-closure is an
 error naming the offending pair.
 
-A presentation computes in one ring, chosen once when the presentation is
-formed and held as a ``Ring`` record: its zero and one, the sum of a list
+A presentation computes in one ring, which it takes from the type of its
+constants and holds as a ``Ring`` record: its zero and one, the sum of a list
 of products, whole-row eliminations from ``linalg`` (rref, rank,
 nullspace, row basis, and the solve with its common denominator), the maps
 from their results to the constants and to witnesses, and whether the
@@ -28,12 +28,13 @@ sum_k N^k R_k = L B_ij are integer identities; classification runs on the
 integer tensor D*c with the fraction-free ``z_*`` eliminations and
 primitive integer vectors.  ``EXPRESSIONS`` is the ring of kernel
 expressions: the ``f_*`` eliminations, over ``FieldFrac``.
-``structure_constants`` takes ``INTEGERS`` when every coordinate and every
-monomial bracket met is rational.  Following de Graaf (*Lie Algebras:
-Theory and Algorithms*, 2000), brackets of basis elements are read
-straight off the tensor: the derived algebra is the row space of the
+``structure_constants`` solves in ``INTEGERS`` when every coordinate and
+every monomial bracket met is rational.  Following de Graaf (*Lie
+Algebras: Theory and Algorithms*, 2000), brackets of basis elements are
+read straight off the tensor: the derived algebra is the row space of the
 slices c[i][j] with i < j, [e_i, w] is the tensor contracted with w, and
-Jacobi, homogeneous quadratic in c, is checked on D*c.
+Jacobi, homogeneous quadratic in c, is checked on D*c.  Every presentation
+checks, when it is constructed, that its tensor is a Lie algebra.
 
 Everything after the tensor -- brackets, the Killing matrix, centre,
 derived series, subalgebras, the Levi correction -- is one body that uses
@@ -114,11 +115,10 @@ class Ring(Frozen):
     row_basis: object
     solve: object      # (matrix, rhss, ncols) -> (solutions, denominator)
     values: object     # a solution -> its entries, as ring elements
-    tensor: object     # verified expansions -> (tensor, its ring)
+    tensor: object     # verified expansions -> the tensor
     clear: object      # constants -> the tensor classification runs on
     witness: object    # (vector, scale) -> it in the constants' type
     rational: object   # constants -> the rational-only steps apply
-    holds: object      # a constant -> it is an element of the ring
 
     def __reduce__(self):
         return self.name
@@ -137,21 +137,21 @@ def _rational_tensor(expansions: dict, den: int, scales: list, n: int):
                             k.denominator * s.numerator * den)
                    if x else zero for x, k in zip(numerators, scales))
          for (ij, numerators), s in zip(expansions.items(), scales[n:])},
-        zero, n), INTEGERS
+        zero, n)
 
 
 def _expression_tensor(expansions: dict, den: int, scales: list, n: int):
     """The constants of verified expression expansions (``den`` 1): the
     expansion of pair (i, j) divided by the bracket's scale, the vectors'
-    being 1; as ``Fraction`` in ``INTEGERS`` when every one is rational,
-    else as expressions."""
+    being 1; as ``Fraction`` when every one is rational, else as
+    expressions."""
     cs = {ij: xs if s == 1 else tuple(x * Fraction(1, s) for x in xs)
           for (ij, xs), s in zip(expansions.items(), scales[n:])}
     if all(c.is_rational for xs in cs.values() for c in xs):
         return _antisymmetric({ij: tuple(c.as_fraction() for c in xs)
                                for ij, xs in cs.items()}, Fraction(0),
-                              n), INTEGERS
-    return _antisymmetric(cs, ex.ZERO, n), EXPRESSIONS
+                              n)
+    return _antisymmetric(cs, ex.ZERO, n)
 
 
 def _antisymmetric(expansions: dict, zero, n: int) -> tuple:
@@ -191,8 +191,7 @@ INTEGERS = Ring(
     tensor=_rational_tensor,
     clear=_cleared,
     witness=_fractions,
-    rational=lambda c: True,
-    holds=lambda x: hasattr(x, "denominator"))
+    rational=lambda c: True)
 
 EXPRESSIONS = Ring(
     "EXPRESSIONS", ex.ZERO, ex.ONE, ex.sum_of,
@@ -207,8 +206,7 @@ EXPRESSIONS = Ring(
     clear=lambda c: c,
     witness=lambda v, scale=None: tuple(v),
     rational=lambda c: all(x.is_rational for row in c for col in row
-                           for x in col),
-    holds=lambda x: hasattr(x, "is_rational"))
+                           for x in col))
 
 
 # ---------------------------------------------------------------------------
@@ -222,27 +220,46 @@ def _geometric(b) -> bool:
 
 
 class AlgebraPresentation(Frozen):
-    """Basis with the full structure-constant tensor c[i][j][k], in ``ring``:
-    ``INTEGERS`` for constants held as ``Fraction`` (or as ``int``, the
-    tensor ``classify`` computes on), ``EXPRESSIONS`` for kernel
-    expressions.  Without a ring, the first of the two that holds every
-    constant is taken; constants outside the ring raise ``ExprError``.
-    ``basis`` is empty for a subalgebra presented by its tensor alone (see
-    ``_subalgebra``); the dimension is that of the tensor.
+    """Basis with the full structure-constant tensor c[i][j][k] of a Lie
+    algebra.  ``basis`` is empty for a subalgebra presented by its tensor
+    alone (see ``_subalgebra``); the dimension is that of the tensor.
+
+    The ``ring`` comes from the type of the constants: ``INTEGERS`` when
+    every one is an ``int`` or a ``Fraction``, ``EXPRESSIONS`` when every
+    one is a kernel expression; a mix raises ``ExprError``.  So does a
+    tensor that is not a Lie algebra -- empty, not n x n x n, not
+    antisymmetric, or failing the Jacobi identity -- checked on
+    ``cleared``, so that a rational tensor costs integer arithmetic only.
     """
 
     basis: tuple[VectorField, ...]
     constants: tuple[tuple[tuple[Fraction | Expr | int, ...], ...], ...]
-    ring: Ring | None = None
 
     def __post_init__(self):
-        rings = (self.ring,) if self.ring else (INTEGERS, EXPRESSIONS)
-        for ring in rings:
-            if all(ring.holds(x) for row in self.constants for col in row
-                   for x in col):
-                return object.__setattr__(self, "ring", ring)
-        raise ExprError(f"structure constants are not all elements of "
-                        f"{' or '.join(map(repr, rings))}")
+        c, n = self.constants, len(self.constants)
+        if not n:
+            raise ExprError("the structure-constant tensor is empty")
+        if any(len(row) != n or any(len(col) != n for col in row)
+               for row in c):
+            raise ExprError(f"structure constants are not a {n} x {n} x {n} "
+                            f"tensor")
+        kinds = {x.__class__ for row in c for col in row for x in col}
+        if all(issubclass(k, (int, Fraction)) for k in kinds):
+            ring = INTEGERS
+        elif all(issubclass(k, Expr) for k in kinds):
+            ring = EXPRESSIONS
+        else:
+            raise ExprError("structure constants are not all elements of "
+                            "INTEGERS or EXPRESSIONS")
+        object.__setattr__(self, "ring", ring)
+        c = self.cleared
+        for i in range(n):
+            for j in range(i, n):
+                if any(x + y for x, y in zip(c[i][j], c[j][i])):
+                    raise ExprError(f"structure constants are not "
+                                    f"antisymmetric in pair ({i + 1}, "
+                                    f"{j + 1})")
+        _check_jacobi(self)
 
     @property
     def dimension(self) -> int:
@@ -257,9 +274,10 @@ class AlgebraPresentation(Frozen):
 
     @cached_property
     def sparse(self) -> tuple:
-        """``sparse[i][j]``: the (k, c_ij^k) pairs with c_ij^k nonzero."""
+        """``sparse[i][j]``: the (k, x) pairs with x the nonzero entries of
+        ``cleared[i][j]``."""
         return tuple(tuple(tuple((k, x) for k, x in enumerate(col) if x)
-                           for col in row) for row in self.constants)
+                           for col in row) for row in self.cleared)
 
     @cached_property
     def cleared(self) -> tuple:
@@ -292,8 +310,9 @@ def structure_constants(basis) -> AlgebraPresentation:
     when every coordinate is rational -- and each expansion is re-verified
     as an exact identity between coordinate rows, which are faithful: two
     fields are equal exactly when their coordinates are.  Refuses an empty
-    basis, fields on different spaces and a dependent basis, and
-    re-verifies antisymmetry and the Jacobi identity on the tensor.
+    basis, fields on different spaces and a dependent basis; the
+    presentation re-verifies antisymmetry and the Jacobi identity on the
+    tensor.
     """
     basis = tuple(basis)
     if not basis:
@@ -308,10 +327,8 @@ def structure_constants(basis) -> AlgebraPresentation:
     matrix = [[v.get(r, ring.zero) for v in vectors] for r in columns]
     rhss = [[b.get(r, ring.zero) for r in columns] for b in brackets]
     sols, den = ring.solve(matrix, rhss, n)
-    pres = AlgebraPresentation(basis, *_verified_tensor(
+    return AlgebraPresentation(basis, _verified_tensor(
         ring, vectors, brackets, sols, den, scales))
-    _check_jacobi(pres)
-    return pres
 
 
 def _coordinate_brackets(basis: tuple, ring: Ring = INTEGERS) -> tuple:
@@ -435,8 +452,7 @@ def _bracket(total, space: tuple, u: list, v: list, index: dict) -> tuple:
 
 def _verified_tensor(ring: Ring, vectors, brackets, sols, den,
                      scales=None) -> tuple:
-    """The structure-constant tensor from one solution per pair i < j, and
-    the ring it is held in.
+    """The structure-constant tensor from one solution per pair i < j.
 
     ``vectors`` are the basis elements and ``brackets`` the bracket of each
     pair, formed without the expansion, both as sparse {slot: value} dicts
@@ -551,17 +567,17 @@ def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
 
 def _derived_space(p: AlgebraPresentation) -> list:
     """The row space of the slices c[i][j], i < j: every [e_i, e_j]."""
-    c = p.constants
+    c = p.cleared
     return p.ring.row_basis([list(c[i][j]) for i, j
                              in combinations(range(p.dimension), 2)])
 
 
 def _center(p: AlgebraPresentation) -> list:
-    n = p.dimension
+    n, c = p.dimension, p.cleared
     rows = []
     for j in range(n):
         for k in range(n):
-            rows.append([p.constants[i][j][k] for i in range(n)])
+            rows.append([c[i][j][k] for i in range(n)])
     return p.ring.nullspace(rows)
 
 
@@ -569,7 +585,7 @@ def _killing_matrix(p: AlgebraPresentation) -> list[list]:
     """tr(ad(e_i) ad(e_j)) = sum_{a,b} c_ia^b c_jb^a; products with a zero
     factor left out."""
     n = p.dimension
-    c, sparse, total = p.constants, p.sparse, p.ring.sum
+    c, sparse, total = p.cleared, p.sparse, p.ring.sum
     k = [[p.ring.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -599,25 +615,24 @@ def _derived_space_sub(p: AlgebraPresentation, left: list,
 
 
 def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
-    """The subalgebra spanned by ``vectors`` (coordinates over ``p``),
-    presented by its own tensor and no basis fields.
+    """The subalgebra spanned by ``vectors`` (coordinates over ``p``) in
+    the bracket of ``p.cleared``, presented by its own tensor and no basis
+    fields.
 
     ``p``'s tensor is verified against its fields and has passed Jacobi, and
     the bracket is bilinear over the parameter field, so the brackets of the
     vectors are read off it: one elimination expands all of them in the
     vectors, each expansion is re-verified in coordinates, and the new
-    tensor is checked for Jacobi.
+    presentation checks its tensor for Jacobi.
     """
     s = len(vectors)
     brackets = [_ad_bracket(p, vectors[a], vectors[b])
                 for a, b in combinations(range(s), 2)]
     sols, den = p.ring.solve([list(row) for row in zip(*vectors)], brackets,
                              s)
-    sub = AlgebraPresentation((), *_verified_tensor(
+    return AlgebraPresentation((), _verified_tensor(
         p.ring, [dict(enumerate(v)) for v in vectors],
         [dict(enumerate(b)) for b in brackets], sols, den))
-    _check_jacobi(sub)
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +690,6 @@ def classify(p: AlgebraPresentation) -> Verdict:
     The verdict is computed on ``p.cleared`` in ``p``'s ring: over the
     integers, spans, ranks and the Killing signature do not change when c
     is scaled, and the witnesses are brought back to c's field."""
-    p = AlgebraPresentation((), p.cleared, p.ring)
     n = p.dimension
     if n > 6:
         return _unclassified(p, "dimension above 6 is out of scope",
@@ -700,7 +714,7 @@ def classify(p: AlgebraPresentation) -> Verdict:
         return Verdict("A2", "A2,1", n, cd, dd,
                        notes=("the unique non-abelian two-dimensional algebra",))
 
-    if n == 3 and p.ring.rational(p.constants):
+    if n == 3 and p.ring.rational(p.cleared):
         pos, neg, zero = linalg.inertia(
             [[ex.as_expr(c).as_fraction() for c in row]
              for row in _killing_matrix(p)])
@@ -786,7 +800,7 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
     brackets = _lift_brackets(p, lifts)
     if _spans(p, lifts, brackets):
         return lifts, 1
-    if not p.ring.rational(p.constants):
+    if not p.ring.rational(p.cleared):
         return None  # symbolic correction not attempted
 
     rad_z = _derived_space_sub(p, radical)

@@ -926,65 +926,6 @@ def _bind_atoms(e: Expr, values: dict[Atom, Rational]) -> Expr:
     return Expr(_collect(pieces))
 
 
-def substitute(e: Expr, target: str | Base | Expr, replacement) -> Expr:
-    """Substitute an atom or jet variable by an expression."""
-    if isinstance(target, str):
-        base = _resolve_base(target)
-    elif isinstance(target, Expr):
-        if len(target.terms) != 1 or target.terms[0][0] != 1 \
-                or len(target.terms[0][1]) != 1 or target.terms[0][1][0][1] != 1:
-            raise ExprError("substitution target must be a bare atom or jet")
-        base = target.terms[0][1][0][0]
-    else:
-        base = target
-    if isinstance(base, ExpFactor):
-        raise ExprError("substitution target must be a bare atom or jet")
-    return subst_many(e, {base: as_expr(replacement)})
-
-
-# ---------------------------------------------------------------------------
-# exact evaluation
-# ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, binding: Mapping[str, Rational]) -> dict[Fraction, Fraction]:
-    """Exact evaluation at rational points.
-
-    Exponentials stay formal: the result maps each exponent q (a rational)
-    to the rational coefficient of exp(q); distinct exponents are linearly
-    independent, so the dict is zero iff it is empty.  Binding keys are the
-    rendered labels of atoms, jets and t-functions (e.g. ``"u_xx"``, ``"a'"``).
-    """
-    out: dict[Fraction, Fraction] = {}
-    for c, fs in e.terms:
-        val = Fraction(c)
-        expo = Fraction(0)
-        for b, p in fs:
-            if isinstance(b, ExpFactor):
-                inner = evaluate(b.arg, binding)
-                if any(k != 0 for k in inner):
-                    raise ExprError("nested exponential cannot be evaluated")
-                expo += p * inner.get(Fraction(0), Fraction(0))
-                continue
-            label = base_label(b)
-            if label not in binding:
-                raise ExprError(f"no value bound for {label!r}")
-            bv = Fraction(binding[label])
-            if bv == 0 and p < 0:
-                raise DivisionByZero(f"{label!r} bound to zero and inverted")
-            val *= bv ** p
-        out[expo] = out.get(expo, Fraction(0)) + val
-        if out[expo] == 0:
-            del out[expo]
-    return out
-
-
-def evaluate_rational(e: Expr, binding: Mapping[str, Rational]) -> Fraction:
-    val = evaluate(e, binding)
-    if any(k != 0 for k in val):
-        raise ExprError("value involves a non-trivial exponential")
-    return val.get(Fraction(0), Fraction(0))
-
-
 # ---------------------------------------------------------------------------
 # structure queries
 # ---------------------------------------------------------------------------

@@ -49,12 +49,6 @@ def _field(xi_t, xi_x, xi_y, eta) -> VectorField:
                        ex.as_expr(eta))
 
 
-def coefficient_functions() -> dict[str, Expr]:
-    return {"A1": _A1, "A2": _A2, "B1": _B1, "B2": _B2,
-            "C": _C, "C1": _C1, "C2": _C2, "C3": _C3, "C4": _C4,
-            "E": _E, "E1": _E1, "E2": _E2, "E3": _E3, "E4": _E4}
-
-
 def _delta1() -> VectorField:
     return _field(1, 0, 0, ex.U)
 

@@ -51,15 +51,8 @@ class EvolutionPDE(Frozen):
     def spatial(self) -> tuple[str, ...]:
         return self.variables[1:]
 
-    def spatial_order(self) -> int:
-        return max((j.order for j in ex.jets_of(self.rhs)), default=0)
-
     def is_autonomous(self) -> bool:
         return "t" not in ex.atoms_of(self.rhs)
-
-    def residual_expr(self) -> Expr:
-        """u_t - rhs; zero on solutions."""
-        return ex.jet(self.dependent, ("t",)) - self.rhs
 
     def render(self) -> str:
         return f"{self.dependent}_t = {ex.to_text(self.rhs)}"

@@ -172,7 +172,7 @@ def reduce_pde(pde: EvolutionPDE, rmap: ReductionMap) -> ReducedEquation:
     rhs = ex.subst_many(pde.rhs, images) * ex.exp_of(-rmap.q_exponent)
     # rewrite x through the invariant: x = (r - beta y) / alpha
     x_of_r = ex.divide_exact(ex.RADIAL - rmap.beta * ex.Y, rmap.alpha)
-    rhs = ex.substitute(rhs, "x", x_of_r)
+    rhs = ex.subst_many(rhs, {Atom("x"): x_of_r})
     leftover = ex.atoms_of(rhs) & {"x", "y"}
     if leftover:
         raise ReductionError(

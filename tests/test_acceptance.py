@@ -12,7 +12,7 @@ from itertools import combinations
 
 from liepde import expr as ex
 from liepde.algebra import classify, commutator, structure_constants
-from liepde.expr import DELTA, OMEGA, R, evaluate_rational, jet
+from liepde.expr import DELTA, OMEGA, R, jet
 from liepde.fixtures import (c1_e1_variants, generator_names, known_basis,
                              paper_generator, printed_reduced_equation,
                              printed_stationary_equation)
@@ -24,6 +24,7 @@ from liepde.reduction import (compare_with_printed, invariants_for,
 from liepde.solver import Binding, profile_basis, solve_determining, span_rank
 
 from conftest import TreeGen
+from helpers import coefficient_functions, evaluate_rational
 
 BINDING = Binding.parse("R=5,S=4,V=1,W=1")
 
@@ -185,7 +186,7 @@ def test_criterion_7_property_suites(hpz):
 
     # parser round-trip on every fixture expression
     from liepde import fixtures as fx
-    all_exprs = list(fx.coefficient_functions().values())
+    all_exprs = list(coefficient_functions().values())
     for name in ("delta3", "delta4", "delta5", "delta6"):
         all_exprs += [fx.characteristic_r(name), fx.multiplier_exponent(name),
                       fx.printed_reduced_equation(name)[0]]

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction as Fr
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -525,11 +526,18 @@ class TestSubalgebras:
     """Subalgebras presented from the parent's tensor, in coordinates."""
 
     def _check(self, fields):
+        # a subalgebra is presented in the bracket of pres.cleared, D*c in
+        # INTEGERS (D the common denominator) and c itself in EXPRESSIONS
         pres = structure_constants(fields)
+        d = 1 if pres.ring is algebra.EXPRESSIONS else lcm(*(
+            x.denominator for row in pres.constants for col in row
+            for x in col))
         for vectors in _subspaces(pres):
             direct = structure_constants(
                 [_fields_from_coords(pres.basis, v) for v in vectors])
-            assert _subalgebra(pres, vectors).constants == direct.constants
+            assert _subalgebra(pres, vectors).constants == tuple(
+                tuple(tuple(d * x for x in col) for col in row)
+                for row in direct.constants)
 
     def test_hpz_basis(self, basis):
         self._check(basis)
@@ -832,12 +840,79 @@ class TestRingChoice:
         assert AlgebraPresentation((), (((Fr(0),),),)).ring is algebra.INTEGERS
         assert AlgebraPresentation((), (((0,),),)).ring is algebra.INTEGERS
 
-    def test_constants_outside_the_ring_are_refused(self, basis):
-        pres = structure_constants(basis[1:])
-        with pytest.raises(ex.ExprError, match="^structure constants are not "
-                           "all elements of INTEGERS$"):
-            AlgebraPresentation(pres.basis, pres.constants, algebra.INTEGERS)
+    def test_constants_outside_the_ring_are_refused(self):
         mixed = (((Fr(0), ZERO), (Fr(0), Fr(0))), ((Fr(0),) * 2,) * 2)
         with pytest.raises(ex.ExprError, match="^structure constants are not "
                            "all elements of INTEGERS or EXPRESSIONS$"):
             AlgebraPresentation((), mixed)
+
+
+def _tensor(n, brackets):
+    """The rational tensor with [e_i, e_j] = sum_k x_k e_k for each
+    ((i, j), x) in ``brackets``, i < j counted from 0."""
+    c = [[(Fr(0),) * n for _ in range(n)] for _ in range(n)]
+    for (i, j), xs in brackets.items():
+        c[i][j] = tuple(map(Fr, xs))
+        c[j][i] = tuple(-x for x in c[i][j])
+    return tuple(map(tuple, c))
+
+
+def _held_as_expr(constants):
+    return tuple(tuple(tuple(ex.rational(x) for x in col) for col in row)
+                 for row in constants)
+
+
+# antisymmetric, with the Killing signature (2, 1) of sl(2,R), but Jacobi
+# fails on (1, 2, 3)
+NOT_JACOBI = _tensor(3, {(0, 1): (-1, 1, 0), (0, 2): (1, 1, -1),
+                         (1, 2): (-1, 0, 0)})
+# [h, e] = 2e, [h, f] = -2f, [e, f] = h
+SL2 = _tensor(3, {(0, 1): (0, 2, 0), (0, 2): (0, 0, -2), (1, 2): (1, 0, 0)})
+
+
+class TestLieAxioms:
+    """Every presentation checks, when it is constructed, that its tensor
+    is a Lie algebra, so ``classify`` never names one that is not."""
+
+    @pytest.mark.parametrize("constants, why", [
+        (NOT_JACOBI, r"^Jacobi identity fails on triple \(1, 2, 3\)$"),
+        # c[0][1] = e2 with c[1][0] = 0
+        ((((Fr(0), Fr(0)), (Fr(0), Fr(1))), ((Fr(0), Fr(0)),) * 2),
+         r"^structure constants are not antisymmetric in pair \(1, 2\)$"),
+        ((((1, 1),),), r"^structure constants are not a 1 x 1 x 1 tensor$"),
+        ((), "^the structure-constant tensor is empty$"),
+    ], ids=["jacobi", "antisymmetry", "shape", "empty"])
+    def test_tensors_that_are_not_lie_algebras_are_refused(self, constants,
+                                                           why):
+        for held in (constants, _held_as_expr(constants)):
+            with pytest.raises(ex.ExprError, match=why):
+                AlgebraPresentation((), held)
+
+    def test_a_nonzero_diagonal_is_refused(self):
+        c = [list(row) for row in SL2]
+        c[1][1] = (Fr(0), Fr(0), Fr(1))
+        with pytest.raises(ex.ExprError, match=r"antisymmetric in pair "
+                           r"\(2, 2\)$"):
+            AlgebraPresentation((), tuple(map(tuple, c)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_scaled_and_expression_tensors_are_accepted(
+            self, seed, discovered):
+        # c'_ij^k = mu c_{p(i) p(j)}^{p(k)}: the tensor of the basis
+        # e_{p(i)} scaled by mu, the same algebra
+        rng = random.Random(seed)
+        tensors = [SL2] + [structure_constants(
+            _triangular_mix(rng, fields)).constants
+            for fields in discovered[:2]]
+        for c in tensors:
+            name = classify(AlgebraPresentation((), c)).name
+            n = len(c)
+            perm = rng.sample(range(n), n)
+            mu = Fr(rng.choice((-3, -1, 2)), rng.randint(1, 5))
+            permuted = tuple(tuple(tuple(mu * c[perm[i]][perm[j]][perm[k]]
+                                         for k in range(n))
+                                   for j in range(n)) for i in range(n))
+            for held in (permuted, _held_as_expr(permuted)):
+                verdict = classify(AlgebraPresentation((), held))
+                assert (verdict.name, verdict.dimension) == (name, n)
+        assert classify(AlgebraPresentation((), SL2)).name == "sl(2,R)"

@@ -1,13 +1,16 @@
 """The supported library API: ``liepde.__all__`` is the README's list."""
 
+import ast
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import liepde
 
-README = Path(__file__).parent.parent / "README.md"
+ROOT = Path(__file__).parent.parent
+README = ROOT / "README.md"
 
 
 def readme_section(title):
@@ -54,3 +57,25 @@ def test_only_the_package_declares_public_names():
 def test_readme_example_runs():
     block = readme_section("Library API").split("```python\n")[1].split("```")[0]
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_every_function_has_a_caller_or_is_public():
+    # a function or method of the package is named somewhere in src/ or
+    # perfbench/ besides its own def (the benchmark looks some up by name),
+    # is in __all__, or is a dunder; otherwise nothing runs it but tests
+    words, defs = Counter(), Counter()
+    for folder in ("src", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            words.update(re.findall(r"\w+", text))
+            defs.update(re.findall(r"\bdef (\w+)", text))
+    unnamed = []
+    for path in sorted((ROOT / "src" / "liepde").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                dunder = re.fullmatch(r"__\w+__", name)
+                if not (name in liepde.__all__ or dunder
+                        or words[name] > defs[name]):
+                    unnamed.append(f"{path.stem}.{name}")
+    assert unnamed == []

@@ -8,13 +8,13 @@ import pytest
 
 from liepde import expr as ex
 from liepde.expr import (
-    DELTA, OMEGA, ONE, R, RADIAL, S, T, V, W, X, Y, ZERO,
+    DELTA, OMEGA, ONE, R, RADIAL, S, T, V, W, X, Y, ZERO, Atom,
     DivisionByZero, UnsupportedDivision,
-    differentiate, divide_exact, evaluate, evaluate_rational, exp_of, jet,
-    rational, substitute, sym, tfun,
+    differentiate, divide_exact, exp_of, jet, rational, subst_many, sym, tfun,
 )
 
 from conftest import TreeGen, random_fraction
+from helpers import evaluate, evaluate_rational
 
 
 class TestCanonicalForm:
@@ -179,23 +179,25 @@ class TestCalculus:
 
 class TestSubstitution:
     def test_polynomial_substitution(self):
-        assert substitute(X ** 2, "x", RADIAL + 1) == RADIAL ** 2 + 2 * RADIAL + 1
+        assert subst_many(X ** 2, {Atom("x"): RADIAL + 1}) \
+            == RADIAL ** 2 + 2 * RADIAL + 1
 
     def test_binding_evaluation(self):
         e = R ** 2 - 4 * S
-        bound = substitute(substitute(e, "R", rational(5)), "S", rational(4))
+        bound = subst_many(subst_many(e, {Atom("R"): rational(5)}),
+                           {Atom("S"): rational(4)})
         assert bound == rational(9)
 
     def test_surd_substitution_consistency(self):
         e = OMEGA * X + OMEGA ** 2  # canonical: omega x + R^2 - 4S
-        step = substitute(e, "omega", rational(3))
-        step = substitute(step, "R", rational(5))
-        step = substitute(step, "S", rational(4))
+        step = subst_many(e, {Atom("omega"): rational(3)})
+        step = subst_many(step, {Atom("R"): rational(5)})
+        step = subst_many(step, {Atom("S"): rational(4)})
         assert step == 3 * X + 9
 
     def test_substitute_inside_exponentials(self):
         e = exp_of(R * T)
-        assert substitute(e, "R", rational(2)) == exp_of(2 * T)
+        assert subst_many(e, {Atom("R"): rational(2)}) == exp_of(2 * T)
 
 
 class TestEvaluation:

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 from liepde.expr import OMEGA, R, S, T, V, W, exp_of
-from liepde.fixtures import (c1_e1_variants, coefficient_functions,
-                             generator_names, known_basis, paper_generator)
+from liepde.fixtures import (c1_e1_variants, generator_names, known_basis,
+                             paper_generator)
 from liepde.prolong import residual
+
+from helpers import coefficient_functions
 
 
 def test_all_six_residuals_vanish_symbolically(hpz):

@@ -19,7 +19,7 @@ class TestConstructors:
                     + S * Y * jet("u", "x") + V * jet("u", "xy")
                     + W * jet("u", "xx"))
         assert hpz.rhs == expected
-        assert hpz.spatial_order() == 2
+        assert max(j.order for j in ex.jets_of(hpz.rhs)) == 2
         assert hpz.is_autonomous()
 
     def test_hpz_special_binding_drops_terms(self, hpz):
@@ -87,7 +87,7 @@ class TestTotalDerivative:
 
 class TestManifold:
     def test_elimination_soundness(self, hpz):
-        assert eliminate_time_jets(hpz.residual_expr(), hpz).is_zero
+        assert eliminate_time_jets(jet("u", "t") - hpz.rhs, hpz).is_zero
 
     def test_mixed_time_jets_eliminate(self, hpz):
         for idx in (("t", "x"), ("t", "y")):

@@ -10,6 +10,8 @@ from liepde.expr import DELTA, OMEGA, R, S, X, Y, ExprError, jet, rational
 from liepde.parser import (MAX_DIGITS, MAX_NESTING, ParseError, _power_too_long,
                            parse, render)
 
+from helpers import coefficient_functions
+
 
 class TestGrammar:
     def test_equation_right_hand_side(self):
@@ -146,7 +148,7 @@ class TestRoundTrip:
             assert parse(render(e)) == e
 
     def test_every_fixture_expression_round_trips(self):
-        exprs = list(fixtures.coefficient_functions().values())
+        exprs = list(coefficient_functions().values())
         exprs += [fixtures.K1, fixtures.K2, fixtures.K3]
         for name in ("delta3", "delta4", "delta5", "delta6"):
             exprs.append(fixtures.characteristic_r(name))

@@ -9,7 +9,7 @@ from liepde import expr as ex
 from liepde import jet as jet_module
 from liepde import prolong as prolong_module
 from liepde.expr import ONE, R, T, U, W, X, ZERO, Atom, Jet, exp_of, jet, tfun
-from liepde.fixtures import coefficient_functions, known_basis
+from liepde.fixtures import known_basis
 from liepde.jet import EvolutionPDE, eliminate_time_jets, get_equation
 from liepde.parser import parse
 from liepde.prolong import (VectorField, determining_equations, prolong2,
@@ -17,6 +17,7 @@ from liepde.prolong import (VectorField, determining_equations, prolong2,
 from liepde.solver import ansatz
 
 from conftest import random_fraction
+from helpers import coefficient_functions, evaluate
 
 VARS3 = ("t", "x", "y")
 
@@ -47,7 +48,8 @@ class TestProlong2:
         for j in sorted([j for j in ex.jets_of(eta_x) if j.order >= 1],
                         key=lambda j: (j.order, j.idx)):
             bare = ex.subst_many(bare, {j: ZERO})
-        bare = ex.substitute(ex.substitute(bare, "x", ZERO), "y", ZERO)
+        bare = ex.subst_many(ex.subst_many(bare, {Atom("x"): ZERO}),
+                             {Atom("y"): ZERO})
         assert bare == c["C"] * c["C3"] * U
 
     def test_rejects_jet_coefficients(self):
@@ -85,7 +87,7 @@ class TestResidual:
             point = dict(base)
             for k in ("t", "x", "y", "u", "u_x", "u_y", "u_xx", "u_xy", "u_yy"):
                 point[k] = random_fraction(rng)
-            if ex.evaluate(res, point):
+            if evaluate(res, point):
                 hits += 1
         assert hits >= 15
         # and the stated -2W u_xx term is present
