@@ -11,8 +11,8 @@ in a table of at most ``BRACKET_TABLE_SIZE`` entries (about 1.3 MB when
 full), so a change of basis, which keeps the monomial fields, reuses all
 of them.  One exact elimination then expands every bracket at once;
 every expansion is re-verified as an exact identity between coordinate
-rows, which are faithful, before it is trusted, and non-closure is an
-error naming the offending pair.
+rows, which are faithful, before it is trusted: non-closure is an error
+naming the offending pair, and a failed re-check an ``InternalError``.
 
 A presentation computes in one ring, which it takes from the type of its
 constants and holds as a ``Ring`` record: its zero and one, the sum of a list
@@ -21,13 +21,14 @@ nullspace, row basis, and the solve with its common denominator), the maps
 from their results to the constants and to witnesses, and whether the
 rational-only steps -- the Killing signature and the Levi correction --
 apply.  ``INTEGERS`` is the ring of rational constants, held as
-``Fraction``: a rational basis's coordinates are primitive integer rows
-with one scale each, the brackets are integer rows over one denominator,
-and the solve (``linalg.z_solve_unique``) and the re-check
-sum_k N^k R_k = L B_ij are integer identities; classification runs on the
-integer tensor D*c with the fraction-free ``z_*`` eliminations and
-primitive integer vectors.  ``EXPRESSIONS`` is the ring of kernel
-expressions: the ``f_*`` eliminations, over ``FieldFrac``.
+``Fraction`` (as integers in a subalgebra): a rational basis's
+coordinates are primitive integer rows with one scale each, the brackets
+are integer rows over one denominator, and the solve
+(``linalg.z_solve_unique``) and the re-check sum_k N^k R_k = L B_ij are
+integer identities; classification runs on the integer tensor D*c with
+the fraction-free ``z_*`` eliminations and primitive integer vectors.
+``EXPRESSIONS`` is the ring of kernel expressions: the ``f_*``
+eliminations, over ``FieldFrac``.
 ``structure_constants`` solves in ``INTEGERS`` when every coordinate and
 every monomial bracket met is rational.  Following de Graaf (*Lie
 Algebras: Theory and Algorithms*, 2000), brackets of basis elements are
@@ -51,11 +52,12 @@ Heisenberg-Weyl W3/W5, sl(2, R) by the exact signature of its Killing form
 and semidirect sums complement (+)s nilradical, where the nilradical is
 recovered as the radical of the Killing form and the complement is corrected
 into a closing subalgebra (a Levi complement) by two linear solves.  Both
-are classified as subalgebras presented in coordinates over the parent:
-their constants are solved from the parent's verified tensor and each is
-re-verified there, so no vector field is formed again.  When a
-structure is outside this list the verdict is "unclassified" with the
-computed invariants, never a wrong name.
+are classified as subalgebras presented in coordinates over the parent,
+by the expansions of their brackets solved from the parent's verified
+tensor and each re-verified there, so no vector field is formed again; an
+error inside one propagates, and a check that fails only on a bug raises
+``InternalError``.  When a structure is outside this list the verdict is
+"unclassified" with the computed invariants, never a wrong name.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, Frozen, Jet
+from .expr import Atom, Expr, ExprError, Frozen, InternalError, Jet
 from . import linalg
 from .prolong import VectorField
 
@@ -171,14 +173,6 @@ def _cleared(c: tuple) -> tuple:
                        for col in row) for row in c)
 
 
-def _fractions(v, scale=None) -> tuple:
-    """An integer witness as ``Fraction``: ``scale`` times the field's
-    vector, by default its last nonzero entry, where a nullspace vector
-    over the field is 1."""
-    scale = scale or next(x for x in reversed(v) if x)
-    return tuple(Fraction(x, scale) for x in v)
-
-
 INTEGERS = Ring(
     "INTEGERS", 0, 1, sum,
     rref=lambda rows: linalg.z_rref(rows),
@@ -190,7 +184,7 @@ INTEGERS = Ring(
     values=tuple,
     tensor=_rational_tensor,
     clear=_cleared,
-    witness=_fractions,
+    witness=lambda v, scale=None: tuple(linalg.q_vector(v, scale)),
     rational=lambda c: True)
 
 EXPRESSIONS = Ring(
@@ -327,8 +321,8 @@ def structure_constants(basis) -> AlgebraPresentation:
     matrix = [[v.get(r, ring.zero) for v in vectors] for r in columns]
     rhss = [[b.get(r, ring.zero) for r in columns] for b in brackets]
     sols, den = ring.solve(matrix, rhss, n)
-    return AlgebraPresentation(basis, _verified_tensor(
-        ring, vectors, brackets, sols, den, scales))
+    expansions = _verified_expansions(ring, vectors, brackets, sols, den)
+    return AlgebraPresentation(basis, ring.tensor(expansions, den, scales, n))
 
 
 def _coordinate_brackets(basis: tuple, ring: Ring = INTEGERS) -> tuple:
@@ -450,19 +444,19 @@ def _bracket(total, space: tuple, u: list, v: list, index: dict) -> tuple:
             rational)
 
 
-def _verified_tensor(ring: Ring, vectors, brackets, sols, den,
-                     scales=None) -> tuple:
-    """The structure-constant tensor from one solution per pair i < j.
+def _verified_expansions(ring: Ring, vectors, brackets, sols, den) -> dict:
+    """The expansion {(i, j): (N^1, ..., N^n)} of each pair i < j.
 
     ``vectors`` are the basis elements and ``brackets`` the bracket of each
     pair, formed without the expansion, both as sparse {slot: value} dicts
     (coordinates over monomial fields, or over a parent algebra); ``sols``
     holds the solved expansion of each bracket in ``ring``, None when it is
-    outside the span, as values over the common denominator ``den``.
-    Every expansion sum_k N^k v_k is re-verified against ``den`` times its
-    bracket before it is trusted; a pair that fails raises
-    ``ClosureError`` naming it.  ``scales``, when given, are those of
-    ``_coordinate_brackets`` for the vectors and then the brackets.
+    outside the span, as values over the common denominator ``den``.  A
+    bracket outside the span and a value the ring cannot represent raise
+    ``ClosureError`` naming the pair.  Every expansion sum_k N^k v_k is
+    re-verified against ``den`` times its bracket before it is trusted: the
+    elimination solved these same faithful coordinates, so a pair that
+    fails is an engine bug and raises ``InternalError`` naming it.
     """
     n = len(vectors)
     nonzero = [[(k, x) for k, x in v.items() if x] for v in vectors]
@@ -490,11 +484,11 @@ def _verified_tensor(ring: Ring, vectors, brackets, sols, den,
             target = {slot: den * x for slot, x in target.items()}
         if {slot: e for slot, ps in pieces.items()
                 if (e := ring.sum(ps))} != target:
-            raise ClosureError(
-                f"expansion of pair ({i + 1}, {j + 1}) failed re-verification")
+            raise InternalError(
+                f"internal error: expansion of pair ({i + 1}, {j + 1}) "
+                f"failed re-verification")
         expansions[i, j] = cs
-    return ring.tensor(expansions, den,
-                       scales or [1] * (n + len(expansions)), n)
+    return expansions
 
 
 def _check_jacobi(p: AlgebraPresentation):
@@ -616,23 +610,25 @@ def _derived_space_sub(p: AlgebraPresentation, left: list,
 
 def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
     """The subalgebra spanned by ``vectors`` (coordinates over ``p``) in
-    the bracket of ``p.cleared``, presented by its own tensor and no basis
-    fields.
+    the bracket of ``p.cleared``, presented by its verified expansions and
+    no basis fields.
 
     ``p``'s tensor is verified against its fields and has passed Jacobi, and
     the bracket is bilinear over the parameter field, so the brackets of the
     vectors are read off it: one elimination expands all of them in the
-    vectors, each expansion is re-verified in coordinates, and the new
-    presentation checks its tensor for Jacobi.
+    vectors, as numerators over one denominator den, each re-verified in
+    coordinates.  They make den*c, the same algebra (scale the basis by
+    den), integers in ``INTEGERS``; only its verdict's name and notes are
+    read.  The new presentation checks its tensor for Jacobi.
     """
     s = len(vectors)
     brackets = [_ad_bracket(p, vectors[a], vectors[b])
                 for a, b in combinations(range(s), 2)]
     sols, den = p.ring.solve([list(row) for row in zip(*vectors)], brackets,
                              s)
-    return AlgebraPresentation((), _verified_tensor(
+    return AlgebraPresentation((), _antisymmetric(_verified_expansions(
         p.ring, [dict(enumerate(v)) for v in vectors],
-        [dict(enumerate(b)) for b in brackets], sols, den))
+        [dict(enumerate(b)) for b in brackets], sols, den), p.ring.zero, s))
 
 
 # ---------------------------------------------------------------------------
@@ -748,21 +744,17 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
         return None
     if not _is_nilpotent(p, radical):
         return None
-    # radical must be an ideal: [e_i, w] in it for every i and w in it
+    # the Killing form is ad-invariant, so its radical is an ideal:
+    # [e_i, w] in it for every i and w in it
     if not _spans(p, radical,
                   [_ad_unit(p, i, w) for i in range(n) for w in radical]):
-        return None
+        raise InternalError("internal error: Killing radical not an ideal")
     levi = _levi_complement(p, radical)
     if levi is None:
         return None
     complement, scale = levi
-    try:
-        ideal_verdict = classify(_subalgebra(p, radical))
-        comp_verdict = classify(_subalgebra(p, complement))
-    except linalg.ExpressionSwellError:
-        raise
-    except ExprError:
-        return None
+    ideal_verdict = classify(_subalgebra(p, radical))
+    comp_verdict = classify(_subalgebra(p, complement))
     if "unclassified" in (ideal_verdict.name, comp_verdict.name):
         return None
     notes = ideal_verdict.notes + comp_verdict.notes + (
@@ -796,7 +788,8 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
     """
     lifts = _independent(p, radical, p.unit)
     if len(lifts) + len(radical) != p.dimension:
-        return None
+        raise InternalError("internal error: the lifts do not complete the "
+                            "radical")
     brackets = _lift_brackets(p, lifts)
     if _spans(p, lifts, brackets):
         return lifts, 1
@@ -851,8 +844,6 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
     coords = _project(
         p, brackets + [_ad_bracket(p, l, st) for l in lifts for st in stage],
         lifts, stage, lower)
-    if coords is None:
-        return None
     ad = [d for _, d in coords[len(pairs):]]
     zero = p.ring.zero
     ncols = s * m
@@ -887,18 +878,18 @@ def _correct_stage(p: AlgebraPresentation, lifts: list, brackets: list,
 def _project(p: AlgebraPresentation, vectors, lifts, stage, lower):
     """Write each vec = sum a_q lift_q + sum d_t stage_t + (lower part).
 
-    ``lifts + stage + lower`` must be a basis of the whole space.  Returns
-    one (a coefficients, stage coefficients) pair per vector, from one
-    elimination, or None when some vector is outside that span; over the
-    integers they are numerators over one common denominator, which the
-    linear conditions of ``_correct_stage`` do not need.
+    ``lifts + stage + lower`` is a basis of the whole space (a vector
+    outside its span is a bug).  Returns one (a coefficients, stage
+    coefficients) pair per vector, from one elimination; over the integers
+    they are numerators over one common denominator, which the linear
+    conditions of ``_correct_stage`` do not need.
     """
     cols_all = lifts + stage + lower
     matrix = [[col[r] for col in cols_all] for r in range(len(cols_all[0]))]
     out = []
     for sol in p.ring.solve(matrix, vectors)[0]:
         if sol is None:
-            return None
+            raise InternalError("internal error: projection off the basis")
         values = p.ring.values(sol)
         out.append((values[:len(lifts)],
                     values[len(lifts):len(lifts) + len(stage)]))

@@ -81,15 +81,6 @@ class UnsupportedDivision(ExprError):
 # frozen records
 # ---------------------------------------------------------------------------
 
-class Fresh:
-    """A record field default made anew for each instance by ``make()``."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[], object]):
-        self.make = make
-
-
 _object_setattr = object.__setattr__
 
 
@@ -99,7 +90,8 @@ class Frozen:
 
     A subclass declares its fields as class annotations, in order, after
     those of the record it extends, each with an optional class-level
-    default (a :class:`Fresh` one is made for each instance).  An instance
+    default, shared by every instance that takes it (a record that must
+    own a mutable field copies it in ``__post_init__``).  An instance
     takes its fields by position or keyword, runs ``__post_init__``, equals
     only an instance of the same class with equal fields, hashes its fields,
     shows as ``Name(field=value, ...)`` and refuses assignment.  Instances
@@ -140,9 +132,7 @@ class Frozen:
             if field in kwargs:
                 values.append(kwargs.pop(field))
             elif field in cls._defaults:
-                default = cls._defaults[field]
-                values.append(default.make() if default.__class__ is Fresh
-                              else default)
+                values.append(cls._defaults[field])
             else:
                 raise TypeError(f"{name}() is missing field {field!r}")
         if kwargs:

@@ -10,7 +10,8 @@ reduced echelon form behind rank, nullspace, row space and solve:
   bookkeeping).  The ``z_*`` functions return the integer results
   themselves: primitive rows and nullspace vectors, and solutions as
   numerators over one common denominator; ``q_rank`` and ``q_nullspace``
-  (``Fraction`` vectors) serve the solver;
+  (the ``z_nullspace`` vectors as ``Fraction``s) serve the solver, and
+  ``q_vector`` is the one read-off of an integer vector as ``Fraction``s;
 * the ``f_*`` functions eliminate over ``FieldFrac``, num/den pairs of
   kernel expressions, within a swell budget (below), whatever the entries
   are: numbers or expressions, dense lists or sparse dicts.  They return
@@ -269,16 +270,20 @@ def q_rank(rows) -> int:
 
 def q_nullspace(rows, ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right nullspace of rows of rational numbers, as
-    ``Fraction`` vectors, one per free column, 1 there.
+    ``Fraction`` vectors, one per free column, 1 there: the ``z_nullspace``
+    vectors over their last nonzero entry, which is at that column.
 
     ``rows`` are dense lists or sparse dicts; sparse rows need ``ncols``.
     The vectors are dense and come in free-column order.
     """
-    ncols = _width(rows, ncols)
-    rref, pivots = z_rref(rows)
-    rref = [{j: Fraction(v, row[pc]) for j, v in row.items()}
-            for row, pc in zip(rref, pivots)]
-    return _nullspace(rref, pivots, ncols, Fraction(0), Fraction(1))
+    return [q_vector(v) for v in z_nullspace(rows, ncols)]
+
+
+def q_vector(v, scale: int | None = None) -> list[Fraction]:
+    """An integer vector as ``Fraction``s over ``scale``, by default its
+    last nonzero entry."""
+    scale = scale or next(x for x in reversed(v) if x)
+    return [Fraction(x, scale) for x in v]
 
 
 def _augmented(matrix, rhss, ncols: int) -> list[dict]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import expr as ex
-from .expr import Atom, Expr, ExprError, Fresh, Frozen, InternalError, Jet, TFun
+from .expr import Atom, Expr, ExprError, Frozen, InternalError, Jet, TFun
 from .jet import EvolutionPDE
 from .prolong import VectorField, determining_equations, residual
 # verification lives next to the residual and is importable from here too
@@ -45,11 +45,23 @@ _BOUND = ex.PARAMETER_NAMES[:4]  # R, S, V, W; omega and delta are derived
 class Binding(Frozen):
     """Exact rational values for R, S, V, W (omega, delta derived).
 
-    omega is the square root of R^2 - 4*S and must be exactly rational for
-    discovery; reductions additionally need R*V + W nonzero.
+    It keeps its own copy of ``values``, and refuses a name other than R,
+    S, V, W and a value other than an ``int`` or ``Fraction`` (not a
+    ``bool``).  omega is the square root of R^2 - 4*S and must be exactly
+    rational for discovery; reductions additionally need R*V + W nonzero.
     """
 
-    values: dict[str, Fraction] = Fresh(dict)
+    values: dict[str, Fraction] = {}
+
+    def __post_init__(self):
+        values = dict(self.values)
+        for name, value in values.items():
+            if name not in _BOUND:
+                raise BindingError(f"unknown parameter {name!r} in binding")
+            if value.__class__ not in (int, Fraction):
+                raise BindingError(f"{name} = {value!r} is not an int or "
+                                   f"a Fraction")
+        object.__setattr__(self, "values", values)
 
     @staticmethod
     def parse(text: str) -> "Binding":
@@ -58,8 +70,6 @@ class Binding(Frozen):
             for chunk in text.split(","):
                 name, _, rhs = chunk.partition("=")
                 name, rhs = name.strip(), rhs.strip()
-                if name not in _BOUND:
-                    raise BindingError(f"unknown parameter {name!r} in binding")
                 if name in vals:
                     raise BindingError(f"parameter {name!r} is given twice")
                 try:

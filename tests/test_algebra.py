@@ -176,8 +176,9 @@ class TestStructureConstants:
 
         monkeypatch.setattr(linalg, solve.__name__, corrupted)
         n = len(fields)
-        with pytest.raises(ClosureError, match=rf"^expansion of pair "
-                           rf"\({n - 1}, {n}\) failed re-verification$"):
+        with pytest.raises(ex.InternalError, match=rf"^internal error: "
+                           rf"expansion of pair \({n - 1}, {n}\) failed "
+                           rf"re-verification$"):
             structure_constants(fields)
 
     def test_dependent_basis_rejected(self, basis):
@@ -345,13 +346,26 @@ class TestClassification:
 
     def test_swell_in_a_subalgebra_is_refused_not_unclassified(
             self, reduced_basis, monkeypatch):
-        # other errors in a subalgebra only mean "no semidirect verdict"
+        # a refusal inside a subalgebra is a refusal of the whole
         def swelling(p, vectors):
             raise linalg.ExpressionSwellError("expression swell")
 
         pres = structure_constants(reduced_basis.fields)
         monkeypatch.setattr(algebra, "_subalgebra", swelling)
         with pytest.raises(linalg.ExpressionSwellError):
+            classify(pres)
+
+    @pytest.mark.parametrize("error", [ClosureError, ex.InternalError])
+    def test_errors_in_a_subalgebra_propagate(self, error, reduced_basis,
+                                              monkeypatch):
+        # not "unclassified": a closure refusal exits 2 and a failed
+        # re-verification 3, as they do from structure_constants
+        def failing(p, vectors):
+            raise error("in a subalgebra")
+
+        pres = structure_constants(reduced_basis.fields)
+        monkeypatch.setattr(algebra, "_subalgebra", failing)
+        with pytest.raises(error, match="^in a subalgebra$"):
             classify(pres)
 
     def test_abelian(self):
@@ -527,17 +541,31 @@ class TestSubalgebras:
 
     def _check(self, fields):
         # a subalgebra is presented in the bracket of pres.cleared, D*c in
-        # INTEGERS (D the common denominator) and c itself in EXPRESSIONS
+        # INTEGERS (D the common denominator) and c itself in EXPRESSIONS,
+        # by its verified expansions: den*c, den the denominator of its own
+        # solve, so one positive rational multiple of D times the direct
+        # tensor.  Doubling one vector makes den 2 wherever an expansion has
+        # an odd coefficient on it.
         pres = structure_constants(fields)
         d = 1 if pres.ring is algebra.EXPRESSIONS else lcm(*(
             x.denominator for row in pres.constants for col in row
             for x in col))
-        for vectors in _subspaces(pres):
-            direct = structure_constants(
-                [_fields_from_coords(pres.basis, v) for v in vectors])
-            assert _subalgebra(pres, vectors).constants == tuple(
-                tuple(tuple(d * x for x in col) for col in row)
-                for row in direct.constants)
+        for space in _subspaces(pres):
+            doubled = [space[:k] + [[2 * x for x in v]] + space[k + 1:]
+                       for k, v in enumerate(space)]
+            for vectors in [space] + doubled:
+                direct = structure_constants(
+                    [_fields_from_coords(pres.basis, v) for v in vectors])
+                sub = _subalgebra(pres, vectors)
+                assert sub.dimension == direct.dimension
+                got, want = ([ex.as_expr(x) for row in c for col in row
+                              for x in col]
+                             for c in (sub.constants, direct.constants))
+                want = [ex.rational(d) * x for x in want]
+                mu = next((x / y for x, y in zip(got, want)
+                           if not y.is_zero), ex.ONE)
+                assert mu.is_rational and mu.as_fraction() > 0
+                assert got == [mu * y for y in want]
 
     def test_hpz_basis(self, basis):
         self._check(basis)
@@ -569,7 +597,10 @@ class TestSubalgebras:
 
         monkeypatch.setattr(linalg, name, corrupted)
         for vectors in (radical, complement):
-            with pytest.raises(ClosureError, match="re-verification"):
+            s = len(vectors)
+            with pytest.raises(ex.InternalError, match=rf"^internal error: "
+                               rf"expansion of pair \({s - 1}, {s}\) failed "
+                               rf"re-verification$"):
                 _subalgebra(pres, vectors)
 
     def test_corrupted_constant_fails_the_coordinate_recheck(
@@ -820,8 +851,8 @@ class TestRingChoice:
         assert classify(pres).name == "sl(2,R) (+)s W3"
         assert calls["z_rref"] > 0
         assert sum(calls[name] for name in f_names) == 0
-        # the twin's subalgebras have rational constants, held as Fraction
-        # in INTEGERS; the twin itself is eliminated with the f_* functions
+        # the twin and its subalgebras, presented by their expansions as
+        # Expr, are eliminated with the f_* functions
         verdict = classify(twin)
         assert verdict.name == "sl(2,R) (+)s W3"
         assert sum(calls[name] for name in f_names) > 0

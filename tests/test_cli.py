@@ -9,7 +9,7 @@ import pytest
 
 from conftest import child_env
 from liepde import expr as ex
-from liepde import solver
+from liepde import linalg, solver
 from liepde.cli import main
 from liepde.parser import MAX_NESTING
 
@@ -144,6 +144,23 @@ class TestExitCodes:
         monkeypatch.setattr(solver, "residual", lambda vf, pde: ex.ONE)
         code, _, err = run_cli(["find", "--equation", "heat"], capsys)
         assert code == 3
+        assert err.startswith("error: internal error")
+
+    def test_failed_structure_constant_reverification_exits_three(
+            self, capsys, monkeypatch):
+        # the elimination solved the coordinates it is re-checked against,
+        # so a wrong expansion is a bug, not a refusal
+        solve = linalg.z_solve_unique
+
+        def corrupted(matrix, rhss, ncols=None):
+            sols, den = solve(matrix, rhss, ncols)
+            sols[-1] = [sols[-1][0] + 1] + sols[-1][1:]
+            return sols, den
+
+        monkeypatch.setattr(linalg, "z_solve_unique", corrupted)
+        code, out, err = run_cli(["classify", "--equation", "heat"], capsys)
+        assert code == 3
+        assert out == ""
         assert err.startswith("error: internal error")
 
 

@@ -572,6 +572,8 @@ class TestIntegerLoop:
             assert all(type(v) is int for v in zvec) and gcd(*zvec) == 1
             assert zvec[last] > 0
             assert [Fr(v, zvec[last]) for v in zvec] == vec
+        assert got == [[Fr(v, next(x for x in reversed(zvec) if x))
+                        for v in zvec] for zvec in znull]
         self._check_solve(rows, ncols, ref, pivots)
 
     def _check_solve(self, rows, ncols, ref, pivots):

@@ -48,6 +48,20 @@ class TestBinding:
         assert binding.apply(ex.DELTA) == ex.rational(Fr(1, 6))
         assert binding.apply(ex.OMEGA) == ex.rational(3)
 
+    @pytest.mark.parametrize("values", [
+        {"R": 5.0, "S": 4.0, "V": 1.0, "W": 1.0}, {"R": "5"}, {"R": True},
+        {"Q": 1}], ids=["float", "string", "bool", "unknown-name"])
+    def test_values_outside_a_binding_are_refused(self, values):
+        with pytest.raises(BindingError, match="^(R = .* is not an int or a "
+                           "Fraction|unknown parameter 'Q' in binding)$"):
+            Binding(values)
+
+    def test_a_binding_owns_its_values(self):
+        values = {"R": Fr(5), "S": 4}
+        binding = Binding(values)
+        values["R"], values["V"] = Fr(1), 1
+        assert binding.values == {"R": Fr(5), "S": 4}
+
 
 class TestDiscovery:
     def test_hpz_dimension_six(self, hpz, binding):
