@@ -25,10 +25,17 @@ integer loop only through ``z_*`` and ``q_*``.  Around them:
   characteristic polynomial of a rational matrix by Hessenberg reduction.
   Discovery reads its exponents off it; ``inertia`` reads the signature of
   a symmetric matrix off it by Descartes' rule of signs, which is exact
-  for real-rooted polynomials.
-  Rational roots are found exactly from the divisors of the end
-  coefficients, within a trial-division budget that refuses loudly; roots
-  that are not rational are left to the caller.  ``pencil_pivots``
+  for real-rooted polynomials.  ``rational_roots`` factors nothing: with
+  the root 0 split off, the rest is a primitive integer polynomial q
+  (``z_row``), leading coefficient +-L.  A root a/b of q in lowest terms
+  has b | L, so it is on the grid Z/L, and no half point (2k+1)/(2L) is a
+  root (with L = bm, 2k+1 = 2ma would be odd and even).  The Sturm chain
+  of q (``p_divmod``), evaluated over ``int`` at half points, counts the
+  distinct roots between them (``_sign_changes``); bisection within the
+  Cauchy bound drops each interval without a root and checks each grid
+  point left exactly, in at most (distinct real roots) x (bits of the
+  bound) chain evaluations.  Roots that are not rational are left to the
+  caller.  ``pencil_pivots``
   (fraction-free Bareiss elimination of a pencil ``A + lambda*B``) and
   ``pencil_gram_poly`` (its Gram determinant) have no caller in the
   package: they are named references, kept for perfbench's lookup and,
@@ -306,8 +313,8 @@ Poly = tuple[Fraction, ...]
 
 
 class RootExtractionError(ExprError):
-    """Exponent extraction refused: an exponent is not rational, a free
-    unknown function is left, or a factorisation budget ran out."""
+    """Exponent extraction refused: an exponent is not rational (irrational
+    or complex), or a free unknown function is left."""
 
 
 def p_trim(c: list[Fraction]) -> Poly:
@@ -370,66 +377,58 @@ def p_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return p_trim(q), p_trim(rem)
 
 
-_FACTOR_BUDGET = 1_000_000   # largest trial divisor tried by _divisors
-
-
-def _divisors(n: int) -> list[int] | None:
-    """All positive divisors of |n|, or None when factoring exceeds
-    ``_FACTOR_BUDGET``."""
-    n = abs(n)
-    if n == 0:
-        return None
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        if d > _FACTOR_BUDGET:
-            return None
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for p, k in factors.items():
-        divs = [dv * p ** i for dv in divs for i in range(k + 1)]
-    return sorted(set(divs))
-
-
 def rational_roots(p: Poly) -> list[Fraction]:
-    """The distinct rational roots, exactly, in increasing order.
-
-    Roots that are not rational are not returned: a caller that must
-    account for every root deflates the ones found and inspects what is
-    left.  Raises :class:`RootExtractionError` when factoring the leading or
-    constant coefficient exceeds the trial-division budget.
-    """
-    if len(p) <= 1:
+    """The distinct rational roots, exactly, in increasing order, by Sturm
+    counts on the grid Z/L (module docstring).  Roots that are not rational
+    are not returned: a caller that must account for every root deflates
+    the ones found and inspects what is left."""
+    row = z_row(p)
+    if not row:
         return []
-    roots: list[Fraction] = []
-    cur = list(p)
-    while cur and cur[0] == 0:  # root at zero
-        cur.pop(0)
-    if len(cur) < len(p):
-        roots.append(Fraction(0))
-    cur = p_trim(cur)
-    if len(cur) <= 1:
+    low = min(row)
+    roots = [Fraction(0)] if low else []
+    q = [row.get(i, 0) for i in range(low, max(row) + 1)]
+    if len(q) == 1:
         return roots
-    # integer primitive form
-    denlcm = lcm(*(c.denominator for c in cur))
-    ints = [int(c * denlcm) for c in cur]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
-    ds0, dsn = _divisors(ints[0]), _divisors(ints[-1])
-    if ds0 is None or dsn is None:
-        raise RootExtractionError(
-            "integer factorisation budget exceeded (trial division up to "
-            f"{_FACTOR_BUDGET}) while extracting rational roots")
-    work = tuple(Fraction(c) for c in ints)
-    roots.extend(cand for cand in {Fraction(s * pp, qq) for pp in ds0
-                                   for qq in dsn for s in (1, -1)}
-                 if p_eval(work, cand) == 0)
+    # Sturm chain: q, q', negated remainders, primitive; its sign changes at
+    # two non-roots differ by the distinct roots between, squarefree q or not
+    chain = [q, [i * c for i, c in enumerate(q)][1:]]
+    while True:
+        a, b = (tuple(map(Fraction, s)) for s in chain[-2:])
+        r = z_row(p_divmod(a, b)[1])
+        if not r:
+            break
+        chain.append([-r.get(i, 0) for i in range(max(r) + 1)])
+    big = abs(q[-1])
+    # Cauchy: a root k/L has |k/L| < 1 + max|c_i|/L, so |k| < bound
+    bound = big + max(map(abs, q[:-1]))
+
+    def changes(j: int) -> int:   # of the chain at the half point (2j+1)/(2L)
+        return _sign_changes([_value(s, 2 * j + 1, 2 * big) for s in chain])
+
+    # (lo, changes at lo, hi, changes at hi): the grid points k/L, lo < k <= hi
+    intervals = [(-bound, changes(-bound), bound - 1, changes(bound - 1))]
+    while intervals:
+        lo, at_lo, hi, at_hi = intervals.pop()
+        if at_lo == at_hi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            at_mid = changes(mid)
+            intervals += [(lo, at_lo, mid, at_mid), (mid, at_mid, hi, at_hi)]
+        elif not _value(q, hi, big):
+            roots.append(Fraction(hi, big))
     return sorted(roots)
+
+
+def _value(s: list[int], a: int, b: int) -> int:
+    """``b^deg(s) * s(a/b)`` over the integers, for an integer polynomial
+    s: for b > 0, zero exactly where s(a/b) is and of its sign."""
+    v, power = 0, 1
+    for c in reversed(s):
+        v = v * a + c * power
+        power *= b
+    return v
 
 
 def is_perfect_square(q: Fraction) -> bool:

@@ -1,8 +1,10 @@
 """Test-only references: exact evaluation of kernel expressions at rational
-points, the independent oracle of the canonical-form tests, and the named
-coefficient functions of the published hpz basis."""
+points, the independent oracle of the canonical-form tests, the named
+coefficient functions of the published hpz basis, and rational roots by
+divisor enumeration."""
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 from liepde import fixtures as fx
 from liepde.expr import DivisionByZero, ExpFactor, ExprError, base_label
@@ -54,3 +56,39 @@ def coefficient_functions() -> dict:
             "C": fx._C, "C1": fx._C1, "C2": fx._C2, "C3": fx._C3,
             "C4": fx._C4, "E": fx._E, "E1": fx._E1, "E2": fx._E2,
             "E3": fx._E3, "E4": fx._E4}
+
+
+def divisor_roots(p) -> list[Fraction]:
+    """The distinct rational roots of a polynomial over Q (coefficients
+    lowest degree first), in increasing order, by the rational root
+    theorem: 0 when low coefficients vanish, and each +-a/b that is a root,
+    for a dividing the lowest nonzero coefficient and b the leading one of
+    the primitive integer form.  The reference for
+    ``linalg.rational_roots``; trial division keeps it to small
+    coefficients."""
+    cs = [Fraction(c) for c in p]
+    while cs and not cs[-1]:
+        cs.pop()
+    if len(cs) <= 1:
+        return []
+    low = next(i for i, c in enumerate(cs) if c)
+    cs = cs[low:]
+    den = lcm(*(c.denominator for c in cs))
+    ints = [int(c * den) for c in cs]
+    n = len(ints) - 1
+    roots = {Fraction(0)} if low else set()
+    for a in _divisors(ints[0]):
+        for b in _divisors(ints[-1]):
+            for s in (a, -a):
+                # b^n times the value at s/b
+                if not sum(c * s ** i * b ** (n - i)
+                           for i, c in enumerate(ints)):
+                    roots.add(Fraction(s, b))
+    return sorted(roots)
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of |n| > 0, by trial division."""
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]

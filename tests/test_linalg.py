@@ -10,7 +10,7 @@ import pytest
 
 from liepde import expr as ex, linalg
 from liepde.expr import ExprError, R, S, V, W
-from liepde.linalg import (FieldFrac, RootExtractionError, charpoly,
+from liepde.linalg import (FieldFrac, charpoly,
                            coordinates, f_nullspace, f_rank, f_row_basis,
                            f_rref, f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
@@ -22,6 +22,8 @@ from liepde.fixtures import known_basis
 from liepde.jet import make_heat
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
+
+from helpers import divisor_roots
 
 
 class TestRationalMatrices:
@@ -284,14 +286,54 @@ class TestPolynomials:
         assert rational_roots(p_mul((Fr(-1, 2), Fr(1)),
                                     (Fr(-2), Fr(0), Fr(1)))) == [Fr(1, 2)]
 
-    def test_factorisation_budget_refusal_names_the_budget(self):
-        # a prime above (10^6 + 1)^2: trial division stops at the budget,
-        # 10^6, before it reaches the square root
+    def test_large_prime_root_found_without_factoring(self):
+        # a prime above (10^6 + 1)^2, which trial division up to 10^6 does
+        # not factor; it is also the largest root the Cauchy bound allows
         prime = 1_000_002_000_007
         assert all(prime % d for d in range(2, isqrt(prime) + 1))
-        with pytest.raises(RootExtractionError,
-                           match="factorisation budget exceeded"):
-            rational_roots((Fr(-prime), Fr(1)))
+        assert rational_roots((Fr(-prime), Fr(1))) == [prime]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 10 ** 12 + 39])
+    def test_roots_next_to_the_cauchy_bound(self, n):
+        # x -+ n: the Cauchy bound is |x| < 1 + n, and the roots +-n are
+        # the grid points next to it, on either side
+        assert rational_roots((Fr(-n), Fr(1))) == [n]
+        assert rational_roots((Fr(n), Fr(1))) == [-n]
+
+    @pytest.mark.parametrize("k", [1, 2, 10 ** 12 + 38, 2 ** 40 * 3 ** 20])
+    def test_neighbours_on_a_fine_grid(self, k):
+        # (kx - 1)((k+1)x - 1) leads with L = k(k+1), and its roots
+        # 1/(k+1) = k/L and 1/k = (k+1)/L are one grid step apart
+        p = p_mul((Fr(-1), Fr(k)), (Fr(-1), Fr(k + 1)))
+        assert rational_roots(p) == [Fr(1, k + 1), Fr(1, k)]
+        # again with 1/k a triple root, and the irrational roots +-sqrt(2)
+        q = p_mul(p, p_mul(p_mul((Fr(-1), Fr(k)), (Fr(-1), Fr(k))),
+                           (Fr(-2), Fr(0), Fr(1))))
+        assert rational_roots(q) == [Fr(1, k + 1), Fr(1, k)]
+
+    def test_constant_and_empty_polynomials(self):
+        assert rational_roots(()) == []
+        assert rational_roots((Fr(3),)) == []
+        assert rational_roots((Fr(0), Fr(0), Fr(5))) == [0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_divisor_enumeration(self, seed):
+        # products of roots a/b (0 and repeats among them), quadratics with
+        # irrational or complex roots, and constants, up to degree 6
+        rng = random.Random(seed)
+        for _ in range(250):
+            p = (Fr(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)),)
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.6:
+                    f = (Fr(-rng.randint(-30, 30), rng.randint(1, 16)), Fr(1))
+                else:
+                    f = tuple(Fr(rng.randint(-9, 9)) for _ in range(2)) \
+                        + (Fr(rng.randint(1, 4)),)
+                p = p_mul(p, f)
+                if rng.random() < 0.2:
+                    p = p_mul(p, f)
+            if len(p) <= 7:
+                assert rational_roots(p) == divisor_roots(p), p
 
     def test_exact_division(self):
         num = p_mul((Fr(-1), Fr(1)), (Fr(2), Fr(5)))

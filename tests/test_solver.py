@@ -133,6 +133,40 @@ class TestDiscovery:
         with pytest.raises(InternalError, match="span only 5 dimensions"):
             solve_determining(heat)
 
+    @pytest.mark.parametrize("a, b", [
+        (Fr(5, 2), Fr(3, 2)), (Fr(720721, 1441440), Fr(1, 1441440)),
+        (Fr(25225201, 7207200), Fr(1, 7207200)),
+        (Fr(10 ** 12 + 39, 2), Fr(1, 2))],
+        ids=["small", "denominator-1441440", "denominator-7207200",
+             "prime-exponent"])
+    def test_rational_exponents_of_any_size(self, hpz, a, b):
+        # at R = 2a, S = a^2 - b^2 the exponents are +-a +- b, 0, 0: here
+        # over denominators of 288 and 432 divisors, and last the integers
+        # 500000000019 = 3*13*17*29*26005097 and 500000000020, whose prime
+        # factors trial division up to 10^6 does not find
+        params = {"R": 2 * a, "S": a * a - b * b, "V": 1, "W": 1}
+        basis = solve_determining(hpz, Binding(params))
+        assert basis.dimension == 6
+        assert sorted(basis.exponents) == sorted(
+            [a + b, a - b, b - a, -a - b, Fr(0), Fr(0)])
+
+    @pytest.mark.parametrize("params, exponents", [
+        ("R=2,S=1,V=1,W=1", (-1, -1, 0, 0, 1, 1)),
+        ("R=0,S=-1,V=1,W=1", (-1, -1, 0, 0, 1, 1)),
+        ("R=5,S=0,V=1,W=1", (-5, 0, 0, 0, 0, 5)),
+        ("R=0,S=0,V=1,W=1", (0,) * 6)],
+        ids=["omega-0", "R-0", "S-0", "R-0-S-0"])
+    def test_repeated_exponents(self, hpz, params, exponents):
+        # where exponents repeat the published basis is dependent, and a
+        # repeated exponent lam can bring a generator t^k exp(lam t), k > 0
+        basis = solve_determining(hpz, Binding.parse(params))
+        assert basis.dimension == 6
+        assert sorted(basis.exponents) == list(exponents)
+        for vf in basis.fields:
+            assert residual(vf, basis.pde).is_zero
+        assert any(_has_t_times_exp(vf, lam) for vf in basis.fields
+                   for lam in set(exponents))
+
     def test_hpz_v0_dimension_six(self, hpz):
         """V=0 drops u_xy, and the dimension then depends on R and S.
 
@@ -172,6 +206,14 @@ class TestDiscovery:
         pde = EvolutionPDE(("t", "x"), "u",
                            ex.jet("u", "xx") + ex.X ** 2 * ex.jet("u", ""))
         assert solve_determining(pde).dimension == 6
+
+
+def _has_t_times_exp(vf, lam) -> bool:
+    """Whether a coefficient of the field has a term t^k exp(lam t), k > 0
+    (for lam = 0, a term in t without an exponential)."""
+    arg = lam * ex.T if lam else ex.ZERO
+    return any(not ex.partial(ex.exp_groups(c).get(arg, ex.ZERO), "t").is_zero
+               for c in vf.coefficients())
 
 
 def _matmul(x, y):
@@ -266,13 +308,11 @@ class TestCompletion:
         with pytest.raises(RootExtractionError, match="4 of the 6"):
             solve_determining(pde)
 
-    def test_budget_refusal_names_the_budget(self):
-        # g' = P g with P prime above (10^6 + 1)^2: the exponent P is
-        # rational, but trial division gives up before finding it
+    def test_large_prime_exponent_found(self):
+        # g' = P g with P prime above (10^6 + 1)^2: no coefficient is
+        # factored, so a large prime exponent costs no more than a small one
         prime = 1_000_002_000_007
-        with pytest.raises(RootExtractionError,
-                           match="factorisation budget exceeded"):
-            _candidate_exponents([[Fr(-prime)]], [[Fr(1)]])
+        assert _candidate_exponents([[Fr(-prime)]], [[Fr(1)]]) == [(prime, 1)]
 
     def test_free_function_refused(self):
         # g1 = 0 and nothing constrains g2

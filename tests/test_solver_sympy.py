@@ -1,12 +1,17 @@
-"""Characteristic-polynomial oracle: sympy's charpoly of the completed DAE.
+"""Characteristic-polynomial and rational-root oracles from sympy.
 
 Discovery completes the determining system ``A g + B g' = 0`` to
 ``z' = M z`` and reads every exponent and multiplicity off
 ``charpoly(M)``, computed by Hessenberg reduction of ``M``.
 sympy computes the same polynomial independently, and its roots are
-compared with the known exponents.  sympy is a test-time oracle only; the
-package does not import it.
+compared with the known exponents.  The exponents are the rational roots
+``rational_roots`` finds by Sturm counts; sympy's factorisation over Q
+gives them independently, on seeded polynomials with large coefficients.
+sympy is a test-time oracle only; the package does not import it.
 """
+
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 
 from liepde import expr as ex  # noqa: E402
 from liepde.jet import EvolutionPDE, get_equation  # noqa: E402
-from liepde.linalg import charpoly  # noqa: E402
+from liepde.linalg import charpoly, p_mul, rational_roots  # noqa: E402
 from liepde.solver import Binding, _completion  # noqa: E402
 
 from conftest import determining_dae  # noqa: E402
@@ -48,3 +53,37 @@ def test_charpoly_matches_sympy(name, params, roots):
             for c in reversed(charpoly(m))]
     assert ours == oracle.all_coeffs()
     assert sympy.roots(oracle.as_expr(), lam) == roots
+
+
+def _big_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 9))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rational_roots_match_sympy(seed):
+    # products of roots with 15-digit numerators and 9-digit denominators,
+    # 0 and repeats among them, and quadratics of 15-digit coefficients,
+    # whose roots are mostly irrational or complex
+    rng = random.Random(seed)
+    x = sympy.Symbol("x")
+    for _ in range(25):
+        p = (_big_fraction(rng) or Fraction(1),)
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.random()
+            if kind < 0.1:
+                f = (Fraction(0), Fraction(1))
+            elif kind < 0.6:
+                f = (-_big_fraction(rng), Fraction(1))
+            else:
+                f = (_big_fraction(rng), _big_fraction(rng), Fraction(1))
+            p = p_mul(p, f)
+            if rng.random() < 0.2:
+                p = p_mul(p, f)
+        poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(p))
+        linear = [sympy.Poly(factor, x).all_coeffs()
+                  for factor, _ in sympy.factor_list(poly)[1]
+                  if sympy.degree(factor, x) == 1]
+        oracle = sorted(-b / a for a, b in linear)
+        assert [sympy.Rational(r.numerator, r.denominator)
+                for r in rational_roots(p)] == oracle, p
