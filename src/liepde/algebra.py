@@ -590,9 +590,10 @@ def _killing_matrix(p: AlgebraPresentation) -> list[list]:
     return k
 
 
-def _is_nilpotent(p: AlgebraPresentation, space: list) -> bool:
-    """Lower central series of the subalgebra spanned by ``space`` hits zero."""
-    current, nxt = space, _derived_space_sub(p, space)
+def _is_nilpotent(p: AlgebraPresentation, space: list, derived: list) -> bool:
+    """Lower central series of the subalgebra spanned by ``space``, whose
+    derived space is ``derived``, hits zero."""
+    current, nxt = space, derived
     while nxt:
         if len(nxt) >= len(current):
             return False  # series stalled above zero
@@ -742,14 +743,15 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     m = len(radical)
     if not 0 < m < n:
         return None
-    if not _is_nilpotent(p, radical):
+    rad_z = _derived_space_sub(p, radical)   # [N, N]
+    if not _is_nilpotent(p, radical, rad_z):
         return None
     # the Killing form is ad-invariant, so its radical is an ideal:
     # [e_i, w] in it for every i and w in it
     if not _spans(p, radical,
                   [_ad_unit(p, i, w) for i in range(n) for w in radical]):
         raise InternalError("internal error: Killing radical not an ideal")
-    levi = _levi_complement(p, radical)
+    levi = _levi_complement(p, radical, rad_z)
     if levi is None:
         return None
     complement, scale = levi
@@ -773,10 +775,12 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
         notes=notes)
 
 
-def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
+def _levi_complement(p: AlgebraPresentation, radical: list,
+                     rad_z: list) -> tuple | None:
     """A complement to the nilradical that closes under the bracket, and
     the positive integer it is scaled by against the complement over the
-    field (1 unless corrected over the integers).
+    field (1 unless corrected over the integers); ``rad_z`` is the derived
+    space [N, N] of the radical.
 
     Basis elements independent of the radical are corrected by solving two
     rational linear systems: first modulo the derived space of the radical,
@@ -796,7 +800,6 @@ def _levi_complement(p: AlgebraPresentation, radical: list) -> tuple | None:
     if not p.ring.rational(p.cleared):
         return None  # symbolic correction not attempted
 
-    rad_z = _derived_space_sub(p, radical)
     stage_one = _independent(p, rad_z, radical)
     scale = 1
     # the filtration matters: corrections are solved first modulo [N, N]

@@ -1,25 +1,30 @@
 """Exact linear algebra: rationals, univariate polynomials, symbolic fields.
 
-Two sparse Gauss-Jordan eliminations over ``{column: value}`` rows give the
-reduced echelon form behind rank, nullspace, row space and solve:
+One sparse Gauss-Jordan loop, ``_rref``, gives the reduced echelon form of
+``{column: value}`` rows behind rank, nullspace, row space and solve; each
+ring passes its ``clear`` (a pivot row clears its column from a row) and
+its ``lead`` (a new pivot row is normalised):
 
 * rational rows are eliminated over the integers, fraction-free: each row
-  is scaled once to a primitive integer row, rows are combined by
-  cross-multiplication and kept primitive, and every reduced row keeps its
-  pivot entry (Bareiss, *Math. Comp.* 22, 1968, without the determinant
-  bookkeeping).  The ``z_*`` functions return the integer results
-  themselves: primitive rows and nullspace vectors, and solutions as
-  numerators over one common denominator; ``q_rank`` and ``q_nullspace``
-  (the ``z_nullspace`` vectors as ``Fraction``s) serve the solver, and
-  ``q_vector`` is the one read-off of an integer vector as ``Fraction``s;
+  is scaled once to a primitive integer row, ``_cross`` combines rows by
+  cross-multiplication and keeps them primitive, and ``_positive`` makes
+  the pivot entry, which every reduced row keeps, positive (Bareiss,
+  *Math. Comp.* 22, 1968, without the determinant bookkeeping).  The
+  ``z_*`` functions return the integer results themselves: primitive rows
+  and nullspace vectors, and solutions as numerators over one common
+  denominator; ``q_rank`` and ``q_nullspace`` (the ``z_nullspace`` vectors
+  as ``Fraction``s) serve the solver, and ``q_vector`` is the one read-off
+  of an integer vector as ``Fraction``s;
 * the ``f_*`` functions eliminate over ``FieldFrac``, num/den pairs of
   kernel expressions, within a swell budget (below), whatever the entries
-  are: numbers or expressions, dense lists or sparse dicts.  They return
-  ``FieldFrac``s (rref, solve) or denominator-cleared expressions
-  (nullspace, row basis).
+  are: numbers or expressions, dense lists or sparse dicts.  ``_subtract``
+  takes row[c] times the pivot row off a row and ``_unit`` scales a new
+  pivot row to 1, in the order of the loop ``tests/helpers.py`` keeps as
+  the reference for every num/den.  They return ``FieldFrac``s (rref,
+  solve) or denominator-cleared expressions (nullspace, row basis).
 
-A caller picks the ring by the function it calls: rational rows go to the
-integer loop only through ``z_*`` and ``q_*``.  Around them:
+A caller picks the ring by the function it calls: rational rows reach the
+integer ring only through ``z_*`` and ``q_*``.  Around them:
 
 * univariate polynomials over ``Fraction``: ``charpoly`` forms the
   characteristic polynomial of a rational matrix by Hessenberg reduction.
@@ -32,10 +37,11 @@ integer loop only through ``z_*`` and ``q_*``.  Around them:
   root (with L = bm, 2k+1 = 2ma would be odd and even).  The Sturm chain
   of q (``p_divmod``), evaluated over ``int`` at half points, counts the
   distinct roots between them (``_sign_changes``); bisection within the
-  Cauchy bound drops each interval without a root and checks each grid
-  point left exactly, in at most (distinct real roots) x (bits of the
-  bound) chain evaluations.  Roots that are not rational are left to the
-  caller.  ``pencil_pivots``
+  Cauchy bound drops each interval without a root, finishes an interval
+  with one root on the sign of the squarefree part q / gcd(q, q') alone,
+  and checks each grid point left exactly, in at most (distinct real
+  roots) x (bits of the bound) evaluations of the chain or of that part.
+  Roots that are not rational are left to the caller.  ``pencil_pivots``
   (fraction-free Bareiss elimination of a pencil ``A + lambda*B``) and
   ``pencil_gram_poly`` (its Gram determinant) have no caller in the
   package: they are named references, kept for perfbench's lookup and,
@@ -59,7 +65,7 @@ from .expr import Expr, ExprError, Frozen
 
 
 # ---------------------------------------------------------------------------
-# sparse exact elimination: over the integers, and over a field
+# sparse exact elimination: one loop, over the integers or over a field
 # ---------------------------------------------------------------------------
 
 def _items(row):
@@ -99,32 +105,33 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _zrref(rows) -> tuple[list[dict[int, int]], list[int]]:
-    """Reduced row echelon form over the integers, fraction-free.
+def _rref(rows, clear, lead) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows, in the ring of the pair
+    ``clear``, ``lead``.
 
-    ``rows`` yields fresh primitive ``{column: int}`` dicts of nonzero
-    entries, which are consumed.  Rows are reduced one at a time against
-    the pivot rows found so far (``_cross``); a surviving row takes a
-    positive entry at its leftmost nonzero column, its pivot, which is then
-    cleared from the earlier pivot rows the same way.  The result has one
-    primitive row per pivot, in column order, zero in every other pivot
-    column and positive at its own: divided by that entry, each is the row
-    of the unique reduced echelon form over the rationals.
+    ``rows`` yields fresh ``{column: value}`` dicts of nonzero entries, which
+    are consumed.  Rows are reduced one at a time against the pivot rows
+    found so far (``clear(row, c, pivot_row)`` clears column ``c``); a
+    surviving row becomes the pivot row of its leftmost nonzero column
+    (``lead(row, pc)``), which is then cleared from the earlier pivot rows.
+    The result has one row per pivot, in column order, zero in every other
+    pivot column: a primitive integer row positive at its pivot (``_cross``,
+    ``_positive``), or the ``FieldFrac`` row of the unique reduced echelon
+    form (``_subtract``, ``_unit``).
     """
-    basis: dict = {}   # pivot column -> its reduced row, pivot entry kept
+    basis: dict = {}   # pivot column -> its reduced row
     for row in rows:
         # pivot rows are zero in every other pivot column, so one pass over
         # the pivot columns the row starts with clears them all
         for c in [c for c in row if c in basis]:
-            row = _cross(row, c, basis[c])
+            row = clear(row, c, basis[c])
         if not row:
             continue
         pc = min(row)
-        if row[pc] < 0:
-            row = {j: -v for j, v in row.items()}
+        row = lead(row, pc)
         for c, other in basis.items():
             if pc in other:
-                basis[c] = _cross(other, pc, row)
+                basis[c] = clear(other, pc, row)
         basis[pc] = row
     pivots = sorted(basis)
     return [basis[pc] for pc in pivots], pivots
@@ -151,46 +158,30 @@ def _cross(row: dict, c: int, pivot_row: dict) -> dict:
     return _primitive(row)
 
 
-def _rref(rows, one) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form of sparse rows over an exact field.
-
-    ``rows`` yields fresh ``{column: value}`` dicts of nonzero entries, which
-    are consumed.  The entries need ``-``, ``*``, ``1/x``, negation and a
-    truth value that is false exactly at zero; ``one`` is the field's unit.
-    Rows are reduced one at a time against the pivot rows found so far; a
-    surviving row is scaled to a unit pivot at its leftmost nonzero column,
-    which is then cleared from the earlier pivot rows.  The result is the
-    unique reduced echelon basis of the row space, one row per pivot in
-    column order, each holding only its nonzero entries.  The package runs
-    it over ``FieldFrac`` only (rational rows take ``_zrref``); over
-    ``Fraction(1)`` it is the tests' reference for the integer loop.
-    """
-    basis: dict = {}   # pivot column -> its reduced row, pivot entry left out
-    for row in rows:
-        for c in [c for c in row if c in basis]:
-            _subtract(row, row.pop(c), basis[c])
-        if not row:
-            continue
-        pc = min(row)
-        inv = 1 / row.pop(pc)
-        row = {j: v * inv for j, v in row.items()}
-        for other in basis.values():
-            f = other.pop(pc, None)
-            if f is not None:
-                _subtract(other, f, row)
-        basis[pc] = row
-    pivots = sorted(basis)
-    return [{pc: one, **basis[pc]} for pc in pivots], pivots
+def _positive(row: dict, pc: int) -> dict:
+    """A primitive integer row, negated unless positive at ``pc``."""
+    return row if row[pc] > 0 else {j: -v for j, v in row.items()}
 
 
-def _subtract(row: dict, f, pivot_row: dict):
-    """row -= f * pivot_row, in place, keeping only nonzero entries."""
+def _subtract(row: dict, c: int, pivot_row: dict) -> dict:
+    """row - row[c]*pivot_row over a field, in place, for a pivot row that
+    is 1 at ``c``: ``c`` is dropped and only nonzero entries are kept."""
+    f = row.pop(c)
     for j, v in pivot_row.items():
-        w = row[j] - f * v if j in row else -(f * v)
-        if w:
-            row[j] = w
-        else:
-            del row[j]
+        if j != c:
+            w = row[j] - f * v if j in row else -(f * v)
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return row
+
+
+def _unit(row: dict, pc: int) -> dict:
+    """A ``FieldFrac`` row over its entry at ``pc``, which becomes 1 and
+    stays first."""
+    inv = 1 / row.pop(pc)
+    return {pc: _F_ONE, **{j: v * inv for j, v in row.items()}}
 
 
 def _nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
@@ -215,7 +206,7 @@ def z_rref(matrix) -> tuple[list[dict[int, int]], list[int]]:
     (``int``, ``Fraction`` or rational expressions; dense lists or sparse
     dicts): one primitive integer row per pivot, positive at its pivot and
     zero in every other pivot column, and the pivot column list."""
-    return _zrref([z_row(row) for row in matrix])
+    return _rref([z_row(row) for row in matrix], _cross, _positive)
 
 
 def z_nullspace(matrix, ncols: int | None = None) -> list[list[int]]:
@@ -399,6 +390,9 @@ def rational_roots(p: Poly) -> list[Fraction]:
         if not r:
             break
         chain.append([-r.get(i, 0) for i in range(max(r) + 1)])
+    # its last member b is gcd(q, q'), so q / b has the roots of q, simple
+    simple = z_row(p_div_exact(tuple(map(Fraction, q)), b))
+    simple = [simple.get(i, 0) for i in range(max(simple) + 1)]
     big = abs(q[-1])
     # Cauchy: a root k/L has |k/L| < 1 + max|c_i|/L, so |k| < bound
     bound = big + max(map(abs, q[:-1]))
@@ -412,6 +406,15 @@ def rational_roots(p: Poly) -> list[Fraction]:
         lo, at_lo, hi, at_hi = intervals.pop()
         if at_lo == at_hi:
             continue
+        if at_lo - at_hi == 1:
+            # one root, where ``simple`` changes sign: bisect on that alone
+            positive = _value(simple, 2 * lo + 1, 2 * big) > 0
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if (_value(simple, 2 * mid + 1, 2 * big) > 0) == positive:
+                    lo = mid
+                else:
+                    hi = mid
         if hi - lo > 1:
             mid = (lo + hi) // 2
             at_mid = changes(mid)
@@ -641,7 +644,7 @@ class FieldFrac(Frozen):
     allows, checked as each element is formed.  A rational denominator is
     folded into the numerator, leaving ``ONE``.  The ``f_*`` functions
     eliminate over this field whatever their entries are; rational rows
-    take the integer loop through ``z_*`` and ``q_*``.
+    are eliminated over the integers through ``z_*`` and ``q_*``.
     """
 
     num: Expr
@@ -705,7 +708,7 @@ def f_rref(matrix) -> tuple[list[dict], list[int]]:
     ``FieldFrac`` rows, of a matrix of numbers or expressions; ``matrix``
     rows are dense lists or sparse dicts."""
     return _rref(({c: FieldFrac.of(v) for c, v in _items(row) if v}
-                  for row in matrix), _F_ONE)
+                  for row in matrix), _subtract, _unit)
 
 
 def f_rank(matrix) -> int:

@@ -1,7 +1,8 @@
 """Test-only references: exact evaluation of kernel expressions at rational
 points, the independent oracle of the canonical-form tests, the named
-coefficient functions of the published hpz basis, and rational roots by
-divisor enumeration."""
+coefficient functions of the published hpz basis, rational roots by
+divisor enumeration, and the sparse Gauss-Jordan loop over a field that
+``linalg.f_rref`` must reproduce element for element."""
 
 from fractions import Fraction
 from math import isqrt, lcm
@@ -92,3 +93,46 @@ def _divisors(n: int) -> list[int]:
     n = abs(n)
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in small]
+
+
+def field_rref(rows, one) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of sparse rows over an exact field.
+
+    ``rows`` yields fresh ``{column: value}`` dicts of nonzero entries, which
+    are consumed.  The entries need ``-``, ``*``, ``1/x``, negation and a
+    truth value that is false exactly at zero; ``one`` is the field's unit.
+    Rows are reduced one at a time against the pivot rows found so far; a
+    surviving row is scaled to a unit pivot at its leftmost nonzero column,
+    which is then cleared from the earlier pivot rows.  The result is the
+    unique reduced echelon basis of the row space, one row per pivot in
+    column order, each holding only its nonzero entries.  Over
+    ``FieldFrac`` it is the reference for ``linalg.f_rref``, which must do
+    these field operations in this order: every num/den it forms, and the
+    key order of every row, are compared with this loop's.
+    """
+    basis: dict = {}   # pivot column -> its reduced row, pivot entry left out
+    for row in rows:
+        for c in [c for c in row if c in basis]:
+            _subtract(row, row.pop(c), basis[c])
+        if not row:
+            continue
+        pc = min(row)
+        inv = 1 / row.pop(pc)
+        row = {j: v * inv for j, v in row.items()}
+        for other in basis.values():
+            f = other.pop(pc, None)
+            if f is not None:
+                _subtract(other, f, row)
+        basis[pc] = row
+    pivots = sorted(basis)
+    return [{pc: one, **basis[pc]} for pc in pivots], pivots
+
+
+def _subtract(row: dict, f, pivot_row: dict):
+    """row -= f * pivot_row, in place, keeping only nonzero entries."""
+    for j, v in pivot_row.items():
+        w = row[j] - f * v if j in row else -(f * v)
+        if w:
+            row[j] = w
+        else:
+            del row[j]

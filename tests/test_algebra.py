@@ -532,7 +532,8 @@ def _subspaces(pres):
     radical = pres.ring.nullspace(_killing_matrix(pres))
     out = [radical]
     if len(radical) < pres.dimension:
-        out.append(_levi_complement(pres, radical)[0])
+        out.append(_levi_complement(
+            pres, radical, algebra._derived_space_sub(pres, radical))[0])
     return out
 
 
@@ -824,22 +825,22 @@ def _counted(monkeypatch, names) -> dict:
 
 class TestRingChoice:
     """A rational basis is solved and classified in ``INTEGERS`` and never
-    reaches the ``FieldFrac`` loop: a fallback to the expression field would
-    change no verdict, only the cost.  A tensor held as expressions is
-    classified in ``EXPRESSIONS``."""
+    reaches the ``FieldFrac`` elimination ``f_rref``: a fallback to the
+    expression field would change no verdict, only the cost.  A tensor held
+    as expressions is classified in ``EXPRESSIONS``."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rational_bases_never_reach_the_expression_loop(
             self, seed, discovered, monkeypatch):
-        calls = _counted(monkeypatch, ["_rref"])
+        calls = _counted(monkeypatch, ["f_rref"])
         for k, fields in enumerate(_classify_bases(seed, discovered)):
-            calls["_rref"] = 0
+            calls["f_rref"] = 0
             pres = structure_constants(fields)
             classify(pres)
             # 5 and 7: the symbolic hpz basis and its W5 part
             symbolic = k in (5, 7)
             assert (pres.ring is algebra.EXPRESSIONS) == symbolic, k
-            assert (calls["_rref"] > 0) == symbolic, k
+            assert (calls["f_rref"] > 0) == symbolic, k
 
     def test_each_ring_runs_its_own_eliminations(self, discovered,
                                                  monkeypatch):
@@ -876,6 +877,41 @@ class TestRingChoice:
         with pytest.raises(ex.ExprError, match="^structure constants are not "
                            "all elements of INTEGERS or EXPRESSIONS$"):
             AlgebraPresentation((), mixed)
+
+
+class TestRadicalDerivedSpace:
+    """[N, N], the derived space of the Killing radical N, is formed once
+    per semidirect verdict: the nilpotency test and the Levi correction
+    share it."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_formed_once_per_semidirect_verdict(self, seed, discovered,
+                                                monkeypatch):
+        formed, corrected = [], []
+        derived_space_sub = algebra._derived_space_sub
+        correct_stage = algebra._correct_stage
+
+        def spy_derived(p, left, right=None):
+            if right is None:   # [left, left], not a lower central step
+                formed.append(p)
+            return derived_space_sub(p, left, right)
+
+        def spy_correct(p, *args):
+            corrected.append(p)
+            return correct_stage(p, *args)
+
+        monkeypatch.setattr(algebra, "_derived_space_sub", spy_derived)
+        monkeypatch.setattr(algebra, "_correct_stage", spy_correct)
+        corrections = 0
+        for fields in _classify_bases(seed, discovered):
+            pres = structure_constants(fields)
+            formed.clear()
+            corrected.clear()
+            if " (+)s " in classify(pres).name:
+                assert sum(p is pres for p in formed) == 1
+                corrections += any(p is pres for p in corrected)
+        # a Levi correction, which reads [N, N] too, ran at least once
+        assert corrections > 0
 
 
 def _tensor(n, brackets):

@@ -23,7 +23,7 @@ from liepde.jet import make_heat
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
 
-from helpers import divisor_roots
+from helpers import divisor_roots, field_rref
 
 
 class TestRationalMatrices:
@@ -285,6 +285,18 @@ class TestPolynomials:
         # (x - 1/2)(x^2 - 2): the rational root only
         assert rational_roots(p_mul((Fr(-1, 2), Fr(1)),
                                     (Fr(-2), Fr(0), Fr(1)))) == [Fr(1, 2)]
+
+    def test_repeated_roots_are_isolated_by_the_squarefree_part(self):
+        # an interval with one distinct root is bisected on the sign of
+        # q / gcd(q, q'): q itself keeps its sign across a double root
+        square_minus_two = (Fr(-2), Fr(0), Fr(1))
+        third = (Fr(-1), Fr(3))
+        p = p_mul(p_mul(square_minus_two, square_minus_two), third)
+        assert rational_roots(p) == [Fr(1, 3)]
+        q = p_mul(p_mul(third, third), square_minus_two)
+        for _ in range(3):
+            q = p_mul(q, (Fr(5), Fr(1)))
+        assert rational_roots(q) == [Fr(-5), Fr(1, 3)]
 
     def test_large_prime_root_found_without_factoring(self):
         # a prime above (10^6 + 1)^2, which trial division up to 10^6 does
@@ -582,14 +594,80 @@ class TestExpressionSwell:
         assert issubclass(linalg.ExpressionSwellError, ExprError)
 
 
-class TestIntegerLoop:
-    """The fraction-free loop over the integers, behind ``z_*`` and
-    ``q_*``; the field loop over Fraction(1) is the reference."""
+def _structure(value):
+    """A ``FieldFrac`` as the terms of its num and den, with the type of
+    each coefficient (``1 == Fraction(1)``, but they are not the same)."""
+    return tuple((e.terms, tuple(type(c) for c, _ in e.terms))
+                 for e in (value.num, value.den))
+
+
+def _field_cases():
+    """The seeded matrices of ``TestSeededExpressionField`` (the rank and
+    nullspace draws) and of ``TestExpressionSwell``, dense and sparse, and
+    rational matrices of every shape."""
+    cases = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        ncols = rng.randint(2, 3)
+        k = rng.randint(1, ncols)
+        cases.append((f"ranked-{seed}",
+                      _ranked(rng, _point(rng), k + rng.randint(1, 2),
+                              ncols, k)))
+    for seed in (0, 3, 4, 7):
+        rng = random.Random(seed)
+        cases.append((f"swell-{seed}", _ranked(rng, _point(rng), 5, 4, 3)))
+    cases += [(f"{name}-sparse", _sparse(rows)) for name, rows in cases]
+    for seed, shape in enumerate(SHAPES):
+        cases.append((f"rational-{seed}",
+                      _random_matrix(random.Random(seed), *shape)))
+    return cases
+
+
+FIELD_CASES = _field_cases()
+
+
+class TestFieldReference:
+    """``f_rref`` does the field operations of the field-only loop kept in
+    ``tests/helpers.py``, in its order: the same pivots, every entry with
+    structurally equal num and den, every row with the same key order, and
+    a swell refusal at the same inputs."""
+
+    @staticmethod
+    def _outcome(rref, rows):
+        try:
+            rows, pivots = rref(rows)
+        except linalg.ExpressionSwellError:
+            return "refused"
+        return pivots, [[(c, _structure(v)) for c, v in row.items()]
+                        for row in rows]
 
     @staticmethod
     def _reference(rows):
-        return linalg._rref(({c: Fr(v) for c, v in enumerate(row) if v}
-                             for row in rows), Fr(1))
+        items = (row.items() if isinstance(row, dict) else enumerate(row)
+                 for row in rows)
+        return field_rref(({c: FieldFrac.of(v) for c, v in pairs if v}
+                           for pairs in items), FieldFrac.of(1))
+
+    @pytest.mark.parametrize("name, rows", FIELD_CASES,
+                             ids=[name for name, _ in FIELD_CASES])
+    def test_f_rref_matches_the_reference(self, name, rows):
+        assert self._outcome(f_rref, rows) == \
+            self._outcome(self._reference, rows)
+
+    def test_the_cases_include_a_refusal(self):
+        # a refusal at the same inputs is compared only where there is one
+        assert any(self._outcome(self._reference, rows) == "refused"
+                   for name, rows in FIELD_CASES if name.startswith("swell"))
+
+
+class TestIntegerLoop:
+    """The elimination over the integers, behind ``z_*`` and ``q_*``;
+    the dense Gauss-Jordan ``_dense_rref`` is the reference."""
+
+    @staticmethod
+    def _reference(rows):
+        rref, pivots = _dense_rref([[Fr(v) for v in row] for row in rows])
+        return [{c: v for c, v in enumerate(row) if v} for row in rref], pivots
 
     def _check(self, rows, ncols):
         ref, pivots = self._reference(rows)
@@ -666,10 +744,10 @@ class TestIntegerLoop:
 
 
 class TestRationalEntries:
-    """The two loops agree.  The ``f_*`` functions eliminate rational rows
+    """The two rings agree.  The ``f_*`` functions eliminate rational rows
     over ``FieldFrac`` -- held as ``Expr``, as ``Fraction`` or as ``int``
-    -- and give the values the integer loop gives through ``z_*`` and
-    ``q_*``, as ``FieldFrac`` or ``Expr``."""
+    -- and give the values the integer elimination gives through ``z_*``
+    and ``q_*``, as ``FieldFrac`` or ``Expr``."""
 
     def _check(self, rng, q, ncols):
         nrows = len(q)
