@@ -27,8 +27,9 @@ are integer rows over one denominator, and the solve
 (``linalg.z_solve_unique``) and the re-check sum_k N^k R_k = L B_ij are
 integer identities; classification runs on the integer tensor D*c with
 the fraction-free ``z_*`` eliminations and primitive integer vectors.
-``EXPRESSIONS`` is the ring of kernel expressions: the ``f_*``
-eliminations, over ``FieldFrac``.
+``EXPRESSIONS`` is the ring of kernel expressions: the fraction-free
+``f_*`` eliminations, whose solutions are (entry, pivot) pairs divided
+exactly (``expr.divide_exact``) into the constants they expand.
 ``structure_constants`` solves in ``INTEGERS`` when every coordinate and
 every monomial bracket met is rational.  Following de Graaf (*Lie
 Algebras: Theory and Algorithms*, 2000), brackets of basis elements are
@@ -195,7 +196,7 @@ EXPRESSIONS = Ring(
     row_basis=lambda rows: linalg.f_row_basis(rows),
     solve=lambda matrix, rhss, ncols=None: (
         linalg.f_solve_unique(matrix, rhss, ncols), 1),
-    values=lambda sol: tuple(x.to_expr() for x in sol),
+    values=lambda sol: tuple(ex.divide_exact(*pair) for pair in sol),
     tensor=_expression_tensor,
     clear=lambda c: c,
     witness=lambda v, scale=None: tuple(v),

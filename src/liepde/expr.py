@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from operator import attrgetter, itemgetter
 
 
@@ -792,6 +792,25 @@ def divide_exact(num: Expr, den: Expr) -> Expr:
         raise UnsupportedDivision(
             f"no exact quotient in the kernel for division by {to_text(divisor)}")
     return quotient * DELTA ** k if k else quotient
+
+
+def over_content(exprs: list[Expr]) -> list[Expr]:
+    """Nonzero expressions over the factor that every term of every one
+    shares: the gcd of the rational coefficients over the lcm of their
+    denominators, times each base but the exponentials to its least
+    positive power."""
+    terms = [t for e in exprs for t in e.terms]
+    shared = {b: p for b, p in terms[0][1]
+              if p > 0 and b.__class__ is not ExpFactor}
+    for _, fs in terms[1:]:
+        shared = {b: min(p, q) for b, q in fs
+                  if q > 0 and (p := shared.get(b))}
+    content = Fraction(gcd(*(c.numerator for c, _ in terms)),
+                       lcm(*(c.denominator for c, _ in terms)))
+    if content == 1 and not shared:
+        return exprs
+    return [_divide_monomial(e, content, tuple(sorted(shared.items())))
+            for e in exprs]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,18 @@ its ``lead`` (a new pivot row is normalised):
   denominator; ``q_rank`` and ``q_nullspace`` (the ``z_nullspace`` vectors
   as ``Fraction``s) serve the solver, and ``q_vector`` is the one read-off
   of an integer vector as ``Fraction``s;
-* the ``f_*`` functions eliminate over ``FieldFrac``, num/den pairs of
-  kernel expressions, within a swell budget (below), whatever the entries
-  are: numbers or expressions, dense lists or sparse dicts.  ``_subtract``
-  takes row[c] times the pivot row off a row and ``_unit`` scales a new
-  pivot row to 1, in the order of the loop ``tests/helpers.py`` keeps as
-  the reference for every num/den.  They return ``FieldFrac``s (rref,
-  solve) or denominator-cleared expressions (nullspace, row basis).
+* the ``f_*`` functions eliminate over the field of kernel expressions,
+  fraction-free too, whatever the entries are (numbers or expressions,
+  dense lists or sparse dicts): ``_cross_expr`` cross-multiplies and
+  takes the content out of the row it forms (``ex.over_content``: the
+  rational gcd and the shared monomial, exponentials aside), and
+  ``_positive_expr`` makes the first term of the pivot entry positive.
+  A value, an entry over its pivot entry, is divided (``ex.divide_exact``)
+  only where a caller reads it.  No polynomial gcd is taken out, so
+  entries can swell (a 5x4 matrix of entries of at most 6 terms has run
+  past 20 s): one past ``_SWELL_BUDGET`` terms is refused with
+  ``ExpressionSwellError``.  The field-only loop over num/den pairs in
+  ``tests/helpers.py`` is the reference for the values.
 
 A caller picks the ring by the function it calls: rational rows reach the
 integer ring only through ``z_*`` and ``q_*``.  Around them:
@@ -47,21 +52,16 @@ integer ring only through ``z_*`` and ``q_*``.  Around them:
   package: they are named references, kept for perfbench's lookup and,
   for ``pencil_pivots``, as the tests' reference for ``charpoly``;
 * ``coordinates`` writes expressions or vector fields as sparse rows over
-  shared monomial columns, for the ranks and solves above;
-* field elements over kernel expressions are num/den pairs with a
-  canonical zero test on the numerator and no gcd reduction, so their
-  terms can swell (a 5x4 matrix of entries of at most 6 terms has run
-  past 20 s); an element whose numerator or denominator outgrows
-  ``_SWELL_BUDGET`` terms is refused with ``ExpressionSwellError``.
+  shared monomial columns, for the ranks and solves above.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from . import expr as ex
-from .expr import Expr, ExprError, Frozen
+from .expr import Expr, ExprError
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +116,9 @@ def _rref(rows, clear, lead) -> tuple[list[dict], list[int]]:
     (``lead(row, pc)``), which is then cleared from the earlier pivot rows.
     The result has one row per pivot, in column order, zero in every other
     pivot column: a primitive integer row positive at its pivot (``_cross``,
-    ``_positive``), or the ``FieldFrac`` row of the unique reduced echelon
-    form (``_subtract``, ``_unit``).
+    ``_positive``), or an expression row over its content whose pivot entry
+    has a positive first term (``_cross_expr``, ``_positive_expr``); over
+    its pivot entry, each is the row of the unique reduced echelon form.
     """
     basis: dict = {}   # pivot column -> its reduced row
     for row in rows:
@@ -163,44 +164,6 @@ def _positive(row: dict, pc: int) -> dict:
     return row if row[pc] > 0 else {j: -v for j, v in row.items()}
 
 
-def _subtract(row: dict, c: int, pivot_row: dict) -> dict:
-    """row - row[c]*pivot_row over a field, in place, for a pivot row that
-    is 1 at ``c``: ``c`` is dropped and only nonzero entries are kept."""
-    f = row.pop(c)
-    for j, v in pivot_row.items():
-        if j != c:
-            w = row[j] - f * v if j in row else -(f * v)
-            if w:
-                row[j] = w
-            else:
-                del row[j]
-    return row
-
-
-def _unit(row: dict, pc: int) -> dict:
-    """A ``FieldFrac`` row over its entry at ``pc``, which becomes 1 and
-    stays first."""
-    inv = 1 / row.pop(pc)
-    return {pc: _F_ONE, **{j: v * inv for j, v in row.items()}}
-
-
-def _nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
-    """Right-nullspace basis from a reduced echelon form over a field, one
-    dense vector per free column, in column order."""
-    is_pivot = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in is_pivot:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(rref, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
-
-
 def z_rref(matrix) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced echelon form over the integers of rows of rational numbers
     (``int``, ``Fraction`` or rational expressions; dense lists or sparse
@@ -235,7 +198,7 @@ def z_nullspace(matrix, ncols: int | None = None) -> list[list[int]]:
 def z_row_basis(matrix, ncols: int | None = None) -> list[list[int]]:
     """Reduced echelon basis of the row space of rows of rational numbers,
     one dense primitive integer row per pivot: each a positive multiple of
-    the row ``f_rref`` gives, which is 1 at its first nonzero entry."""
+    the reduced echelon row, which is 1 at its first nonzero entry."""
     ncols = _width(matrix, ncols)
     return [[row.get(c, 0) for c in range(ncols)] for row in z_rref(matrix)[0]]
 
@@ -621,94 +584,63 @@ def coordinates(vectors, keep=None, index=None) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# fraction field over kernel expressions
+# the expression field, fraction-free
 # ---------------------------------------------------------------------------
 
-# Most terms in the numerator or the denominator of a ``FieldFrac``.  The
-# largest element formed by an elimination that answers, in the tests, the
-# classify benchmark and the report, has 182 terms; on the 5x4 matrices of
-# ``tests/test_linalg.py::TestExpressionSwell`` that swell, elements pass
-# 256 terms within 0.35 s and then grow past 1000 (Python 3.11, 2 cores).
-_SWELL_BUDGET = 256
+# Most terms in an entry that an expression clear forms.  An elimination
+# that answers, in the tests, the classify benchmark or the report, forms
+# at most 312 terms (a seeded 4x3 solve with four right-hand sides); on the
+# 5x4 matrices of ``TestExpressionSwell`` that swell, entries pass 512
+# terms within 0.3 s, then grow past 1000 (Python 3.11, 2 cores).
+_SWELL_BUDGET = 512
 
 
 class ExpressionSwellError(ExprError):
-    """A symbolic elimination refused: a field element outgrew the budget."""
+    """A symbolic elimination refused: an entry outgrew the budget."""
 
 
-class FieldFrac(Frozen):
-    """num/den with kernel-expression parts; zero when the numerator is.
-
-    No gcd reduction is attempted: the canonical zero test on numerators is
-    all correctness needs, and ``_SWELL_BUDGET`` bounds the growth this
-    allows, checked as each element is formed.  A rational denominator is
-    folded into the numerator, leaving ``ONE``.  The ``f_*`` functions
-    eliminate over this field whatever their entries are; rational rows
-    are eliminated over the integers through ``z_*`` and ``q_*``.
-    """
-
-    num: Expr
-    den: Expr
-
-    @staticmethod
-    def of(v) -> "FieldFrac":
-        """A number or an expression as a field element."""
-        return FieldFrac(ex.as_expr(v), ex.ONE)
-
-    def __post_init__(self):
-        den = self.den.terms
-        if not den:
-            raise ex.DivisionByZero("zero denominator in field element")
-        if len(den) == 1 and not den[0][1] and den[0][0] != 1:
-            # a rational denominator goes into the numerator's coefficients,
-            # which the kernel keeps reduced: rational rows then grow no
-            # integers past their values
-            object.__setattr__(self, "num", self.num * Fraction(1, den[0][0]))
-            object.__setattr__(self, "den", ex.ONE)
-        if max(len(self.num.terms), len(self.den.terms)) > _SWELL_BUDGET:
-            raise ExpressionSwellError(
-                f"expression swell: a symbolic elimination formed a field "
-                f"element of more than {_SWELL_BUDGET} terms")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero
-
-    def __add__(self, o: "FieldFrac") -> "FieldFrac":
-        return FieldFrac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "FieldFrac") -> "FieldFrac":
-        return FieldFrac(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o: "FieldFrac") -> "FieldFrac":
-        return FieldFrac(self.num * o.num, self.den * o.den)
-
-    def __neg__(self) -> "FieldFrac":
-        return FieldFrac(-self.num, self.den)
-
-    def __rtruediv__(self, o) -> "FieldFrac":
-        """``o / self`` for a rational ``o``; ``1 / x`` is the inverse."""
-        if self.is_zero:
-            raise ex.DivisionByZero("division by zero field element")
-        return FieldFrac(self.den * o, self.num)
-
-    def to_expr(self) -> Expr:
-        return ex.divide_exact(self.num, self.den)
+def _cross_expr(row: dict, c: int, pivot_row: dict) -> dict:
+    """Column ``c`` of an expression row cleared by cross-multiplication:
+    p*row - a*pivot_row, with a the row's entry and p the pivot row's
+    entry there, over its content (``ex.over_content``).  ``row`` is used
+    up; only nonzero entries are kept, and an entry past ``_SWELL_BUDGET``
+    terms is refused."""
+    a, p = row.pop(c), pivot_row[c]
+    if p != 1:
+        for j, v in row.items():
+            row[j] = _bounded(p * v)
+    for j, v in pivot_row.items():
+        if j != c:
+            w = _bounded(row[j] - a * v if j in row else -(a * v))
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+    return dict(zip(row, ex.over_content(list(row.values())))) if row else row
 
 
-_F_ZERO = FieldFrac.of(0)
-_F_ONE = FieldFrac.of(1)
+def _bounded(e: Expr) -> Expr:
+    if len(e.terms) > _SWELL_BUDGET:
+        raise ExpressionSwellError(
+            f"expression swell: a symbolic elimination formed a field "
+            f"element of more than {_SWELL_BUDGET} terms")
+    return e
+
+
+def _positive_expr(row: dict, pc: int) -> dict:
+    """An expression row, negated unless the first term of its entry at
+    ``pc`` has a positive coefficient."""
+    return row if row[pc].terms[0][0] > 0 else {j: -v for j, v in row.items()}
 
 
 def f_rref(matrix) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form over the expression field, as sparse
-    ``FieldFrac`` rows, of a matrix of numbers or expressions; ``matrix``
-    rows are dense lists or sparse dicts."""
-    return _rref(({c: FieldFrac.of(v) for c, v in _items(row) if v}
-                  for row in matrix), _subtract, _unit)
+    """Reduced echelon form over the expression field of a matrix of
+    numbers or expressions (dense lists or sparse dicts), fraction-free:
+    one sparse expression row per pivot, zero in every other pivot
+    column, whose entries over its pivot entry are the row of the unique
+    reduced echelon form, and the pivot column list."""
+    return _rref(({c: ex.as_expr(v) for c, v in _items(row) if v}
+                  for row in matrix), _cross_expr, _positive_expr)
 
 
 def f_rank(matrix) -> int:
@@ -722,12 +654,13 @@ def f_solve_unique(matrix, rhss: list[list],
     each rhs in ``rhss``, from one elimination of the matrix augmented by
     every right-hand side.
 
-    Returns one ``FieldFrac`` solution per rhs, None for an inconsistent
-    one; raises when the columns of the matrix are dependent.  Row
-    operations keep the linear relations among columns, so the column of a
-    consistent rhs reduces to its solution on the pivot rows of the matrix
-    and is zero below them; an inconsistent one keeps an entry below them.
-    Sparse rows need ``ncols``.
+    Returns per rhs the (entry, pivot) pair of each unknown, whose
+    quotient is its value, or None for an inconsistent rhs; raises when
+    the columns of the matrix are dependent.  Row operations keep the
+    linear relations among columns, so the column of a consistent rhs
+    reduces to its solution on the pivot rows of the matrix and is zero
+    below them; an inconsistent one keeps an entry below them.  Sparse
+    rows need ``ncols``.
     """
     ncols = _width(matrix, ncols)
     rref, pivots = f_rref(_augmented(matrix, rhss, ncols))
@@ -735,34 +668,38 @@ def f_solve_unique(matrix, rhss: list[list],
         raise ExprError("basis is not linearly independent")
     top, below = rref[:ncols], rref[ncols:]
     return [None if any(c in row for row in below)
-            else [row.get(c, _F_ZERO) for row in top]
+            else [(row.get(c, ex.ZERO), row[pc])
+                  for row, pc in zip(top, pivots)]
             for c in range(ncols, ncols + len(rhss))]
 
 
 def f_nullspace(matrix) -> list[list[Expr]]:
     """Right-nullspace basis over the expression field, one dense
-    denominator-cleared expression vector per free column."""
+    expression vector per free column in column order: the vector that is
+    1 there, times the product of the distinct non-rational pivot entries
+    it reads."""
     ncols = _width(matrix, None)
-    return [_cleared(v) for v in _nullspace(*f_rref(matrix), ncols, _F_ZERO,
-                                            _F_ONE)]
+    rref, pivots = f_rref(matrix)
+    is_pivot = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in is_pivot:
+            continue
+        rows = [(row, pc) for row, pc in zip(rref, pivots) if fc in row]
+        v = [ex.ZERO] * ncols
+        v[fc] = prod((p for p in dict.fromkeys(row[pc] for row, pc in rows)
+                      if not p.is_rational), start=ex.ONE)
+        for row, pc in rows:
+            v[pc] = -ex.divide_exact(row[fc] * v[fc], row[pc])
+        basis.append(v)
+    return basis
 
 
 def f_row_basis(matrix) -> list[list[Expr]]:
     """Reduced echelon basis of the row space over the expression field,
-    one dense denominator-cleared expression row per pivot."""
+    one dense expression row per pivot: the row that is 1 at its pivot,
+    times the pivot entry when that is not rational."""
     ncols = _width(matrix, None)
-    return [_cleared([row.get(c, _F_ZERO) for c in range(ncols)])
-            for row in f_rref(matrix)[0]]
-
-
-def _cleared(vec: list[FieldFrac]) -> list[Expr]:
-    """The vector as expressions, times the product of its distinct
-    non-rational denominators."""
-    dens: list[Expr] = []
-    for v in vec:
-        if v and not v.den.is_rational and v.den not in dens:
-            dens.append(v.den)
-    mult = ex.ONE
-    for d in dens:
-        mult = mult * d
-    return [ex.divide_exact(v.num * mult, v.den) for v in vec]
+    return [[ex.divide_exact(row.get(c, ex.ZERO),
+                             row[pc] if row[pc].is_rational else ex.ONE)
+             for c in range(ncols)] for row, pc in zip(*f_rref(matrix))]

@@ -24,6 +24,11 @@ coefficient whose numerator or denominator is longer, and a power whose base
 has a coefficient that, raised to the exponent, would already be longer (it
 is refused before it is computed) raise :class:`ParseError`.
 
+A product a*b may have |a|*|b| terms and a power n of a k-term base
+C(n+k-1, k-1), each times the terms one monomial splits into under the
+kernel's rewrites (``_split``); where that passes ``MAX_TERMS``, the ``*``
+or ``^`` raises :class:`ParseError` before anything is multiplied.
+
 Parentheses, ``exp(`` and ``sqrt(`` nest at most ``MAX_NESTING`` deep; a
 deeper input raises :class:`ParseError`.  The bound keeps the parser, the
 renderer and the prolongation of a generator with exponentials nested that
@@ -33,7 +38,9 @@ such a generator grows about as the fourth power of the depth.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 from . import expr as ex
 from .expr import Expr, ExprError
@@ -42,6 +49,7 @@ from .expr import Expr, ExprError
 MAX_DIGITS = 1000
 _LIMIT = 10 ** MAX_DIGITS       # the smallest integer with too many digits
 MAX_NESTING = 50
+MAX_TERMS = 256
 
 
 class ParseError(ExprError):
@@ -72,6 +80,26 @@ def _power_too_long(base: Expr, n: int) -> bool:
     bits = _LIMIT.bit_length()
     return any(n * (abs(k).bit_length() - 1) >= bits
                for c, _ in base.terms for k in (c.numerator, c.denominator))
+
+
+def _top(e: Expr, n: int = 1) -> Counter:
+    """n times the largest power of each atom in a term of ``e``."""
+    top: Counter = Counter()
+    for _, fs in e.terms:
+        for b, p in fs:
+            if isinstance(b, ex.Atom) and n * p > top[b.name]:
+                top[b.name] = n * p
+    return top
+
+
+def _split(top: Counter) -> int:
+    """The most terms a monomial with at most these powers rewrites into:
+    omega^w is (R^2 - 4*S)^(w//2), w//2 + 1 terms raising R by up to w,
+    and R*V*delta = 1 - W*delta leaves one term per count i <= d and j of
+    its two results, i + j <= m = min(r, v), if delta^d, d > 0."""
+    w, d = top["omega"], top["delta"]
+    m = min(top["R"] + w, top["V"])
+    return (w // 2 + 1) * ((min(d, m) + 1) * (m + 1) if d else 1)
 
 
 class _Token:
@@ -155,6 +183,13 @@ class _Parser:
                       f"{MAX_DIGITS} digits are accepted", tok)
         return int(tok.text)
 
+    def bound(self, what: str, monomials: int, top: Counter, tok: _Token):
+        """Refuse a product or power of so many monomials before the
+        rewrites, with at most these powers, at ``tok``."""
+        if monomials * _split(top) > MAX_TERMS:
+            self.fail(f"{what} may have more than {MAX_TERMS} terms, the "
+                      f"most a parsed value may have", tok)
+
     # grammar ---------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
@@ -171,8 +206,11 @@ class _Parser:
     def parse_term(self) -> Expr:
         value = self.parse_factor()
         while self.peek().kind == "*":
-            self.advance()
-            value = value * self.parse_factor()
+            star = self.advance()
+            factor = self.parse_factor()
+            self.bound("product", len(value.terms) * len(factor.terms),
+                       _top(value) + _top(factor), star)
+            value = value * factor
         return value
 
     def parse_factor(self) -> Expr:
@@ -188,9 +226,13 @@ class _Parser:
                 self.fail(f"power has a coefficient of more than {MAX_DIGITS} "
                           f"digits", caret)
             try:
-                return base ** (sign * n)
+                base = ex.divide_exact(ex.ONE, base) if sign < 0 else base
             except ExprError as err:
                 raise ParseError(str(err), caret.line, caret.col) from err
+            k = len(base.terms)
+            self.bound("power", comb(n + k - 1, k - 1) if k else 0,
+                       _top(base, n), caret)
+            return base ** n
         return base
 
     def parse_base(self) -> Expr:

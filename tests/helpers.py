@@ -1,14 +1,22 @@
 """Test-only references: exact evaluation of kernel expressions at rational
 points, the independent oracle of the canonical-form tests, the named
 coefficient functions of the published hpz basis, rational roots by
-divisor enumeration, and the sparse Gauss-Jordan loop over a field that
-``linalg.f_rref`` must reproduce element for element."""
+divisor enumeration, and the sparse Gauss-Jordan loop over a field, with
+num/den pairs of kernel expressions as its field and the nullspace read
+off its result: the values ``linalg.f_rref`` must give.  Also the seeded
+matrices over Q(R, S, V, W) that the expression eliminations are tested
+on, here and against sympy."""
 
+import random
 from fractions import Fraction
 from math import isqrt, lcm
 
-from liepde import fixtures as fx
-from liepde.expr import DivisionByZero, ExpFactor, ExprError, base_label
+from liepde import expr as ex, fixtures as fx
+from liepde.expr import (DivisionByZero, ExpFactor, Expr, ExprError, Frozen,
+                         base_label)
+from liepde.expr import R, S, V, W
+from liepde.linalg import ExpressionSwellError, q_rank
+from liepde.solver import Binding
 
 
 def evaluate(e, binding) -> dict:
@@ -106,9 +114,8 @@ def field_rref(rows, one) -> tuple[list[dict], list[int]]:
     which is then cleared from the earlier pivot rows.  The result is the
     unique reduced echelon basis of the row space, one row per pivot in
     column order, each holding only its nonzero entries.  Over
-    ``FieldFrac`` it is the reference for ``linalg.f_rref``, which must do
-    these field operations in this order: every num/den it forms, and the
-    key order of every row, are compared with this loop's.
+    ``FieldFrac`` it is the reference for ``linalg.f_rref``, whose rows over
+    their pivot entries must be these rows.
     """
     basis: dict = {}   # pivot column -> its reduced row, pivot entry left out
     for row in rows:
@@ -136,3 +143,173 @@ def _subtract(row: dict, f, pivot_row: dict):
             row[j] = w
         else:
             del row[j]
+
+
+def field_nullspace(rref, pivots, ncols: int, zero, one) -> list[list]:
+    """Right-nullspace basis from a reduced echelon form over a field, one
+    dense vector per free column, in column order."""
+    is_pivot = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in is_pivot:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(rref, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+# Most terms in the numerator or the denominator of a ``FieldFrac``, past
+# which it refuses as the field did when the package eliminated over it.
+FIELD_BUDGET = 256
+
+
+class FieldFrac(Frozen):
+    """num/den with kernel-expression parts; zero when the numerator is.
+
+    No gcd reduction is attempted: the canonical zero test on numerators is
+    all correctness needs, and ``FIELD_BUDGET`` bounds the growth this
+    allows, checked as each element is formed.  A rational denominator is
+    folded into the numerator, leaving ``ONE``.
+    """
+
+    num: Expr
+    den: Expr
+
+    @staticmethod
+    def of(v) -> "FieldFrac":
+        """A number or an expression as a field element."""
+        return FieldFrac(ex.as_expr(v), ex.ONE)
+
+    def __post_init__(self):
+        den = self.den.terms
+        if not den:
+            raise DivisionByZero("zero denominator in field element")
+        if len(den) == 1 and not den[0][1] and den[0][0] != 1:
+            object.__setattr__(self, "num", self.num * Fraction(1, den[0][0]))
+            object.__setattr__(self, "den", ex.ONE)
+        if max(len(self.num.terms), len(self.den.terms)) > FIELD_BUDGET:
+            raise ExpressionSwellError(
+                f"expression swell: a field element of more than "
+                f"{FIELD_BUDGET} terms")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
+    def __add__(self, o: "FieldFrac") -> "FieldFrac":
+        return FieldFrac(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __sub__(self, o: "FieldFrac") -> "FieldFrac":
+        return FieldFrac(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __mul__(self, o: "FieldFrac") -> "FieldFrac":
+        return FieldFrac(self.num * o.num, self.den * o.den)
+
+    def __neg__(self) -> "FieldFrac":
+        return FieldFrac(-self.num, self.den)
+
+    def __rtruediv__(self, o) -> "FieldFrac":
+        """``o / self`` for a rational ``o``; ``1 / x`` is the inverse."""
+        if not self:
+            raise DivisionByZero("division by zero field element")
+        return FieldFrac(self.den * o, self.num)
+
+    def to_expr(self) -> Expr:
+        return ex.divide_exact(self.num, self.den)
+
+
+# seeded matrices over Q(R, S, V, W) ------------------------------------------
+
+# the seeds at which a 5x4 matrix of rank 3 swelled past 20 s before the
+# eliminations had a budget
+SWELL_SEEDS = (0, 3, 4, 7)
+
+
+def _entry(rng, density=0.7):
+    """Zero, or a random polynomial of degree <= 1 in one of R, S, V, W."""
+    if rng.random() > density:
+        return ex.ZERO
+    return rng.randint(-3, 3) + rng.choice((-2, -1, 1, 2)) * rng.choice(
+        (R, S, V, W))
+
+
+def _point(rng):
+    return Binding({name: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                    for name in "RSVW"})
+
+
+def at_point(point, rows):
+    """The expression matrix evaluated at a rational point."""
+    return [[point.apply(v).as_fraction() for v in row] for row in rows]
+
+
+def dot(row, vec):
+    return sum((a * b for a, b in zip(row, vec)), ex.ZERO)
+
+
+def _ranked(rng, point, nrows, ncols, k):
+    """An nrows x ncols expression matrix of rank k, by construction: k rows
+    independent at ``point`` (so symbolically independent), the others
+    symbolic combinations of them, in shuffled order."""
+    while True:
+        base = [[_entry(rng) for _ in range(ncols)] for _ in range(k)]
+        if q_rank(at_point(point, base)) == k:
+            break
+    rows = list(base)
+    for _ in range(nrows - k):
+        coeffs = [rng.choice((-1, 1, 2)) * rng.choice((R, S, V, W))
+                  for _ in range(k)]
+        rows.append([dot(coeffs, [row[j] for row in base])
+                     for j in range(ncols)])
+    rng.shuffle(rows)
+    return rows
+
+
+def rank_case(seed):
+    """(rows, their rank k, the point they are independent at): a matrix
+    of 2 or 3 columns and k + 1 or k + 2 rows."""
+    rng = random.Random(seed)
+    ncols = rng.randint(2, 3)
+    k = rng.randint(1, ncols)
+    point = _point(rng)
+    return _ranked(rng, point, k + rng.randint(1, 2), ncols, k), k, point
+
+
+def swell_case(seed):
+    """A 5x4 matrix of rank 3."""
+    rng = random.Random(seed)
+    return _ranked(rng, _point(rng), 5, 4, 3)
+
+
+def solve_case(seed):
+    """(m, rhss, xs): an (n+1) x n matrix of independent columns, n <= 3,
+    the right-hand sides m*x of one to three known solutions x, and one
+    inconsistent right-hand side, whose entry in xs is None."""
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 3)
+    nrows = ncols + 1
+    point = _point(rng)
+    while True:
+        m = [[_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        if q_rank(at_point(point, m)) == ncols:
+            break
+    xs = [[_entry(rng) for _ in range(ncols)]
+          for _ in range(rng.randint(1, 3))]
+    rhss = [[dot(row, x) for row in m] for x in xs]
+    # an rhs independent of the columns at the point is inconsistent
+    while True:
+        bad = [_entry(rng) for _ in range(nrows)]
+        aug = [row + [b] for row, b in zip(m, bad)]
+        if q_rank(at_point(point, aug)) == ncols + 1:
+            break
+    at = rng.randint(0, len(xs))
+    xs.insert(at, None)
+    rhss.insert(at, bad)
+    return m, rhss, xs

@@ -160,18 +160,18 @@ class TestStructureConstants:
             self, name, basis, reduced_basis, monkeypatch):
         # the bracket rows are formed without the expansion, so a wrong
         # solution cannot pass the re-check: a symbolic tensor is solved
-        # over FieldFrac, a rational one over the integers (one numerator
-        # off by one)
+        # over the expressions (one value off by one), a rational one over
+        # the integers (one numerator off by one)
         fields = basis if name == "hpz" else reduced_basis.fields
         if name == "hpz":
-            solve, one = linalg.f_solve_unique, linalg.FieldFrac.of(1)
+            solve, bump = linalg.f_solve_unique, _bump_pair
         else:
-            solve, one = linalg.z_solve_unique, 1
+            solve, bump = linalg.z_solve_unique, lambda x: x + 1
 
         def corrupted(matrix, rhss, ncols=None):
             out = solve(matrix, rhss, ncols)
             sols = out if name == "hpz" else out[0]
-            sols[-1] = [sols[-1][0] + one] + sols[-1][1:]
+            sols[-1] = [bump(sols[-1][0])] + sols[-1][1:]
             return out
 
         monkeypatch.setattr(linalg, solve.__name__, corrupted)
@@ -319,7 +319,7 @@ class TestClassification:
         # scaled by delta, 1/delta = R*V + W: c'_ij^k = s_i s_j / s_k c_ij^k.
         # The rational tensor needs the correction; over the expressions it
         # is not attempted, since no budget bounds the delta powers that
-        # FieldFrac.to_expr multiplies out
+        # the read-off divide_exact multiplies out
         pres = structure_constants(_classify_bases(1, discovered)[0])
         n = pres.dimension
         s = [DELTA if i % 2 else ONE for i in range(n)]
@@ -586,14 +586,14 @@ class TestSubalgebras:
                                           for f in basis]))
         self._check(_triangular_mix(rng, reduced_basis.fields))
 
-    def _check_corrupted_solve(self, pres, monkeypatch, name, one):
+    def _check_corrupted_solve(self, pres, monkeypatch, name, bump):
         radical, complement = _subspaces(pres)
         solve = getattr(linalg, name)
 
         def corrupted(matrix, rhss, ncols=None):
             out = solve(matrix, rhss, ncols)
             sols = out[0] if name == "z_solve_unique" else out
-            sols[-1] = [sols[-1][0] + one] + sols[-1][1:]
+            sols[-1] = [bump(sols[-1][0])] + sols[-1][1:]
             return out
 
         monkeypatch.setattr(linalg, name, corrupted)
@@ -610,14 +610,22 @@ class TestSubalgebras:
         # integer numerators over one denominator
         pres = structure_constants(reduced_basis.fields)
         self._check_corrupted_solve(AlgebraPresentation((), pres.cleared),
-                                    monkeypatch, "z_solve_unique", 1)
+                                    monkeypatch, "z_solve_unique",
+                                    lambda x: x + 1)
 
     def test_corrupted_constant_fails_the_coordinate_recheck_as_expr(
             self, reduced_basis, monkeypatch):
-        # the same tensor held as Expr: f_solve_unique gives FieldFrac ones
+        # the same tensor held as Expr: f_solve_unique gives (entry, pivot)
+        # pairs, and the value of one is off by one
         pres = _as_expressions(structure_constants(reduced_basis.fields))
         self._check_corrupted_solve(pres, monkeypatch, "f_solve_unique",
-                                    linalg.FieldFrac.of(1))
+                                    _bump_pair)
+
+def _bump_pair(pair):
+    """An (entry, pivot) pair whose quotient is one more."""
+    entry, pivot = pair
+    return entry + pivot, pivot
+
 
 def _as_expressions(pres):
     """The same presentation with its rational constants held as ``Expr``."""
@@ -825,7 +833,7 @@ def _counted(monkeypatch, names) -> dict:
 
 class TestRingChoice:
     """A rational basis is solved and classified in ``INTEGERS`` and never
-    reaches the ``FieldFrac`` elimination ``f_rref``: a fallback to the
+    reaches the expression elimination ``f_rref``: a fallback to the
     expression field would change no verdict, only the cost.  A tensor held
     as expressions is classified in ``EXPRESSIONS``."""
 

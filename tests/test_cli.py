@@ -3,15 +3,16 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import child_env
 from liepde import expr as ex
-from liepde import linalg, solver
+from liepde import fixtures, linalg, solver
 from liepde.cli import main
-from liepde.parser import MAX_NESTING
+from liepde.parser import MAX_NESTING, MAX_TERMS
 
 GOLDEN = Path(__file__).parent / "golden" / "report.json"
 GOLDEN_FIND = Path(__file__).parent / "golden" / "find_hpz_nondefault.json"
@@ -135,6 +136,52 @@ class TestExitCodes:
         assert code == 2
         assert "singular" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("verify --equation hpz --generator xi_t",
+         "generator field 'xi_t' is missing '='"),
+        ("verify --equation hpz --fixture other",
+         "unknown fixture 'other'; only 'paper'"),
+        ("verify --equation heat --fixture paper",
+         "the 'paper' fixture belongs to the hpz equation"),
+        ("verify --equation hpz", "verify needs --fixture or --generator"),
+        ("verify --equation stationary-2.6 --fixture paper",
+         "this command needs an evolution equation, not the stationary one"),
+        ("reduce --equation heat --generator delta3",
+         "reduction fixtures are defined for the hpz equation"),
+        ("reduce --equation hpz --generator delta1",
+         "reducible generators: delta3, delta4, delta5, delta6, time"),
+        ("classify", "classify needs --basis FILE or --equation NAME"),
+        ("find --equation hpz --params R=5,S=4,V=1,W=x",
+         "bad rational 'x' for W"),
+        ("find --equation hpz --params R=5,S=4", "binding does not set V"),
+        ("reduce --equation hpz --generator delta3 --params R=5,S=4,V=-1,W=5",
+         "R*V + W = 0 is a singular-parameter case"),
+    ])
+    def test_usage_refusals_exit_two_with_one_error_line(self, argv, message,
+                                                         capsys):
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["(x+1)^1000", "(x+1)^3000",
+                                      "(exp(x)+1)^2000", "(x+y+t+1)^40",
+                                      "(x+y+t+1)^80*u"])
+    def test_term_bound_refuses_generators_and_basis_files(self, text, capsys,
+                                                           tmp_path):
+        # ROADMAP finding 3: each ran for seconds, or out of memory
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "variables": ["t", "x", "y"], "dependent": "u",
+            "generators": [{"eta": "u"}, {"xi_x": text}]}))
+        for argv in (["verify", "--equation", "heat", "--generator",
+                      f"xi_t=0; xi_x=0; eta={text}"],
+                     ["classify", "--basis", str(path)]):
+            start = time.perf_counter()
+            code, out, err = run_cli(argv, capsys)
+            assert time.perf_counter() - start < 0.1
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith(f"error: power may have more than "
+                                  f"{MAX_TERMS} terms")
+
     def test_unknown_equation_exits_two(self, capsys):
         code, _, _ = run_cli(["find", "--equation", "bogus"], capsys)
         assert code == 2
@@ -190,6 +237,27 @@ class TestCommands:
             ["reduce", "--equation", "hpz", "--generator", "delta3"], capsys)
         assert code == 0
         assert "matches printed form (factor 1): True" in out
+
+    def test_reduce_reports_a_printed_form_that_differs(self, capsys,
+                                                        monkeypatch):
+        # the text output lists the term-by-term comparison and flags the
+        # monomial where the printed form differs
+        printed_form = fixtures.printed_reduced_equation
+
+        def misprinted(name):
+            printed, factor = printed_form(name)
+            return printed + ex.jet("z", ("r",)), factor
+
+        monkeypatch.setattr(fixtures, "printed_reduced_equation", misprinted)
+        code, out, _ = run_cli(
+            ["reduce", "--equation", "hpz", "--generator", "delta3"], capsys)
+        assert code == 0
+        assert "matches printed form (factor 1): False" in out
+        assert "  term-by-term comparison (suspected transcription slip):" \
+            in out
+        differs = [line for line in out.splitlines()
+                   if line.endswith("<-- differs")]
+        assert len(differs) == 1 and differs[0].startswith("    [z_r] derived")
 
     def test_reduce_time(self, capsys):
         code, out, _ = run_cli(

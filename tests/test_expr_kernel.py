@@ -417,3 +417,32 @@ class TestCoefficients:
                 res = residual(vf, pde)
                 assert not res.is_zero
                 assert_reduced_coefficients(res)
+
+
+class TestOverContent:
+    """``over_content`` divides expressions by the rational and monomial
+    factor all their terms share, the content the fraction-free
+    eliminations take out of their rows."""
+
+    def test_rational_content_is_gcd_over_lcm(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        assert ex.over_content([half * X + third, 2 * Y]) == \
+            [3 * X + 2, 12 * Y]
+        assert ex.over_content([-4 * X, 6 * Y]) == [-2 * X, 3 * Y]
+
+    def test_shared_monomial_at_its_least_positive_power(self):
+        assert ex.over_content([R ** 2 * X + R * X ** 3, R * X * Y]) == \
+            [R + X ** 2, Y]
+        # omega and delta come out like any atom, canonically
+        assert ex.over_content([OMEGA * X, OMEGA * DELTA]) == [X, DELTA]
+
+    def test_exponentials_and_negative_powers_stay(self):
+        e = exp_of(T)
+        assert ex.over_content([e * X, 2 * e * X ** 2]) == [e, 2 * e * X]
+        assert ex.over_content([X ** -1, X ** -2]) == [X ** -1, X ** -2]
+
+    def test_no_content_returns_the_list_itself(self):
+        exprs = [X + 1, 2 * Y]
+        assert ex.over_content(exprs) is exprs
+        for q in ex.over_content([Fraction(3, 4) * X, Fraction(9, 8) * Y]):
+            assert_reduced_coefficients(q)

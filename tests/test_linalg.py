@@ -10,9 +10,8 @@ import pytest
 
 from liepde import expr as ex, linalg
 from liepde.expr import ExprError, R, S, V, W
-from liepde.linalg import (FieldFrac, charpoly,
-                           coordinates, f_nullspace, f_rank, f_row_basis,
-                           f_rref, f_solve_unique, fraction_sqrt,
+from liepde.linalg import (charpoly, coordinates, f_nullspace, f_rank,
+                           f_row_basis, f_rref, f_solve_unique, fraction_sqrt,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_nullspace,
                            q_rank, rational_roots)
@@ -23,7 +22,9 @@ from liepde.jet import make_heat
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
 
-from helpers import divisor_roots, field_rref
+from helpers import (SWELL_SEEDS, FieldFrac, at_point, divisor_roots, dot,
+                     field_nullspace, field_rref, rank_case, solve_case,
+                     swell_case)
 
 
 class TestRationalMatrices:
@@ -409,8 +410,9 @@ class TestExpressionField:
         m = [[R, S], [V, W]]
         rhs = [R * R + S * S, V * R + W * S]
         [sol] = f_solve_unique(m, [rhs])
-        assert (sol[0].num - R * sol[0].den).is_zero
-        assert (sol[1].num - S * sol[1].den).is_zero
+        # (entry, pivot) pairs, whose quotients are the values
+        assert (sol[0][0] - R * sol[0][1]).is_zero
+        assert (sol[1][0] - S * sol[1][1]).is_zero
 
     def test_inconsistent_returns_none(self):
         assert f_solve_unique([[R], [S]], [[R, R]]) == [None]
@@ -422,6 +424,7 @@ class TestExpressionField:
         assert (R * ns[0][0] + S * ns[0][1]).is_zero
 
     def test_fieldfrac_arithmetic(self):
+        # the num/den field of the reference loop in tests/helpers.py
         a = FieldFrac(R, S)
         b = FieldFrac(V, W)
         s = a + b
@@ -429,91 +432,25 @@ class TestExpressionField:
         assert (a - a).is_zero
 
 
-PARAMS = (R, S, V, W)
-
-
-def _poly(rng, density=0.7):
-    """Zero, or a random polynomial of degree <= 1 in one of R, S, V, W."""
-    if rng.random() > density:
-        return ex.ZERO
-    return rng.randint(-3, 3) + rng.choice((-2, -1, 1, 2)) * rng.choice(PARAMS)
-
-
-def _point(rng):
-    return Binding({name: Fr(rng.randint(-9, 9) or 1, rng.randint(1, 4))
-                    for name in "RSVW"})
-
-
-def _at(point, rows):
-    """The expression matrix evaluated at a rational point."""
-    return [[point.apply(v).as_fraction() for v in row] for row in rows]
-
-
-def _dot(row, vec):
-    return sum((a * b for a, b in zip(row, vec)), ex.ZERO)
-
-
-def _ranked(rng, point, nrows, ncols, k):
-    """An nrows x ncols expression matrix of rank k, by construction: k rows
-    independent at ``point`` (so symbolically independent), the others
-    symbolic combinations of them, in shuffled order."""
-    while True:
-        base = [[_poly(rng) for _ in range(ncols)] for _ in range(k)]
-        if q_rank(_at(point, base)) == k:
-            break
-    rows = list(base)
-    for _ in range(nrows - k):
-        coeffs = [rng.choice((-1, 1, 2)) * rng.choice(PARAMS) for _ in range(k)]
-        rows.append([_dot(coeffs, [row[j] for row in base])
-                     for j in range(ncols)])
-    rng.shuffle(rows)
-    return rows
-
-
 class TestSeededExpressionField:
     @pytest.mark.parametrize("seed", range(8))
     def test_rank_known_by_construction(self, seed):
-        rng = random.Random(seed)
-        ncols = rng.randint(2, 3)
-        k = rng.randint(1, ncols)
-        rows = _ranked(rng, _point(rng), k + rng.randint(1, 2), ncols, k)
+        rows, k, _ = rank_case(seed)
         assert f_rank(rows) == k
 
     @pytest.mark.parametrize("seed", range(8))
     def test_nullspace_annihilates_and_counts(self, seed):
-        rng = random.Random(seed)
-        ncols = rng.randint(2, 3)
-        k = rng.randint(1, ncols)
-        point = _point(rng)
-        rows = _ranked(rng, point, k + rng.randint(1, 2), ncols, k)
+        rows, k, point = rank_case(seed)
         ns = f_nullspace(rows)
-        assert k + len(ns) == ncols
+        assert k + len(ns) == len(rows[0])
         for vec in ns:
-            assert all(_dot(row, vec).is_zero for row in rows)
-        assert q_rank(_at(point, ns)) == len(ns)
+            assert all(dot(row, vec).is_zero for row in rows)
+        assert q_rank(at_point(point, ns)) == len(ns)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_multi_rhs_solve_recovers_known_solutions(self, seed):
-        rng = random.Random(seed)
-        ncols = rng.randint(1, 3)
-        nrows = ncols + 1
-        point = _point(rng)
-        while True:
-            m = [[_poly(rng) for _ in range(ncols)] for _ in range(nrows)]
-            if q_rank(_at(point, m)) == ncols:
-                break
-        xs = [[_poly(rng) for _ in range(ncols)]
-              for _ in range(rng.randint(1, 3))]
-        rhss = [[_dot(row, x) for row in m] for x in xs]
-        # an rhs independent of the columns at the point is inconsistent
-        while True:
-            bad = [_poly(rng) for _ in range(nrows)]
-            aug = [row + [b] for row, b in zip(m, bad)]
-            if q_rank(_at(point, aug)) == ncols + 1:
-                break
-        at = rng.randint(0, len(xs))
-        xs.insert(at, None)
-        rhss.insert(at, bad)
+        m, rhss, xs = solve_case(seed)
+        ncols = len(m[0])
         for given in (m, [{c: v for c, v in enumerate(row) if not v.is_zero}
                           for row in m]):
             sols = f_solve_unique(given, rhss, ncols)
@@ -522,13 +459,31 @@ class TestSeededExpressionField:
                 if x is None:
                     assert sol is None
                 else:
-                    assert all((f.num - v * f.den).is_zero
-                               for f, v in zip(sol, x))
+                    assert all((e - v * p).is_zero
+                               for (e, p), v in zip(sol, x))
 
     def test_nullspace_clears_every_denominator(self):
         # the reduced rows are (1, 0, 1/R) and (0, 1, 1/S)
         assert f_nullspace([[R, ex.ZERO, ex.ONE], [ex.ZERO, S, ex.ONE]]) == \
             [[-S, -R, R * S]]
+        # a pivot entry read twice is multiplied in once
+        assert f_nullspace([[R, ex.ZERO, ex.ONE], [ex.ZERO, R, ex.ONE]]) == \
+            [[-1, -1, R]]
+
+    def test_row_basis_is_scaled_by_a_non_rational_pivot(self):
+        assert f_row_basis([[R, ex.ONE]]) == [[R, 1]]
+        assert f_row_basis([[ex.rational(2), R]]) == [[1, R / 2]]
+
+    def test_pivot_entries_have_a_positive_first_term(self):
+        assert f_rref([[-R, S]]) == ([{0: R, 1: -S}], [0])
+        assert f_row_basis([[-R, ex.ONE]]) == [[R, -1]]
+
+    @pytest.mark.parametrize("unit", [ex.ONE, R], ids=["rational", "R"])
+    def test_rows_a_clear_forms_are_over_their_content(self, unit):
+        # (1, 3, 5) - (1, 1, 1) = (0, 2, 4) is 2 times (0, 1, 2), and
+        # (1, 1, 1) - (0, 1, 2) = (1, 0, -1); times R, each row is over R
+        rows = [[unit * v for v in row] for row in ([1, 1, 1], [1, 3, 5])]
+        assert f_rref(rows) == ([{0: 1, 2: -1}, {1: 1, 2: 2}], [0, 1])
 
     def test_dependent_columns_raise(self):
         cols = [[R, S, ex.ONE], [V, ex.ZERO, W]]
@@ -564,17 +519,16 @@ EDGE_CASES = {
 
 
 class TestExpressionSwell:
-    """The ``FieldFrac`` loop refuses an element past ``_SWELL_BUDGET``
-    terms as it is formed: without the budget, ``f_rank`` of these 5x4
-    rank-3 matrices, of entries with at most 6 terms, ran past 20 s."""
+    """The expression loop refuses an entry past ``_SWELL_BUDGET`` terms as
+    a clear forms it: without a budget, ``f_rank`` of these 5x4 rank-3
+    matrices, of entries with at most 6 terms, ran past 20 s."""
 
     REFUSAL = (rf"^expression swell: a symbolic elimination formed a field "
                rf"element of more than {linalg._SWELL_BUDGET} terms$")
 
-    @pytest.mark.parametrize("seed", [0, 3, 4, 7])
+    @pytest.mark.parametrize("seed", SWELL_SEEDS)
     def test_swell_answers_or_refuses_within_two_seconds(self, seed):
-        rng = random.Random(seed)
-        rows = _ranked(rng, _point(rng), 5, 4, 3)
+        rows = swell_case(seed)
         start = time.perf_counter()
         try:
             assert f_rank(rows) == 3
@@ -582,40 +536,37 @@ class TestExpressionSwell:
             assert re.match(self.REFUSAL, str(err))
         assert time.perf_counter() - start < 2
 
-    def test_budget_bounds_numerator_and_denominator(self):
+    def test_budget_bounds_every_entry_the_clear_forms(self):
         budget = linalg._SWELL_BUDGET
-        at, past = (ex.sum_of([ex.X ** k for k in range(n)])
+        at, past = (ex.sum_of([ex.Y ** k for k in range(n)])
                     for n in (budget, budget + 1))
-        assert FieldFrac(at, at).to_expr() == ex.ONE
-        for num, den in ((past, ex.ONE), (ex.ONE, past)):
+        # the clear forms -e by a subtraction alone, and 2*e on its way
+        # to 2*e - 1 by cross-multiplication; an entry it does not form is
+        # not bounded
+        assert f_rank([[ex.ONE, at], [ex.ONE, ex.ZERO]]) == 2
+        assert f_rank([[ex.rational(2), ex.ONE], [ex.ONE, at]]) == 2
+        assert f_rank([[ex.ONE, ex.ZERO], [ex.ONE, past]]) == 2
+        for rows in ([[ex.ONE, past], [ex.ONE, ex.ZERO]],
+                     [[ex.rational(2), ex.ONE], [ex.ONE, past]]):
             with pytest.raises(linalg.ExpressionSwellError,
                                match=self.REFUSAL):
-                FieldFrac(num, den)
+                f_rank(rows)
         assert issubclass(linalg.ExpressionSwellError, ExprError)
 
 
-def _structure(value):
-    """A ``FieldFrac`` as the terms of its num and den, with the type of
-    each coefficient (``1 == Fraction(1)``, but they are not the same)."""
-    return tuple((e.terms, tuple(type(c) for c, _ in e.terms))
-                 for e in (value.num, value.den))
+def _values(rref, pivots):
+    """Fraction-free rows over their pivot entries: the reduced echelon
+    rows, each as a {column: value} dict of its nonzero entries."""
+    return [{c: ex.divide_exact(v, row[pc]) for c, v in row.items()}
+            for row, pc in zip(rref, pivots)]
 
 
 def _field_cases():
     """The seeded matrices of ``TestSeededExpressionField`` (the rank and
     nullspace draws) and of ``TestExpressionSwell``, dense and sparse, and
     rational matrices of every shape."""
-    cases = []
-    for seed in range(8):
-        rng = random.Random(seed)
-        ncols = rng.randint(2, 3)
-        k = rng.randint(1, ncols)
-        cases.append((f"ranked-{seed}",
-                      _ranked(rng, _point(rng), k + rng.randint(1, 2),
-                              ncols, k)))
-    for seed in (0, 3, 4, 7):
-        rng = random.Random(seed)
-        cases.append((f"swell-{seed}", _ranked(rng, _point(rng), 5, 4, 3)))
+    cases = [(f"ranked-{seed}", rank_case(seed)[0]) for seed in range(8)]
+    cases += [(f"swell-{seed}", swell_case(seed)) for seed in SWELL_SEEDS]
     cases += [(f"{name}-sparse", _sparse(rows)) for name, rows in cases]
     for seed, shape in enumerate(SHAPES):
         cases.append((f"rational-{seed}",
@@ -627,36 +578,48 @@ FIELD_CASES = _field_cases()
 
 
 class TestFieldReference:
-    """``f_rref`` does the field operations of the field-only loop kept in
-    ``tests/helpers.py``, in its order: the same pivots, every entry with
-    structurally equal num and den, every row with the same key order, and
-    a swell refusal at the same inputs."""
-
-    @staticmethod
-    def _outcome(rref, rows):
-        try:
-            rows, pivots = rref(rows)
-        except linalg.ExpressionSwellError:
-            return "refused"
-        return pivots, [[(c, _structure(v)) for c, v in row.items()]
-                        for row in rows]
+    """``f_rref`` gives the reduced echelon form of the field-only loop kept
+    in ``tests/helpers.py``, over num/den pairs: the same pivots, and each
+    fraction-free row over its pivot entry the reference's row, value for
+    value.  Where the reference swells past its budget, the rank known by
+    construction is given, or the swell is refused."""
 
     @staticmethod
     def _reference(rows):
         items = (row.items() if isinstance(row, dict) else enumerate(row)
                  for row in rows)
-        return field_rref(({c: FieldFrac.of(v) for c, v in pairs if v}
-                           for pairs in items), FieldFrac.of(1))
+        try:
+            rref, pivots = field_rref(({c: FieldFrac.of(v) for c, v in pairs
+                                        if v} for pairs in items),
+                                      FieldFrac.of(1))
+        except linalg.ExpressionSwellError:
+            return "refused"
+        return pivots, rref
 
     @pytest.mark.parametrize("name, rows", FIELD_CASES,
                              ids=[name for name, _ in FIELD_CASES])
     def test_f_rref_matches_the_reference(self, name, rows):
-        assert self._outcome(f_rref, rows) == \
-            self._outcome(self._reference, rows)
+        expected = self._reference(rows)
+        try:
+            rref, pivots = f_rref(rows)
+        except linalg.ExpressionSwellError:
+            assert expected == "refused"
+            return
+        if expected == "refused":
+            assert name.startswith("swell") and len(pivots) == 3
+        else:
+            # a value v/p equals num/den where v*den = num*p
+            assert pivots == expected[0]
+            for row, pc, unit in zip(rref, pivots, expected[1]):
+                assert row.keys() == unit.keys()
+                assert all((v * unit[c].den - unit[c].num * row[pc]).is_zero
+                           for c, v in row.items())
+        assert all(isinstance(v, ex.Expr) and v for row in rref
+                   for v in row.values())
 
     def test_the_cases_include_a_refusal(self):
-        # a refusal at the same inputs is compared only where there is one
-        assert any(self._outcome(self._reference, rows) == "refused"
+        # a case where the reference refuses is compared on its rank only
+        assert any(self._reference(rows) == "refused"
                    for name, rows in FIELD_CASES if name.startswith("swell"))
 
 
@@ -671,7 +634,7 @@ class TestIntegerLoop:
 
     def _check(self, rows, ncols):
         ref, pivots = self._reference(rows)
-        null = linalg._nullspace(ref, pivots, ncols, Fr(0), Fr(1))
+        null = field_nullspace(ref, pivots, ncols, Fr(0), Fr(1))
         assert q_rank(rows) == len(pivots)
         got = q_nullspace(rows, ncols)
         assert got == null
@@ -745,9 +708,9 @@ class TestIntegerLoop:
 
 class TestRationalEntries:
     """The two rings agree.  The ``f_*`` functions eliminate rational rows
-    over ``FieldFrac`` -- held as ``Expr``, as ``Fraction`` or as ``int``
-    -- and give the values the integer elimination gives through ``z_*``
-    and ``q_*``, as ``FieldFrac`` or ``Expr``."""
+    over the expressions -- held as ``Expr``, as ``Fraction`` or as
+    ``int`` -- and give the values the integer elimination gives through
+    ``z_*`` and ``q_*``, as ``Expr`` or (entry, pivot) pairs of them."""
 
     def _check(self, rng, q, ncols):
         nrows = len(q)
@@ -774,10 +737,10 @@ class TestRationalEntries:
         for rows, given in ((m, as_exprs), (q, rhss), (ints, rhss)):
             f_rows, f_pivots = f_rref(rows)
             assert f_pivots == pivots
-            assert all(isinstance(v, FieldFrac) for row in f_rows
+            assert all(isinstance(v, ex.Expr) for row in f_rows
                        for v in row.values())
-            assert [{c: v.to_expr().as_fraction() for c, v in row.items()}
-                    for row in f_rows] == rref
+            assert [{c: v.as_fraction() for c, v in row.items()}
+                    for row in _values(f_rows, f_pivots)] == rref
             assert f_rank(rows) == len(pivots)
             # nullspace and row basis read the width off a dense first row
             if rows:
@@ -788,10 +751,10 @@ class TestRationalEntries:
                     f_solve_unique(rows, [[Fr(0)] * nrows], ncols)
                 continue
             sols = f_solve_unique(rows, given, ncols)
-            assert all(isinstance(v, FieldFrac) for sol in sols if sol
-                       for v in sol)
+            assert all(isinstance(v, ex.Expr) for sol in sols if sol
+                       for pair in sol for v in pair)
             assert [None if sol is None else
-                    [v.to_expr().as_fraction() for v in sol]
+                    [ex.divide_exact(*pair).as_fraction() for pair in sol]
                     for sol in sols] == expected
 
     @pytest.mark.parametrize("seed", range(8))
@@ -813,8 +776,8 @@ class TestRationalEntries:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("shape", [(7, 7), (12, 10)])
     def test_big_denominators(self, seed, shape):
-        # a rational denominator folds into the numerator's reduced
-        # coefficients; without the fold these grow integers without bound
+        # every row a clear forms is taken over its rational content;
+        # without that these grow integers without bound
         nrows, ncols = shape
         rng = random.Random(seed)
         self._check(rng, _big_denominators(rng, nrows, ncols), ncols)
@@ -830,4 +793,4 @@ class TestRationalEntries:
         assert f_rank(m) == 2
         assert f_nullspace(m) == []
         [sol] = f_solve_unique(m, [[ex.rational(3), R + 2]])
-        assert all((v.num - v.den).is_zero for v in sol)   # x = y = 1
+        assert all((e - p).is_zero for e, p in sol)   # x = y = 1

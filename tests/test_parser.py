@@ -7,8 +7,8 @@ import pytest
 
 from liepde import fixtures
 from liepde.expr import DELTA, OMEGA, R, S, X, Y, ExprError, jet, rational
-from liepde.parser import (MAX_DIGITS, MAX_NESTING, ParseError, _power_too_long,
-                           parse, render)
+from liepde.parser import (MAX_DIGITS, MAX_NESTING, MAX_TERMS, ParseError,
+                           _power_too_long, parse, render)
 
 from helpers import coefficient_functions
 
@@ -125,6 +125,61 @@ class TestErrors:
         msg = str(err.value)
         for name in ("omega", "R", "S", "V", "W"):
             assert name in msg
+
+
+class TestTermBound:
+    """Products and powers are refused, before any multiplication, when
+    their term bound passes ``MAX_TERMS``."""
+
+    POWER = rf"^power may have more than {MAX_TERMS} terms, the most a " \
+            rf"parsed value may have \(line 1, column (\d+)\)$"
+    PRODUCT = POWER.replace("^power", "^product")
+
+    @pytest.mark.parametrize("text, column", [
+        ("(x+1)^1000", 6), ("(x+1)^3000", 6), ("(exp(x)+1)^2000", 11),
+        ("(x+y+t+1)^40", 10), ("(x+y+t+1)^80*u", 10),
+        ("(omega+1)^200", 10), ("omega^" + "9" * 999, 6)])
+    def test_large_powers_refused_at_once(self, text, column):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=self.POWER) as err:
+            parse(text)
+        assert time.perf_counter() - start < 0.1
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_bound_is_tight_for_a_binomial(self):
+        # (x+1)^n has n+1 terms; C(n+1, 1) = n+1 is the bound
+        assert MAX_TERMS == 256
+        assert len(parse(f"(x+1)^{MAX_TERMS - 1}").terms) == MAX_TERMS
+        with pytest.raises(ParseError, match=self.POWER):
+            parse(f"(x+1)^{MAX_TERMS}")
+        assert len(parse("(x+y+t+1)^9").terms) == 220     # C(12, 3)
+        with pytest.raises(ParseError, match=self.POWER):
+            parse("(x+y+t+1)^10")                        # C(13, 3) = 286
+
+    def test_products_are_bounded_by_the_product_of_their_sizes(self):
+        assert len(parse("(x+1)^127*(y+1)").terms) == MAX_TERMS
+        with pytest.raises(ParseError, match=self.PRODUCT) as err:
+            parse("(x+1)^128*(y+1)")
+        assert err.value.column == 10
+        # a monomial times a large value is one term per term
+        assert len(parse("x*(y+1)^255*t").terms) == MAX_TERMS
+
+    def test_rewrites_that_split_a_monomial_count(self):
+        # omega^(2m) is (R^2 - 4*S)^m, m + 1 terms from one
+        assert len(parse(f"omega^{2 * MAX_TERMS - 2}").terms) == MAX_TERMS
+        with pytest.raises(ParseError, match=self.POWER):
+            parse(f"omega^{2 * MAX_TERMS}")
+        with pytest.raises(ParseError, match=self.PRODUCT):
+            parse("omega^300*omega^300")
+        # (R*V + W)^-1 is delta, and delta*(R*V)^m has m + 1 terms
+        assert len(parse("(R*V + W)^-2*R^2*V^2").terms) == 3
+        assert len(parse("(R*V + W)^-1*(R*V)^100").terms) == 101
+        with pytest.raises(ParseError, match=self.PRODUCT):
+            parse("(R*V + W)^-1*(R*V)^300")
+        with pytest.raises(ParseError, match=self.POWER):
+            parse("((R*V + W)^-1*R*V*x)^300")
+        # a monomial power without a rewrite is one term, whatever n
+        assert parse("x^" + "9" * 999).terms[0][1][0][1] == 10 ** 999 - 1
 
 
 class TestRoundTrip:

@@ -1,6 +1,7 @@
 """Reductions: invariants, multipliers, golden forms, certificates, pullback."""
 
 import random
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -68,6 +69,27 @@ class TestInvariants:
             invariants_for(vf)
 
 
+    @pytest.mark.parametrize("fields, message", [
+        ((ex.ZERO, ex.exp_of(ex.T) + ex.exp_of(2 * ex.T), ex.ZERO, ex.ZERO),
+         "generator coefficients mix several exponential factors"),
+        ((ex.ZERO, ex.exp_of(ex.T), ex.exp_of(2 * ex.T), ex.ZERO),
+         "generator coefficients carry different exponential factors"),
+        # q = R and m = 1 ask for Q_xy = 1/R, not a kernel value
+        ((ex.ZERO, ex.ZERO, R, X * ex.U),
+         "multiplier condition is not solvable for this generator: "),
+    ])
+    def test_refusals_name_their_cause(self, fields, message):
+        vf = VectorField(("t", "x", "y"), "u", fields[:3], fields[3])
+        with pytest.raises(ReductionError, match="^" + re.escape(message)):
+            invariants_for(vf)
+
+    def test_rejects_a_generator_over_other_variables(self):
+        vf = VectorField(("t", "x"), "u", (ex.ZERO, ex.ONE), ex.ZERO)
+        with pytest.raises(ReductionError, match=r"^reduction expects a "
+                           r"generator over \(t, x, y\)$"):
+            invariants_for(vf)
+
+
 class TestReduce:
     def test_delta3_matches_printed_exactly(self, hpz):
         red = reduce_pde(hpz, invariants_for(paper_generator("delta3")))
@@ -114,6 +136,17 @@ class TestReduce:
         with pytest.raises(ReductionError):
             reduce_pde(heat, rmap)
 
+    def test_surviving_y_is_refused(self):
+        # d/dy has the invariant r = x, and y*u keeps its y
+        from liepde.jet import EvolutionPDE
+        rmap = invariants_for(VectorField(("t", "x", "y"), "u",
+                                          (ex.ZERO, ex.ZERO, ex.ONE), ex.ZERO))
+        assert rmap.r == X
+        with pytest.raises(ReductionError, match=r"^generator does not "
+                           r"reduce this equation: residual y dependence "
+                           r"survives$"):
+            reduce_pde(EvolutionPDE(("t", "x", "y"), "u", Y * ex.U), rmap)
+
     def test_normalisation_z_t_coefficient(self, hpz):
         for name in ALL_GENERATORS:
             red = reduce_pde(hpz, invariants_for(paper_generator(name)))
@@ -136,6 +169,12 @@ class TestTimeReduction:
         pde = EvolutionPDE(("t", "x"), "u", ex.T * jet("u", "xx"))
         with pytest.raises(ReductionError):
             reduce_time(pde, ex.ZERO)
+
+    def test_non_symmetry_is_rejected(self, heat):
+        # x u d/du is no symmetry of the heat equation
+        with pytest.raises(ReductionError, match=r"^2 d/dt \+ kappa u d/du "
+                           r"is not a symmetry of this equation$"):
+            reduce_time(heat, X)
 
     def test_invariance_identity(self, hpz):
         # u = exp(Rt/2) z  =>  equation residual = exp(Rt/2) * stationary lhs
