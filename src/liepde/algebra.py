@@ -535,16 +535,6 @@ def _ad_bracket(p: AlgebraPresentation, v, w) -> list:
     return list(map(p.ring.sum, pieces))
 
 
-def _ad_unit(p: AlgebraPresentation, i: int, w) -> list:
-    """[e_i, w] = sum_j w_j c_ij: the tensor contracted with ``w``."""
-    pieces: list[list] = [[] for _ in range(p.dimension)]
-    for x, entries in zip(w, p.sparse[i]):
-        if x:
-            for k, y in entries:
-                pieces[k].append(x * y)
-    return list(map(p.ring.sum, pieces))
-
-
 def _spans(p: AlgebraPresentation, span: list, vectors: list) -> bool:
     """Every vector lies in the span of the independent vectors ``span``:
     adding them keeps the rank at ``len(span)``."""
@@ -624,8 +614,7 @@ def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:
     read.  The new presentation checks its tensor for Jacobi.
     """
     s = len(vectors)
-    brackets = [_ad_bracket(p, vectors[a], vectors[b])
-                for a, b in combinations(range(s), 2)]
+    brackets = _lift_brackets(p, vectors)
     sols, den = p.ring.solve([list(row) for row in zip(*vectors)], brackets,
                              s)
     return AlgebraPresentation((), _antisymmetric(_verified_expansions(
@@ -750,7 +739,7 @@ def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     # the Killing form is ad-invariant, so its radical is an ideal:
     # [e_i, w] in it for every i and w in it
     if not _spans(p, radical,
-                  [_ad_unit(p, i, w) for i in range(n) for w in radical]):
+                  [_ad_bracket(p, e, w) for e in p.unit for w in radical]):
         raise InternalError("internal error: Killing radical not an ideal")
     levi = _levi_complement(p, radical, rad_z)
     if levi is None:

@@ -23,9 +23,18 @@ Two rewrite rules keep normal forms canonical:
 Their leading monomials are coprime, so the pair is a Groebner basis of the
 ideal it generates and every value has exactly one normal form: equality of
 canonical forms decides equality of values for the polynomial/exponential
-class this engine works in.  All arithmetic is exact; nothing here ever
-touches floating point: every quotient of coefficients is formed as a
-``Fraction``.
+class this engine works in.  A monomial's normal form is written at once,
+with P = R*V, m = min(r, v) for R^r V^v, and C the binomial coefficient:
+
+    omega^(2h+e)  =  omega^e sum_{j<=h} C(h,j) R^(2j) (-4S)^(h-j)
+    P^m delta^d   =  sum_{j<=m-d} (-1)^j C(d+j-1,j) W^j P^(m-d-j)
+                     + sum_{m-d<k<=m, k>=0} C(m,k) (-W)^k delta^(d-m+k)
+
+the second on each of the first's h + 1 branches, in m + 1 terms: the
+polynomial part of P^m (P + W)^-d at infinity (none if m < d), and the
+Taylor expansion of P^m about P = -W.  All arithmetic is exact; nothing
+here ever touches floating point: every quotient of coefficients is
+formed as a ``Fraction``.
 
 Bases are tuples that begin with their sort key (see the bases section),
 so their natural tuple order is the fixed order of factors within a term
@@ -56,6 +65,7 @@ PARAMETER_NAMES = ("R", "S", "V", "W", "omega", "delta")
 VARIABLE_NAMES = ("t", "x", "y", "r")
 DEPENDENT_NAMES = ("u", "z")
 RESERVED_NAMES = ("t", "x", "y", "r", "z", "u", "R", "S", "V", "W", "omega")
+MAX_JET_ORDER = 3
 
 Rational = int | Fraction
 
@@ -306,51 +316,70 @@ _GUARDED = (_R_B, _S_B, _V_B, _W_B, _OMEGA_B, _DELTA_B)
 _T_B = Atom("t")
 
 
-def _rewrite_monomial(coeff: Rational, fdict: dict[Base, int]) -> list[tuple[Rational, dict]]:
-    """Exhaustively apply the omega and delta rewrite rules to one monomial.
+def _with(f: dict[Base, int], *powers: Factor) -> dict[Base, int]:
+    """A copy of the monomial ``f`` with each base ``b`` of ``powers`` to
+    its power p (none at p = 0)."""
+    g = dict(f)
+    for b, p in powers:
+        if p:
+            g[b] = p
+        else:
+            g.pop(b, None)
+    return g
 
-    Terminates: the omega rule fires at most once per lineage, and the
-    R*V*delta rule strictly lowers the combined R,V degree.
-    """
+
+def _rewrite_monomial(coeff: Rational, fdict: dict[Base, int]) -> list[tuple[Rational, dict]]:
+    """The normal form of one monomial, by the closed forms of the module
+    docstring.  The omega branches differ in their power of S, so no two
+    pieces share a monomial."""
+    branches = [(coeff, fdict)]
+    om = fdict.get(_OMEGA_B, 0)
+    if om >= 2:
+        h, e = divmod(om, 2)
+        r, s = fdict.get(_R_B, 0), fdict.get(_S_B, 0)
+        branches = [(coeff * comb(h, j) * (-4) ** (h - j),
+                     _with(fdict, (_OMEGA_B, e), (_R_B, r + 2 * j),
+                           (_S_B, s + h - j)))
+                    for j in range(h + 1)]
+    d = fdict.get(_DELTA_B, 0)
+    if not d:
+        return branches
     out: list[tuple[Rational, dict]] = []
-    stack = [(coeff, fdict)]
-    while stack:
-        c, f = stack.pop()
-        om = f.get(_OMEGA_B, 0)
-        if om >= 2:
-            half, rem = divmod(om, 2)
-            g0 = dict(f)
-            if rem:
-                g0[_OMEGA_B] = rem
-            else:
-                del g0[_OMEGA_B]
-            # (R^2 - 4S)^half expanded binomially
-            for j in range(half + 1):
-                g = dict(g0)
-                if j:
-                    g[_R_B] = g.get(_R_B, 0) + 2 * j
-                k = half - j
-                if k:
-                    g[_S_B] = g.get(_S_B, 0) + k
-                stack.append((c * comb(half, j) * (-4) ** k, g))
+    w = fdict.get(_W_B, 0)
+    for c, f in branches:
+        r, v = f.get(_R_B, 0), f.get(_V_B, 0)
+        m = min(r, v)
+        if not m:
+            out.append((c, f))
             continue
-        if f.get(_DELTA_B, 0) >= 1 and f.get(_R_B, 0) >= 1 and f.get(_V_B, 0) >= 1:
-            g1 = dict(f)
-            for b in (_R_B, _V_B, _DELTA_B):
-                g1[b] -= 1
-                if g1[b] == 0:
-                    del g1[b]
-            g2 = dict(f)
-            for b in (_R_B, _V_B):
-                g2[b] -= 1
-                if g2[b] == 0:
-                    del g2[b]
-            g2[_W_B] = g2.get(_W_B, 0) + 1
-            stack.append((c, g1))
-            stack.append((-c, g2))
-            continue
-        out.append((c, f))
+        # the polynomial part, W^j P^(m-d-j), empty when m < d ...
+        for j in range(m - d + 1):
+            b = comb(d + j - 1, j)
+            out.append((-c * b if j & 1 else c * b,
+                        _with(f, (_R_B, r - d - j), (_V_B, v - d - j),
+                              (_DELTA_B, 0), (_W_B, w + j))))
+        # ... and the terms W^k delta^(d-m+k)
+        for k in range(max(0, m - d + 1), m + 1):
+            b = comb(m, k)
+            out.append((-c * b if k & 1 else c * b,
+                        _with(f, (_R_B, r - m), (_V_B, v - m),
+                              (_DELTA_B, d - m + k), (_W_B, w + k))))
     return out
+
+
+def normal_form_size(powers: Mapping[str, int]) -> int:
+    """The number of terms of the normal form of a monomial with these
+    powers of omega, R, V and delta, by atom name (0 if missing): on each
+    omega branch j <= h, min(r + 2j, v) + 1 if d > 0, else 1.  O(1) in the
+    powers and non-decreasing in each, so it bounds every monomial with
+    powers no larger."""
+    h = powers.get("omega", 0) // 2
+    if not powers.get("delta", 0):
+        return h + 1
+    r, v = powers.get("R", 0), powers.get("V", 0)
+    # the branches j with r + 2j <= v give r + 2j + 1 terms, the rest v + 1
+    low = min(h, (v - r) // 2) + 1 if r <= v else 0
+    return low * (r + low) + (h + 1 - low) * (v + 1)
 
 
 def _normalize_product(coeff: Rational, raw: Iterable[Factor]) -> list[Term]:
@@ -627,8 +656,9 @@ def jet(dep: str, idx: str | tuple[str, ...] = ()) -> Expr:
         raise ExprError(
             f"jet index {''.join(letters)!r} is not in canonical order "
             f"(t before x before y before r)")
-    if len(letters) > 3:
-        raise ExprError("jet order above 3 is not supported")
+    if len(letters) > MAX_JET_ORDER:
+        raise ExprError(f"jet order {len(letters)} is above MAX_JET_ORDER = "
+                        f"{MAX_JET_ORDER}")
     return _expr_of_base(Jet(dep, letters))
 
 

@@ -37,7 +37,6 @@ _E3 = R * (-R - OMEGA)
 _E4 = -2 * R * S
 
 K1 = HALF * (R - OMEGA) * DELTA
-K2 = S * DELTA
 K3 = HALF * (R + OMEGA) * DELTA
 
 _VARS = ("t", "x", "y")
@@ -115,22 +114,10 @@ _CHARACTERISTICS = {
     "delta6": K3 * W * Y - X,
 }
 
-_MULTIPLIERS = {
-    "delta3": ex.ZERO,
-    "delta4": ex.ZERO,
-    "delta5": (K1 * W * Y - X) * R * K1 * Y - HALF * R * (K1 ** 2 * W + K2) * Y ** 2,
-    "delta6": (K3 * W * Y - X) * R * K3 * Y - HALF * R * (K3 ** 2 * W + K2) * Y ** 2,
-}
-
 
 def characteristic_r(name: str) -> Expr:
     """Published invariant r for the reductions by delta3..delta6."""
     return _CHARACTERISTICS[name]
-
-
-def multiplier_exponent(name: str) -> Expr:
-    """Published multiplier exponent Q with u = z(t, r) * exp(Q)."""
-    return _MULTIPLIERS[name]
 
 
 # published reduced equations, as lhs expressions equal to zero

@@ -18,9 +18,6 @@ from . import expr as ex
 from .expr import Atom, Expr, ExprError, Frozen, Jet
 
 
-MAX_JET_ORDER = 3
-
-
 class JetOrderError(ExprError):
     """A total derivative would create a jet above the supported order."""
 
@@ -92,9 +89,10 @@ def total_derivative(e: Expr, v: str) -> Expr:
         de = ex.partial(e, j)
         if de.is_zero:
             continue
-        if j.order + 1 > MAX_JET_ORDER:
+        if j.order + 1 > ex.MAX_JET_ORDER:
             raise JetOrderError(
-                f"D_{v} of {ex.base_label(j)} exceeds jet order {MAX_JET_ORDER}")
+                f"D_{v} of {ex.base_label(j)}: jet order {j.order + 1} is "
+                f"above MAX_JET_ORDER = {ex.MAX_JET_ORDER}")
         lifted = tuple(sorted(j.idx + (v,), key=ex.VARIABLE_NAMES.index))
         pieces.append(ex.jet(j.dep, lifted) * de)
     return ex.sum_of(pieces)

@@ -24,10 +24,11 @@ coefficient whose numerator or denominator is longer, and a power whose base
 has a coefficient that, raised to the exponent, would already be longer (it
 is refused before it is computed) raise :class:`ParseError`.
 
-A product a*b may have |a|*|b| terms and a power n of a k-term base
-C(n+k-1, k-1), each times the terms one monomial splits into under the
-kernel's rewrites (``_split``); where that passes ``MAX_TERMS``, the ``*``
-or ``^`` raises :class:`ParseError` before anything is multiplied.
+A product a*b may have |a|*|b| monomials and a power n of a k-term base
+C(n+k-1, k-1); the bound multiplies that by the kernel's count of the terms
+a monomial with the largest power of each atom rewrites into
+(``expr.normal_form_size``).  Where that passes ``MAX_TERMS``, the ``*`` or
+``^`` raises :class:`ParseError` before anything is multiplied.
 
 Parentheses, ``exp(`` and ``sqrt(`` nest at most ``MAX_NESTING`` deep; a
 deeper input raises :class:`ParseError`.  The bound keeps the parser, the
@@ -90,16 +91,6 @@ def _top(e: Expr, n: int = 1) -> Counter:
             if isinstance(b, ex.Atom) and n * p > top[b.name]:
                 top[b.name] = n * p
     return top
-
-
-def _split(top: Counter) -> int:
-    """The most terms a monomial with at most these powers rewrites into:
-    omega^w is (R^2 - 4*S)^(w//2), w//2 + 1 terms raising R by up to w,
-    and R*V*delta = 1 - W*delta leaves one term per count i <= d and j of
-    its two results, i + j <= m = min(r, v), if delta^d, d > 0."""
-    w, d = top["omega"], top["delta"]
-    m = min(top["R"] + w, top["V"])
-    return (w // 2 + 1) * ((min(d, m) + 1) * (m + 1) if d else 1)
 
 
 class _Token:
@@ -186,7 +177,7 @@ class _Parser:
     def bound(self, what: str, monomials: int, top: Counter, tok: _Token):
         """Refuse a product or power of so many monomials before the
         rewrites, with at most these powers, at ``tok``."""
-        if monomials * _split(top) > MAX_TERMS:
+        if monomials * ex.normal_form_size(top) > MAX_TERMS:
             self.fail(f"{what} may have more than {MAX_TERMS} terms, the "
                       f"most a parsed value may have", tok)
 

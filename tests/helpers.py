@@ -1,6 +1,7 @@
 """Test-only references: exact evaluation of kernel expressions at rational
 points, the independent oracle of the canonical-form tests, the named
-coefficient functions of the published hpz basis, rational roots by
+coefficient functions and multiplier exponents of the published hpz basis,
+the omega and delta rewrites applied one step at a time, rational roots by
 divisor enumeration, and the sparse Gauss-Jordan loop over a field, with
 num/den pairs of kernel expressions as its field and the nullspace read
 off its result: the values ``linalg.f_rref`` must give.  Also the seeded
@@ -9,12 +10,12 @@ on, here and against sympy."""
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 from liepde import expr as ex, fixtures as fx
 from liepde.expr import (DivisionByZero, ExpFactor, Expr, ExprError, Frozen,
                          base_label)
-from liepde.expr import R, S, V, W
+from liepde.expr import R, S, V, W, X, Y
 from liepde.linalg import ExpressionSwellError, q_rank
 from liepde.solver import Binding
 
@@ -65,6 +66,76 @@ def coefficient_functions() -> dict:
             "C": fx._C, "C1": fx._C1, "C2": fx._C2, "C3": fx._C3,
             "C4": fx._C4, "E": fx._E, "E1": fx._E1, "E2": fx._E2,
             "E3": fx._E3, "E4": fx._E4}
+
+
+# the published constant K2 = S/(R*V + W), beside fixtures.K1 and K3; only
+# the multiplier exponents use it
+K2 = S * ex.DELTA
+
+_MULTIPLIERS = {
+    "delta3": ex.ZERO,
+    "delta4": ex.ZERO,
+    "delta5": ((fx.K1 * W * Y - X) * R * fx.K1 * Y
+               - fx.HALF * R * (fx.K1 ** 2 * W + K2) * Y ** 2),
+    "delta6": ((fx.K3 * W * Y - X) * R * fx.K3 * Y
+               - fx.HALF * R * (fx.K3 ** 2 * W + K2) * Y ** 2),
+}
+
+
+def multiplier_exponent(name: str) -> Expr:
+    """Published multiplier exponent Q with u = z(t, r) * exp(Q), for the
+    reductions by delta3..delta6."""
+    return _MULTIPLIERS[name]
+
+
+def stack_rewrite(coeff, fdict: dict) -> list[tuple]:
+    """The omega and delta rewrite rules applied to one monomial one step
+    at a time, both results of each step pushed on a stack and nothing
+    merged: the reference for the closed forms of
+    ``expr._rewrite_monomial``, equal to them after ``expr._collect``.
+    Its pieces number about C(min(r, v), d), so keep the powers small.
+    """
+    omega, r_, s_, v_, w_, delta = (
+        ex.Atom(n) for n in ("omega", "R", "S", "V", "W", "delta"))
+    out = []
+    stack = [(coeff, fdict)]
+    while stack:
+        c, f = stack.pop()
+        om = f.get(omega, 0)
+        if om >= 2:
+            half, rem = divmod(om, 2)
+            g0 = dict(f)
+            if rem:
+                g0[omega] = rem
+            else:
+                del g0[omega]
+            # (R^2 - 4S)^half expanded binomially
+            for j in range(half + 1):
+                g = dict(g0)
+                if j:
+                    g[r_] = g.get(r_, 0) + 2 * j
+                k = half - j
+                if k:
+                    g[s_] = g.get(s_, 0) + k
+                stack.append((c * comb(half, j) * (-4) ** k, g))
+            continue
+        if f.get(delta, 0) >= 1 and f.get(r_, 0) >= 1 and f.get(v_, 0) >= 1:
+            g1 = dict(f)
+            for b in (r_, v_, delta):
+                g1[b] -= 1
+                if g1[b] == 0:
+                    del g1[b]
+            g2 = dict(f)
+            for b in (r_, v_):
+                g2[b] -= 1
+                if g2[b] == 0:
+                    del g2[b]
+            g2[w_] = g2.get(w_, 0) + 1
+            stack.append((c, g1))
+            stack.append((-c, g2))
+            continue
+        out.append((c, f))
+    return out
 
 
 def divisor_roots(p) -> list[Fraction]:

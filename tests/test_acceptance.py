@@ -24,7 +24,8 @@ from liepde.reduction import (compare_with_printed, invariants_for,
 from liepde.solver import Binding, profile_basis, solve_determining, span_rank
 
 from conftest import TreeGen
-from helpers import coefficient_functions, evaluate_rational
+from helpers import (coefficient_functions, evaluate_rational,
+                     multiplier_exponent)
 
 BINDING = Binding.parse("R=5,S=4,V=1,W=1")
 
@@ -188,7 +189,7 @@ def test_criterion_7_property_suites(hpz):
     from liepde import fixtures as fx
     all_exprs = list(coefficient_functions().values())
     for name in ("delta3", "delta4", "delta5", "delta6"):
-        all_exprs += [fx.characteristic_r(name), fx.multiplier_exponent(name),
+        all_exprs += [fx.characteristic_r(name), multiplier_exponent(name),
                       fx.printed_reduced_equation(name)[0]]
     all_exprs.append(fx.printed_stationary_equation())
     for vf in basis:

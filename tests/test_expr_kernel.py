@@ -1,10 +1,12 @@
 """Kernel invariants behind the canonical forms: the base order, the zero and
 scalar fast paths of ``*`` and ``+``, the fast paths of ``partial`` and
-``subst_many``, the coefficient types, and the hash/equality contract."""
+``subst_many``, the coefficient types, the hash/equality contract, and the
+closed-form normal form of a monomial with its term count."""
 
 import copy
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,10 +17,11 @@ from liepde.expr import (
     ExpFactor, Jet, TFun, exp_of, jet, rational, sym, tfun,
 )
 from liepde.jet import get_equation
-from liepde.parser import parse, render
+from liepde.parser import _top, parse, render
 from liepde.prolong import VectorField, residual
 
 from conftest import random_fraction
+from helpers import stack_rewrite
 
 
 # -- reference order ---------------------------------------------------------
@@ -446,3 +449,80 @@ class TestOverContent:
         assert ex.over_content(exprs) is exprs
         for q in ex.over_content([Fraction(3, 4) * X, Fraction(9, 8) * Y]):
             assert_reduced_coefficients(q)
+
+
+# -- the closed-form normal form ------------------------------------------------
+
+_REWRITTEN = [Atom(n) for n in ("omega", "R", "S", "V", "W", "delta", "x")]
+
+
+def random_monomial(rng) -> dict:
+    """Powers of up to 7 of omega, R and V, 6 of delta and 2 of S, W, x."""
+    f = {}
+    for b, top in zip(_REWRITTEN, (7, 7, 2, 7, 2, 6, 2)):
+        p = rng.randint(0, top)
+        if p:
+            f[b] = p
+    return f
+
+
+def normal_form(coeff, f, rewrite=ex._rewrite_monomial) -> tuple:
+    return ex._collect([(c, tuple(sorted(g.items())))
+                        for c, g in rewrite(coeff, dict(f))])
+
+
+def size(f) -> int:
+    return ex.normal_form_size({b.name: p for b, p in f.items()})
+
+
+class TestClosedForm:
+    """``_rewrite_monomial`` writes the normal form of a monomial at once;
+    the reference fires the two rules one step at a time."""
+
+    def test_equals_the_stepwise_rewrite(self):
+        rng = random.Random(30)
+        for _ in range(2000):
+            f = random_monomial(rng)
+            c = rng.choice([1, -3, Fraction(2, 3)])
+            assert normal_form(c, f) == normal_form(c, f, stack_rewrite), f
+
+    def test_pieces_are_distinct_and_counted_exactly(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            f = random_monomial(rng)
+            pieces = ex._rewrite_monomial(1, dict(f))
+            assert len(normal_form(1, f)) == len(pieces) == size(f), f
+
+    def test_count_bounds_every_monomial_with_smaller_powers(self):
+        rng = random.Random(32)
+        for _ in range(1000):
+            top = random_monomial(rng)
+            f = {b: rng.randint(0, p) for b, p in top.items()}
+            assert size(f) <= size(top), (f, top)
+
+    def test_count_of_powers_beyond_reach_is_immediate(self):
+        start = time.perf_counter()
+        huge = 10 ** 999
+        assert ex.normal_form_size({"omega": huge}) == huge // 2 + 1
+        assert ex.normal_form_size(
+            {"omega": huge, "R": 1, "V": huge, "delta": 1}) > huge ** 2 // 4
+        assert ex.normal_form_size({}) == 1
+        assert time.perf_counter() - start < 0.1
+
+    def test_products_stay_within_the_count_of_their_top_powers(self):
+        # the parser's term bound: |a|*|b| monomials, each at most the
+        # count at the largest power of each atom in a and b
+        rng = random.Random(33)
+        for _ in range(300):
+            a, b = random_expr(rng, 3), random_expr(rng, 3)
+            top = _top(a) + _top(b)
+            bound = len(a.terms) * len(b.terms) * ex.normal_form_size(top)
+            assert len((a * b).terms) <= bound
+
+    @pytest.mark.parametrize("d, m", [(3, 100), (5, 60), (20, 300)])
+    def test_high_powers_of_delta_and_rv_answer_at_once(self, d, m):
+        # one step at a time these take seconds to minutes
+        start = time.perf_counter()
+        e = DELTA ** d * (R * V) ** m
+        assert time.perf_counter() - start < 0.1
+        assert len(e.terms) == m + 1

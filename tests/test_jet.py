@@ -60,6 +60,19 @@ class TestTotalDerivative:
             total_derivative(jet("u", "xxx"), "x")
         assert "u_xxx" in str(err.value)
 
+    def test_the_two_order_refusals_agree(self):
+        # total_derivative refuses exactly the jet that expr.jet refuses to
+        # build, and both messages name the one cap
+        top = "x" * ex.MAX_JET_ORDER
+        assert total_derivative(jet("u", top[1:]), "x") == jet("u", top)
+        with pytest.raises(JetOrderError) as lifted:
+            total_derivative(jet("u", top), "x")
+        with pytest.raises(ex.ExprError) as built:
+            jet("u", top + "x")
+        cap = (f"jet order {ex.MAX_JET_ORDER + 1} is above MAX_JET_ORDER = "
+               f"{ex.MAX_JET_ORDER}")
+        assert cap in str(lifted.value) and cap in str(built.value)
+
     def test_commutation_randomized(self):
         # first-order jets only: two more derivatives stay within order 3
         rng = random.Random(11)

@@ -10,7 +10,7 @@ from liepde.expr import DELTA, OMEGA, R, S, X, Y, ExprError, jet, rational
 from liepde.parser import (MAX_DIGITS, MAX_NESTING, MAX_TERMS, ParseError,
                            _power_too_long, parse, render)
 
-from helpers import coefficient_functions
+from helpers import K2, coefficient_functions, multiplier_exponent
 
 
 class TestGrammar:
@@ -181,6 +181,13 @@ class TestTermBound:
         # a monomial power without a rewrite is one term, whatever n
         assert parse("x^" + "9" * 999).terms[0][1][0][1] == 10 ** 999 - 1
 
+    def test_the_kernel_count_is_exact_for_one_monomial(self):
+        # delta^5*(R*V)^60 has 61 terms, as the kernel counts them; a count
+        # of (min(d, m) + 1)*(m + 1) = 366 would refuse it
+        start = time.perf_counter()
+        assert len(parse("(R*V + W)^-5*(R*V)^60").terms) == 61
+        assert time.perf_counter() - start < 0.1
+
 
 class TestRoundTrip:
     def test_nested_exponentials_compare_in_linear_time(self):
@@ -204,10 +211,10 @@ class TestRoundTrip:
 
     def test_every_fixture_expression_round_trips(self):
         exprs = list(coefficient_functions().values())
-        exprs += [fixtures.K1, fixtures.K2, fixtures.K3]
+        exprs += [fixtures.K1, K2, fixtures.K3]
         for name in ("delta3", "delta4", "delta5", "delta6"):
             exprs.append(fixtures.characteristic_r(name))
-            exprs.append(fixtures.multiplier_exponent(name))
+            exprs.append(multiplier_exponent(name))
             exprs.append(fixtures.printed_reduced_equation(name)[0])
         exprs.append(fixtures.printed_stationary_equation())
         for vf in fixtures.known_basis():

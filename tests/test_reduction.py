@@ -8,8 +8,8 @@ import pytest
 
 from liepde import expr as ex
 from liepde.expr import OMEGA, R, RADIAL, V, W, X, Y, jet
-from liepde.fixtures import (characteristic_r, multiplier_exponent,
-                             paper_generator, printed_reduced_equation,
+from liepde.fixtures import (characteristic_r, paper_generator,
+                             printed_reduced_equation,
                              printed_stationary_equation)
 from liepde.prolong import VectorField
 from liepde.reduction import (ReductionError, compare_with_printed,
@@ -18,7 +18,7 @@ from liepde.reduction import (ReductionError, compare_with_printed,
 from liepde.solver import Binding
 
 from conftest import random_fraction
-from helpers import evaluate, evaluate_rational
+from helpers import evaluate, evaluate_rational, multiplier_exponent
 
 ALL_GENERATORS = ("delta3", "delta4", "delta5", "delta6")
 
