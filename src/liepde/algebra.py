@@ -126,9 +126,6 @@ class Ring(Frozen):
     def __reduce__(self):
         return self.name
 
-    def __repr__(self):
-        return self.name
-
 
 def _rational_tensor(expansions: dict, den: int, scales: list, n: int):
     """The constants of verified integer expansions, as ``Fraction``: the

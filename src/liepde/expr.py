@@ -383,9 +383,8 @@ def normal_form_size(powers: Mapping[str, int]) -> int:
 
 
 def _normalize_product(coeff: Rational, raw: Iterable[Factor]) -> list[Term]:
-    """Merge factors, fold exponentials, apply rewrites; may split the term."""
-    if coeff == 0:
-        return []
+    """Merge factors, fold exponentials, apply rewrites; may split the term.
+    ``coeff`` is nonzero."""
     merged: dict[Base, int] = {}
     exp_args: list[Expr] = []
     exp_factor: Factor | None = None
@@ -469,7 +468,7 @@ class Expr:
     def __init__(self, terms: tuple[Term, ...]):
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
@@ -861,10 +860,9 @@ def _dbase(b: Base, v: Base) -> Expr | None:
     return None
 
 
-def partial(e: Expr, v: Base | str) -> Expr:
-    """Formal partial derivative; jets are independent coordinates."""
-    if isinstance(v, str):
-        v = _resolve_base(v)
+def partial(e: Expr, v: Base) -> Expr:
+    """Formal partial derivative by the base ``v``; jets are independent
+    coordinates."""
     pieces: list[Term] = []
     for c, fs in e.terms:
         for i, (b, p) in enumerate(fs):
@@ -881,16 +879,6 @@ def partial(e: Expr, v: Base | str) -> Expr:
                 for c2, f2 in db.terms:
                     pieces.extend(_normalize_product(c1 * c2, f1 + f2))
     return Expr(_collect(pieces))
-
-
-def _resolve_base(name: str) -> Base:
-    if name in DEPENDENT_NAMES:
-        return Jet(name, ())
-    if "_" in name:
-        dep, _, suffix = name.partition("_")
-        if dep in DEPENDENT_NAMES:
-            return Jet(dep, tuple(suffix))
-    return Atom(name)
 
 
 def differentiate(e: Expr, v: str) -> Expr:
@@ -915,8 +903,6 @@ def subst_many(e: Expr, mapping: Mapping[Base, Expr]) -> Expr:
     When every mapped base is an atom bound to a rational number (what
     ``Binding.apply`` passes), the terms are scaled instead of rebuilt
     (``_bind_atoms``)."""
-    if not mapping:
-        return e
     values = {}
     for b, v in mapping.items():
         v = as_expr(v)
@@ -1006,13 +992,13 @@ def jets_of(e: Expr) -> set[Jet]:
 
 
 def tfuns_of(e: Expr) -> set[TFun]:
+    """The t-functions of ``e``.  Only the discovery ansatz makes them, and
+    it never puts one inside an exponential."""
     out: set[TFun] = set()
     for _, fs in e.terms:
         for b, _ in fs:
             if isinstance(b, TFun):
                 out.add(b)
-            elif isinstance(b, ExpFactor):
-                out |= tfuns_of(b.arg)
     return out
 
 
@@ -1048,8 +1034,7 @@ def _factor_text(b: Base, p: int) -> str:
 
 
 def factors_text(fs: Factors) -> str:
-    if not fs:
-        return "1"
+    """The text of a nonempty monomial."""
     return "*".join(_factor_text(b, p) for b, p in fs)
 
 

@@ -42,7 +42,8 @@ class EvolutionPDE(Frozen):
             if j.order > 2:
                 raise ExprError("rhs must be at most second order")
             if any(v not in self.variables for v in j.idx):
-                raise ExprError(f"jet {j} uses a variable outside {self.variables}")
+                raise ExprError(f"jet {ex.base_label(j)} uses a variable outside "
+                                f"{self.variables}")
 
     @property
     def spatial(self) -> tuple[str, ...]:
@@ -86,9 +87,8 @@ def total_derivative(e: Expr, v: str) -> Expr:
         raise ExprError(f"total derivative direction must be one of {ex.VARIABLE_NAMES}")
     pieces = [ex.partial(e, Atom(v))]
     for j in sorted(ex.jets_of(e)):
+        # nonzero: a canonical expression that holds j depends on it
         de = ex.partial(e, j)
-        if de.is_zero:
-            continue
         if j.order + 1 > ex.MAX_JET_ORDER:
             raise JetOrderError(
                 f"D_{v} of {ex.base_label(j)}: jet order {j.order + 1} is "

@@ -398,8 +398,7 @@ def _value(s: list[int], a: int, b: int) -> int:
 
 
 def is_perfect_square(q: Fraction) -> bool:
-    if q < 0:
-        return False
+    """Whether ``q >= 0`` is the square of a rational."""
     return isqrt(q.numerator) ** 2 == q.numerator and \
         isqrt(q.denominator) ** 2 == q.denominator
 
@@ -676,8 +675,10 @@ def f_solve_unique(matrix, rhss: list[list],
 def f_nullspace(matrix) -> list[list[Expr]]:
     """Right-nullspace basis over the expression field, one dense
     expression vector per free column in column order: the vector that is
-    1 there, times the product of the distinct non-rational pivot entries
-    it reads."""
+    1 there, when each of its entries is a kernel value; otherwise that
+    vector times the product of the distinct non-rational pivot entries it
+    reads.  The vector that is 1 at its free column depends on the
+    nullspace alone, so a nullspace with a rational basis gets it."""
     ncols = _width(matrix, None)
     rref, pivots = f_rref(matrix)
     is_pivot = set(pivots)
@@ -691,6 +692,11 @@ def f_nullspace(matrix) -> list[list[Expr]]:
                       if not p.is_rational), start=ex.ONE)
         for row, pc in rows:
             v[pc] = -ex.divide_exact(row[fc] * v[fc], row[pc])
+        if not v[fc].is_rational:
+            try:
+                v = [ex.divide_exact(x, v[fc]) for x in v]
+            except ex.UnsupportedDivision:
+                pass
         basis.append(v)
     return basis
 
@@ -698,7 +704,10 @@ def f_nullspace(matrix) -> list[list[Expr]]:
 def f_row_basis(matrix) -> list[list[Expr]]:
     """Reduced echelon basis of the row space over the expression field,
     one dense expression row per pivot: the row that is 1 at its pivot,
-    times the pivot entry when that is not rational."""
+    times the pivot entry when that is not rational.  Unlike
+    ``f_nullspace``, no row is divided by its pivot entry: row bases enter
+    only ranks and spans (``algebra._is_nilpotent``, ``_spans``), never a
+    subalgebra's presentation, so their scale cannot refuse a verdict."""
     ncols = _width(matrix, None)
     return [[ex.divide_exact(row.get(c, ex.ZERO),
                              row[pc] if row[pc].is_rational else ex.ONE)

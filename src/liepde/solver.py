@@ -307,8 +307,6 @@ def _trial_nullspace(a_rows, b_rows, lam: Fraction, degree: int):
                     row[col(i, k + 1)] = brow[i] * (k + 1)
             if row:
                 rows.append(row)
-    if not rows:
-        return [], width
     return linalg.q_nullspace(rows, width), width
 
 
@@ -319,12 +317,10 @@ def span_rank(vectors) -> int:
 
 
 def _normalize_field(vf: VectorField) -> VectorField:
-    """Scale so the first nonzero stacked coordinate equals one."""
-    for c in vf.coefficients():
-        if not c.is_zero:
-            lead = c.terms[0][0]
-            return vf.scaled(Fraction(1, 1) / lead)
-    return vf
+    """Scale a nonzero field so its first nonzero stacked coordinate
+    equals one."""
+    lead = next(c for c in vf.coefficients() if c).terms[0][0]
+    return vf.scaled(Fraction(1, 1) / lead)
 
 
 def solve_determining(pde: EvolutionPDE,
@@ -333,20 +329,14 @@ def solve_determining(pde: EvolutionPDE,
     binding = binding or Binding()
     if not binding.is_empty():
         binding.omega()  # discovery needs a rational surd; fail fast
+    # apply_pde binds every parameter, or refuses one the binding lacks
     params = ex.atoms_of(pde.rhs).intersection(ex.PARAMETER_NAMES)
-    if params:
-        bound_pde = binding.apply_pde(pde)
-        still = ex.atoms_of(bound_pde.rhs).intersection(ex.PARAMETER_NAMES)
-        if still:
-            raise BindingError(
-                f"discovery needs rational parameters; unbound: {sorted(still)}")
-    else:
-        bound_pde = pde
+    bound_pde = binding.apply_pde(pde) if params else pde
     unknowns, vf = ansatz(bound_pde)
+    # never empty: the residual of the ansatz holds -f'(t)*u, which no
+    # other unknown cancels
     a_rows, b_rows = _linear_system(determining_equations(vf, bound_pde),
                                     unknowns)
-    if not a_rows:
-        raise ExprError("empty determining system")
     fields: list[VectorField] = []
     exponents: list[Fraction] = []
     for lam, mult in _candidate_exponents(a_rows, b_rows):

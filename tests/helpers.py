@@ -6,9 +6,15 @@ divisor enumeration, and the sparse Gauss-Jordan loop over a field, with
 num/den pairs of kernel expressions as its field and the nullspace read
 off its result: the values ``linalg.f_rref`` must give.  Also the seeded
 matrices over Q(R, S, V, W) that the expression eliminations are tested
-on, here and against sympy."""
+on, here and against sympy, the seeded triangular changes of basis that
+classification is tested under, and ``bounded``, which runs a guarded call
+in a child process that limits its own CPU time and memory."""
 
+import pickle
 import random
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
@@ -384,3 +390,67 @@ def solve_case(seed):
     xs.insert(at, None)
     rhss.insert(at, bad)
     return m, rhss, xs
+
+
+def triangular_mix(rng, fields):
+    """Each field scaled, plus a rational multiple of one earlier field: a
+    seeded rational change of basis that keeps the span."""
+    out = []
+    for i, field in enumerate(fields):
+        mixed = field.scaled(Fraction(rng.choice((-3, -1, 1, 2)),
+                                      rng.randint(1, 3)))
+        if i:
+            other = fields[rng.randrange(i)]
+            mixed = mixed.plus(other.scaled(Fraction(rng.randint(-3, 3), 2)))
+        out.append(mixed)
+    return out
+
+
+_CHILD = """
+import contextlib, io, pickle, resource, sys, time
+cpu_s, memory_mb, sys.path[:] = pickle.load(sys.stdin.buffer)
+resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
+resource.setrlimit(resource.RLIMIT_AS, (memory_mb << 20, memory_mb << 20))
+fn, args = pickle.load(sys.stdin.buffer)
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        outcome = ("value", fn(*args))
+    except Exception as exc:
+        outcome = ("raised", type(exc), exc.args, vars(exc))
+seconds = time.perf_counter() - start
+pickle.dump((outcome, seconds, out.getvalue(), err.getvalue()),
+            sys.stdout.buffer)
+"""
+
+
+def bounded(fn, *args, cpu_s=5, memory_mb=512):
+    """``fn(*args)`` in a fresh interpreter that first limits its own CPU
+    time and address space (``RLIMIT_CPU``, ``RLIMIT_AS``), so a guard test
+    whose bound regressed fails in seconds instead of running the work it
+    guards against.  ``fn`` and the values are pickled; the child imports
+    ``fn``'s module from this process's ``sys.path``.
+
+    Returns ``(outcome, seconds, stdout, stderr)``: the value, or the
+    exception raised, rebuilt with its arguments and attributes; the
+    seconds the call took in the child, start-up excluded; and what it
+    printed.  A child stopped by a limit fails the calling test."""
+    flags = ["-B"] if sys.dont_write_bytecode else []
+    child = subprocess.run(
+        [sys.executable, *flags, "-c", _CHILD], capture_output=True,
+        input=pickle.dumps((cpu_s, memory_mb, sys.path))
+        + pickle.dumps((fn, args)), timeout=12 * cpu_s)
+    if child.returncode:
+        cause = (signal.Signals(-child.returncode).name
+                 if child.returncode < 0 else f"exit {child.returncode}")
+        raise AssertionError(f"the guarded call was stopped ({cause}): "
+                             f"{child.stderr.decode()[-500:]}")
+    outcome, seconds, out, err = pickle.loads(child.stdout)
+    if outcome[0] == "value":
+        return outcome[1], seconds, out, err
+    _, cls, exc_args, attributes = outcome
+    exc = cls.__new__(cls)
+    exc.args = exc_args
+    exc.__dict__.update(attributes)
+    return exc, seconds, out, err

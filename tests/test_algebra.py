@@ -24,6 +24,8 @@ from liepde.linalg import inertia, q_rank
 from liepde.prolong import VectorField
 from liepde.solver import Binding, solve_determining
 
+from helpers import triangular_mix
+
 
 def _fields_from_coords(basis, coords) -> VectorField:
     """The vector field with coordinates ``coords`` over ``basis``."""
@@ -198,6 +200,10 @@ class TestStructureConstants:
             with pytest.raises(ex.ExprError, match="^vector fields live on "
                                "different spaces$"):
                 structure_constants(fields)
+        # and the reference commutator
+        with pytest.raises(ex.ExprError, match="^vector fields live on "
+                           "different spaces$"):
+            commutator(plane, space)
 
     def test_parameter_from_an_exponential_keeps_expressions(self):
         # rational coordinates, but [d/dt, exp(R t) d/dx] = R exp(R t) d/dx
@@ -264,6 +270,20 @@ class TestClassification:
         # ideal is span{delta2..delta6}: no delta1 coordinate
         assert all(v[0].is_zero for v in ideal)
         assert len(verdict.complement_basis) == 1
+
+    @pytest.mark.parametrize("factor", [1, R, OMEGA, V])
+    def test_change_of_basis_over_the_parameter_field(self, basis, factor):
+        # e2 += factor*e1: the Killing radical's nullspace vectors are 1 at
+        # their free columns, so its constants stay kernel values
+        fields = list(basis)
+        fields[1] = basis[1].plus(basis[0].scaled(factor))
+        assert classify(structure_constants(fields)).name == "A1 (+)s W5"
+
+    def test_seeded_rational_changes_of_basis(self, basis):
+        for seed in range(40):
+            fields = triangular_mix(random.Random(seed), basis)
+            verdict = classify(structure_constants(fields))
+            assert verdict.name == "A1 (+)s W5", seed
 
     def test_reduced_basis_sl2_w3(self, reduced_basis):
         verdict = classify(structure_constants(reduced_basis.fields))
@@ -400,6 +420,29 @@ class TestClassification:
             (), tuple(tuple(map(tuple, row)) for row in c)))
         assert (verdict.name, verdict.notes) == ("unclassified", (why,))
 
+    @pytest.mark.parametrize("brackets, center, derived", [
+        # the Killing radical is not nilpotent
+        ({(0, 1): {1: 1, 2: 1}, (0, 2): {1: -1, 2: 1}, (3, 4): {4: 1}}, 0, 3),
+        # the radical, W3 (+) A1, is itself unclassified
+        ({(1, 2): {3: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2},
+          (0, 4): {4: 1}}, 0, 4),
+        # no Levi correction closes the complement
+        ({(0, 1): {4: 1}, (0, 2): {2: 1}, (1, 3): {3: 1}}, 1, 3),
+    ])
+    def test_semidirect_sums_that_name_nothing(self, brackets, center,
+                                               derived):
+        c = [[[Fr(0)] * 5 for _ in range(5)] for _ in range(5)]
+        for (i, j), column in brackets.items():
+            for k, value in column.items():
+                c[i][j][k], c[j][i][k] = Fr(value), Fr(-value)
+        pres = AlgebraPresentation((), tuple(tuple(map(tuple, row))
+                                             for row in c))
+        for p in (pres, _as_expressions(pres)):
+            verdict = classify(p)
+            assert (verdict.name, verdict.center_dim, verdict.derived_dim,
+                    verdict.notes) == ("unclassified", center, derived,
+                                       ("no recognised structure",))
+
     def test_basis_change_invariance(self, reduced_basis):
         rng = random.Random(23)
         fields = list(reduced_basis.fields)
@@ -515,18 +558,6 @@ class TestKillingSignature:
         assert _signature(_congruent(k, p)) == _signature(k)
 
 
-def _triangular_mix(rng, fields):
-    """Each field plus a rational multiple of one earlier field, scaled."""
-    out = []
-    for i, field in enumerate(fields):
-        mixed = field.scaled(Fr(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)))
-        if i:
-            other = fields[rng.randrange(i)]
-            mixed = mixed.plus(other.scaled(Fr(rng.randint(-3, 3), 2)))
-        out.append(mixed)
-    return out
-
-
 def _subspaces(pres):
     """The Killing radical, and the Levi complement when there is one."""
     radical = pres.ring.nullspace(_killing_matrix(pres))
@@ -582,9 +613,9 @@ class TestSubalgebras:
     def test_triangular_mixes(self, seed, basis, reduced_basis):
         rng = random.Random(seed)
         bound = Binding.parse("R=3,S=2,V=1,W=2")
-        self._check(_triangular_mix(rng, [bound.apply_field(f)
-                                          for f in basis]))
-        self._check(_triangular_mix(rng, reduced_basis.fields))
+        self._check(triangular_mix(rng, [bound.apply_field(f)
+                                         for f in basis]))
+        self._check(triangular_mix(rng, reduced_basis.fields))
 
     def _check_corrupted_solve(self, pres, monkeypatch, name, bump):
         radical, complement = _subspaces(pres)
@@ -647,7 +678,7 @@ def _mixes():
          "sl(2,R) (+)s W3"),
         ([binding.apply_field(f) for f in known_basis()], "A1 (+)s W5"),
     ]
-    return [(_triangular_mix(random.Random(seed), fields), name)
+    return [(triangular_mix(random.Random(seed), fields), name)
             for seed in range(3) for fields, name in sources]
 
 
@@ -739,14 +770,14 @@ def _classify_bases(seed, discovered):
     its W5 part permuted and scaled, and both bound at a drawn binding and
     mixed."""
     rng = random.Random(seed)
-    out = [_triangular_mix(rng, fields) for fields in discovered]
+    out = [triangular_mix(rng, fields) for fields in discovered]
     for fields in (known_basis(), known_basis()[1:]):
         perm = rng.sample(range(len(fields)), len(fields))
         out.append([fields[p].scaled(Fr(rng.choice((-3, -1, 1, 2)),
                                         rng.randint(1, 3))) for p in perm])
         bound = Binding.parse(rng.choice(BINDINGS))
-        out.append(_triangular_mix(rng, [bound.apply_field(f)
-                                         for f in fields]))
+        out.append(triangular_mix(rng, [bound.apply_field(f)
+                                        for f in fields]))
     return out
 
 
@@ -977,7 +1008,7 @@ class TestLieAxioms:
         # e_{p(i)} scaled by mu, the same algebra
         rng = random.Random(seed)
         tensors = [SL2] + [structure_constants(
-            _triangular_mix(rng, fields)).constants
+            triangular_mix(rng, fields)).constants
             for fields in discovered[:2]]
         for c in tensors:
             name = classify(AlgebraPresentation((), c)).name

@@ -1,14 +1,15 @@
 """CLI contract: exit codes, JSON determinism, golden report."""
 
 import json
+import runpy
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from conftest import child_env
+from helpers import bounded
 from liepde import expr as ex
 from liepde import fixtures, linalg, solver
 from liepde.cli import main
@@ -165,7 +166,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", ["(x+1)^1000", "(x+1)^3000",
                                       "(exp(x)+1)^2000", "(x+y+t+1)^40",
                                       "(x+y+t+1)^80*u"])
-    def test_term_bound_refuses_generators_and_basis_files(self, text, capsys,
+    def test_term_bound_refuses_generators_and_basis_files(self, text,
                                                            tmp_path):
         # ROADMAP finding 3: each ran for seconds, or out of memory
         path = tmp_path / "basis.json"
@@ -175,9 +176,8 @@ class TestExitCodes:
         for argv in (["verify", "--equation", "heat", "--generator",
                       f"xi_t=0; xi_x=0; eta={text}"],
                      ["classify", "--basis", str(path)]):
-            start = time.perf_counter()
-            code, out, err = run_cli(argv, capsys)
-            assert time.perf_counter() - start < 0.1
+            code, seconds, out, err = bounded(main, argv)
+            assert seconds < 0.1
             assert (code, out) == (2, "") and err.count("\n") == 1
             assert err.startswith(f"error: power may have more than "
                                   f"{MAX_TERMS} terms")
@@ -284,6 +284,18 @@ class TestCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "pair (1, 2) is not representable" in err
 
+    def test_classify_basis_after_a_change_of_basis(self, capsys, tmp_path):
+        # the published basis with e2 replaced by e1 + e2
+        basis = fixtures.known_basis()
+        fields = [basis[0], basis[1].plus(basis[0]), *basis[2:]]
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({
+            "variables": ["t", "x", "y"], "dependent": "u",
+            "generators": [f.render() for f in fields]}))
+        code, out, _ = run_cli(["classify", "--basis", str(path)], capsys)
+        assert code == 0
+        assert "name: A1 (+)s W5" in out
+
     def test_classify_basis_with_a_surd_constant(self, capsys, tmp_path):
         # [(R^2 - 4S) d/dx, x d/dy] = omega * (omega d/dy)
         path = tmp_path / "basis.json"
@@ -338,6 +350,29 @@ class TestCommands:
              "--params", "R=5,S=4,V=1,W=1"], capsys)
         assert code == 0
         assert "sl(2,R) (+)s W3" in out
+
+    def test_help_and_an_unknown_command(self, capsys):
+        code, out, _ = run_cli(["--help"], capsys)
+        assert code == 0 and out.startswith("usage: liepde ")
+        code, out, err = run_cli(["bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'bogus'" in err
+
+    def test_empty_generator_chunks_are_skipped(self, capsys):
+        code, out, _ = run_cli(["verify", "--equation", "heat", "--generator",
+                                "xi_t=1;;xi_x=0"], capsys)
+        assert (code, out) == (0, "verify heat\n  generator: residual = 0\n"
+                               "all residuals zero\n")
+
+    def test_module_entry_point(self, capsys, monkeypatch):
+        # python -m liepde.cli exits with the status of main
+        monkeypatch.delitem(sys.modules, "liepde.cli")
+        monkeypatch.setattr(sys, "argv", ["liepde", "find", "--equation",
+                                          "bogus"])
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("liepde.cli", run_name="__main__")
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestJsonDeterminism:

@@ -1,6 +1,7 @@
 """Total derivatives, the solution manifold, and the equation registry."""
 
 import random
+import re
 
 import pytest
 
@@ -38,6 +39,19 @@ class TestConstructors:
     def test_rejects_third_order_rhs(self):
         with pytest.raises(ex.ExprError):
             EvolutionPDE(("t", "x"), "u", jet("u", "xxx"))
+
+    @pytest.mark.parametrize("variables, dependent, rhs, message", [
+        (("x", "t"), "u", jet("u", "xx"),
+         "the first independent variable must be t"),
+        (("t", "x"), "w", ex.ZERO, "unknown dependent symbol 'w'"),
+        (("t", "x"), "u", jet("z", "xx"), "foreign dependent symbol 'z' in rhs"),
+        (("t", "x"), "u", jet("u", "yy"),
+         "jet u_yy uses a variable outside ('t', 'x')"),
+    ])
+    def test_refusals_name_their_cause(self, variables, dependent, rhs,
+                                       message):
+        with pytest.raises(ex.ExprError, match=f"^{re.escape(message)}$"):
+            EvolutionPDE(variables, dependent, rhs)
 
 
 class TestTotalDerivative:
@@ -109,6 +123,14 @@ class TestManifold:
 
     def test_heat_elimination(self, heat):
         assert eliminate_time_jets(jet("u", "t"), heat) == jet("u", "xx")
+
+    def test_inner_time_derivative_of_a_first_order_equation(self):
+        # u_tt = D_t(x u_x) = x u_tx, and u_tx = D_x(x u_x) in turn; on a
+        # second-order equation u_tt reaches fourth-order jets, past
+        # MAX_JET_ORDER
+        pde = EvolutionPDE(("t", "x"), "u", X * jet("u", "x"))
+        assert eliminate_time_jets(jet("u", "tt"), pde) \
+            == X * jet("u", "x") + X ** 2 * jet("u", "xx")
 
 
 class TestRegistry:

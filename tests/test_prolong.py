@@ -56,6 +56,20 @@ class TestProlong2:
         with pytest.raises(ex.ExprError):
             field3(0, jet("u", "x"), 0, 0)
 
+    def test_rejects_a_foreign_dependent_symbol(self):
+        with pytest.raises(ex.ExprError,
+                           match="^foreign dependent symbol 'z'$"):
+            field3(0, 0, 0, ex.Z)
+
+    def test_fields_on_different_spaces_are_refused(self, hpz):
+        heat_field = VectorField(("t", "x"), "u", (ONE, ZERO), ZERO)
+        with pytest.raises(ex.ExprError, match="^vector fields live on "
+                           "different spaces$"):
+            field3(1, 0, 0, 0).plus(heat_field)
+        with pytest.raises(ex.ExprError, match="^vector field and equation "
+                           "live on different spaces$"):
+            residual(heat_field, hpz)
+
     def test_rejects_repeated_variables(self):
         # a second "t" slot could never be told apart from the first
         with pytest.raises(ex.ExprError, match="^independent variable 't' "

@@ -83,6 +83,20 @@ class TestInvariants:
         with pytest.raises(ReductionError, match="^" + re.escape(message)):
             invariants_for(vf)
 
+    @pytest.mark.parametrize("eta, q_exponent", [
+        (ex.ZERO, ex.ZERO), (Y * ex.U, X * Y), (X * ex.U, Fr(1, 2) * X ** 2)])
+    def test_generator_along_x_alone(self, eta, q_exponent):
+        # xi_y = 0: the multiplier is solved from xi_x
+        rmap = invariants_for(VectorField(("t", "x", "y"), "u",
+                                          (ex.ZERO, ex.ONE, ex.ZERO), eta))
+        assert (rmap.r, rmap.q_exponent) == (-Y, q_exponent)
+
+    def test_unknown_published_generator(self):
+        with pytest.raises(ex.ExprError, match="^unknown generator 'delta7'; "
+                           "known: delta1, delta2, delta3, delta4, delta5, "
+                           "delta6$"):
+            paper_reduction("delta7")
+
     def test_rejects_a_generator_over_other_variables(self):
         vf = VectorField(("t", "x"), "u", (ex.ZERO, ex.ONE), ex.ZERO)
         with pytest.raises(ReductionError, match=r"^reduction expects a "

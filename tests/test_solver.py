@@ -7,11 +7,12 @@ from fractions import Fraction as Fr
 import pytest
 
 from liepde import expr as ex, solver
-from liepde.expr import InternalError
+from liepde.expr import Atom, InternalError
 from liepde.fixtures import generator_names, known_basis
 from liepde.jet import EvolutionPDE, get_equation
 from liepde.prolong import determining_equations, residual
 from liepde.linalg import RootExtractionError, q_rank
+from liepde.parser import parse
 from liepde.solver import (Binding, BindingError, _candidate_exponents,
                            _completion, _linear_system, _trial_nullspace,
                            ansatz, profile_basis, solve_determining,
@@ -43,6 +44,9 @@ class TestBinding:
             Binding.parse("R=2,S=1,V=1,W=1").require_reduction_params()
         with pytest.raises(BindingError, match="singular"):
             Binding.parse("R=1,S=0,V=1,W=-1").require_reduction_params()
+        with pytest.raises(BindingError, match=r"^R\*V \+ W = 0: the "
+                           "expression is singular$"):
+            Binding.parse("R=1,S=0,V=1,W=-1").apply(ex.DELTA)
 
     def test_apply_resolves_delta(self, binding):
         assert binding.apply(ex.DELTA) == ex.rational(Fr(1, 6))
@@ -88,6 +92,15 @@ class TestDiscovery:
     def test_unbound_parameters_rejected(self, hpz):
         with pytest.raises(BindingError):
             solve_determining(hpz, Binding.parse("R=5,S=4"))
+
+    def test_symbolic_coefficient_is_refused(self):
+        # k is a user constant, not a bound parameter; the unknowns render
+        # as t-functions, a' the derivative of a
+        pde = EvolutionPDE(("t", "x"), "u", parse("k*u_xx", {"k"}))
+        with pytest.raises(ex.ExprError, match=r"^determining equation is "
+                           r"not linear with rational coefficients: "
+                           r"k\*a' - 2\*k\*b_xx$"):
+            solve_determining(pde)
 
     def test_irrational_exponents_refused(self, hpz):
         with pytest.raises(BindingError, match="perfect"):
@@ -212,7 +225,8 @@ def _has_t_times_exp(vf, lam) -> bool:
     """Whether a coefficient of the field has a term t^k exp(lam t), k > 0
     (for lam = 0, a term in t without an exponential)."""
     arg = lam * ex.T if lam else ex.ZERO
-    return any(not ex.partial(ex.exp_groups(c).get(arg, ex.ZERO), "t").is_zero
+    return any(not ex.partial(ex.exp_groups(c).get(arg, ex.ZERO),
+                              Atom("t")).is_zero
                for c in vf.coefficients())
 
 
