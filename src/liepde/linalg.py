@@ -403,12 +403,6 @@ def is_perfect_square(q: Fraction) -> bool:
         isqrt(q.denominator) ** 2 == q.denominator
 
 
-def fraction_sqrt(q: Fraction) -> Fraction:
-    if not is_perfect_square(q):
-        raise ExprError(f"{q} is not a perfect rational square")
-    return Fraction(isqrt(q.numerator), isqrt(q.denominator))
-
-
 # ---------------------------------------------------------------------------
 # matrix pencils over Q[lambda]
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ exponent are rational and the whole computation stays in exact arithmetic:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Frozen, InternalError, Jet, TFun
@@ -94,7 +95,7 @@ class Binding(Frozen):
             raise BindingError(
                 f"R^2 - 4*S = {disc} is not a perfect rational square; "
                 f"choose a perfect-square discriminant")
-        return linalg.fraction_sqrt(disc)
+        return Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
 
     def rv_plus_w(self) -> Fraction:
         return (self.values.get("R", Fraction(0)) * self.values.get("V", Fraction(0))

@@ -29,6 +29,7 @@ this file.
 """
 
 import ast
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -91,8 +92,8 @@ def run_traced() -> tuple[int, dict[str, set[int]]]:
     hits: dict[str, set[int]] = {}
     local_of: dict[object, object] = {}
 
-    def local_for(code):
-        lines = hits.setdefault(code.co_filename, set())
+    def local_for(path):
+        lines = hits.setdefault(path, set())
         add = lines.add
 
         def local(frame, event, arg):
@@ -105,10 +106,12 @@ def run_traced() -> tuple[int, dict[str, set[int]]]:
         code = frame.f_code
         local = local_of.get(code)
         if local is None:
-            if not code.co_filename.startswith(prefix):
-                return None
-            local = local_of[code] = local_for(code)
-        return local
+            # the path resolved as ``PACKAGE`` is, however the import
+            # reached it; False for code outside the package
+            path = os.path.realpath(code.co_filename)
+            local = local_of[code] = (path.startswith(prefix)
+                                      and local_for(path))
+        return local or None
 
     sys.modules["sympy"] = None  # the oracles skip, as without sympy
     sys.settrace(on_call)

@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
+from conftest import child_env
 from liepde import expr as ex, fixtures as fx
 from liepde.expr import (DivisionByZero, ExpFactor, Expr, ExprError, Frozen,
                          base_label)
@@ -408,9 +409,8 @@ def triangular_mix(rng, fields):
 
 _CHILD = """
 import contextlib, io, pickle, resource, sys, time
-cpu_s, memory_mb, sys.path[:] = pickle.load(sys.stdin.buffer)
-resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s + 1))
-resource.setrlimit(resource.RLIMIT_AS, (memory_mb << 20, memory_mb << 20))
+resource.setrlimit(resource.RLIMIT_CPU, (5, 6))
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 fn, args = pickle.load(sys.stdin.buffer)
 out, err = io.StringIO(), io.StringIO()
 start = time.perf_counter()
@@ -425,22 +425,21 @@ pickle.dump((outcome, seconds, out.getvalue(), err.getvalue()),
 """
 
 
-def bounded(fn, *args, cpu_s=5, memory_mb=512):
+def bounded(fn, *args):
     """``fn(*args)`` in a fresh interpreter that first limits its own CPU
-    time and address space (``RLIMIT_CPU``, ``RLIMIT_AS``), so a guard test
-    whose bound regressed fails in seconds instead of running the work it
-    guards against.  ``fn`` and the values are pickled; the child imports
-    ``fn``'s module from this process's ``sys.path``.
+    time to 5 s and its address space to 512 MiB (``RLIMIT_CPU``,
+    ``RLIMIT_AS``), so a guard test whose bound regressed fails in seconds
+    instead of running the work it guards against.  ``fn`` and the values
+    are pickled; the child runs under ``conftest.child_env``, so it imports
+    the same liepde as this process.
 
     Returns ``(outcome, seconds, stdout, stderr)``: the value, or the
     exception raised, rebuilt with its arguments and attributes; the
     seconds the call took in the child, start-up excluded; and what it
     printed.  A child stopped by a limit fails the calling test."""
-    flags = ["-B"] if sys.dont_write_bytecode else []
     child = subprocess.run(
-        [sys.executable, *flags, "-c", _CHILD], capture_output=True,
-        input=pickle.dumps((cpu_s, memory_mb, sys.path))
-        + pickle.dumps((fn, args)), timeout=12 * cpu_s)
+        [sys.executable, "-c", _CHILD], capture_output=True,
+        input=pickle.dumps((fn, args)), env=child_env(), timeout=60)
     if child.returncode:
         cause = (signal.Signals(-child.returncode).name
                  if child.returncode < 0 else f"exit {child.returncode}")

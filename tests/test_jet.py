@@ -132,6 +132,15 @@ class TestManifold:
         assert eliminate_time_jets(jet("u", "tt"), pde) \
             == X * jet("u", "x") + X ** 2 * jet("u", "xx")
 
+    def test_every_time_jet_up_to_third_order(self):
+        # ten time jets, one removed a pass: u_{K+t} = u_{K+x}
+        pde = EvolutionPDE(("t", "x", "y"), "u", jet("u", "x"))
+        idxs = ["t", "tt", "tx", "ty", "ttt", "ttx", "tty", "txx", "txy", "tyy"]
+        out = eliminate_time_jets(
+            ex.sum_of([jet("u", idx) for idx in idxs]), pde)
+        assert out == ex.sum_of(
+            [jet("u", idx.replace("t", "x")) for idx in idxs])
+
 
 class TestRegistry:
     def test_names(self):

@@ -10,7 +10,7 @@ import pytest
 from liepde import expr as ex, linalg
 from liepde.expr import ExprError, R, S, V, W
 from liepde.linalg import (charpoly, coordinates, f_nullspace, f_rank,
-                           f_row_basis, f_rref, f_solve_unique, fraction_sqrt,
+                           f_row_basis, f_rref, f_solve_unique,
                            is_perfect_square, p_div_exact, p_eval, p_mul,
                            pencil_gram_poly, pencil_pivots, q_nullspace,
                            q_rank, rational_roots)
@@ -401,7 +401,6 @@ class TestPerfectSquares:
         assert is_perfect_square(Fr(9))
         assert is_perfect_square(Fr(9, 4))
         assert not is_perfect_square(Fr(8))
-        assert fraction_sqrt(Fr(9, 4)) == Fr(3, 2)
 
 
 class TestExpressionField:

@@ -26,6 +26,7 @@ class TestBinding:
         assert binding.discriminant() == 5 * 5 - 4 * Fr(4)
         assert binding.omega() == 3
         assert binding.rv_plus_w() == 6
+        assert Binding.parse("R=5/2,S=1").omega() == Fr(3, 2)
 
     def test_inconsistent_omega_rejected(self):
         with pytest.raises(BindingError):
