@@ -7,9 +7,9 @@ symbolically, discovers finite symmetry bases at rational parameter
 bindings, performs order reductions, and classifies the resulting Lie
 algebras.
 
-``__all__`` is the supported library API, grouped as in the README's
-"Library API" section; ``liepde.cli.main`` is supported too.  Every other
-name in the package's modules is internal.
+``__all__`` is the supported library API, the names of ``_HOME``, which
+maps each to its home module; ``liepde.cli.main`` is supported too.  Every
+other name in the package's modules is internal.
 
 ``import liepde`` imports none of the package's modules: each name of
 ``__all__`` is looked up in its home module on every access (PEP 562), so
@@ -18,30 +18,6 @@ home module's current value.
 """
 
 from importlib import import_module
-
-__all__ = [
-    # equations
-    "EvolutionPDE", "StationaryEquation", "make_hpz", "make_heat",
-    "get_equation", "equation_names",
-    # expressions
-    "Expr", "parse", "render",
-    # verification
-    "VectorField", "residual", "verify_basis", "VerificationRow",
-    # discovery
-    "Binding", "solve_determining", "SymmetryBasis", "profile_basis",
-    "SymmetryProfile",
-    # reduction
-    "paper_reduction", "invariants_for", "reduce_pde", "reduce_time",
-    "ReductionMap", "ReducedEquation",
-    # algebra
-    "structure_constants", "classify", "AlgebraPresentation", "Verdict",
-    # fixtures
-    "known_basis", "generator_names",
-    # errors
-    "ExprError", "InternalError", "DivisionByZero", "UnsupportedDivision",
-    "ParseError", "BindingError", "RootExtractionError", "ReductionError",
-    "ClosureError",
-]
 
 __version__ = "0.1.0"
 
@@ -62,6 +38,8 @@ _HOME = {name: module for module, names in (
                  "Verdict", "ClosureError")),
     ("fixtures", ("known_basis", "generator_names")),
 ) for name in names}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

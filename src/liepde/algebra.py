@@ -17,7 +17,7 @@ naming the offending pair, and a failed re-check an ``InternalError``.
 A presentation computes in one ring, which it takes from the type of its
 constants and holds as a ``Ring`` record: its zero and one, the sum of a list
 of products, whole-row eliminations from ``linalg`` (rref, rank,
-nullspace, row basis, and the solve with its common denominator), the maps
+nullspace and the solve with its common denominator), the maps
 from their results to the constants and to witnesses, and whether the
 rational-only steps -- the Killing signature and the Levi correction --
 apply.  ``INTEGERS`` is the ring of rational constants, held as
@@ -115,7 +115,6 @@ class Ring(Frozen):
     rref: object       # rows -> (reduced rows, pivot columns)
     rank: object
     nullspace: object  # dense rows -> one vector per free column
-    row_basis: object
     solve: object      # (matrix, rhss, ncols) -> (solutions, denominator)
     values: object     # a solution -> its entries, as ring elements
     tensor: object     # verified expansions -> the tensor
@@ -176,7 +175,6 @@ INTEGERS = Ring(
     rref=lambda rows: linalg.z_rref(rows),
     rank=lambda rows: linalg.q_rank(rows),
     nullspace=lambda rows: linalg.z_nullspace(rows),
-    row_basis=lambda rows: linalg.z_row_basis(rows),
     solve=lambda matrix, rhss, ncols=None: linalg.z_solve_unique(
         matrix, rhss, ncols),
     values=tuple,
@@ -190,7 +188,6 @@ EXPRESSIONS = Ring(
     rref=lambda rows: linalg.f_rref(rows),
     rank=lambda rows: linalg.f_rank(rows),
     nullspace=lambda rows: linalg.f_nullspace(rows),
-    row_basis=lambda rows: linalg.f_row_basis(rows),
     solve=lambda matrix, rhss, ncols=None: (
         linalg.f_solve_unique(matrix, rhss, ncols), 1),
     values=lambda sol: tuple(ex.divide_exact(*pair) for pair in sol),
@@ -547,11 +544,18 @@ def _independent(p: AlgebraPresentation, prefix: list, vectors) -> list:
     return [vectors[c - len(prefix)] for c in pivots if c >= len(prefix)]
 
 
+def _row_basis(p: AlgebraPresentation, rows: list) -> list:
+    """A basis of the span of ``rows``: their reduced rows, dense."""
+    zero, n = p.ring.zero, p.dimension
+    return [[row.get(c, zero) for c in range(n)]
+            for row in p.ring.rref(rows)[0]]
+
+
 def _derived_space(p: AlgebraPresentation) -> list:
     """The row space of the slices c[i][j], i < j: every [e_i, e_j]."""
     c = p.cleared
-    return p.ring.row_basis([list(c[i][j]) for i, j
-                             in combinations(range(p.dimension), 2)])
+    return _row_basis(p, [list(c[i][j]) for i, j
+                          in combinations(range(p.dimension), 2)])
 
 
 def _center(p: AlgebraPresentation) -> list:
@@ -594,7 +598,7 @@ def _derived_space_sub(p: AlgebraPresentation, left: list,
     """Row basis of [left, right]; of [left, left] from the pairs a < b
     when ``right`` is None."""
     pairs = combinations(left, 2) if right is None else product(left, right)
-    return p.ring.row_basis([_ad_bracket(p, v, w) for v, w in pairs])
+    return _row_basis(p, [_ad_bracket(p, v, w) for v, w in pairs])
 
 
 def _subalgebra(p: AlgebraPresentation, vectors: list) -> AlgebraPresentation:

@@ -18,7 +18,8 @@ import json
 import sys
 
 from .expr import ExprError, InternalError
-from .jet import EvolutionPDE, StationaryEquation, get_equation, make_heat, make_hpz
+from .jet import (REDUCED, EvolutionPDE, StationaryEquation, get_equation,
+                  make_heat, make_hpz)
 from .parser import parse, render
 from .prolong import VectorField, residual, verify_basis
 
@@ -232,9 +233,9 @@ def cmd_reduce(args) -> int:
                  f"matches printed stationary form: {doc['matches_printed_form']}"]
         _emit(doc, lines, args)
         return 0
-    if args.generator not in ("delta3", "delta4", "delta5", "delta6"):
-        raise ExprError("reducible generators: delta3, delta4, delta5, "
-                        "delta6, time")
+    if args.generator not in REDUCED.values():
+        raise ExprError("reducible generators: "
+                        + ", ".join((*REDUCED.values(), "time")))
     doc = _reduce_document(args.generator)
     lines = [
         f"reduction of hpz by {args.generator}",
@@ -326,14 +327,14 @@ def cmd_report(args) -> int:
     }
 
     reductions = {name: _reduce_document(name)
-                  for name in ("delta3", "delta4", "delta5", "delta6", "time")}
+                  for name in (*REDUCED.values(), "time")}
 
     red32 = solve_determining(_require_evolution(get_equation("reduced-3.2")),
                               binding)
-    reduced_discovery = {"reduced-3.2": _find_document(
-        "reduced-3.2", binding, red32)}
-    for reg_name in ("reduced-3.5", "reduced-3.7", "reduced-3.9"):
-        reduced_discovery[reg_name] = _find_document(reg_name, binding)
+    reduced_discovery = {
+        name: _find_document(name, binding,
+                             red32 if name == "reduced-3.2" else None)
+        for name in REDUCED}
 
     classification = {
         "w5": _classify_document(known[1:], "delta2..delta6"),
@@ -352,8 +353,7 @@ def cmd_report(args) -> int:
             "hpz": hpz.render(),
             "heat": make_heat().render(),
             **{name: _require_evolution(get_equation(name)).render()
-               for name in ("reduced-3.2", "reduced-3.5", "reduced-3.7",
-                            "reduced-3.9")},
+               for name in REDUCED},
             "stationary-2.6": get_equation("stationary-2.6").render(),
         },
         "verification": verification,
@@ -416,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="order reduction by a fixture generator")
     p.add_argument("--equation", required=True)
     p.add_argument("--generator", required=True,
-                   help="delta3, delta4, delta5, delta6 or time")
+                   help=f"{', '.join(REDUCED.values())} or time")
     p.add_argument("--params", help="optional binding; validated against the "
                                     "degenerate-parameter cases")
     common(p)

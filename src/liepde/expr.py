@@ -881,22 +881,6 @@ def partial(e: Expr, v: Base) -> Expr:
     return Expr(_collect(pieces))
 
 
-def differentiate(e: Expr, v: str) -> Expr:
-    """Partial derivative with respect to an independent-variable atom.
-
-    Parameters and user constants are treated as constants; expressions with
-    derivative jets belong to the jet module's total derivative instead.
-    """
-    if not isinstance(v, str) or v not in VARIABLE_NAMES:
-        raise ExprError(
-            f"can only differentiate with respect to one of {VARIABLE_NAMES}")
-    if max_jet_order(e) >= 1:
-        raise ExprError(
-            "expression contains jet variables; use the jet module's "
-            "total derivative")
-    return partial(e, Atom(v))
-
-
 def subst_many(e: Expr, mapping: Mapping[Base, Expr]) -> Expr:
     """Simultaneous capture-free substitution followed by canonicalisation.
 
@@ -988,34 +972,6 @@ def jets_of(e: Expr) -> set[Jet]:
                 out.add(b)
             elif b.__class__ is ExpFactor:
                 out |= jets_of(b.arg)
-    return out
-
-
-def tfuns_of(e: Expr) -> set[TFun]:
-    """The t-functions of ``e``.  Only the discovery ansatz makes them, and
-    it never puts one inside an exponential."""
-    out: set[TFun] = set()
-    for _, fs in e.terms:
-        for b, _ in fs:
-            if isinstance(b, TFun):
-                out.add(b)
-    return out
-
-
-def max_jet_order(e: Expr) -> int:
-    jets = jets_of(e)
-    return max((j.order for j in jets), default=-1)
-
-
-def exp_groups(e: Expr) -> dict[Expr, Expr]:
-    """Group terms by their exponential argument (ZERO for none)."""
-    groups = split_terms(e, lambda b: isinstance(b, ExpFactor))
-    out: dict[Expr, Expr] = {}
-    for key, coeff in groups.items():
-        if not key:
-            out[ZERO] = coeff
-        else:
-            out[key[0][0].arg] = coeff
     return out
 
 

@@ -137,7 +137,9 @@ def eliminate_time_jets(e: Expr, pde: EvolutionPDE) -> Expr:
 # equation registry
 # ---------------------------------------------------------------------------
 
-_REDUCED = {
+# each registered reduced equation and the published generator that reduces
+# hpz to it; the one list of the four reductions
+REDUCED = {
     "reduced-3.2": "delta3",
     "reduced-3.5": "delta4",
     "reduced-3.7": "delta5",
@@ -146,7 +148,7 @@ _REDUCED = {
 
 
 def equation_names() -> tuple[str, ...]:
-    return ("hpz", "heat") + tuple(_REDUCED) + ("stationary-2.6",)
+    return ("hpz", "heat") + tuple(REDUCED) + ("stationary-2.6",)
 
 
 @lru_cache(maxsize=len(equation_names()))
@@ -160,9 +162,9 @@ def get_equation(name: str) -> EvolutionPDE | StationaryEquation:
         return make_hpz()
     if name == "heat":
         return make_heat()
-    if name in _REDUCED:
+    if name in REDUCED:
         from . import reduction
-        return reduction.paper_reduction(_REDUCED[name]).equation
+        return reduction.paper_reduction(REDUCED[name]).equation
     if name == "stationary-2.6":
         from . import reduction
         return reduction.reduce_time(make_hpz())

@@ -1,9 +1,9 @@
 """Exact linear algebra: rationals, univariate polynomials, symbolic fields.
 
 One sparse Gauss-Jordan loop, ``_rref``, gives the reduced echelon form of
-``{column: value}`` rows behind rank, nullspace, row space and solve; each
-ring passes its ``clear`` (a pivot row clears its column from a row) and
-its ``lead`` (a new pivot row is normalised):
+``{column: value}`` rows behind rank, nullspace and solve; each ring passes
+its ``clear`` (a pivot row clears its column from a row) and its ``lead``
+(a new pivot row is normalised):
 
 * rational rows are eliminated over the integers, fraction-free: each row
   is scaled once to a primitive integer row, ``_cross`` combines rows by
@@ -58,7 +58,7 @@ integer ring only through ``z_*`` and ``q_*``.  Around them:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from . import expr as ex
 from .expr import Expr, ExprError
@@ -193,14 +193,6 @@ def z_nullspace(matrix, ncols: int | None = None) -> list[list[int]]:
         g = gcd(*v)
         basis.append([x // g for x in v] if g > 1 else v)
     return basis
-
-
-def z_row_basis(matrix, ncols: int | None = None) -> list[list[int]]:
-    """Reduced echelon basis of the row space of rows of rational numbers,
-    one dense primitive integer row per pivot: each a positive multiple of
-    the reduced echelon row, which is 1 at its first nonzero entry."""
-    ncols = _width(matrix, ncols)
-    return [[row.get(c, 0) for c in range(ncols)] for row in z_rref(matrix)[0]]
 
 
 def z_solve_unique(matrix, rhss: list[list], ncols: int | None = None
@@ -395,12 +387,6 @@ def _value(s: list[int], a: int, b: int) -> int:
         v = v * a + c * power
         power *= b
     return v
-
-
-def is_perfect_square(q: Fraction) -> bool:
-    """Whether ``q >= 0`` is the square of a rational."""
-    return isqrt(q.numerator) ** 2 == q.numerator and \
-        isqrt(q.denominator) ** 2 == q.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -693,16 +679,3 @@ def f_nullspace(matrix) -> list[list[Expr]]:
                 pass
         basis.append(v)
     return basis
-
-
-def f_row_basis(matrix) -> list[list[Expr]]:
-    """Reduced echelon basis of the row space over the expression field,
-    one dense expression row per pivot: the row that is 1 at its pivot,
-    times the pivot entry when that is not rational.  Unlike
-    ``f_nullspace``, no row is divided by its pivot entry: row bases enter
-    only ranks and spans (``algebra._is_nilpotent``, ``_spans``), never a
-    subalgebra's presentation, so their scale cannot refuse a verdict."""
-    ncols = _width(matrix, None)
-    return [[ex.divide_exact(row.get(c, ex.ZERO),
-                             row[pc] if row[pc].is_rational else ex.ONE)
-             for c in range(ncols)] for row, pc in zip(*f_rref(matrix))]

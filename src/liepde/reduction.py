@@ -20,8 +20,9 @@ from functools import lru_cache
 
 from . import expr as ex
 from . import fixtures
-from .expr import Atom, Expr, ExprError, Frozen, InternalError, Jet
-from .jet import EvolutionPDE, StationaryEquation, make_hpz, total_derivative
+from .expr import Atom, ExpFactor, Expr, ExprError, Frozen, InternalError, Jet
+from .jet import (REDUCED, EvolutionPDE, StationaryEquation, make_hpz,
+                  total_derivative)
 from .prolong import VectorField, residual
 
 
@@ -51,29 +52,33 @@ class ReducedEquation(Frozen):
 
 
 def _is_parameter_expr(e: Expr) -> bool:
-    return ex.atoms_of(e).issubset(ex.PARAMETER_NAMES) and not ex.jets_of(e) \
-        and not ex.tfuns_of(e)
+    """Every factor of every term is a parameter atom."""
+    return all(isinstance(b, Atom) and b.name in ex.PARAMETER_NAMES
+               for _, fs in e.terms for b, _ in fs)
 
 
 def _strip_common_exp(parts: list[Expr]) -> list[Expr]:
-    """Remove one shared exponential factor from the nonzero entries."""
-    arg = None
+    """Remove one shared exponential factor from the nonzero entries.
+
+    A canonical term holds at most one exponential, to the first power, so
+    the terms are grouped by the exponential factor they hold, if any."""
+    shared = None
     for e in parts:
         if e.is_zero:
             continue
-        groups = ex.exp_groups(e)
+        groups = ex.split_terms(e, lambda b: isinstance(b, ExpFactor))
         if len(groups) != 1:
             raise ReductionError(
                 "generator coefficients mix several exponential factors")
-        this = next(iter(groups))
-        if arg is None:
-            arg = this
-        elif this != arg:
+        (this,) = groups
+        if shared is None:
+            shared = this
+        elif this != shared:
             raise ReductionError(
                 "generator coefficients carry different exponential factors")
-    if arg is None or arg.is_zero:
+    if not shared:
         return parts
-    inv = ex.exp_of(-arg)
+    inv = ex.exp_of(-shared[0][0].arg)
     return [e * inv for e in parts]
 
 
@@ -104,7 +109,7 @@ def invariants_for(vf: VectorField) -> ReductionMap:
 
     r_natural = q * ex.X - p * ex.Y
     r, matched = r_natural, None
-    for name in ("delta3", "delta4", "delta5", "delta6"):
+    for name in REDUCED.values():
         printed = fixtures.characteristic_r(name)
         try:
             scale = ex.divide_exact(ex.partial(printed, Atom("x")),

@@ -91,11 +91,12 @@ class Binding(Frozen):
         disc = self.discriminant()
         if disc < 0:
             raise BindingError("R^2 - 4*S must be non-negative")
-        if not linalg.is_perfect_square(disc):
+        root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+        if root * root != disc:
             raise BindingError(
                 f"R^2 - 4*S = {disc} is not a perfect rational square; "
                 f"choose a perfect-square discriminant")
-        return Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+        return root
 
     def rv_plus_w(self) -> Fraction:
         return (self.values.get("R", Fraction(0)) * self.values.get("V", Fraction(0))
@@ -199,13 +200,16 @@ def _linear_system(equations, unknowns: list[str]):
         arow = [Fraction(0)] * len(unknowns)
         brow = [Fraction(0)] * len(unknowns)
         for coeff, factors in eq.terms:
-            tf = [(b, p) for b, p in factors if isinstance(b, TFun)]
-            rest = [(b, p) for b, p in factors if not isinstance(b, TFun)]
-            if len(tf) != 1 or tf[0][1] != 1 or rest:
+            # the ansatz is linear in the unknowns: each term is one
+            # t-function times its coefficient, which must be a number
+            rest = [b for b, _ in factors if not isinstance(b, TFun)]
+            if rest:
                 raise ExprError(
-                    "determining equation is not linear with rational "
-                    f"coefficients: {ex.to_text(eq)}")
-            base = tf[0][0]
+                    f"determining equation {ex.to_text(eq)} has the factor "
+                    f"{ex.factors_text(((rest[0], 1),))} in a coefficient; "
+                    "discovery needs coefficients that are rational "
+                    "constants once the binding is applied")
+            ((base, _),) = factors
             if base.name not in index:
                 raise ExprError(f"unexpected unknown {base.name!r}")
             if base.order == 0:
@@ -427,7 +431,7 @@ def profile_basis(basis: SymmetryBasis) -> SymmetryProfile:
     a_vecs, b_vecs, f_vecs = [], [], []
     for vf in basis.fields:
         a = vf.component("t")
-        ap = ex.differentiate(a, "t") if _depends_only_on_t(a) else ex.ZERO
+        ap = ex.partial(a, Atom("t")) if _depends_only_on_t(a) else ex.ZERO
         b = vf.component(rvar) - Fraction(1, 2) * ap * ex.sym(rvar)
         h_groups = ex.split_terms(vf.eta, lambda bb: isinstance(bb, Jet))
         dep_key = ((Jet(dep, ()), 1),)

@@ -1,5 +1,6 @@
 """Test-only references: exact evaluation of kernel expressions at rational
-points, the independent oracle of the canonical-form tests, the named
+points, the t-functions of an expression (``tfuns_of``), the
+independent oracle of the canonical-form tests, the named
 coefficient functions and multiplier exponents of the published hpz basis,
 the omega and delta rewrites applied one step at a time, rational roots by
 divisor enumeration, and the sparse Gauss-Jordan loop over a field, with
@@ -21,7 +22,7 @@ from math import comb, isqrt, lcm
 from conftest import child_env
 from liepde import expr as ex, fixtures as fx
 from liepde.expr import (DivisionByZero, ExpFactor, Expr, ExprError, Frozen,
-                         base_label)
+                         TFun, base_label)
 from liepde.expr import R, S, V, W, X, Y
 from liepde.linalg import ExpressionSwellError, q_rank
 from liepde.solver import Binding
@@ -64,6 +65,11 @@ def evaluate_rational(e, binding) -> Fraction:
     if any(k != 0 for k in val):
         raise ExprError("value involves a non-trivial exponential")
     return val.get(Fraction(0), Fraction(0))
+
+
+def tfuns_of(e: Expr) -> set:
+    """The unknown t-functions among the factors of the terms of ``e``."""
+    return {b for _, fs in e.terms for b, _ in fs if isinstance(b, TFun)}
 
 
 def coefficient_functions() -> dict:

@@ -10,10 +10,9 @@ import pytest
 from liepde import expr as ex, linalg
 from liepde.expr import ExprError, R, S, V, W
 from liepde.linalg import (charpoly, coordinates, f_nullspace, f_rank,
-                           f_row_basis, f_rref, f_solve_unique,
-                           is_perfect_square, p_div_exact, p_eval, p_mul,
-                           pencil_gram_poly, pencil_pivots, q_nullspace,
-                           q_rank, rational_roots)
+                           f_rref, f_solve_unique, p_div_exact, p_eval,
+                           p_mul, pencil_gram_poly, pencil_pivots,
+                           q_nullspace, q_rank, rational_roots)
 from liepde.algebra import (AlgebraPresentation, _killing_matrix,
                             structure_constants)
 from liepde.fixtures import known_basis
@@ -396,13 +395,6 @@ class TestCoordinates:
         assert sorted(map(ex.to_text, row.values())) == ["1", "R + S"]
 
 
-class TestPerfectSquares:
-    def test_detection(self):
-        assert is_perfect_square(Fr(9))
-        assert is_perfect_square(Fr(9, 4))
-        assert not is_perfect_square(Fr(8))
-
-
 class TestExpressionField:
     def test_solve_and_verify(self):
         m = [[R, S], [V, W]]
@@ -468,13 +460,8 @@ class TestSeededExpressionField:
         assert f_nullspace([[R, ex.ZERO, ex.ONE], [ex.ZERO, R, ex.ONE]]) == \
             [[-1, -1, R]]
 
-    def test_row_basis_is_scaled_by_a_non_rational_pivot(self):
-        assert f_row_basis([[R, ex.ONE]]) == [[R, 1]]
-        assert f_row_basis([[ex.rational(2), R]]) == [[1, R / 2]]
-
     def test_pivot_entries_have_a_positive_first_term(self):
         assert f_rref([[-R, S]]) == ([{0: R, 1: -S}], [0])
-        assert f_row_basis([[-R, ex.ONE]]) == [[R, -1]]
 
     @pytest.mark.parametrize("unit", [ex.ONE, R], ids=["rational", "R"])
     def test_rows_a_clear_forms_are_over_their_content(self, unit):
@@ -643,8 +630,6 @@ class TestIntegerLoop:
             assert all(type(v) is int for v in zrow.values())
             assert zrow[pc] > 0 and gcd(*zrow.values()) == 1
             assert {c: Fr(v, zrow[pc]) for c, v in zrow.items()} == row
-        assert linalg.z_row_basis(rows, ncols) == [
-            [zrow.get(c, 0) for c in range(ncols)] for zrow in zrows]
         znull = linalg.z_nullspace(rows, ncols)
         assert len(znull) == len(null)
         for zvec, vec in zip(znull, null):
@@ -718,8 +703,6 @@ class TestRationalEntries:
         rref = [{c: Fr(v, row[pc]) for c, v in row.items()}
                 for row, pc in zip(zrows, pivots)]
         null = [[ex.rational(v) for v in vec] for vec in q_nullspace(q, ncols)]
-        dense = [[ex.rational(row.get(c, 0)) for c in range(ncols)]
-                 for row in rref]
         rhss = []
         if len(pivots) == ncols:
             x = [Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ncols)]
@@ -739,10 +722,9 @@ class TestRationalEntries:
             assert [{c: v.as_fraction() for c, v in row.items()}
                     for row in _values(f_rows, f_pivots)] == rref
             assert f_rank(rows) == len(pivots)
-            # nullspace and row basis read the width off a dense first row
+            # the nullspace reads the width off a dense first row
             if rows:
                 assert f_nullspace(rows) == null
-                assert f_row_basis(rows) == dense
             if not given:
                 with pytest.raises(ex.ExprError, match="independent"):
                     f_solve_unique(rows, [[Fr(0)] * nrows], ncols)

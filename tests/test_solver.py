@@ -19,6 +19,7 @@ from liepde.solver import (Binding, BindingError, _candidate_exponents,
                            span_rank, verify_basis)
 
 from conftest import determining_dae
+from helpers import tfuns_of
 
 
 class TestBinding:
@@ -35,9 +36,15 @@ class TestBinding:
     def test_non_square_discriminant_rejected(self):
         with pytest.raises(BindingError):
             Binding.parse("R=5,S=3").omega()
+        # a discriminant of 8: its root 2 is formed, and its square is not 8
+        with pytest.raises(BindingError, match=r"^R\^2 - 4\*S = 8 is not a "
+                           "perfect rational square; choose a perfect-square "
+                           "discriminant$"):
+            Binding.parse("R=2,S=-1").omega()
 
     def test_negative_discriminant_rejected(self):
-        with pytest.raises(BindingError):
+        with pytest.raises(BindingError,
+                           match=r"^R\^2 - 4\*S must be non-negative$"):
             Binding.parse("R=0,S=1").omega()
 
     def test_degenerate_reduction_guards(self):
@@ -98,9 +105,29 @@ class TestDiscovery:
         # k is a user constant, not a bound parameter; the unknowns render
         # as t-functions, a' the derivative of a
         pde = EvolutionPDE(("t", "x"), "u", parse("k*u_xx", {"k"}))
-        with pytest.raises(ex.ExprError, match=r"^determining equation is "
-                           r"not linear with rational coefficients: "
-                           r"k\*a' - 2\*k\*b_xx$"):
+        with pytest.raises(ex.ExprError, match=(
+                r"^determining equation k\*a' - 2\*k\*b_xx has the factor k "
+                "in a coefficient; discovery needs coefficients that are "
+                "rational constants once the binding is applied$")):
+            solve_determining(pde)
+
+    @pytest.mark.parametrize("variables, rhs, constants, equation, factor", [
+        (("t", "x"), "t*u_xx", set(), r"a \+ a'\*t - 2\*b_xx\*t", "t"),
+        (("t",), "t*u", set(), r"a \+ a'\*t - f'", "t"),
+        (("t", "x"), "u_xx + exp(t)*u", set(),
+         r"a\*exp\(t\) \+ a'\*exp\(t\) - f' \+ 2\*f_xx", r"exp\(t\)"),
+        (("t", "x"), "u_xx + lam*u", {"lam"}, r"lam\*a' - f' \+ 2\*f_xx",
+         "lam")],
+        ids=["t", "t-no-space", "exp-t", "constant"])
+    def test_linear_system_with_non_constant_coefficients_is_refused(
+            self, variables, rhs, constants, equation, factor):
+        # the system is linear; its coefficients hold t, exp(t) or a user
+        # constant, and the refusal names that factor
+        pde = EvolutionPDE(variables, "u", parse(rhs, constants))
+        with pytest.raises(ex.ExprError, match=(
+                f"^determining equation {equation} has the factor {factor} "
+                "in a coefficient; discovery needs coefficients that are "
+                "rational constants once the binding is applied$")):
             solve_determining(pde)
 
     def test_irrational_exponents_refused(self, hpz):
@@ -225,10 +252,11 @@ class TestDiscovery:
 def _has_t_times_exp(vf, lam) -> bool:
     """Whether a coefficient of the field has a term t^k exp(lam t), k > 0
     (for lam = 0, a term in t without an exponential)."""
-    arg = lam * ex.T if lam else ex.ZERO
-    return any(not ex.partial(ex.exp_groups(c).get(arg, ex.ZERO),
-                              Atom("t")).is_zero
-               for c in vf.coefficients())
+    ((_, key),) = ex.exp_of(lam * ex.T).terms  # () for lam = 0
+    groups = (ex.split_terms(c, lambda b: isinstance(b, ex.ExpFactor))
+              for c in vf.coefficients())
+    return any(not ex.partial(g.get(key, ex.ZERO), Atom("t")).is_zero
+               for g in groups)
 
 
 def _matmul(x, y):
@@ -409,5 +437,5 @@ class TestAnsatz:
         assert names == ["a", "b_x", "b_xx", "b_xy", "b_y", "b_yx", "b_yy",
                          "f", "f_x", "f_y", "f_xx", "f_xy", "f_yy"]
         assert {f.name for c in vf.coefficients()
-                for f in ex.tfuns_of(c)} == set(names)
+                for f in tfuns_of(c)} == set(names)
         assert vf.component("t") == ex.tfun("a")
