@@ -36,7 +36,12 @@ class TestBinding:
     def test_non_square_discriminant_rejected(self):
         with pytest.raises(BindingError):
             Binding.parse("R=5,S=3").omega()
-        # a discriminant of 8: its root 2 is formed, and its square is not 8
+
+    def test_perfect_square_detection(self):
+        # discriminants 9 and 9/4 are rational squares, 8 is not: its root
+        # 2 is formed, and its square is not 8
+        assert Binding.parse("R=5,S=4").omega() == 3
+        assert Binding.parse("R=5/2,S=1").omega() == Fr(3, 2)
         with pytest.raises(BindingError, match=r"^R\^2 - 4\*S = 8 is not a "
                            "perfect rational square; choose a perfect-square "
                            "discriminant$"):
