@@ -5,10 +5,11 @@ field; it is internal and remains as the tests' oracle.  Structure
 constants compute no commutator: each basis field is written once in
 coordinates over monomial fields m d_k (``linalg.coordinates``, with the
 parameters and rational content in the coefficient), and each bracket is
-formed in those coordinates by one bilinear sum over the monomial brackets
-[m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k.  These are kept across calls
-in a table of at most ``BRACKET_TABLE_SIZE`` entries (about 1.3 MB when
-full), so a change of basis, which keeps the monomial fields, reuses all
+formed in those coordinates by one bilinear sum over the nonzero monomial
+brackets [m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k.  These are kept
+across calls in a table keyed by the numbers of the monomial fields,
+emptied when a call finds it past ``BRACKET_TABLE_SIZE`` entries (about
+0.5 MB), so a change of basis, which keeps the monomial fields, reuses all
 of them.  One exact elimination then expands every bracket at once;
 every expansion is re-verified as an exact identity between coordinate
 rows, which are faithful, before it is trusted: non-closure is an error
@@ -64,9 +65,10 @@ error inside one propagates, and a check that fails only on a bug raises
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, lcm
+from threading import Lock
 
 from . import expr as ex
 from .expr import Atom, Expr, ExprError, Frozen, InternalError, Jet
@@ -157,17 +159,18 @@ def _antisymmetric(expansions: dict, zero, n: int) -> tuple:
     """The tensor with c[i][j] the expansion of pair i < j."""
     zero_row = (zero,) * n
     return tuple(tuple(expansions[i, j] if i < j
-                       else tuple(-c for c in expansions[j, i]) if j < i
-                       else zero_row for j in range(n)) for i in range(n))
+                       else tuple(-c if c else c for c in expansions[j, i])
+                       if j < i else zero_row for j in range(n))
+                 for i in range(n))
 
 
 def _cleared(c: tuple) -> tuple:
     """D*c over the integers, D the lcm of the denominators: the same zeros,
     spans and Killing signature as c, so homogeneous identities such as
     Jacobi, and classification, are decided on it."""
-    d = lcm(*(x.denominator for row in c for col in row for x in col))
-    return tuple(tuple(tuple(x.numerator * (d // x.denominator) for x in col)
-                       for col in row) for row in c)
+    d = lcm(*(x.denominator for row in c for col in row for x in col if x))
+    return tuple(tuple(tuple(x.numerator * (d // x.denominator) if x else 0
+                             for x in col) for col in row) for row in c)
 
 
 INTEGERS = Ring(
@@ -292,8 +295,8 @@ def structure_constants(basis) -> AlgebraPresentation:
     """Expand all pairwise brackets in the basis, exactly.
 
     The brackets are formed in coordinates over monomial fields, from a
-    table of monomial brackets kept across calls and bounded at
-    ``BRACKET_TABLE_SIZE`` entries, about 1.3 MB (see
+    table of monomial brackets kept across calls and emptied past
+    ``BRACKET_TABLE_SIZE`` entries, about 0.5 MB (see
     ``_coordinate_brackets``); no commutator and no Jacobian is computed.
     One elimination expands every bracket in the basis -- over the integers
     when every coordinate is rational -- and each expansion is re-verified
@@ -310,7 +313,8 @@ def structure_constants(basis) -> AlgebraPresentation:
                                           basis[0].dependent) for f in basis):
         raise ExprError("vector fields live on different spaces")
     n = len(basis)
-    monomials, rows, scales, ring = _coordinate_brackets(basis)
+    with _LOCK:
+        monomials, rows, scales, ring = _coordinate_brackets(basis)
     vectors, brackets = rows[:n], rows[n:]
     columns = range(len(monomials))
     matrix = [[v.get(r, ring.zero) for v in vectors] for r in columns]
@@ -330,113 +334,139 @@ def _coordinate_brackets(basis: tuple, ring: Ring = INTEGERS) -> tuple:
     monomial fields as (slot, monomial) pairs in column order, the rows --
     one per field, then one per pair i < j -- their scales, and the ring
     of the rows, row r standing for the coordinates row / scales[r]:
-    primitive integer rows in ``INTEGERS`` when every coordinate and every
-    monomial bracket met is rational, else the coordinates as they are in
-    ``EXPRESSIONS``, where only a bracket's scale can differ from 1.
+    primitive integer rows in ``INTEGERS`` when no term has a parameter
+    factor and every monomial bracket met is rational, else the
+    coordinates as they are in ``EXPRESSIONS``, where only a bracket's
+    scale can differ from 1.
     """
+    if len(_TABLE) > BRACKET_TABLE_SIZE:
+        for table in (_TABLE, _IDS, _KEYS):
+            table.clear()
     space = (basis[0].variables, basis[0].dependent)
     index: dict = {}
-    coords = linalg.coordinates(basis, _geometric, index)
-    if ring is INTEGERS and all(x.is_rational for row in coords
-                                for x in row.values()):
+    if ring is INTEGERS and all(_geometric(b) for f in basis
+                                for e in f.coefficients()
+                                for _, fs in e.terms for b, _ in fs):
+        coords = linalg.coordinates(basis, None, index)
         rows, scales = map(list, zip(*map(_integer_row, coords)))
     else:
-        ring, rows, scales = EXPRESSIONS, coords, [1] * len(coords)
-    fields = _fields(rows, index)
+        ring = EXPRESSIONS
+        rows = linalg.coordinates(basis, _geometric, index)
+        scales = [1] * len(rows)
+    ids = [_id(space, key) for key in index]
+    columns = {i: r for r, i in enumerate(ids)}
+    fields = [[(ids[r], x) for r, x in row.items()] for row in rows]
     for i, j in combinations(range(len(basis)), 2):
-        bracket, d, rational = _bracket(ring.sum, space, fields[i],
-                                        fields[j], index)
-        if not (rational or ring is EXPRESSIONS):
+        bracket = _bracket(ring, space, fields[i], fields[j], columns)
+        if bracket is None:
             return _coordinate_brackets(basis, EXPRESSIONS)
-        rows.append(bracket)
-        scales.append(d * scales[i] * scales[j])
-    return list(index), rows, scales, ring
-
-
-def _fields(rows: list[dict], index: dict) -> list[list]:
-    """Coordinate rows as lists of ((slot, monomial), value) pairs."""
-    monomials = list(index)
-    return [[(monomials[r], x) for r, x in row.items()] for row in rows]
+        rows.append(bracket[0])
+        scales.append(bracket[1] * scales[i] * scales[j])
+    return [_KEYS[i] for i in columns], rows, scales, ring
 
 
 def _integer_row(row: dict) -> tuple[dict, Fraction]:
-    """A row of rational expressions as a primitive integer row and the
+    """A row of rational numbers as a primitive integer row and the
     positive scale that takes the row to it."""
     ints = linalg.z_row(row)
     r = next(iter(ints), None)
-    return ints, ints[r] / row[r].as_fraction() if ints else Fraction(1)
+    return ints, Fraction(ints[r], row[r]) if ints else Fraction(1)
 
 
-# Entries of the monomial-bracket table, chosen from its memory cost: an
-# entry holds about 655 bytes (traced with tracemalloc, the drop at
-# cache_clear() over the entries four seeds of the classify benchmark
-# fill), so a full table holds about 1.3 MB, near 5% of a classifying
-# process's peak resident memory.
+# The monomial-bracket table, kept across calls so that a change of basis
+# reuses it: ``_IDS`` numbers each monomial field (space, (slot, monomial))
+# on first use, ``_KEYS`` lists them by number, and ``_TABLE`` maps numbers
+# a < b to [a, b] (``_monomial_bracket``); ``structure_constants`` holds
+# ``_LOCK`` while it uses them.  All three are cleared when a call starts
+# with more than ``BRACKET_TABLE_SIZE`` entries, a bound chosen from the
+# memory cost: an entry with its share of the numbering holds about 256
+# bytes (tracemalloc, over 1053 entries of four classify seeds), 0.5 MB.
 BRACKET_TABLE_SIZE = 2048
+_IDS: dict = {}
+_KEYS: list = []
+_TABLE: dict = {}
+_LOCK = Lock()
 
 
-@lru_cache(maxsize=BRACKET_TABLE_SIZE)
-def _monomial_bracket(variables: tuple[str, ...], dependent: str,
-                      a: tuple, b: tuple) -> tuple:
+def _id(space: tuple, key: tuple) -> int:
+    if (space, key) not in _IDS:
+        _KEYS.append(key)
+    return _IDS.setdefault((space, key), len(_KEYS) - 1)
+
+
+def _monomial_bracket(space: tuple, a: int, b: int) -> tuple:
     """[m d_k, n d_l] = m d_k(n) d_l - n d_l(m) d_k (Olver, GTM 107, Ch. 1)
-    for the monomial fields a = (k, m) < b = (l, n), in coordinates:
-    ``(d, pairs)``, with ``pairs`` its ((slot, monomial), coefficient)
+    for the monomial fields numbered a < b, stored in ``_TABLE``: () when it
+    is zero, else ``(d, pairs)``, with ``pairs`` its (number, coefficient)
     pairs.  When every coefficient is rational they are integers over the
     one positive denominator d; otherwise d is None and they are
-    expressions in the parameters.
-
-    Kept across calls, least recently used first out, so that every basis
-    over the same monomial fields -- any change of basis -- reuses them;
-    [b, a] is read as -[a, b], so one order is stored.
+    expressions in the parameters.  It is formed with (k, m) < (l, n), and
+    negated when that order is b, a, so that the order of its pairs, and of
+    the columns a bracket adds, does not depend on the numbering.
     """
-    (k, m), (l, n) = a, b
-    wrt = [Atom(v) for v in variables] + [Jet(dependent, ())]
+    flip = _KEYS[b] < _KEYS[a]
+    (k, m), (l, n) = sorted((_KEYS[a], _KEYS[b]))
+    wrt = [Atom(v) for v in space[0]] + [Jet(space[1], ())]
     m, n = Expr(((1, m),)), Expr(((1, n),))
     dn, dm = m * ex.partial(n, wrt[k]), n * ex.partial(m, wrt[l])
     slots = {l: dn - dm} if k == l else {l: dn, k: -dm}
-    pairs = [((slot, mono), x) for slot, e in slots.items()
+    pairs = [(_id(space, (slot, mono)), -x if flip else x)
+             for slot, e in slots.items()
              for mono, x in ex.split_terms(e, _geometric).items()]
-    if not all(x.is_rational for _, x in pairs):
-        return None, tuple(pairs)
-    values = [x.as_fraction() for _, x in pairs]
-    d = lcm(*(v.denominator for v in values))
-    return d, tuple((key, v.numerator * (d // v.denominator))
-                    for (key, _), v in zip(pairs, values))
+    d = None
+    if all(x.is_rational for _, x in pairs):
+        values = [x.as_fraction() for _, x in pairs]
+        d = lcm(*(v.denominator for v in values))
+        pairs = [(i, v.numerator * (d // v.denominator))
+                 for (i, _), v in zip(pairs, values)]
+    entry = _TABLE[a, b] = (d, tuple(pairs)) if pairs else ()
+    return entry
 
 
-def _bracket(total, space: tuple, u: list, v: list, index: dict) -> tuple:
+def _bracket(ring: Ring, space: tuple, u: list, v: list,
+             columns: dict) -> tuple | None:
     """The coordinates of [X, Y] from those of X and Y, ``u`` and ``v`` as
-    ((slot, monomial), value) pairs: the sum of x y [a, b] over the pairs
-    of monomial fields, ``total`` the sum of the coordinates' ring.
+    (monomial field number, value) pairs in ``ring``: the sum of x y [a, b]
+    over the pairs of monomial fields whose bracket is not zero.
 
     Returns the row {column: value} of d times the bracket, for d the lcm
-    of the denominators of the monomial brackets met, then d, and whether
-    every one of those is rational.  Monomial fields the bracket adds to
-    those of the basis extend ``index``.
+    of the denominators of the monomial brackets met, and d; None in
+    ``INTEGERS`` when one of them is not rational.  ``columns`` maps the
+    monomial fields to their columns, and those the bracket adds to those
+    of the basis extend it.
     """
+    ints, d = ring is INTEGERS, 1
     pieces: dict = {}
-    d, rational = 1, True
     for a, x in u:
         for b, y in v:
             if a == b:
                 continue
-            if a < b:
-                xy, (e, entries) = x * y, _monomial_bracket(*space, a, b)
-            else:
-                xy, (e, entries) = -(x * y), _monomial_bracket(*space, b, a)
+            entry = _TABLE.get((a, b) if a < b else (b, a))
+            if entry is None:
+                entry = _monomial_bracket(space, min(a, b), max(a, b))
+            if not entry:
+                continue
+            e, entries = entry
+            xy = x * y if a < b else -(x * y)
             if e is None:
-                rational, e = False, 1
+                if ints:
+                    return None
+                e = 1
             elif d % e:   # bring the sum so far to a common denominator
                 m = e // gcd(d, e)
-                pieces = {r: [w * m for w in ws] for r, ws in pieces.items()}
+                pieces = {r: w * m if ints else [z * m for z in w]
+                          for r, w in pieces.items()}
                 d *= m
             if d != e:
                 xy = xy * (d // e)
             for key, c in entries:
-                pieces.setdefault(index.setdefault(key, len(index)),
-                                  []).append(xy * c)
-    return ({r: s for r, ws in pieces.items() if (s := total(ws))}, d,
-            rational)
+                r = columns.setdefault(key, len(columns))
+                if ints:
+                    pieces[r] = pieces.get(r, 0) + xy * c
+                else:
+                    pieces.setdefault(r, []).append(xy * c)
+    return {r: s for r, w in pieces.items()
+            if (s := w if ints else ex.sum_of(w))}, d
 
 
 def _verified_expansions(ring: Ring, vectors, brackets, sols, den) -> dict:
@@ -491,15 +521,16 @@ def _check_jacobi(p: AlgebraPresentation):
     triple i < j < k and every l; products with a zero factor are left
     out.  The identity is homogeneous quadratic in c, so it is checked on
     ``p.cleared``, D*c over the integers in ``INTEGERS``."""
-    c, total = p.cleared, p.ring.sum
+    s, total = p.sparse, p.ring.sum
     for i, j, k in combinations(range(p.dimension), 3):
-        outer = [(x, c[m][d]) for ab, d in ((c[i][j], k), (c[j][k], i),
-                                            (c[k][i], j))
-                 for m, x in enumerate(ab) if x]
-        for l in range(p.dimension):
-            if total([x * row[l] for x, row in outer if row[l]]):
-                raise ExprError(
-                    f"Jacobi identity fails on triple ({i+1}, {j+1}, {k+1})")
+        pieces: dict = {}
+        for ab, d in ((s[i][j], k), (s[j][k], i), (s[k][i], j)):
+            for m, x in ab:
+                for l, y in s[m][d]:
+                    pieces.setdefault(l, []).append(x * y)
+        if any(map(total, pieces.values())):
+            raise ExprError(
+                f"Jacobi identity fails on triple ({i+1}, {j+1}, {k+1})")
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +590,13 @@ def _derived_space(p: AlgebraPresentation) -> list:
 
 
 def _center(p: AlgebraPresentation) -> list:
-    n, c = p.dimension, p.cleared
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([c[i][j][k] for i in range(n)])
-    return p.ring.nullspace(rows)
+    n, zero = p.dimension, p.ring.zero
+    rows: dict = {}   # row (j, k) holds c[i][j][k] at column i
+    for i, row in enumerate(p.sparse):
+        for j, col in enumerate(row):
+            for k, x in col:
+                rows.setdefault(j * n + k, [zero] * n)[i] = x
+    return p.ring.nullspace([rows[r] for r in sorted(rows)] or [[zero] * n])
 
 
 def _killing_matrix(p: AlgebraPresentation) -> list[list]:
@@ -730,17 +762,20 @@ def _unclassified(p: AlgebraPresentation, why: str, center,
 def _try_semidirect(p: AlgebraPresentation, center, derived) -> Verdict | None:
     """Detect complement (+)s nilradical via the Killing-form radical."""
     n = p.dimension
-    radical = p.ring.nullspace(_killing_matrix(p))
+    killing = _killing_matrix(p)
+    radical = p.ring.nullspace(killing)
     m = len(radical)
     if not 0 < m < n:
         return None
     rad_z = _derived_space_sub(p, radical)   # [N, N]
     if not _is_nilpotent(p, radical, rad_z):
         return None
-    # the Killing form is ad-invariant, so its radical is an ideal:
-    # [e_i, w] in it for every i and w in it
-    if not _spans(p, radical,
-                  [_ad_bracket(p, e, w) for e in p.unit for w in radical]):
+    # the Killing form is ad-invariant, so its radical, the nullspace of
+    # K, is an ideal: K [e_i, w] = 0 for every i and w in it
+    rows = [[(a, k) for a, k in enumerate(row) if k] for row in killing]
+    if any(p.ring.sum([k * v[a] for a, k in row if v[a]])
+           for v in (_ad_bracket(p, e, w) for e in p.unit for w in radical)
+           for row in rows):
         raise InternalError("internal error: Killing radical not an ideal")
     levi = _levi_complement(p, radical, rad_z)
     if levi is None:

@@ -6,9 +6,10 @@ its ``clear`` (a pivot row clears its column from a row) and its ``lead``
 (a new pivot row is normalised):
 
 * rational rows are eliminated over the integers, fraction-free: each row
-  is scaled once to a primitive integer row, ``_cross`` combines rows by
-  cross-multiplication and keeps them primitive, and ``_positive`` makes
-  the pivot entry, which every reduced row keeps, positive (Bareiss,
+  is scaled once to an integer row (``int`` rows are taken as given),
+  ``_cross`` combines rows by cross-multiplication and makes them
+  primitive, and ``_positive`` makes a new pivot row primitive and its
+  pivot entry, which every reduced row keeps, positive (Bareiss,
   *Math. Comp.* 22, 1968, without the determinant bookkeeping).  The
   ``z_*`` functions return the integer results themselves: primitive rows
   and nullspace vectors, and solutions as numerators over one common
@@ -82,20 +83,21 @@ def _width(rows, ncols: int | None) -> int:
 
 
 def z_row(row) -> dict[int, int]:
-    """A row of rational numbers -- ``int``, ``Fraction`` or rational
-    expressions, dense or sparse -- as a primitive integer row of its
-    nonzero entries, a positive multiple of it: times the lcm of their
-    denominators, over the gcd of the products.  Scaling a row keeps its
-    row space and its solutions."""
+    """A row of rational numbers -- ``int`` or ``Fraction``, dense or
+    sparse -- as a primitive integer row of its nonzero entries, a
+    positive multiple of it: times the lcm of their denominators, over the
+    gcd of the products.  Scaling a row keeps its row space and its
+    solutions."""
+    return _primitive(_integers(row))
+
+
+def _integers(row) -> dict[int, int]:
+    """A rational row's nonzero entries times the lcm of their denominators."""
     row = {c: v for c, v in _items(row) if v}
     if all(v.__class__ is int for v in row.values()):
-        return _primitive(row)
-    row = {c: v.as_fraction() if isinstance(v, Expr)
-           else v if isinstance(v, (int, Fraction)) else Fraction(v)
-           for c, v in row.items()}
+        return row
     d = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (d // v.denominator)
-                       for c, v in row.items()})
+    return {c: v.numerator * (d // v.denominator) for c, v in row.items()}
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -160,16 +162,18 @@ def _cross(row: dict, c: int, pivot_row: dict) -> dict:
 
 
 def _positive(row: dict, pc: int) -> dict:
-    """A primitive integer row, negated unless positive at ``pc``."""
+    """An integer row over its gcd, negated unless positive at ``pc``."""
+    row = _primitive(row)
     return row if row[pc] > 0 else {j: -v for j, v in row.items()}
 
 
 def z_rref(matrix) -> tuple[list[dict[int, int]], list[int]]:
     """Reduced echelon form over the integers of rows of rational numbers
-    (``int``, ``Fraction`` or rational expressions; dense lists or sparse
-    dicts): one primitive integer row per pivot, positive at its pivot and
-    zero in every other pivot column, and the pivot column list."""
-    return _rref([z_row(row) for row in matrix], _cross, _positive)
+    (``int`` or ``Fraction``; dense lists or sparse dicts): one primitive
+    integer row per pivot, positive at its pivot and zero in every other
+    pivot column, and the pivot column list.  Rows are made primitive only
+    as ``_cross`` and ``_positive`` form them."""
+    return _rref([_integers(row) for row in matrix], _cross, _positive)
 
 
 def z_nullspace(matrix, ncols: int | None = None) -> list[list[int]]:

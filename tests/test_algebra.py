@@ -2,6 +2,8 @@
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction as Fr
 from itertools import combinations
 from math import lcm
@@ -18,7 +20,7 @@ from liepde.algebra import (BRACKET_TABLE_SIZE, AlgebraPresentation,
                             _subalgebra, classify, commutator,
                             structure_constants)
 from liepde.cli import _load_basis_file
-from liepde.expr import DELTA, OMEGA, R, S, T, U, V, W, X, Y, ZERO, ONE
+from liepde.expr import DELTA, OMEGA, R, S, T, U, V, W, X, Y, ZERO, ONE, Expr
 from liepde.fixtures import known_basis
 from liepde.jet import get_equation, make_heat
 from liepde.linalg import inertia, q_rank
@@ -809,22 +811,116 @@ class TestCoordinateBrackets:
                 assert expansion == commutator(fields[i], fields[j]), (i, j)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_cold_warm_and_cleared_tables_agree(self, seed, discovered):
+    def test_cold_warm_and_cleared_tables_agree(self, seed, discovered,
+                                                monkeypatch):
         bases = _classify_bases(seed, discovered)
-        table = algebra._monomial_bracket
-        table.cache_clear()
-        runs, infos = [], []
+        misses, compute = [], algebra._monomial_bracket
+        monkeypatch.setattr(algebra, "_monomial_bracket",
+                            lambda *args: misses.append(args) or compute(*args))
+        _empty_table()
+        runs, computed = [], []
         for clear in (False, False, True):
             if clear:
-                table.cache_clear()
+                _empty_table()
             runs.append([structure_constants(f).constants for f in bases])
-            infos.append(table.cache_info())
-            assert infos[-1].maxsize == BRACKET_TABLE_SIZE
-            assert 0 < infos[-1].currsize <= BRACKET_TABLE_SIZE
+            computed.append(len(misses))
+            assert 0 < len(algebra._TABLE) <= BRACKET_TABLE_SIZE
         assert runs[0] == runs[1] == runs[2]
-        # the warm run computes no monomial bracket again
-        assert infos[1].misses == infos[0].misses
-        assert infos[1].hits > infos[0].hits
+        # the warm run computes no monomial bracket again, the cleared one
+        # computes each again
+        assert computed[0] == computed[1] == computed[2] - computed[0]
+
+    def test_a_table_past_its_bound_is_cleared_with_its_numbering(
+            self, discovered, monkeypatch):
+        bases = _classify_bases(1, discovered)
+        expected = [structure_constants(f).constants for f in bases]
+        monkeypatch.setattr(algebra, "BRACKET_TABLE_SIZE", 40)
+        cold = []   # the entries and numbers each basis fills alone
+        for fields in bases:
+            _empty_table()
+            structure_constants(fields)
+            cold.append((len(algebra._TABLE), len(algebra._KEYS)))
+        _empty_table()
+        resets = 0
+        for _ in range(2):
+            for fields, want, sizes in zip(bases, expected, cold):
+                before = len(algebra._TABLE)
+                assert structure_constants(fields).constants == want
+                if before > 40:
+                    resets += 1
+                    assert (len(algebra._TABLE), len(algebra._KEYS)) == sizes
+                else:
+                    assert len(algebra._TABLE) >= before
+        assert resets >= 2
+
+    def test_threads_share_the_table(self, discovered, monkeypatch):
+        # four threads switching every microsecond, with a bound small
+        # enough that calls keep emptying the table: every tensor is the
+        # one a single thread gives
+        bases = _classify_bases(1, discovered)
+        expected = [structure_constants(f).constants for f in bases]
+        monkeypatch.setattr(algebra, "BRACKET_TABLE_SIZE", 40)
+        wrong = []
+
+        def work(shift):
+            for k in range(3 * len(bases)):
+                k = (k + shift) % len(bases)
+                try:
+                    if structure_constants(bases[k]).constants != expected[k]:
+                        wrong.append(k)
+                except Exception as err:   # a lost update can raise anywhere
+                    wrong.append(err)
+
+        threads = [threading.Thread(target=work, args=(2 * s,))
+                   for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_zero_monomial_brackets_form_no_product(self, monkeypatch):
+        # with the table warm, x*y is formed for a pair of coordinates only
+        # when the bracket of their monomial fields is not zero
+        basis = known_basis()
+        structure_constants(basis)
+        mul, bracket = Expr.__mul__, algebra._bracket
+        counts = {"products": 0, "nonzero": 0, "zero": 0}
+
+        def spy(ring, space, u, v, columns):
+            assert ring is algebra.EXPRESSIONS
+            xs, ys = {id(x) for _, x in u}, {id(y) for _, y in v}
+            for a, _ in u:
+                for b, _ in v:
+                    if a != b:
+                        entry = algebra._TABLE[min(a, b), max(a, b)]
+                        counts["nonzero" if entry else "zero"] += 1
+
+            def counted(p, q):
+                counts["products"] += id(p) in xs and id(q) in ys
+                return mul(p, q)
+            monkeypatch.setattr(Expr, "__mul__", counted)
+            try:
+                return bracket(ring, space, u, v, columns)
+            finally:
+                monkeypatch.setattr(Expr, "__mul__", mul)
+
+        monkeypatch.setattr(algebra, "_bracket", spy)
+        structure_constants(basis)
+        assert counts["zero"] > 0
+        assert counts["products"] == counts["nonzero"] > 0
+
+
+def _empty_table():
+    """Empty the monomial-bracket table and its numbering."""
+    for table in (algebra._TABLE, algebra._IDS, algebra._KEYS):
+        table.clear()
 
 
 GOLDEN_VERDICTS = Path(__file__).parent / "golden" / "classify_bases.json"

@@ -12,10 +12,14 @@ matrices ad(e_i) from liepde's structure-constant tensor and computes the
 Killing matrix tr(ad_i ad_j), the dimension of the centre (the common
 kernel of every ad(e_j)) and that of the derived algebra (the span of
 every ad(e_i) e_j) by its own matrix arithmetic and ranks; liepde reads
-them off the tensor.  For seeded triangular mixes of the bound hpz, heat
-and reduced-3.2 bases, whose tensors liepde computes over the integers,
-sympy forms every commutator by differentiation and solves its expansion
-in the basis on its own.  sympy is a test-time oracle only; the package
+them off the tensor.  For the symbolic hpz basis -- as it is, permuted and
+scaled at two seeds, and with e2 += R*e1 -- and for heat, sympy forms each
+commutator by differentiation and checks both the bracket row liepde
+forms from its table of monomial brackets and the expansion
+``structure_constants`` solves from it.  For seeded triangular mixes of
+the bound hpz, heat and reduced-3.2 bases, whose tensors liepde computes
+over the integers, sympy forms every commutator by differentiation and
+solves its expansion in the basis on its own.  sympy is a test-time oracle only; the package
 does not import it.
 """
 
@@ -164,12 +168,32 @@ def _vanishes(e):
     return sympy.simplify(sympy.powsimp(sympy.expand(e))) == 0
 
 
-@pytest.mark.parametrize("name", ["hpz", "heat"])
+def _bracket_basis(name):
+    """The symbolic hpz basis -- as it is, permuted and scaled at a seed as
+    the classify benchmark draws it, or with e2 += R*e1 -- or the heat
+    basis."""
+    if name == "heat":
+        return tuple(solve_determining(make_heat()).fields)
+    fields = list(known_basis())
+    if name == "hpz e2+=R*e1":
+        fields[1] = fields[1].plus(fields[0].scaled(ex.R))
+    elif name != "hpz":
+        rng = random.Random(int(name.rsplit(" ", 1)[1]))
+        fields = [fields[p].scaled(Fr(rng.choice((-3, -1, 1, 2)),
+                                      rng.randint(1, 3)))
+                  for p in rng.sample(range(6), 6)]
+    return tuple(fields)
+
+
+@pytest.mark.parametrize("name", ["hpz", "heat", "hpz permuted 0",
+                                  "hpz permuted 1", "hpz e2+=R*e1"])
 def test_coordinate_brackets_match_sympy(name):
-    fields = (tuple(known_basis()) if name == "hpz"
-              else tuple(solve_determining(make_heat()).fields))
+    # each bracket row, and the expansion sum_k c_ij^k X_k that
+    # structure_constants solves from it, is the commutator sympy forms
+    fields = _bracket_basis(name)
     # rational rows are integer rows standing for row / scale
     monomials, rows, scales, _ = _coordinate_brackets(fields)
+    constants = structure_constants(fields).constants
     wrt = [SYMBOLS[v] for v in fields[0].variables] + [SYMBOLS["u"]]
     theirs = [[_sympy(c) for c in f.coefficients()] for f in fields]
     n = len(fields)
@@ -182,6 +206,11 @@ def test_coordinate_brackets_match_sympy(name):
                                  * ex.Expr(((Fr(1) / scale, monomial),)))
         expected = _sympy_bracket(theirs[i], theirs[j], wrt)
         assert all(_vanishes(a - b) for a, b in zip(ours, expected)), (i, j)
+        expansion = [sum(_sympy(ex.as_expr(c)) * x[slot]
+                         for c, x in zip(constants[i][j], theirs))
+                     for slot in range(len(wrt))]
+        assert all(_vanishes(a - b)
+                   for a, b in zip(expansion, expected)), (i, j)
 
 
 def _triangular_mix(rng, fields):
